@@ -23,7 +23,7 @@ import numpy as np
 
 from . import mechanisms as mech
 from .errors import ContractViolationError, InputError, UndefinedResultError
-from .simulator import Trace
+from .simulator import Trace, rebuild_ledgers
 from .smoothness import SmoothnessParams
 
 RATIO_TOL_DEFAULT = 0.05
@@ -48,16 +48,9 @@ class EmpiricalJoint:
     counts: dict[bytes, int]
     cond: dict[bytes, np.ndarray]
 
-    def p(self, key: bytes) -> float:
-        return self.counts.get(key, 0) / self.total
-
     def conditional(self, key: bytes) -> np.ndarray:
         c = self.cond[key]
         return c / c.sum()
-
-    @staticmethod
-    def decode(key: bytes) -> np.ndarray:
-        return np.frombuffer(key, dtype=np.int16)
 
 
 def _window_bounds(trace: Trace, window) -> tuple[int, int]:
@@ -70,14 +63,6 @@ def _window_bounds(trace: Trace, window) -> tuple[int, int]:
     return start - 1, stop
 
 
-def _v_flat(trace: Trace, lo: int, hi: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    v_sizes = tuple(len(p) for p in trace.config.populations)
-    flat = np.zeros(hi - lo, dtype=np.int64)
-    for i, size in enumerate(v_sizes):
-        flat = flat * size + trace.v_idx[lo:hi, i]
-    return flat, v_sizes
-
-
 def empirical_joint(trace: Trace, window=None, zeta: float = 0.0) -> EmpiricalJoint:
     """Exact counting of rounds by commitment profile over a 1-based window."""
     if trace.strategy is None:
@@ -86,7 +71,8 @@ def empirical_joint(trace: Trace, window=None, zeta: float = 0.0) -> EmpiricalJo
         raise InputError(f"zeta must lie in [0, 1], got {zeta}")
     lo, hi = _window_bounds(trace, window)
     rows = np.ascontiguousarray(trace.strategy[lo:hi])
-    vflat, v_sizes = _v_flat(trace, lo, hi)
+    v_sizes = tuple(len(p) for p in trace.config.populations)
+    vflat = mech.radix_encode(trace.v_idx[lo:hi].T, v_sizes)
     v_count = int(np.prod(v_sizes))
     uniq, inverse, cnt = np.unique(
         rows, axis=0, return_inverse=True, return_counts=True
@@ -149,28 +135,6 @@ def conditional_independence_gap(
 # --- empirical epsilon of the coarse-equilibrium condition -------------------
 
 
-def _agent_gap_sums(trace: Trace, horizon: int):
-    """Per-agent numerator sums: for each own action a', the cumulative
-    counterfactual-minus-realized utility over rounds where that agent's type
-    was the one selected, within the first ``horizon`` rounds."""
-    cfg = trace.config
-    m = cfg.mechanism
-    sums = {}
-    for pop, ti, val in cfg.agents():
-        table = mech.utility_table(m, pop, val)
-        sel = trace.v_idx[:horizon, pop] == ti
-        opp = np.zeros(horizon, dtype=np.int64)
-        for j in range(m.n):
-            if j != pop:
-                opp = opp * m.actions.size(j) + trace.realized_idx[:horizon, j]
-        opp_sel = opp[sel]
-        counts = np.bincount(opp_sel, minlength=table.shape[1]).astype(np.float64)
-        cf = table @ counts
-        realized = float(table[trace.realized_idx[:horizon, pop][sel], opp_sel].sum())
-        sums[(pop, ti)] = (cf - realized, int(sel.sum()))
-    return sums
-
-
 def bayes_cce_epsilon(
     trace: Trace, mechanism: mech.Mechanism | None = None, horizon: int | None = None
 ) -> tuple[float, dict]:
@@ -196,29 +160,29 @@ def bayes_cce_epsilon(
     T = trace.horizon if horizon is None else horizon
     if not 1 <= T <= trace.horizon:
         raise InputError(f"horizon {T} outside [1, {trace.horizon}]")
-    sums = _agent_gap_sums(trace, T)
+    recount = rebuild_ledgers(trace, T)
     if T == trace.horizon and trace.ledgers is not None:
-        _assert_ledger_identity(trace, sums)
+        _assert_ledger_identity(trace, recount)
     breakdown = {}
     eps = 0.0
-    for key, (gaps, _n_sel) in sums.items():
-        avg = gaps / T
-        breakdown[key] = avg
+    for (pop, ti, _val), led in zip(trace.config.agents(), recount):
+        avg = led.gaps() / T
+        breakdown[(pop, ti)] = avg
         eps = max(eps, float(avg.max()))
     return max(eps, 0.0), breakdown
 
 
-def _assert_ledger_identity(trace: Trace, sums) -> None:
+def _assert_ledger_identity(trace: Trace, recount) -> None:
     scale = max(1.0, trace.horizon * trace.config.mechanism.scale)
-    for g, (pop, ti, _val) in enumerate(trace.config.agents()):
-        led = trace.ledgers[g]
-        gaps, n_sel = sums[(pop, ti)]
-        if n_sel != led.selected_rounds:
+    for (pop, ti, _val), led, fresh in zip(trace.config.agents(), trace.ledgers, recount):
+        if fresh.selected_rounds != led.selected_rounds:
             raise ContractViolationError(
                 f"agent (pop={pop}, type={ti}): ledger saw {led.selected_rounds} "
-                f"selected rounds, trace recount says {n_sel}"
+                f"selected rounds, trace recount says {fresh.selected_rounds}"
             )
-        if not np.allclose(gaps, led.gaps(), rtol=IDENTITY_RTOL, atol=IDENTITY_RTOL * scale):
+        if not np.allclose(
+            fresh.gaps(), led.gaps(), rtol=IDENTITY_RTOL, atol=IDENTITY_RTOL * scale
+        ):
             raise ContractViolationError(
                 f"agent (pop={pop}, type={ti}): ledger gap sums diverge from the "
                 "trace recount; the trace is internally inconsistent"
@@ -243,10 +207,6 @@ class WelfareSummary:
     bound: float
     tolerance: float
     within_bound: bool
-
-    @property
-    def est_opt(self) -> float:
-        return self.avg_opt
 
 
 def welfare_ratio(
@@ -329,32 +289,6 @@ def finite_time_check(
         delta=delta,
         epsilon=measured_epsilon,
     )
-
-
-@dataclass(frozen=True)
-class FiniteTimeParams:
-    """Size parameters of the sufficient-horizon formula."""
-
-    delta: float
-    rho: float
-    epsilon: float
-    n: int
-    sigma_size: float
-    v_size: float
-    H: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta <= 1.0:
-            raise InputError(f"delta must lie in (0, 1], got {self.delta}")
-        if not 0.0 < self.rho <= 1.0:
-            raise InputError(f"rho must lie in (0, 1], got {self.rho}")
-        if self.epsilon < 0:
-            raise InputError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.n < 1 or self.sigma_size < 1 or self.v_size < 1 or self.H <= 0:
-            raise InputError("need n >= 1, sigma_size >= 1, v_size >= 1, H > 0")
-
-    def t_star(self) -> float:
-        return t_star(self.delta, self.rho, self.n, self.sigma_size, self.v_size, self.H)
 
 
 def t_star(

@@ -6,7 +6,8 @@ Subcommands:
   per-seed trace.csv, strategies.json, report.json, checkpoints.csv and an
   aggregate report.json.
 * ``certify``: evaluate a named deviation rule's certificate exhaustively
-  and report the best level reachable with pure deviations.
+  and report the best level reachable with pure deviations, when that
+  search fits its cap (it is informational and never sets the exit code).
 * ``exact``: build the agent normal form, check the lifted certificate, and
   bound worst-case equilibrium welfare by LP.
 * ``analyze``: recompute analysis reports from stored trace files.
@@ -361,8 +362,12 @@ def cmd_certify(cfg: ExperimentConfig, lam: float | None, mu: float | None) -> i
         cfg.mechanism, rule, params, value_space
     )
     print(f"rule {rule.name!r}: {report}")
-    best = smoothness.best_pure_lambda(cfg.mechanism, params.mu, value_space)
-    print(f"best pure-deviation level at mu={params.mu:.6g}: {best:.6g}")
+    try:
+        best, _ = smoothness.best_pure_deviation(cfg.mechanism, params.mu, value_space)
+    except CapExceededError as e:
+        print(f"best pure-deviation level skipped: {e}")
+    else:
+        print(f"best pure-deviation level at mu={params.mu:.6g}: {best:.6g}")
     if cfg.mechanism.kind == mech.KIND_FIRST_PRICE and rule.name == "log":
         cert = smoothness.log_deviation_certificate(
             cfg.mechanism, value_space, params.mu

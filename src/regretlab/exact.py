@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,13 +33,6 @@ from .smoothness import SLACK_TOL, DeviationRule, SmoothnessParams, SmoothnessRe
 TENSOR_CAP = 1_000_000
 LP_CAP = 4096
 FEAS_TOL = 1e-7
-
-
-def _strides(sizes) -> list[int]:
-    out = [1] * len(sizes)
-    for j in range(len(sizes) - 2, -1, -1):
-        out[j] = out[j + 1] * sizes[j + 1]
-    return out
 
 
 @dataclass(frozen=True)
@@ -69,23 +63,22 @@ class AgentGame:
     def n_agents(self) -> int:
         return len(self.agents)
 
-    def digits(self, g: int) -> np.ndarray:
-        """Agent g's own action index at every joint profile."""
-        return (np.arange(self.sigma) // self.strides[g]) % self.sizes[g]
+    @cached_property
+    def _digits(self) -> tuple[np.ndarray, ...]:
+        # every agent's own action index at every joint profile
+        return mech.radix_decode(np.arange(self.sigma), self.sizes)
 
     def deviation_view(self, g: int, action: int) -> np.ndarray:
         """Index map s -> (action, s_minus_g)."""
         if not 0 <= action < self.sizes[g]:
             raise InputError(f"action {action} out of range for agent {g}")
-        return np.arange(self.sigma) + (action - self.digits(g)) * self.strides[g]
+        return np.arange(self.sigma) + (action - self._digits[g]) * self.strides[g]
 
     def social_welfare(self) -> np.ndarray:
         return self.utilities.sum(axis=0) + self.revenue
 
     def profile_digits(self, s: int) -> tuple[int, ...]:
-        return tuple(
-            (s // self.strides[g]) % self.sizes[g] for g in range(self.n_agents)
-        )
+        return mech.radix_decode(s, self.sizes)
 
 
 def build_agent_game(
@@ -122,7 +115,6 @@ def build_agent_game(
             f"agent game needs {sigma} joint profiles, cap is {cap} "
             f"(per-agent action counts: {sizes})"
         )
-    strides = _strides(sizes)
     n = mechanism.n
     n_agents = len(agents)
     agent_index = {(i, ti): g for g, (i, ti, _v) in enumerate(agents)}
@@ -130,19 +122,12 @@ def build_agent_game(
     # Per-player utilities and revenue flattened over the mechanism's joint
     # action profiles (player ascending, last fastest).
     joint = mech.joint_profile_count(mechanism)
-    a_sizes = list(mechanism.actions.sizes())
-    a_strides = _strides(a_sizes)
-    pdigs = [
-        (np.arange(joint) // a_strides[i]) % a_sizes[i] for i in range(n)
-    ]
+    a_sizes = mechanism.actions.sizes()
+    pdigs = mech.radix_decode(np.arange(joint), a_sizes)
     rev_flat = mech.revenue_table(mechanism)
     util_flat: dict[tuple[int, float], np.ndarray] = {}
     for i, p in enumerate(pops):
-        others = [j for j in range(n) if j != i]
-        ostr = _strides([a_sizes[j] for j in others])
-        oflat = np.zeros(joint, dtype=np.int64)
-        for j, s in zip(others, ostr):
-            oflat += pdigs[j] * s
+        oflat = mech.radix_encode(pdigs[:i] + pdigs[i + 1:], a_sizes[:i] + a_sizes[i + 1:])
         for v in p.values:
             table = mech.utility_table(mechanism, i, v)
             util_flat[(i, v)] = table[pdigs[i], oflat]
@@ -151,17 +136,13 @@ def build_agent_game(
     revenue = np.zeros(sigma)
     opt_total = 0.0
     v_count = 0
-    s_range = np.arange(sigma)
+    sdigs = mech.radix_decode(np.arange(sigma), sizes)
     for tv in itertools.product(*[range(len(p)) for p in pops]):
         v_count += 1
         vals = tuple(pops[i].values[tv[i]] for i in range(n))
         opt_total += mech.optimal_welfare(vals, mechanism)
-        aflat = np.zeros(sigma, dtype=np.int64)
-        sel = []
-        for i in range(n):
-            g = agent_index[(i, tv[i])]
-            sel.append(g)
-            aflat += ((s_range // strides[g]) % sizes[g]) * a_strides[i]
+        sel = [agent_index[(i, tv[i])] for i in range(n)]
+        aflat = mech.radix_encode([sdigs[g] for g in sel], a_sizes)
         revenue += rev_flat[aflat]
         for i in range(n):
             utilities[sel[i]] += util_flat[(i, vals[i])][aflat]
@@ -172,7 +153,7 @@ def build_agent_game(
         populations=pops,
         agents=tuple(agents),
         sizes=tuple(sizes),
-        strides=tuple(strides),
+        strides=tuple(mech.radix_place_values(sizes)),
         utilities=utilities,
         revenue=revenue,
         e_opt=opt_total / v_count,
@@ -196,7 +177,6 @@ def lift_smoothness_check(
     pops = g_.populations
     value_lists = [p.values for p in pops]
     lhs = np.zeros(g_.sigma)
-    s_range = np.arange(g_.sigma)
     for g, (i, _ti, val) in enumerate(g_.agents):
         dev = np.zeros(g_.sizes[g])
         count = 0
@@ -206,13 +186,11 @@ def lift_smoothness_check(
             dev += base_deviation.distribution(m, i, tuple(wv))
             count += 1
         dev /= count
-        dig = (s_range // g_.strides[g]) % g_.sizes[g]
-        base = s_range - dig * g_.strides[g]
         ug = g_.utilities[g]
         for a in range(g_.sizes[g]):
             w = dev[a]
             if w > 0.0:
-                lhs += w * ug[base + a * g_.strides[g]]
+                lhs += w * ug[g_.deviation_view(g, a)]
     slack = lhs - params.lam * g_.e_opt + params.mu * g_.revenue
     worst = int(np.argmin(slack))
     worst_slack = float(slack[worst])

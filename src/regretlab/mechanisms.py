@@ -285,14 +285,6 @@ def optimal_welfare(valuation_profile: Sequence[float], mechanism: Mechanism) ->
 # mixed-radix order over ascending player index j != i.
 
 
-def opponent_profile_count(mechanism: Mechanism, player: int) -> int:
-    count = 1
-    for j in range(mechanism.n):
-        if j != player:
-            count *= mechanism.actions.size(j)
-    return count
-
-
 def joint_profile_count(mechanism: Mechanism) -> int:
     return int(np.prod(mechanism.actions.sizes(), dtype=np.int64))
 
@@ -354,16 +346,48 @@ def revenue_table(mechanism: Mechanism, cap: int = 10_000_000) -> np.ndarray:
     return rev
 
 
+# --- mixed-radix indexing ----------------------------------------------------
+#
+# Joint bid profiles, opponent profiles, type profiles and agent-game profiles
+# are all flattened the same way: digit ``j`` ranges over ``sizes[j]`` and the
+# last digit varies fastest, which is the order of ``itertools.product``.
+
+
+def radix_place_values(sizes: Sequence[int]) -> list[int]:
+    """Place value (stride) of each digit: ``flat = sum(digit[j] * place[j])``."""
+    places = [1] * len(sizes)
+    for j in range(len(sizes) - 2, -1, -1):
+        places[j] = places[j + 1] * sizes[j + 1]
+    return places
+
+
+def radix_encode(digits, sizes: Sequence[int]):
+    """Flat index of a digit tuple. Digits may be ints or integer arrays, which
+    broadcast; the result is an int64 array (0-d for scalar digits), and 0 for
+    an empty tuple."""
+    flat = 0
+    for d, size in zip(digits, sizes):
+        flat = flat * size + np.asarray(d, dtype=np.int64)
+    return flat
+
+
+def radix_decode(flat, sizes: Sequence[int]) -> tuple:
+    """Inverse of ``radix_encode``: the digit tuple of an int or an array."""
+    digits = []
+    for size in reversed(sizes):
+        flat, d = divmod(flat, size)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
 def opponent_flat_index(
     mechanism: Mechanism, player: int, action_indices: Sequence[int]
 ) -> int:
     """Mixed-radix index of the opponents' part of a joint action-index profile."""
-    flat = 0
-    for j in range(mechanism.n):
-        if j == player:
-            continue
-        flat = flat * mechanism.actions.size(j) + action_indices[j]
-    return flat
+    others = [j for j in range(mechanism.n) if j != player]
+    return int(radix_encode(
+        [action_indices[j] for j in others], [mechanism.actions.size(j) for j in others]
+    ))
 
 
 def value_profiles(per_player_values: Iterable[Sequence[float]]) -> list[tuple[float, ...]]:

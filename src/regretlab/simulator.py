@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,6 @@ from .learners import (
     bandit_update,
     external_regret,
     hedge_update,
-    to_unit_range,
 )
 
 logger = logging.getLogger(__name__)
@@ -55,9 +53,8 @@ logger = logging.getLogger(__name__)
 FEEDBACK_FULL = "full"
 FEEDBACK_BANDIT = "bandit"
 
-# Above this many (value profile, action profile) pairs the welfare tables
-# are not materialized and rounds fall back to replaying the mechanism.
-TABLE_CAP = 4_000_000
+# Type and action indices are stored as int16.
+INDEX_LIMIT = int(np.iinfo(np.int16).max) + 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,6 @@ class SimConfig:
     feedback: str = FEEDBACK_FULL
     eta: float | None = None  # None selects the anytime schedule
     gamma: float = 0.05
-    matchings_per_round: int = 1
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -111,10 +107,11 @@ class SimConfig:
         object.__setattr__(self, "populations", pops)
         if not 0.0 <= self.gamma <= 1.0:
             raise InputError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.matchings_per_round != 1:
+        largest = max(max(self.mechanism.actions.sizes()), max(len(p) for p in pops))
+        if largest > INDEX_LIMIT:
             raise InputError(
-                "only one matching per round is implemented; matchings_per_round "
-                "is a config stub for a batched-matching extension"
+                f"a bid grid or population has {largest} entries; the simulator "
+                f"indexes at most {INDEX_LIMIT}"
             )
 
     def agents(self) -> list[tuple[int, int, float]]:
@@ -172,30 +169,33 @@ class Trace:
                     )
 
 
-def _welfare_tables(config: SimConfig):
-    """(sw[vflat, aflat], opt[vflat]) or None when over the size cap."""
+def welfare_columns(
+    config: SimConfig, v_idx: np.ndarray, realized_idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round realized welfare ``sw`` and optimal welfare ``opt``.
+
+    ``v_idx`` and ``realized_idx`` are the (rounds, seats) type and bid
+    indices of a run. ``sw`` adds the seats' utilities in seat order, then the
+    revenue, which are the float operations of replaying the mechanism once
+    per round, so the columns are bit-identical to that replay.
+    """
     m = config.mechanism
-    grids = m.actions.grids
+    sizes_a = m.actions.sizes()
+    sw = np.zeros(len(v_idx))
+    for i, pop in enumerate(config.populations):
+        others = [j for j in range(m.n) if j != i]
+        opp = mech.radix_encode(
+            [realized_idx[:, j] for j in others], [sizes_a[j] for j in others]
+        )
+        tables = np.stack([mech.utility_table(m, i, v) for v in pop.values])
+        sw += tables[v_idx[:, i], realized_idx[:, i], opp]
+    sw += mech.revenue_table(m)[mech.radix_encode(realized_idx.T, sizes_a)]
     value_lists = [p.values for p in config.populations]
-    a_count = mech.joint_profile_count(m)
-    v_count = int(np.prod([len(v) for v in value_lists]))
-    if v_count * a_count > TABLE_CAP:
-        return None
-    sw = np.empty((v_count, a_count))
-    opt = np.empty(v_count)
-    for vflat, vprof in enumerate(itertools.product(*value_lists)):
-        opt[vflat] = mech.optimal_welfare(vprof, m)
-        for aflat, bids in enumerate(itertools.product(*grids)):
-            out = mech._play_on_grid(m, bids, vprof)
-            sw[vflat, aflat] = sum(out.utilities) + out.revenue
+    opt_by_profile = np.array(
+        [mech.optimal_welfare(v, m) for v in mech.value_profiles(value_lists)]
+    )
+    opt = opt_by_profile[mech.radix_encode(v_idx.T, [len(v) for v in value_lists])]
     return sw, opt
-
-
-def _strides(sizes: list[int]) -> list[int]:
-    strides = [1] * len(sizes)
-    for j in range(len(sizes) - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-    return strides
 
 
 def run_repeated_game(config: SimConfig) -> Trace:
@@ -224,21 +224,15 @@ def run_repeated_game(config: SimConfig) -> Trace:
     ]
     ledgers = [RegretLedger.fresh(sizes_a[pop]) for (pop, _ti, _v) in agents]
 
-    welfare = _welfare_tables(config)
-    a_strides = _strides(sizes_a)
-    v_strides = _strides([len(p) for p in pops])
-    opp_strides = []
+    opp_places = []
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        st = _strides([sizes_a[j] for j in others])
-        opp_strides.append(list(zip(others, st)))
+        places = mech.radix_place_values([sizes_a[j] for j in others])
+        opp_places.append(list(zip(others, places)))
 
     strategy = np.empty((T, n_agents), dtype=np.int16)
     realized = np.empty((T, n), dtype=np.int16)
-    sw_arr = np.empty(T)
-    opt_arr = np.empty(T)
     cdfs: list[np.ndarray | None] = [None] * n_agents
-    grids = m.actions.grids
     two_h = 2.0 * H
 
     for t in range(T):
@@ -256,26 +250,11 @@ def run_repeated_game(config: SimConfig) -> Trace:
         ridx = [int(srow[s]) for s in sel]
         realized[t] = ridx
 
-        if welfare is not None:
-            aflat = 0
-            vflat = 0
-            for i in range(n):
-                aflat += ridx[i] * a_strides[i]
-                vflat += int(vrow[i]) * v_strides[i]
-            sw_arr[t] = welfare[0][vflat, aflat]
-            opt_arr[t] = welfare[1][vflat]
-        else:
-            vals = tuple(pops[i].values[vrow[i]] for i in range(n))
-            bids = tuple(grids[i][ridx[i]] for i in range(n))
-            out = mech._play_on_grid(m, bids, vals)
-            sw_arr[t] = sum(out.utilities) + out.revenue
-            opt_arr[t] = mech.optimal_welfare(vals, m)
-
         for i in range(n):
             g = sel[i]
             opp = 0
-            for j, stride in opp_strides[i]:
-                opp += ridx[j] * stride
+            for j, place in opp_places[i]:
+                opp += ridx[j] * place
             uvec = tables[g][:, opp]
             ledgers[g].record_selected(uvec, ridx[i])
             st = states[g]
@@ -294,13 +273,14 @@ def run_repeated_game(config: SimConfig) -> Trace:
             if g not in sel:
                 ledgers[g].record_unselected()
 
+    sw, opt = welfare_columns(config, v_idx, realized)
     trace = Trace(
         config=config,
         v_idx=v_idx,
         strategy=strategy,
         realized_idx=realized,
-        sw=sw_arr,
-        opt=opt_arr,
+        sw=sw,
+        opt=opt,
         ledgers=ledgers,
     )
     if config.feedback == FEEDBACK_FULL:
@@ -438,6 +418,10 @@ def load_trace(csv_path, strategies_path) -> Trace:
     The sidecar supplies the config. Ledgers are not persisted; analyses that
     need regret sums recompute them from the realized data. The commitment
     table is only reconstructed when the sidecar recorded every round.
+
+    The stored welfare columns must equal ``welfare_columns`` recomputed from
+    the types and bids, and a loaded commitment table must agree with the
+    realized bids; otherwise ContractViolationError names what disagrees.
     """
     doc = json.loads(Path(strategies_path).read_text())
     meta = doc["meta"]
@@ -484,7 +468,7 @@ def load_trace(csv_path, strategies_path) -> Trace:
     strategy = None
     if doc["every"] == 1 and len(doc["rounds"]) == T:
         strategy = np.asarray(doc["rounds"], dtype=np.int16)
-    return Trace(
+    trace = Trace(
         config=config,
         v_idx=v_idx,
         strategy=strategy,
@@ -493,28 +477,44 @@ def load_trace(csv_path, strategies_path) -> Trace:
         opt=opt,
         ledgers=None,
     )
+    try:
+        trace.validate()
+    except InputError as e:
+        raise ContractViolationError(f"{strategies_path}: {e}") from e
+    want_sw, want_opt = welfare_columns(config, v_idx, realized)
+    bad = np.flatnonzero((sw != want_sw) | (opt != want_opt))
+    if len(bad):
+        raise ContractViolationError(
+            f"{csv_path}: round {bad[0] + 1} stores sw={sw[bad[0]]!r}, "
+            f"opt={opt[bad[0]]!r}, but its types and bids give "
+            f"sw={want_sw[bad[0]]!r}, opt={want_opt[bad[0]]!r}"
+        )
+    return trace
 
 
-def rebuild_ledgers(trace: Trace) -> list[RegretLedger]:
-    """Recompute per-agent ledgers from the realized rows of a trace."""
+def rebuild_ledgers(trace: Trace, horizon: int | None = None) -> list[RegretLedger]:
+    """Recompute per-agent ledgers, in flat agent order, from the realized rows
+    of the first ``horizon`` rounds (default: all) of a trace."""
     cfg = trace.config
     m = cfg.mechanism
-    agents = cfg.agents()
+    sizes_a = m.actions.sizes()
+    T = trace.horizon if horizon is None else horizon
+    v_idx = trace.v_idx[:T]
+    realized = trace.realized_idx[:T]
     ledgers = []
-    T = trace.horizon
-    for pop, ti, val in agents:
+    for pop, ti, val in cfg.agents():
         table = mech.utility_table(m, pop, val)
-        sel = trace.v_idx[:, pop] == ti
+        sel = v_idx[:, pop] == ti
         n_sel = int(sel.sum())
-        opp = np.zeros(T, dtype=np.int64)
-        for j in range(m.n):
-            if j != pop:
-                opp = opp * m.actions.size(j) + trace.realized_idx[:, j]
-        counts = np.bincount(opp[sel], minlength=table.shape[1]).astype(np.float64)
-        led = RegretLedger(counterfactual=table @ counts)
-        led.realized = float(
-            table[trace.realized_idx[sel, pop], opp[sel]].sum()
+        others = [j for j in range(m.n) if j != pop]
+        opp = mech.radix_encode(
+            [realized[sel, j] for j in others], [sizes_a[j] for j in others]
         )
+        counts = np.bincount(
+            np.broadcast_to(opp, n_sel), minlength=table.shape[1]
+        ).astype(np.float64)
+        led = RegretLedger(counterfactual=table @ counts)
+        led.realized = float(table[realized[sel, pop], opp].sum())
         led.selected_rounds = n_sel
         led.unselected_rounds = T - n_sel
         ledgers.append(led)

@@ -192,10 +192,6 @@ def named_deviation(name: str, mechanism: mech.Mechanism) -> DeviationRule:
     raise InputError(f"unknown deviation rule {name!r}")
 
 
-def _joint_shape(mechanism: mech.Mechanism) -> tuple[int, ...]:
-    return mechanism.actions.sizes()
-
-
 def _deviation_gain_grid(
     mechanism: mech.Mechanism,
     rule: DeviationRule,
@@ -203,7 +199,7 @@ def _deviation_gain_grid(
     mu: float,
 ) -> np.ndarray:
     """Array over joint action profiles of sum_i E[U_i(dev_i, a_-i)] + mu R(a)."""
-    shape = _joint_shape(mechanism)
+    shape = mechanism.actions.sizes()
     rev = mech.revenue_table(mechanism).reshape(shape)
     total = mu * rev if mu != 0.0 else np.zeros(shape)
     for i in range(mechanism.n):
@@ -231,7 +227,7 @@ def check_deviation_smoothness(
     profiles = [mechanism.validate_values(v) for v in value_space]
     if not profiles:
         raise InputError("value_space must contain at least one profile")
-    shape = _joint_shape(mechanism)
+    shape = mechanism.actions.sizes()
     worst = math.inf
     wit_v: tuple[float, ...] = profiles[0]
     wit_a: tuple[int, ...] = (0,) * mechanism.n
@@ -256,27 +252,6 @@ def check_deviation_smoothness(
     )
 
 
-def _flat_digits(count: int, sizes: tuple[int, ...]) -> np.ndarray:
-    """Digits of 0..count-1 in mixed radix ``sizes`` (last axis fastest)."""
-    digits = np.empty((count, len(sizes)), dtype=np.int64)
-    flat = np.arange(count, dtype=np.int64)
-    for j in range(len(sizes) - 1, -1, -1):
-        digits[:, j] = flat % sizes[j]
-        flat //= sizes[j]
-    return digits
-
-
-def _opponent_indices(
-    digits: np.ndarray, sizes: tuple[int, ...], player: int
-) -> np.ndarray:
-    opp = np.zeros(digits.shape[0], dtype=np.int64)
-    for j in range(len(sizes)):
-        if j == player:
-            continue
-        opp = opp * sizes[j] + digits[:, j]
-    return opp
-
-
 def best_pure_deviation(
     mechanism: mech.Mechanism,
     mu: float,
@@ -298,16 +273,17 @@ def best_pure_deviation(
     profiles = [mechanism.validate_values(v) for v in value_space]
     if not profiles:
         raise InputError("value_space must contain at least one profile")
-    sizes = _joint_shape(mechanism)
+    sizes = mechanism.actions.sizes()
     joint = mech.joint_profile_count(mechanism)
     if joint * joint > cap:
         raise CapExceededError(
             f"maximin enumeration needs {joint}^2 = {joint * joint} evaluations, "
             f"over the cap of {cap}"
         )
-    digits = _flat_digits(joint, sizes)
+    digits = mech.radix_decode(np.arange(joint), sizes)
     opp_idx = [
-        _opponent_indices(digits, sizes, i) for i in range(mechanism.n)
+        mech.radix_encode(digits[:i] + digits[i + 1:], sizes[:i] + sizes[i + 1:])
+        for i in range(mechanism.n)
     ]
     rev = mech.revenue_table(mechanism)
 
@@ -323,10 +299,10 @@ def best_pure_deviation(
         gain = np.broadcast_to(mu * rev, (joint, joint)).copy()
         for i in range(mechanism.n):
             table = mech.utility_table(mechanism, i, values[i])
-            gain += table[np.ix_(digits[:, i], opp_idx[i])]
+            gain += table[np.ix_(digits[i], np.atleast_1d(opp_idx[i]))]
         floor = gain.min(axis=1)
         b_flat = int(np.argmax(floor))
-        chosen[values] = tuple(int(d) for d in digits[b_flat])
+        chosen[values] = tuple(int(d[b_flat]) for d in digits)
         best_overall = min(best_overall, float(floor[b_flat]) / opt)
     if not any_positive:
         raise UndefinedResultError(
@@ -344,16 +320,6 @@ def best_pure_deviation(
         return dist
 
     return best_overall, DeviationRule(name="best-pure", fn=fn)
-
-
-def best_pure_lambda(
-    mechanism: mech.Mechanism,
-    mu: float,
-    value_space: Sequence[Sequence[float]],
-    cap: int = 20_000_000,
-) -> float:
-    lam, _ = best_pure_deviation(mechanism, mu, value_space, cap)
-    return lam
 
 
 @dataclass(frozen=True)
@@ -384,7 +350,7 @@ def log_deviation_certificate(
         raise InputError("the logarithmic rule certifies the first-price rule only")
     rule = named_deviation("log", mechanism)
     profiles = [mechanism.validate_values(v) for v in value_space]
-    shape = _joint_shape(mechanism)
+    shape = mechanism.actions.sizes()
     best = math.inf
     wit_v: tuple[float, ...] | None = None
     wit_a: tuple[int, ...] = (0,) * mechanism.n

@@ -185,6 +185,24 @@ def test_analyze_reproduces_simulate_reports(tmp_path):
         assert (out / p).read_text() == text, f"{p} changed on re-analysis"
 
 
+def test_analyze_rejects_a_tampered_welfare_cell(tmp_path, capsys):
+    out = tmp_path / "runs"
+    cfg = simulate_config(tmp_path, out)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    trace = out / "seed_2" / "trace.csv"
+    lines = trace.read_text().split("\n")
+    # overwrite sw with opt in the first round where they differ
+    t = next(t for t in range(1, len(lines) - 1)
+             if lines[t].split(",")[-2] != lines[t].split(",")[-1])
+    row = lines[t].split(",")
+    row[-2] = row[-1]
+    lines[t] = ",".join(row)
+    trace.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", cfg]) == 1
+    assert f"round {t} " in capsys.readouterr().err
+
+
 def test_parallel_workers_match_serial(tmp_path):
     out1 = tmp_path / "serial"
     out2 = tmp_path / "parallel"
@@ -216,6 +234,13 @@ def test_simulate_usage_errors(tmp_path):
     )
     assert cli.main(["simulate", "--config", cfg]) == 2
     assert cli.main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
+    # a grid too wide for the int16 index arrays
+    doc = base_doc(horizon=10, seeds=[1], out_dir=str(tmp_path / "z"),
+                   populations=[[1.0]])
+    doc["mechanism"].update(n=1, grid_step=2e-5)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
 
 
 # --- certify ------------------------------------------------------------------------
@@ -256,6 +281,20 @@ def test_certify_log_rule_at_its_certified_level(tmp_path, capsys):
     assert "log rule certifies" in out
     # the grid penalty keeps the certified level below the continuum limit
     assert cert.certified_lambda < smooth.LOG_RULE_LIMIT
+
+
+def test_certify_skips_an_oversize_pure_search(tmp_path, capsys):
+    # 21^3 joint profiles put the informational best-pure search over its
+    # cap; the verdict still comes from the certificate check alone
+    doc = base_doc(deviation="half", smoothness={"lambda": 0.5, "mu": 1.0},
+                   populations=[[1.0], [0.5], [1.0]])
+    doc["mechanism"].update(n=3, grid_step=0.05)
+    path = tmp_path / "n3.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["certify", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "holds" in out
+    assert "best pure-deviation level skipped" in out and "9261^2" in out
 
 
 def test_certify_without_deviation_is_a_usage_error(tmp_path):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretlab import InputError
 from regretlab import mechanisms as mech
@@ -216,6 +218,27 @@ def test_opponent_flat_index_round_trip():
     flat = mech.opponent_flat_index(m, 1, (4, 1, 2))
     # opponents of player 1 are players 0 and 2, last fastest
     assert flat == 4 * 3 + 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 7), min_size=0, max_size=4),
+    data=st.data(),
+)
+def test_radix_encode_decode_round_trip(sizes, data):
+    count = int(np.prod(sizes, dtype=np.int64))
+    flat = data.draw(st.integers(0, count - 1))
+    digits = mech.radix_decode(flat, sizes)
+    assert all(0 <= d < s for d, s in zip(digits, sizes))
+    assert int(mech.radix_encode(digits, sizes)) == flat
+    places = mech.radix_place_values(sizes)
+    assert sum(d * w for d, w in zip(digits, places)) == flat
+    # the array forms agree with itertools.product order, last digit fastest
+    every = np.arange(count)
+    cols = mech.radix_decode(every, sizes)
+    expected = list(itertools.product(*[range(s) for s in sizes]))
+    assert [tuple(int(c[k]) for c in cols) for k in range(count)] == expected
+    np.testing.assert_array_equal(mech.radix_encode(cols, sizes), every)
 
 
 def test_descriptor_round_trip():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretlab import ContractViolationError, InputError
 from regretlab import learners as ln
@@ -45,20 +47,47 @@ def test_trace_shapes_and_consistency():
     assert sel == 400  # population 0 selects exactly one of its two agents
 
 
-def test_realized_welfare_matches_oracle_every_round():
-    cfg = small_config(kind=mech.KIND_ALL_PAY, horizon=200, seed=8)
+@st.composite
+def small_runs(draw):
+    """Random small mechanisms, populations and run settings."""
+    kind = draw(st.sampled_from(mech.KINDS))
+    n = draw(st.integers(1, 3))
+    units = draw(st.integers(1, n)) if kind == mech.KIND_MULTI_UNIT else 1
+    step = draw(st.sampled_from((0.5, 0.25, 0.2)))
+    m = mech.Mechanism(
+        kind=kind, n=n, actions=mech.ActionSpace.uniform(n, step, 1.0), units=units
+    )
+    types = st.lists(
+        st.integers(0, 20).map(lambda x: x / 20), min_size=1, max_size=3, unique=True
+    )
+    pops = tuple(sim.Population(tuple(draw(types))) for _ in range(n))
+    return sim.SimConfig(
+        mechanism=m,
+        populations=pops,
+        horizon=draw(st.integers(1, 60)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        feedback=draw(st.sampled_from((sim.FEEDBACK_FULL, sim.FEEDBACK_BANDIT))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=small_runs())
+def test_realized_welfare_matches_oracle_every_round(cfg):
+    # sw and opt must equal a per-round replay of the mechanism bit for bit,
+    # and the independent oracle up to rounding
+    m = cfg.mechanism
     trace = sim.run_repeated_game(cfg)
-    grids = cfg.mechanism.actions.grids
+    grids = m.actions.grids
     for t in range(trace.horizon):
-        values = [
-            cfg.populations[i].values[trace.v_idx[t, i]] for i in range(2)
-        ]
-        bids = [grids[i][trace.realized_idx[t, i]] for i in range(2)]
-        assert trace.sw[t] == pytest.approx(
-            oracles.allocation_welfare(cfg.mechanism.kind, bids, values), abs=1e-12
+        values = tuple(
+            cfg.populations[i].values[trace.v_idx[t, i]] for i in range(m.n)
         )
-        assert trace.opt[t] == pytest.approx(
-            oracles.opt_welfare(cfg.mechanism.kind, values), abs=1e-12
+        bids = tuple(grids[i][trace.realized_idx[t, i]] for i in range(m.n))
+        out = mech._play_on_grid(m, bids, values)
+        assert trace.sw[t] == sum(out.utilities) + out.revenue
+        assert trace.opt[t] == mech.optimal_welfare(values, m)
+        assert trace.sw[t] == pytest.approx(
+            oracles.allocation_welfare(m.kind, bids, values, m.units), abs=1e-12
         )
 
 
@@ -211,6 +240,11 @@ def test_rebuild_ledgers_matches_live_ones():
         assert fresh.selected_rounds == live.selected_rounds
         assert fresh.realized == pytest.approx(live.realized, abs=1e-9)
         np.testing.assert_allclose(fresh.counterfactual, live.counterfactual, atol=1e-9)
+    # a prefix recount sees only the first rounds
+    prefix = sim.rebuild_ledgers(trace, 100)
+    for (pop, ti, _v), led in zip(trace.config.agents(), prefix):
+        assert led.selected_rounds == int((trace.v_idx[:100, pop] == ti).sum())
+        assert led.selected_rounds + led.unselected_rounds == 100
 
 
 def test_bandit_mode_runs_and_stays_consistent():
@@ -238,19 +272,41 @@ def test_config_validation():
     with pytest.raises(InputError):
         small_config(gamma=1.5)
     with pytest.raises(InputError):
-        small_config(matchings_per_round=3)
-    with pytest.raises(InputError):
         sim.Population((0.5, 0.5))
     m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, actions=mech.ActionSpace.uniform(2, 0.5, 1.0))
     with pytest.raises(InputError):
         sim.SimConfig(
             mechanism=m, populations=(sim.Population((1.0,)),), horizon=5, seed=0
         )
+    # indices are stored as int16: larger grids and populations are rejected
+    wide = mech.Mechanism(
+        kind=mech.KIND_FIRST_PRICE, n=1, actions=mech.ActionSpace.uniform(1, 2.5e-5, 1.0)
+    )
+    with pytest.raises(InputError, match="32768"):
+        sim.SimConfig(mechanism=wide, populations=((1.0,),), horizon=5, seed=0)
+    one = mech.Mechanism(
+        kind=mech.KIND_FIRST_PRICE, n=1, actions=mech.ActionSpace.uniform(1, 0.5, 1.0)
+    )
+    crowd = tuple(k / 40_000 for k in range(sim.INDEX_LIMIT + 1))
+    with pytest.raises(InputError, match="32768"):
+        sim.SimConfig(mechanism=one, populations=(crowd,), horizon=5, seed=0)
 
 
-def test_validate_catches_tampering():
+def test_validate_catches_tampering(tmp_path):
     trace = sim.run_repeated_game(small_config(horizon=20, seed=1))
+    csv_path = tmp_path / "trace.csv"
+    json_path = tmp_path / "strategies.json"
+    sim.write_trace_csv(trace, csv_path)
+    sim.write_strategies_json(trace, json_path)
     trace.realized_idx = trace.realized_idx.copy()
     trace.realized_idx[3, 0] = (trace.realized_idx[3, 0] + 1) % 5
     with pytest.raises(InputError):
         trace.validate()
+    # on load, a sidecar whose commitments disagree with the realized bids is
+    # a contract violation: agent 0 claims another bid in a round it played
+    t = int(np.flatnonzero(trace.v_idx[:, 0] == 0)[0])
+    doc = json.loads(json_path.read_text())
+    doc["rounds"][t][0] = (doc["rounds"][t][0] + 1) % 5
+    json_path.write_text(json.dumps(doc))
+    with pytest.raises(ContractViolationError, match="diverge"):
+        sim.load_trace(csv_path, json_path)

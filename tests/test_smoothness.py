@@ -175,7 +175,7 @@ def test_named_rules():
 
 def test_best_pure_lambda_first_price():
     m = fp()
-    lam = smooth.best_pure_lambda(m, 1.0, QUARTER_VALUES)
+    lam = smooth.best_pure_deviation(m, 1.0, QUARTER_VALUES)[0]
     assert lam == pytest.approx(0.5, abs=1e-12)
     assert lam == pytest.approx(
         oracles.pure_maximin_lambda(m, 1.0, QUARTER_VALUES), abs=1e-12
@@ -189,7 +189,7 @@ def test_best_pure_lambda_all_pay():
     # capping the maximin ratio at the grid step. The randomized uniform rule
     # is the one that reaches 1/2 (covered above).
     m = ap()
-    lam = smooth.best_pure_lambda(m, 1.0, QUARTER_VALUES)
+    lam = smooth.best_pure_deviation(m, 1.0, QUARTER_VALUES)[0]
     assert lam == pytest.approx(0.25, abs=1e-12)
     assert lam == pytest.approx(
         oracles.pure_maximin_lambda(m, 1.0, QUARTER_VALUES), abs=1e-12
@@ -198,12 +198,12 @@ def test_best_pure_lambda_all_pay():
 
 def test_best_pure_lambda_single_player():
     m = fp(n=1, step=0.25)
-    assert smooth.best_pure_lambda(m, 0.0, [(1.0,), (0.5,)]) == 1.0
+    assert smooth.best_pure_deviation(m, 0.0, [(1.0,), (0.5,)])[0] == 1.0
 
 
 def test_best_pure_lambda_monotone_in_mu():
     m = fp()
-    lams = [smooth.best_pure_lambda(m, mu, QUARTER_VALUES) for mu in (0.0, 0.5, 1.0)]
+    lams = [smooth.best_pure_deviation(m, mu, QUARTER_VALUES)[0] for mu in (0.0, 0.5, 1.0)]
     assert lams == sorted(lams)
 
 
@@ -221,7 +221,7 @@ def test_best_pure_rule_round_trips_through_checker():
 def test_best_pure_lambda_undefined_on_zero_values():
     m = fp()
     with pytest.raises(UndefinedResultError):
-        smooth.best_pure_lambda(m, 1.0, [(0.0, 0.0)])
+        smooth.best_pure_deviation(m, 1.0, [(0.0, 0.0)])
 
 
 def test_log_certificate_degradation_halves_with_the_grid():
