@@ -48,34 +48,18 @@ class EmpiricalJoint:
     counts: dict[bytes, int]
     cond: dict[bytes, np.ndarray]
 
-    def conditional(self, key: bytes) -> np.ndarray:
-        c = self.cond[key]
-        return c / c.sum()
 
-
-def _window_bounds(trace: Trace, window) -> tuple[int, int]:
-    T = trace.horizon
-    if window is None:
-        return 0, T
-    start, stop = window
-    if not (1 <= start <= stop <= T):
-        raise InputError(f"window {window} is not a non-empty subrange of [1, {T}]")
-    return start - 1, stop
-
-
-def empirical_joint(trace: Trace, window=None, zeta: float = 0.0) -> EmpiricalJoint:
-    """Exact counting of rounds by commitment profile over a 1-based window."""
+def empirical_joint(trace: Trace, zeta: float = 0.0) -> EmpiricalJoint:
+    """Exact counting of rounds by commitment profile over the whole trace."""
     if trace.strategy is None:
         raise InputError("trace carries no commitment table; rerun or reload with a full sidecar")
     if not 0.0 <= zeta <= 1.0:
         raise InputError(f"zeta must lie in [0, 1], got {zeta}")
-    lo, hi = _window_bounds(trace, window)
-    rows = np.ascontiguousarray(trace.strategy[lo:hi])
     v_sizes = tuple(len(p) for p in trace.config.populations)
-    vflat = mech.radix_encode(trace.v_idx[lo:hi].T, v_sizes)
+    vflat = mech.radix_encode(trace.v_idx.T, v_sizes)
     v_count = int(np.prod(v_sizes))
     uniq, inverse, cnt = np.unique(
-        rows, axis=0, return_inverse=True, return_counts=True
+        trace.strategy, axis=0, return_inverse=True, return_counts=True
     )
     inverse = inverse.reshape(-1)
     table = np.zeros((len(uniq), v_count))
@@ -87,42 +71,19 @@ def empirical_joint(trace: Trace, window=None, zeta: float = 0.0) -> EmpiricalJo
         counts[key] = int(cnt[r])
         cond[key] = table[r]
     return EmpiricalJoint(
-        total=hi - lo, zeta=zeta, v_sizes=v_sizes, counts=counts, cond=cond
+        total=trace.horizon, zeta=zeta, v_sizes=v_sizes, counts=counts, cond=cond
     )
 
 
-def uniform_product(v_sizes: Sequence[int]) -> np.ndarray:
-    n = int(np.prod(list(v_sizes)))
-    return np.full(n, 1.0 / n)
-
-
-def default_zeta(delta: float, sigma_size: float, H: float) -> float:
-    """Support threshold tied to the concentration argument: delta/(2*|Sigma|*H)."""
-    if delta <= 0 or sigma_size < 1 or H <= 0:
-        raise InputError("need delta > 0, sigma_size >= 1, H > 0")
-    return delta / (2.0 * sigma_size * H)
-
-
-def conditional_independence_gap(
-    joint: EmpiricalJoint, type_distribution: np.ndarray | None = None
-) -> float:
-    """Worst total-variation gap between p(v | s) and the type distribution,
-    over commitment profiles with empirical mass at least ``joint.zeta``.
+def conditional_independence_gap(joint: EmpiricalJoint) -> float:
+    """Worst total-variation gap between p(v | s) and the uniform product
+    distribution of type profiles, over commitment profiles with empirical
+    mass at least ``joint.zeta``.
 
     Returns 0 when no profile clears the threshold.
     """
-    target = (
-        uniform_product(joint.v_sizes)
-        if type_distribution is None
-        else np.asarray(type_distribution, dtype=float)
-    )
     v_count = int(np.prod(joint.v_sizes))
-    if target.shape != (v_count,):
-        raise InputError(
-            f"type distribution has shape {target.shape}, expected ({v_count},)"
-        )
-    if abs(target.sum() - 1.0) > 1e-9 or (target < 0).any():
-        raise InputError("type distribution must be a probability vector")
+    target = np.full(v_count, 1.0 / v_count)
     worst = 0.0
     for key, c in joint.counts.items():
         if c / joint.total < joint.zeta:
@@ -135,28 +96,21 @@ def conditional_independence_gap(
 # --- empirical epsilon of the coarse-equilibrium condition -------------------
 
 
-def bayes_cce_epsilon(
-    trace: Trace, mechanism: mech.Mechanism | None = None, horizon: int | None = None
-) -> tuple[float, dict]:
+def bayes_cce_epsilon(trace: Trace, horizon: int | None = None) -> tuple[float, dict]:
     """Empirical violation of the no-fixed-deviation condition.
 
     For each population i, type value v, and fixed own action a', average
     over the window the selected-round gain of always playing a' against the
     realized opponent actions. The returned epsilon is the max over all
     (i, v, a'), clipped at zero; the breakdown maps (population, type index)
-    to the per-action averaged gains.
+    to the per-action averaged gains. Only the type and realized bid columns
+    are read, so a trace without its commitment table is enough.
 
     When the trace still carries its live regret ledgers and the window is
     the full horizon, the recomputed numerator sums are checked against the
     ledgers' gap sums; both accumulate the same quantity, so disagreement
     means corrupted data and raises ContractViolationError.
     """
-    if mechanism is None:
-        mechanism = trace.config.mechanism
-    elif mechanism is not trace.config.mechanism and mechanism != trace.config.mechanism:
-        raise InputError("mechanism does not match the one the trace was run with")
-    if trace.strategy is None:
-        raise InputError("trace carries no commitment table; rerun or reload with a full sidecar")
     T = trace.horizon if horizon is None else horizon
     if not 1 <= T <= trace.horizon:
         raise InputError(f"horizon {T} outside [1, {trace.horizon}]")
@@ -376,10 +330,12 @@ def analysis_report(
     checkpoints: Sequence[int] | None = None,
     tolerance: float = RATIO_TOL_DEFAULT,
 ) -> dict:
-    """One-stop JSON-ready summary of a trace."""
+    """One-stop JSON-ready summary of a trace. The independence gap needs the
+    commitment table and is None on a trace without one."""
     eps, breakdown = bayes_cce_epsilon(trace)
-    joint = empirical_joint(trace, zeta=zeta)
-    gap = conditional_independence_gap(joint)
+    gap = None
+    if trace.strategy is not None:
+        gap = conditional_independence_gap(empirical_joint(trace, zeta=zeta))
     summary = welfare_ratio(trace, smoothness_params, tolerance)
     eps_total = trace.config.mechanism.n * eps
     ft = finite_time_check(trace, smoothness_params, delta, eps_total)

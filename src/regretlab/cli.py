@@ -18,7 +18,8 @@ randomness flows from the configured seeds; output naming is deterministic
 and independent of worker completion order.
 
 Exit codes: 0 success / property holds, 1 property fails or solver failure,
-2 usage or config error.
+2 usage or config error, a malformed trace file, or a result that is
+undefined on the configured inputs (such as a ratio of zero welfares).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     ContractViolationError,
     InputError,
     SolverError,
+    UndefinedResultError,
 )
 
 E_INV = 1.0 - 1.0 / math.e
@@ -255,8 +257,6 @@ def _json_text(doc) -> str:
 
 
 def _sim_config(cfg: ExperimentConfig, seed: int) -> simulator.SimConfig:
-    if cfg.horizon is None:
-        raise ConfigError("config needs a horizon for this command")
     return simulator.SimConfig(
         mechanism=cfg.mechanism,
         populations=tuple(simulator.Population(p) for p in cfg.populations),
@@ -268,7 +268,23 @@ def _sim_config(cfg: ExperimentConfig, seed: int) -> simulator.SimConfig:
     )
 
 
-def _seed_summary(report: dict) -> dict:
+def _write_report(cfg: ExperimentConfig, trace: simulator.Trace, d: Path) -> dict:
+    """Analyze one seed's trace, write its report.json and checkpoints.csv
+    into ``d``, and return the seed's summary."""
+    s = cfg.settings
+    report = analysis.analysis_report(
+        trace,
+        cfg.params,
+        delta=s.delta,
+        rho=s.rho,
+        zeta=s.zeta,
+        checkpoints=s.checkpoints,
+        tolerance=s.tolerance,
+    )
+    (d / "report.json").write_text(_json_text(report))
+    (d / "checkpoints.csv").write_text(
+        analysis.checkpoints_csv_text(report["checkpoints"])
+    )
     return {
         "seed": report["seed"],
         "ratio": report["ratio"],
@@ -290,21 +306,11 @@ def _run_seed(job) -> dict:
     simulator.write_strategies_json(
         trace, d / "strategies.json", every=cfg.strategies_every
     )
-    s = cfg.settings
-    report = analysis.analysis_report(
-        trace,
-        cfg.params,
-        delta=s.delta,
-        rho=s.rho,
-        zeta=s.zeta,
-        checkpoints=s.checkpoints,
-        tolerance=s.tolerance,
-    )
-    (d / "report.json").write_text(_json_text(report))
-    (d / "checkpoints.csv").write_text(
-        analysis.checkpoints_csv_text(report["checkpoints"])
-    )
-    return _seed_summary(report)
+    if cfg.strategies_every > 1:
+        # analyze sees no commitment table in a thinned sidecar; the report
+        # must not depend on more than the files hold
+        trace = replace(trace, strategy=None)
+    return _write_report(cfg, trace, d)
 
 
 def _aggregate(cfg: ExperimentConfig, summaries: list[dict]) -> dict:
@@ -348,14 +354,22 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
     return 0
 
 
-def cmd_certify(cfg: ExperimentConfig, lam: float | None, mu: float | None) -> int:
-    if cfg.deviation is None:
-        raise ConfigError("certify needs a deviation rule name in the config")
+def _params(
+    cfg: ExperimentConfig, lam: float | None, mu: float | None
+) -> smoothness.SmoothnessParams:
+    """The config's (lambda, mu) with the --lambda/--mu overrides applied."""
     params = cfg.params
     if lam is not None:
         params = replace(params, lam=lam)
     if mu is not None:
         params = replace(params, mu=mu)
+    return params
+
+
+def cmd_certify(cfg: ExperimentConfig, lam: float | None, mu: float | None) -> int:
+    if cfg.deviation is None:
+        raise ConfigError("certify needs a deviation rule name in the config")
+    params = _params(cfg, lam, mu)
     rule = smoothness.named_deviation(cfg.deviation, cfg.mechanism)
     value_space = mech.value_profiles(cfg.populations)
     report = smoothness.check_deviation_smoothness(
@@ -364,29 +378,29 @@ def cmd_certify(cfg: ExperimentConfig, lam: float | None, mu: float | None) -> i
     print(f"rule {rule.name!r}: {report}")
     try:
         best, _ = smoothness.best_pure_deviation(cfg.mechanism, params.mu, value_space)
-    except CapExceededError as e:
+    except (CapExceededError, UndefinedResultError) as e:
         print(f"best pure-deviation level skipped: {e}")
     else:
         print(f"best pure-deviation level at mu={params.mu:.6g}: {best:.6g}")
     if cfg.mechanism.kind == mech.KIND_FIRST_PRICE and rule.name == "log":
-        cert = smoothness.log_deviation_certificate(
-            cfg.mechanism, value_space, params.mu
-        )
-        print(
-            f"log rule certifies lam={cert.certified_lambda:.6g} "
-            f"(continuum limit {smoothness.LOG_RULE_LIMIT:.6g}, "
-            f"degradation {cert.degradation:.6g})"
-        )
+        try:
+            cert = smoothness.log_deviation_certificate(
+                cfg.mechanism, value_space, params.mu
+            )
+        except UndefinedResultError as e:
+            print(f"log rule certificate skipped: {e}")
+        else:
+            print(
+                f"log rule certifies lam={cert.certified_lambda:.6g} "
+                f"(continuum limit {smoothness.LOG_RULE_LIMIT:.6g}, "
+                f"degradation {cert.degradation:.6g})"
+            )
     return 0 if report.holds else 1
 
 
 def cmd_exact(cfg: ExperimentConfig, lam: float | None, mu: float | None,
               out_dir: str | None) -> int:
-    params = cfg.params
-    if lam is not None:
-        params = replace(params, lam=lam)
-    if mu is not None:
-        params = replace(params, mu=mu)
+    params = _params(cfg, lam, mu)
     name = cfg.deviation or DEFAULT_DEVIATION[cfg.mechanism.kind]
     rule = smoothness.named_deviation(name, cfg.mechanism)
     value_space = mech.value_profiles(cfg.populations)
@@ -435,25 +449,12 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: str | None) -> int:
     )
     if not seed_dirs:
         raise ConfigError(f"no seed_* directories under {root}")
-    s = cfg.settings
     summaries = []
     for d in seed_dirs:
         trace = simulator.load_trace(d / "trace.csv", d / "strategies.json")
-        report = analysis.analysis_report(
-            trace,
-            cfg.params,
-            delta=s.delta,
-            rho=s.rho,
-            zeta=s.zeta,
-            checkpoints=s.checkpoints,
-            tolerance=s.tolerance,
-        )
-        (d / "report.json").write_text(_json_text(report))
-        (d / "checkpoints.csv").write_text(
-            analysis.checkpoints_csv_text(report["checkpoints"])
-        )
-        summaries.append(_seed_summary(report))
-        print(f"{d.name}: ratio {report['ratio']:.4f}, epsilon {report['epsilon']:.5f}")
+        summary = _write_report(cfg, trace, d)
+        summaries.append(summary)
+        print(f"{d.name}: ratio {summary['ratio']:.4f}, epsilon {summary['epsilon']:.5f}")
     agg = _aggregate(cfg, summaries)
     (root / "report.json").write_text(_json_text(agg))
     print(f"mean ratio {agg['mean_ratio']:.4f} over {agg['n_seeds']} seeds -> {root}")
@@ -502,7 +503,8 @@ def main(argv=None) -> int:
         if args.command == "exact":
             return cmd_exact(cfg, args.lam, args.mu, args.out)
         return cmd_analyze(cfg, args.out)
-    except (ConfigError, CapExceededError, InputError, FileNotFoundError) as e:
+    except (ConfigError, CapExceededError, InputError, UndefinedResultError,
+            FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SolverError, ContractViolationError) as e:

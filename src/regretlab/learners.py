@@ -9,15 +9,15 @@ into the sampling distribution.
 Updates happen only on rounds where the owning agent was matched into the
 game; the anytime step size is therefore driven by the selected-round count,
 not wall-clock rounds. Callers feeding game utilities in [-H, H] should remap
-them to [0, 1] (see ``to_unit_range``) before updating so the classical
-step-size schedule applies unchanged; constant shifts do not change hedge's
-probabilities, only the effective step size.
+them to [0, 1] before updating so the classical step-size schedule applies
+unchanged; constant shifts do not change hedge's probabilities, only the
+effective step size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +29,6 @@ WEIGHT_CEILING = 1e100
 
 HEDGE = "hedge"
 BANDIT = "bandit"
-
-
-def to_unit_range(utility, scale: float):
-    """Affinely remap utilities from [-scale, scale] to [0, 1]."""
-    if scale <= 0:
-        raise InputError(f"scale must be positive, got {scale}")
-    return (np.asarray(utility, dtype=np.float64) + scale) / (2.0 * scale)
 
 
 def anytime_eta(n_actions: int, t_sel: int) -> float:
@@ -77,10 +70,6 @@ class LearnerState:
             p = (1.0 - self.gamma) * p + self.gamma / self.n_actions
         return p
 
-    def sample(self, rng) -> int:
-        cdf = np.cumsum(self.probabilities())
-        return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right").clip(0, self.n_actions - 1))
-
 
 def _renormalize(weights: np.ndarray) -> None:
     top = weights.max()
@@ -102,26 +91,16 @@ def hedge_update(state: LearnerState, utility_vector, eta: float) -> LearnerStat
 
 
 def bandit_update(
-    state: LearnerState,
-    chosen_action: int,
-    realized_utility: float,
-    eta: float,
-    gamma: float,
+    state: LearnerState, chosen_action: int, realized_utility: float, eta: float
 ) -> LearnerState:
     """Importance-weighted exponential update on the chosen arm only.
 
-    The estimate utility / p(chosen) uses the same exploration-mixed sampling
-    probabilities that generated the choice, with the ``gamma`` floor given
-    here.
+    The estimate utility / p(chosen) uses ``state.probabilities()``, the
+    exploration-mixed distribution that generated the choice.
     """
     if not 0 <= chosen_action < state.n_actions:
         raise InputError(f"chosen_action {chosen_action} out of range")
-    if not 0.0 <= gamma <= 1.0:
-        raise InputError(f"gamma must lie in [0, 1], got {gamma}")
-    p = state.weights / state.weights.sum()
-    if gamma > 0.0:
-        p = (1.0 - gamma) * p + gamma / state.n_actions
-    estimate = realized_utility / p[chosen_action]
+    estimate = realized_utility / state.probabilities()[chosen_action]
     state.weights[chosen_action] *= math.exp(eta * estimate)
     _renormalize(state.weights)
     state.t_sel += 1

@@ -9,15 +9,13 @@ Three payment rules are supported, all pay-as-bid:
 
 Bids live on per-player finite grids so that exhaustive enumeration over
 action profiles stays exact. Ties are broken deterministically in favour of
-the lowest player index unless the mechanism is configured with the
-``random`` tie rule, in which case the caller must supply a generator.
+the lowest player index.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -34,7 +32,6 @@ KIND_MULTI_UNIT = "multi-unit-first-price"
 KINDS = (KIND_FIRST_PRICE, KIND_ALL_PAY, KIND_MULTI_UNIT)
 
 TIE_LOWEST = "lowest-index"
-TIE_RANDOM = "random"
 
 
 def _canonical_point(x: float) -> float:
@@ -120,7 +117,6 @@ class Mechanism:
     n: int
     actions: ActionSpace
     units: int = 1
-    tie_break: str = TIE_LOWEST
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -136,8 +132,6 @@ class Mechanism:
                 raise InputError(f"units={self.units} not in [1, {self.n}]")
         elif self.units != 1:
             raise InputError(f"{self.kind} is a single-unit rule; units must be 1")
-        if self.tie_break not in (TIE_LOWEST, TIE_RANDOM):
-            raise InputError(f"unknown tie_break {self.tie_break!r}")
 
     @property
     def scale(self) -> float:
@@ -169,7 +163,7 @@ class Mechanism:
             "k": self.units,
             "grid_step": step,
             "H": self.scale,
-            "tie_break": self.tie_break,
+            "tie_break": TIE_LOWEST,
         }
 
     @classmethod
@@ -181,29 +175,24 @@ class Mechanism:
         unknown = d.keys() - required
         if unknown:
             raise InputError(f"descriptor has unknown keys: {sorted(unknown)}")
+        if d["tie_break"] != TIE_LOWEST:
+            raise InputError(f"unknown tie_break {d['tie_break']!r}; use {TIE_LOWEST!r}")
         actions = ActionSpace.uniform(int(d["n"]), float(d["grid_step"]), float(d["H"]))
         return cls(
             kind=d["kind"],
             n=int(d["n"]),
             actions=actions,
             units=int(d["k"]),
-            tie_break=d["tie_break"],
         )
 
 
-def _winners(mechanism: Mechanism, bids: Sequence[float], rng=None) -> tuple[int, ...]:
+def _winners(mechanism: Mechanism, bids: Sequence[float]) -> tuple[int, ...]:
     k = mechanism.units if mechanism.kind == KIND_MULTI_UNIT else 1
     n = mechanism.n
     if k >= n:
         return tuple(range(n))
-    if mechanism.tie_break == TIE_LOWEST:
-        # sort is stable, so equal bids keep ascending player order
-        order = sorted(range(n), key=lambda i: -bids[i])
-        return tuple(sorted(order[:k]))
-    if rng is None:
-        raise InputError("random tie_break requires an rng argument to play()")
-    jitter = rng.random(n)
-    order = sorted(range(n), key=lambda i: (-bids[i], jitter[i]))
+    # sort is stable, so equal bids keep ascending player order
+    order = sorted(range(n), key=lambda i: -bids[i])
     return tuple(sorted(order[:k]))
 
 
@@ -211,7 +200,6 @@ def play(
     mechanism: Mechanism,
     action_profile: Sequence[float],
     valuation_profile: Sequence[float],
-    rng=None,
 ) -> Outcome:
     """Run the auction once and return the realized outcome.
 
@@ -228,17 +216,14 @@ def play(
         mechanism.actions.index_of(i, b) for i, b in enumerate(action_profile)
     ]
     bids = [mechanism.actions.grids[i][j] for i, j in enumerate(idx)]
-    return _play_on_grid(mechanism, bids, values, rng)
+    return _play_on_grid(mechanism, bids, values)
 
 
 def _play_on_grid(
-    mechanism: Mechanism,
-    bids: Sequence[float],
-    values: Sequence[float],
-    rng=None,
+    mechanism: Mechanism, bids: Sequence[float], values: Sequence[float]
 ) -> Outcome:
     # Internal fast path: bids already canonical grid values, values validated.
-    winners = _winners(mechanism, bids, rng)
+    winners = _winners(mechanism, bids)
     win_set = set(winners)
     utilities = []
     revenue = 0.0
@@ -260,10 +245,9 @@ def social_welfare(
     mechanism: Mechanism,
     action_profile: Sequence[float],
     valuation_profile: Sequence[float],
-    rng=None,
 ) -> float:
     """Utilitarian welfare of the realized play: sum of utilities plus revenue."""
-    out = play(mechanism, action_profile, valuation_profile, rng)
+    out = play(mechanism, action_profile, valuation_profile)
     return sum(out.utilities) + out.revenue
 
 
@@ -308,8 +292,6 @@ def utility_table(
     """
     if not 0 <= player < mechanism.n:
         raise InputError(f"player {player} out of range for n={mechanism.n}")
-    if mechanism.tie_break != TIE_LOWEST:
-        raise InputError("utility tables require the deterministic tie rule")
     own = mechanism.actions.grids[player]
     others = [mechanism.actions.grids[j] for j in range(mechanism.n) if j != player]
     n_opp = int(np.prod([len(g) for g in others], dtype=np.int64)) if others else 1
@@ -333,8 +315,6 @@ def utility_table(
 def revenue_table(mechanism: Mechanism, cap: int = 10_000_000) -> np.ndarray:
     """Flat array of auction revenue for every joint action profile, indexed
     in mixed-radix order over all players' grids (last player fastest)."""
-    if mechanism.tie_break != TIE_LOWEST:
-        raise InputError("revenue tables require the deterministic tie rule")
     grids = mechanism.actions.grids
     total = joint_profile_count(mechanism)
     _check_table_cap(total, cap)
@@ -378,16 +358,6 @@ def radix_decode(flat, sizes: Sequence[int]) -> tuple:
         flat, d = divmod(flat, size)
         digits.append(d)
     return tuple(reversed(digits))
-
-
-def opponent_flat_index(
-    mechanism: Mechanism, player: int, action_indices: Sequence[int]
-) -> int:
-    """Mixed-radix index of the opponents' part of a joint action-index profile."""
-    others = [j for j in range(mechanism.n) if j != player]
-    return int(radix_encode(
-        [action_indices[j] for j in others], [mechanism.actions.size(j) for j in others]
-    ))
 
 
 def value_profiles(per_player_values: Iterable[Sequence[float]]) -> list[tuple[float, ...]]:

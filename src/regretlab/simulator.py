@@ -30,6 +30,7 @@ import io
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,20 +154,16 @@ class Trace:
     def horizon(self) -> int:
         return len(self.sw)
 
-    def validate(self) -> None:
-        T, n = self.v_idx.shape
-        if not (len(self.sw) == len(self.opt) == T == self.config.horizon):
-            raise InputError("trace arrays disagree on the horizon")
-        if self.strategy is not None:
-            offs = self.config.agent_offsets()
-            for i in range(n):
-                sel = offs[i] + self.v_idx[:, i]
-                if not np.array_equal(
-                    self.strategy[np.arange(T), sel], self.realized_idx[:, i]
-                ):
-                    raise InputError(
-                        f"seat {i}: realized actions diverge from committed strategies"
-                    )
+
+def check_commitments(config: SimConfig, strategy: np.ndarray, v_idx: np.ndarray,
+                      realized_idx: np.ndarray) -> None:
+    """Raise InputError unless each row's selected agents committed to the realized bids."""
+    rows = np.arange(len(strategy))
+    for i, off in enumerate(config.agent_offsets()):
+        if not np.array_equal(strategy[rows, off + v_idx[:, i]], realized_idx[:, i]):
+            raise InputError(
+                f"seat {i}: realized actions diverge from committed strategies"
+            )
 
 
 def welfare_columns(
@@ -218,9 +215,9 @@ def run_repeated_game(config: SimConfig) -> Trace:
 
     tables = [mech.utility_table(m, pop, val) for (pop, _ti, val) in agents]
     kind = HEDGE if config.feedback == FEEDBACK_FULL else BANDIT
-    gamma = config.gamma if kind == BANDIT else 0.0
+    # hedge states ignore gamma; only the bandit distribution mixes it in
     states = [
-        LearnerState.fresh(kind, sizes_a[pop], gamma) for (pop, _ti, _v) in agents
+        LearnerState.fresh(kind, sizes_a[pop], config.gamma) for (pop, _ti, _v) in agents
     ]
     ledgers = [RegretLedger.fresh(sizes_a[pop]) for (pop, _ti, _v) in agents]
 
@@ -264,10 +261,8 @@ def run_repeated_game(config: SimConfig) -> Trace:
                 )
                 hedge_update(st, (uvec + H) / two_h, eta)
             else:
-                eta = config.eta if config.eta is not None else gamma / st.n_actions
-                bandit_update(
-                    st, ridx[i], (uvec[ridx[i]] + H) / two_h, eta, gamma
-                )
+                eta = config.eta if config.eta is not None else config.gamma / st.n_actions
+                bandit_update(st, ridx[i], (uvec[ridx[i]] + H) / two_h, eta)
             cdfs[g] = None
         for g in range(n_agents):
             if g not in sel:
@@ -310,50 +305,16 @@ def _check_hedge_bound(trace: Trace) -> None:
             )
 
 
-def counterfactual_vector(
-    mechanism: mech.Mechanism,
-    player: int,
-    value: float,
-    realized_indices,
-) -> np.ndarray:
-    """U_i(b, a_-i; value) for every own bid b, opponents' realized bids fixed."""
-    if len(realized_indices) != mechanism.n:
-        raise InputError(
-            f"expected {mechanism.n} realized actions, got {len(realized_indices)}"
-        )
-    opp = mech.opponent_flat_index(mechanism, player, realized_indices)
-    return mech.utility_table(mechanism, player, value)[:, opp].copy()
-
-
-def utility_vector_feedback(
-    trace: Trace, t: int, population: int, type_index: int
-) -> np.ndarray:
-    """Exact full-information feedback the agent received in round ``t``.
-
-    Only the agent whose type was selected for its population that round has
-    feedback; asking for anyone else raises ContractViolationError.
-    """
-    if not 0 <= t < trace.horizon:
-        raise InputError(f"round {t} outside the trace horizon {trace.horizon}")
-    if not 0 <= population < trace.config.mechanism.n:
-        raise InputError(f"population {population} out of range")
-    pop = trace.config.populations[population]
-    if not 0 <= type_index < len(pop):
-        raise InputError(f"type index {type_index} out of range")
-    if int(trace.v_idx[t, population]) != type_index:
-        raise ContractViolationError(
-            f"agent (pop={population}, type={type_index}) was not selected in "
-            f"round {t}; unselected agents receive no feedback"
-        )
-    return counterfactual_vector(
-        trace.config.mechanism,
-        population,
-        pop.values[type_index],
-        [int(x) for x in trace.realized_idx[t]],
-    )
-
-
 # --- persistence -------------------------------------------------------------
+
+
+def _csv_header(n: int) -> list[str]:
+    return (
+        ["t"]
+        + [f"v_idx_{i + 1}" for i in range(n)]
+        + [f"action_{i + 1}" for i in range(n)]
+        + ["sw", "opt"]
+    )
 
 
 def trace_csv_text(trace: Trace) -> str:
@@ -362,13 +323,7 @@ def trace_csv_text(trace: Trace) -> str:
     grids = trace.config.mechanism.actions.grids
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = (
-        ["t"]
-        + [f"v_idx_{i + 1}" for i in range(n)]
-        + [f"action_{i + 1}" for i in range(n)]
-        + ["sw", "opt"]
-    )
-    writer.writerow(header)
+    writer.writerow(_csv_header(n))
     for t in range(trace.horizon):
         row = [t + 1]
         row += [int(trace.v_idx[t, i]) for i in range(n)]
@@ -412,6 +367,60 @@ def write_strategies_json(trace: Trace, path, every: int = 1) -> None:
     Path(path).write_text(strategies_json_text(trace, every))
 
 
+def _read_trace_csv(csv_path, config: SimConfig):
+    """Parse a trace.csv into its (v_idx, realized_idx, sw, opt) columns, or
+    raise InputError naming the malformed column and row."""
+    n = config.mechanism.n
+    T = config.horizon
+    header = _csv_header(n)
+    with open(csv_path) as fh:
+        got = fh.readline().rstrip("\n").split(",")
+        if got != header:
+            raise InputError(f"{csv_path}: unexpected CSV header {got}")
+        try:
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as e:
+            msg = str(e)
+            # numpy counts data rows from 0 and columns from 1
+            at = re.search(r"at row (\d+), column (\d+)", msg)
+            if at and int(at[2]) <= len(header):
+                msg = f"column {header[int(at[2]) - 1]}: row {int(at[1]) + 1} is not a number"
+            raise InputError(f"{csv_path}: {msg}") from None
+    if body.shape != (T, len(header)):
+        raise InputError(
+            f"{csv_path}: table is {body.shape[0]} rows by {body.shape[1]} "
+            f"columns, expected {T} by {len(header)}"
+        )
+
+    def bad_cell(col: int, bad: np.ndarray, want: str) -> InputError:
+        t = int(np.flatnonzero(bad)[0])
+        return InputError(
+            f"{csv_path}: column {header[col]}: row {t + 1} holds "
+            f"{float(body[t, col])!r}, expected {want}"
+        )
+
+    rounds = np.arange(1, T + 1)
+    if not np.array_equal(body[:, 0], rounds):
+        raise bad_cell(0, body[:, 0] != rounds, "the round number")
+    v_idx = np.empty((T, n), dtype=np.int16)
+    realized = np.empty((T, n), dtype=np.int16)
+    for i, pop in enumerate(config.populations):
+        col = body[:, 1 + i]
+        bad = (col != np.floor(col)) | (col < 0) | (col >= len(pop))
+        if bad.any():
+            raise bad_cell(1 + i, bad, f"an integer type index below {len(pop)}")
+        v_idx[:, i] = col
+        grid = np.asarray(config.mechanism.actions.grids[i])
+        col = body[:, 1 + n + i]
+        j = np.searchsorted(grid, col - mech.GRID_TOL)
+        hit = grid[np.minimum(j, len(grid) - 1)]
+        bad = (j == len(grid)) | ~(np.abs(hit - col) <= mech.GRID_TOL)
+        if bad.any():
+            raise bad_cell(1 + n + i, bad, "a bid on the grid")
+        realized[:, i] = j
+    return v_idx, realized, body[:, 1 + 2 * n].copy(), body[:, 2 + 2 * n].copy()
+
+
 def load_trace(csv_path, strategies_path) -> Trace:
     """Rebuild a trace from its CSV table and strategies sidecar.
 
@@ -419,15 +428,15 @@ def load_trace(csv_path, strategies_path) -> Trace:
     need regret sums recompute them from the realized data. The commitment
     table is only reconstructed when the sidecar recorded every round.
 
-    The stored welfare columns must equal ``welfare_columns`` recomputed from
-    the types and bids, and a loaded commitment table must agree with the
-    realized bids; otherwise ContractViolationError names what disagrees.
+    A malformed table raises InputError. The stored welfare columns must equal
+    ``welfare_columns`` recomputed from the types and bids, and every sidecar
+    row must agree with the realized bids of its round; otherwise
+    ContractViolationError names what disagrees.
     """
     doc = json.loads(Path(strategies_path).read_text())
     meta = doc["meta"]
-    mechanism = mech.Mechanism.from_descriptor(meta["mechanism"])
     config = SimConfig(
-        mechanism=mechanism,
+        mechanism=mech.Mechanism.from_descriptor(meta["mechanism"]),
         populations=tuple(Population(tuple(v)) for v in meta["populations"]),
         horizon=int(meta["horizon"]),
         seed=int(meta["seed"]),
@@ -435,50 +444,18 @@ def load_trace(csv_path, strategies_path) -> Trace:
         eta=meta["eta"],
         gamma=float(meta["gamma"]),
     )
-    n = mechanism.n
-    T = config.horizon
-    v_idx = np.empty((T, n), dtype=np.int16)
-    realized = np.empty((T, n), dtype=np.int16)
-    sw = np.empty(T)
-    opt = np.empty(T)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = (
-            ["t"]
-            + [f"v_idx_{i + 1}" for i in range(n)]
-            + [f"action_{i + 1}" for i in range(n)]
-            + ["sw", "opt"]
-        )
-        if header != expected:
-            raise InputError(f"unexpected CSV header {header}")
-        count = 0
-        for row in reader:
-            t = int(row[0]) - 1
-            if not 0 <= t < T:
-                raise InputError(f"round number {t + 1} outside horizon {T}")
-            for i in range(n):
-                v_idx[t, i] = int(row[1 + i])
-                realized[t, i] = mechanism.actions.index_of(i, float(row[1 + n + i]))
-            sw[t] = float(row[1 + 2 * n])
-            opt[t] = float(row[2 + 2 * n])
-            count += 1
-    if count != T:
-        raise InputError(f"CSV has {count} rounds, expected {T}")
-    strategy = None
-    if doc["every"] == 1 and len(doc["rounds"]) == T:
-        strategy = np.asarray(doc["rounds"], dtype=np.int16)
-    trace = Trace(
-        config=config,
-        v_idx=v_idx,
-        strategy=strategy,
-        realized_idx=realized,
-        sw=sw,
-        opt=opt,
-        ledgers=None,
-    )
     try:
-        trace.validate()
+        every = doc["every"]
+        kept = range(0, config.horizon, every)
+        # the parsed rows are freed before the CSV is parsed
+        committed = np.asarray(doc.pop("rounds"), dtype=np.int16)
+        if committed.shape != (len(kept), len(config.agents())):
+            raise ValueError(f"shape {committed.shape}")
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InputError(f"{strategies_path}: malformed commitment table: {e}") from e
+    v_idx, realized, sw, opt = _read_trace_csv(csv_path, config)
+    try:
+        check_commitments(config, committed, v_idx[kept], realized[kept])
     except InputError as e:
         raise ContractViolationError(f"{strategies_path}: {e}") from e
     want_sw, want_opt = welfare_columns(config, v_idx, realized)
@@ -489,7 +466,14 @@ def load_trace(csv_path, strategies_path) -> Trace:
             f"opt={opt[bad[0]]!r}, but its types and bids give "
             f"sw={want_sw[bad[0]]!r}, opt={want_opt[bad[0]]!r}"
         )
-    return trace
+    return Trace(
+        config=config,
+        v_idx=v_idx,
+        strategy=committed if every == 1 else None,
+        realized_idx=realized,
+        sw=sw,
+        opt=opt,
+    )
 
 
 def rebuild_ledgers(trace: Trace, horizon: int | None = None) -> list[RegretLedger]:

@@ -135,6 +135,12 @@ def test_config_value_validation(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="mechanism"):
         cli.load_config(str(path))
+    doc = base_doc()
+    doc["mechanism"]["tie_break"] = "random"
+    path = tmp_path / "badtie.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="tie_break"):
+        cli.load_config(str(path))
 
 
 # --- simulate + analyze -----------------------------------------------------------
@@ -203,6 +209,67 @@ def test_analyze_rejects_a_tampered_welfare_cell(tmp_path, capsys):
     assert f"round {t} " in capsys.readouterr().err
 
 
+def replace_cell(lines, t, column, text):
+    """Row ``t`` of trace.csv ``lines`` with the cell under ``column`` replaced."""
+    cells = lines[t].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize(
+    "column, edit",
+    [
+        ("t", lambda lines: lines[2]),  # round 3 duplicates round 2
+        ("v_idx_1", lambda lines: replace_cell(lines, 3, "v_idx_1", "0.5")),
+        ("v_idx_1", lambda lines: replace_cell(lines, 3, "v_idx_1", "2")),
+        ("action_1", lambda lines: replace_cell(lines, 3, "action_1", "0.3")),
+        ("sw", lambda lines: replace_cell(lines, 3, "sw", "abc")),
+    ],
+    ids=["duplicate-round", "fractional-type", "type-out-of-range", "off-grid-bid",
+         "non-numeric"],
+)
+def test_analyze_rejects_a_malformed_trace(tmp_path, capsys, column, edit):
+    out = tmp_path / "runs"
+    cfg = write_config(tmp_path, name="sim.json", horizon=40, seeds=[1],
+                       out_dir=str(out))
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    trace = out / "seed_1" / "trace.csv"
+    lines = trace.read_text().split("\n")
+    lines[3] = edit(lines)
+    trace.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"column {column}:" in err
+
+
+def test_thinned_sidecar_is_analyzed_without_the_independence_gap(tmp_path, capsys):
+    out = tmp_path / "runs"
+    cfg = simulate_config(tmp_path, out, strategies_every=4)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    files = ("report.json", "seed_1/report.json", "seed_2/report.json",
+             "seed_1/checkpoints.csv", "seed_2/checkpoints.csv")
+    before = {p: (out / p).read_text() for p in files}
+    for seed in (1, 2):
+        report = json.loads(before[f"seed_{seed}/report.json"])
+        assert report["independence_gap"] is None
+        assert math.isfinite(report["epsilon"])
+    assert cli.main(["analyze", "--config", cfg]) == 0
+    for p, text in before.items():
+        assert (out / p).read_text() == text, f"{p} changed on re-analysis"
+    # the rows a thinned sidecar keeps are still checked against the trace:
+    # round 5 is kept (every 4th from round 1), so a wrong bid there fails
+    sidecar = out / "seed_1" / "strategies.json"
+    doc = json.loads(sidecar.read_text())
+    assert len(doc["rounds"]) == 100
+    doc["rounds"][1] = [(a + 1) % 5 for a in doc["rounds"][1]]
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", cfg]) == 1
+    assert "diverge" in capsys.readouterr().err
+
+
 def test_parallel_workers_match_serial(tmp_path):
     out1 = tmp_path / "serial"
     out2 = tmp_path / "parallel"
@@ -239,6 +306,13 @@ def test_simulate_usage_errors(tmp_path):
                    populations=[[1.0]])
     doc["mechanism"].update(n=1, grid_step=2e-5)
     path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    # zero-value populations: the welfare ratio is undefined
+    doc = base_doc(horizon=10, seeds=[1], out_dir=str(tmp_path / "w"),
+                   populations=[[0.0], [0.0]])
+    doc["mechanism"]["grid_step"] = 0.5
+    path = tmp_path / "zero.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["simulate", "--config", str(path)]) == 2
 
@@ -295,6 +369,19 @@ def test_certify_skips_an_oversize_pure_search(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "holds" in out
     assert "best pure-deviation level skipped" in out and "9261^2" in out
+
+
+def test_certify_skips_undefined_levels_on_zero_values(tmp_path, capsys):
+    # with every value 0 the best-pure level and the log-rule certificate
+    # are undefined; the certificate check itself still decides the exit code
+    doc = base_doc(deviation="log", populations=[[0.0], [0.0]])
+    doc["mechanism"]["grid_step"] = 0.5
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["certify", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "best pure-deviation level skipped" in out
+    assert "log rule certificate skipped" in out
 
 
 def test_certify_without_deviation_is_a_usage_error(tmp_path):

@@ -11,6 +11,14 @@ from regretlab import learners as ln
 from . import oracles
 
 
+def sample(state, rng):
+    """Draw an action from the state's distribution by CDF inversion of one
+    uniform, the arithmetic the simulator's loop uses."""
+    cdf = np.cumsum(state.probabilities())
+    j = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    return min(j, state.n_actions - 1)
+
+
 def test_hedge_single_update():
     st = ln.LearnerState.fresh(ln.HEDGE, 2)
     ln.hedge_update(st, (1.0, 0.0), math.log(2.0))
@@ -80,9 +88,14 @@ def test_anytime_eta():
 def test_bandit_update_is_importance_weighted():
     st = ln.LearnerState.fresh(ln.BANDIT, 2, gamma=0.0)
     # p(chosen) = 0.5, estimate = 1 / 0.5 = 2, exponent 0.1 * 2
-    ln.bandit_update(st, 1, 1.0, 0.1, 0.0)
+    ln.bandit_update(st, 1, 1.0, 0.1)
     assert st.weights[1] == pytest.approx(math.exp(0.2), rel=1e-12)
     assert st.weights[0] == 1.0
+    # the estimate divides by the exploration-mixed probability of the state:
+    # p(1) = 0.8 * 1/4 + 0.2 / 2 = 0.3
+    mixed = ln.LearnerState(kind=ln.BANDIT, weights=np.array([3.0, 1.0]), gamma=0.2)
+    ln.bandit_update(mixed, 1, 0.6, 0.5)
+    assert mixed.weights[1] == pytest.approx(math.exp(0.5 * 0.6 / 0.3), rel=1e-12)
 
 
 def test_bandit_full_exploration_samples_uniformly():
@@ -99,10 +112,10 @@ def test_bandit_beats_stochastic_gap():
     eta = 0.05 / 2.0
     total = 0.0
     for _ in range(T):
-        a = st.sample(rng)
+        a = sample(st, rng)
         u = float(rng.random() < (0.75 if a == 0 else 0.25))
         total += u
-        ln.bandit_update(st, a, u, eta, 0.05)
+        ln.bandit_update(st, a, u, eta)
     assert 0.75 - total / T < 0.05
 
 
@@ -115,15 +128,9 @@ def test_learner_state_validation():
         ln.LearnerState(kind=ln.BANDIT, weights=np.ones(2), gamma=1.5)
     st = ln.LearnerState.fresh(ln.BANDIT, 3, gamma=0.1)
     with pytest.raises(InputError):
-        ln.bandit_update(st, 5, 1.0, 0.1, 0.1)
+        ln.bandit_update(st, 5, 1.0, 0.1)
     with pytest.raises(InputError):
         ln.hedge_update(ln.LearnerState.fresh(ln.HEDGE, 2), (1.0, 0.0, 0.0), 0.5)
-
-
-def test_to_unit_range():
-    np.testing.assert_allclose(ln.to_unit_range([-1.0, 0.0, 1.0], 1.0), [0.0, 0.5, 1.0])
-    with pytest.raises(InputError):
-        ln.to_unit_range([0.0], 0.0)
 
 
 def test_ledger_basic_regret():
@@ -173,7 +180,7 @@ def test_hedge_meets_its_regret_bound_on_adversarial_sequences():
     T = 10_000
     for _ in range(T):
         u = (rng.random(4) < 0.5).astype(float)
-        a = st.sample(rng)
+        a = sample(st, rng)
         led.record_selected(u, a)
         ln.hedge_update(st, u, ln.anytime_eta(4, st.t_sel + 1))
     bound = 2.0 * math.sqrt(math.log(4.0) / T) + 0.01

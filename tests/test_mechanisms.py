@@ -213,13 +213,6 @@ def test_table_cap_enforced():
         mech.utility_table(m, 0, 1.0, cap=3)
 
 
-def test_opponent_flat_index_round_trip():
-    m = fp(3, (QUARTERS, (0.0, 0.5), (0.0, 0.5, 1.0)))
-    flat = mech.opponent_flat_index(m, 1, (4, 1, 2))
-    # opponents of player 1 are players 0 and 2, last fastest
-    assert flat == 4 * 3 + 2
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 7), min_size=0, max_size=4),
@@ -255,6 +248,8 @@ def test_descriptor_round_trip():
     assert mech.Mechanism.from_descriptor(d) == m
     with pytest.raises(InputError):
         mech.Mechanism.from_descriptor({**d, "extra": 1})
+    with pytest.raises(InputError, match="tie_break"):
+        mech.Mechanism.from_descriptor({**d, "tie_break": "random"})
     bad = dict(d)
     del bad["kind"]
     with pytest.raises(InputError):
