@@ -4,7 +4,8 @@ Subcommands:
 
 * ``simulate``: run the repeated game for every configured seed, writing
   per-seed trace.csv, strategies.json, report.json, checkpoints.csv and an
-  aggregate report.json.
+  aggregate report.json. The seeds run as one batch, or as ``--workers``
+  contiguous batches in parallel processes.
 * ``certify``: evaluate a named deviation rule's certificate exhaustively
   and report the best level reachable with pure deviations, when that
   search fits its cap (it is informational and never sets the exit code).
@@ -295,22 +296,24 @@ def _write_report(cfg: ExperimentConfig, trace: simulator.Trace, d: Path) -> dic
     }
 
 
-def _run_seed(job) -> dict:
-    """Worker for one seed: simulate, persist, analyze. Top level so process
-    pools can pickle it."""
-    cfg, seed, out_root = job
-    trace = simulator.run_repeated_game(_sim_config(cfg, seed))
-    d = Path(out_root) / f"seed_{seed}"
-    d.mkdir(parents=True, exist_ok=True)
-    simulator.write_trace_csv(trace, d / "trace.csv")
-    simulator.write_strategies_json(
-        trace, d / "strategies.json", every=cfg.strategies_every
-    )
-    if cfg.strategies_every > 1:
-        # analyze sees no commitment table in a thinned sidecar; the report
-        # must not depend on more than the files hold
-        trace = replace(trace, strategy=None)
-    return _write_report(cfg, trace, d)
+def _run_batch(job) -> list[dict]:
+    """Worker for a batch of seeds: simulate them together, then persist and
+    analyze each seed. Top level so process pools can pickle it."""
+    cfg, seeds, out_root = job
+    summaries = []
+    for trace in simulator.run_seed_batch(_sim_config(cfg, seeds[0]), seeds):
+        d = Path(out_root) / f"seed_{trace.config.seed}"
+        d.mkdir(parents=True, exist_ok=True)
+        simulator.write_trace_csv(trace, d / "trace.csv")
+        simulator.write_strategies_json(
+            trace, d / "strategies.json", every=cfg.strategies_every
+        )
+        if cfg.strategies_every > 1:
+            # analyze sees no commitment table in a thinned sidecar; the report
+            # must not depend on more than the files hold
+            trace = replace(trace, strategy=None)
+        summaries.append(_write_report(cfg, trace, d))
+    return summaries
 
 
 def _aggregate(cfg: ExperimentConfig, summaries: list[dict]) -> dict:
@@ -337,12 +340,15 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
     if cfg.horizon is None:
         raise ConfigError("simulate needs a horizon")
     Path(out).mkdir(parents=True, exist_ok=True)
-    jobs = [(cfg, seed, out) for seed in cfg.seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_seed, jobs))
+    # k contiguous seed batches whose sizes differ by at most one
+    n, k = len(cfg.seeds), min(workers, len(cfg.seeds))
+    cuts = [(n * b + k - 1) // k for b in range(k + 1)]
+    jobs = [(cfg, cfg.seeds[a:b], out) for a, b in zip(cuts, cuts[1:])]
+    if k > 1:
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            summaries = [r for batch in pool.map(_run_batch, jobs) for r in batch]
     else:
-        summaries = [_run_seed(j) for j in jobs]
+        summaries = _run_batch(jobs[0])
     agg = _aggregate(cfg, summaries)
     Path(out, "report.json").write_text(_json_text(agg))
     for r in agg["per_seed"]:
@@ -473,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         if workers:
             p.add_argument("--workers", type=int, default=1,
-                           help="parallel seed workers (default 1)")
+                           help="processes running contiguous seed batches (default 1)")
         if lam_mu:
             p.add_argument("--lambda", dest="lam", type=float, default=None,
                            help="override the certificate lambda")

@@ -6,6 +6,11 @@ realized utility of the chosen action and reweights it by the probability of
 having chosen it (importance weighting), mixing a uniform exploration floor
 into the sampling distribution.
 
+One state holds many independent learners over the same action set, one per
+row of its ``(rows, n_actions)`` weight array; an update touches only the
+rows it is given, with the float operations a single learner would perform,
+so a row's trajectory does not depend on the other rows.
+
 Updates happen only on rounds where the owning agent was matched into the
 game; the anytime step size is therefore driven by the selected-round count,
 not wall-clock rounds. Callers feeding game utilities in [-H, H] should remap
@@ -23,87 +28,116 @@ import numpy as np
 
 from .errors import InputError
 
-# Renormalization threshold: divide weights by their max once any weight
-# passes this, which leaves sampling probabilities untouched.
+# Renormalization threshold: divide a row's weights by their max once any of
+# them passes this, which leaves its sampling probabilities untouched.
 WEIGHT_CEILING = 1e100
 
 HEDGE = "hedge"
 BANDIT = "bandit"
 
 
-def anytime_eta(n_actions: int, t_sel: int) -> float:
-    """Step size sqrt(ln|A| / t) for the t-th selected round (1-based)."""
-    if n_actions < 1 or t_sel < 1:
+def anytime_eta(n_actions: int, t_sel) -> np.ndarray:
+    """Step size sqrt(ln|A| / t) for the t-th selected round (1-based),
+    elementwise over an array of counts."""
+    t = np.asarray(t_sel)
+    if n_actions < 1 or t.min() < 1:
         raise InputError(f"need n_actions >= 1 and t_sel >= 1, got {n_actions}, {t_sel}")
-    return math.sqrt(math.log(max(n_actions, 2)) / t_sel)
+    return np.sqrt(math.log(max(n_actions, 2)) / t)
 
 
 @dataclass
 class LearnerState:
+    """``weights[r]`` and ``t_sel[r]`` are learner ``r``'s weights and its
+    number of updates so far."""
+
     kind: str
     weights: np.ndarray
-    t_sel: int = 0
+    t_sel: np.ndarray | None = None
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in (HEDGE, BANDIT):
             raise InputError(f"unknown learner kind {self.kind!r}")
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 1 or len(self.weights) == 0:
-            raise InputError("weights must be a nonempty 1-d array")
+        if self.weights.ndim != 2 or self.weights.size == 0:
+            raise InputError("weights must be a nonempty (rows, actions) array")
         if np.any(self.weights <= 0):
             raise InputError("weights must stay strictly positive")
+        if self.t_sel is None:
+            self.t_sel = np.zeros(len(self.weights), dtype=np.int64)
         if not 0.0 <= self.gamma <= 1.0:
             raise InputError(f"gamma must lie in [0, 1], got {self.gamma}")
 
     @classmethod
-    def fresh(cls, kind: str, n_actions: int, gamma: float = 0.0) -> "LearnerState":
-        return cls(kind=kind, weights=np.ones(n_actions), gamma=gamma)
+    def fresh(
+        cls, kind: str, n_actions: int, gamma: float = 0.0, rows: int = 1
+    ) -> "LearnerState":
+        return cls(kind=kind, weights=np.ones((rows, n_actions)), gamma=gamma)
 
     @property
     def n_actions(self) -> int:
-        return len(self.weights)
+        return self.weights.shape[1]
 
-    def probabilities(self) -> np.ndarray:
-        p = self.weights / self.weights.sum()
+    def probabilities(self, rows=None) -> np.ndarray:
+        """Sampling distributions of the given rows (default: all), one per row."""
+        w = self.weights if rows is None else self.weights[rows]
+        p = w / w.sum(axis=1, keepdims=True)
         if self.kind == BANDIT and self.gamma > 0.0:
             p = (1.0 - self.gamma) * p + self.gamma / self.n_actions
         return p
 
 
 def _renormalize(weights: np.ndarray) -> None:
-    top = weights.max()
-    if top > WEIGHT_CEILING:
-        weights /= top
+    if weights.max() > WEIGHT_CEILING:
+        top = weights.max(axis=1)
+        big = top > WEIGHT_CEILING
+        weights[big] /= top[big, None]
 
 
-def hedge_update(state: LearnerState, utility_vector, eta: float) -> LearnerState:
-    """Multiply each weight by exp(eta * utility). Mutates and returns state."""
-    u = np.asarray(utility_vector, dtype=np.float64)
-    if u.shape != state.weights.shape:
+def hedge_update(state: LearnerState, rows, utilities, eta=None) -> LearnerState:
+    """Multiply each weight of the given rows by exp(eta * utility).
+
+    ``utilities`` holds one utility vector per row. ``eta`` is a fixed step
+    size, or None for each row's anytime step at its new selected-round
+    count. Mutates and returns state.
+    """
+    rows = np.asarray(rows)
+    u = np.asarray(utilities, dtype=np.float64)
+    if u.shape != (len(rows), state.n_actions):
         raise InputError(
-            f"utility vector has shape {u.shape}, expected {state.weights.shape}"
+            f"utilities have shape {u.shape}, expected {(len(rows), state.n_actions)}"
         )
-    state.weights *= np.exp(eta * u)
-    _renormalize(state.weights)
-    state.t_sel += 1
+    t_sel = state.t_sel[rows] + 1
+    state.t_sel[rows] = t_sel
+    if eta is None:
+        eta = anytime_eta(state.n_actions, t_sel)[:, None]
+    w = state.weights[rows] * np.exp(eta * u)
+    _renormalize(w)
+    state.weights[rows] = w
     return state
 
 
 def bandit_update(
-    state: LearnerState, chosen_action: int, realized_utility: float, eta: float
+    state: LearnerState, rows, chosen, realized_utilities, eta: float
 ) -> LearnerState:
-    """Importance-weighted exponential update on the chosen arm only.
+    """Importance-weighted exponential update on each given row's chosen arm.
 
     The estimate utility / p(chosen) uses ``state.probabilities()``, the
-    exploration-mixed distribution that generated the choice.
+    exploration-mixed distribution that generated the choice. Mutates and
+    returns state.
     """
-    if not 0 <= chosen_action < state.n_actions:
-        raise InputError(f"chosen_action {chosen_action} out of range")
-    estimate = realized_utility / state.probabilities()[chosen_action]
-    state.weights[chosen_action] *= math.exp(eta * estimate)
-    _renormalize(state.weights)
-    state.t_sel += 1
+    rows = np.asarray(rows)
+    chosen = np.asarray(chosen)
+    if chosen.shape != rows.shape or chosen.min() < 0 or chosen.max() >= state.n_actions:
+        raise InputError(f"chosen actions {chosen} out of range")
+    k = np.arange(len(rows))
+    exponents = eta * (realized_utilities / state.probabilities(rows)[k, chosen])
+    w = state.weights[rows]
+    # math.exp, not np.exp: the two can differ in the last bit
+    w[k, chosen] *= [math.exp(x) for x in exponents.tolist()]
+    _renormalize(w)
+    state.weights[rows] = w
+    state.t_sel[rows] += 1
     return state
 
 

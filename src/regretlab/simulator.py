@@ -16,11 +16,11 @@ feedback, importance-weighted update). Regret ledgers always record the exact
 counterfactual vector regardless of the feedback the learner saw; they are
 the simulator's accounting device, not the agent's information set.
 
-Randomness comes from a single numpy PCG64 generator seeded from the config
-(counter-based, stable across numpy releases since 1.17). Draw order is
-fixed: one uniform per agent per round as a (horizon, n_agents) block, then
-one type-index column per population. Runs with equal configs are therefore
-reproducible bit for bit.
+Randomness comes from a single numpy PCG64 stream per seed (counter-based,
+stable across numpy releases since 1.17). Draw order is fixed: one uniform
+per agent per round in round-major order, then one type-index column per
+population. Runs with equal configs are therefore reproducible bit for bit,
+whichever seeds share a batch.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,6 @@ from .learners import (
     HEDGE,
     LearnerState,
     RegretLedger,
-    anytime_eta,
     bandit_update,
     external_regret,
     hedge_update,
@@ -108,7 +108,13 @@ class SimConfig:
         object.__setattr__(self, "populations", pops)
         if not 0.0 <= self.gamma <= 1.0:
             raise InputError(f"gamma must lie in [0, 1], got {self.gamma}")
-        largest = max(max(self.mechanism.actions.sizes()), max(len(p) for p in pops))
+        sizes = self.mechanism.actions.sizes()
+        if len(set(sizes)) > 1:
+            raise InputError(
+                f"bid grid sizes {list(sizes)} differ; the simulator needs one "
+                "grid size for every seat"
+            )
+        largest = max(sizes[0], max(len(p) for p in pops))
         if largest > INDEX_LIMIT:
             raise InputError(
                 f"a bid grid or population has {largest} entries; the simulator "
@@ -197,90 +203,137 @@ def welfare_columns(
 
 def run_repeated_game(config: SimConfig) -> Trace:
     """Simulate ``config.horizon`` rounds and return the full trace."""
+    return next(run_seed_batch(config, [config.seed]))
+
+
+def run_seed_batch(config: SimConfig, seeds) -> Iterator[Trace]:
+    """Simulate ``config`` once per seed and yield the traces in seed order.
+
+    Every agent of every seed is one row of a single learner state, so a
+    round costs the same number of array operations however many seeds and
+    agents there are. Each row sees the float operations of a lone agent and
+    each seed draws from its own generator, so a seed's trace does not
+    depend on the other seeds in the batch.
+
+    All rounds run before the first trace is yielded. A trace's welfare
+    columns and ledgers are built as it is yielded, so a caller that handles
+    one trace at a time holds one seed's welfare columns at a time.
+    """
+    T = config.horizon
+    G = len(config.agents())
+    v_idx, strategy, realized, counterfactual, realized_sum, selected = _play_rounds(
+        config, seeds
+    )
+    for s, seed in enumerate(seeds):
+        cfg = replace(config, seed=seed)
+        sw, opt = welfare_columns(cfg, v_idx[s], realized[s])
+        ledgers = [
+            RegretLedger(
+                counterfactual=counterfactual[r],
+                realized=float(realized_sum[r]),
+                selected_rounds=int(selected[r]),
+                unselected_rounds=T - int(selected[r]),
+            )
+            for r in range(s * G, (s + 1) * G)
+        ]
+        trace = Trace(
+            config=cfg,
+            v_idx=v_idx[s],
+            strategy=strategy[s],
+            realized_idx=realized[s],
+            sw=sw,
+            opt=opt,
+            ledgers=ledgers,
+        )
+        if config.feedback == FEEDBACK_FULL:
+            _check_hedge_bound(trace)
+        yield trace
+
+
+# Rounds of uniforms drawn per generator call; bounds the draw buffer.
+DRAW_CHUNK = 1024
+
+
+def _play_rounds(config: SimConfig, seeds):
+    """The round loop of ``run_seed_batch``.
+
+    Returns the (seeds, rounds, ...) type, commitment and realized-bid index
+    arrays, and per learner row (seed-major, then flat agent order) the
+    counterfactual and realized ledger sums and the selected-round count.
+    The loop's working set (stacked tables, learner weights, draw buffer) is
+    freed on return, before the first trace is handed out.
+    """
     m = config.mechanism
     n = m.n
     T = config.horizon
     H = m.scale
-    sizes_a = list(m.actions.sizes())
-    pops = config.populations
+    A = m.actions.size(0)
+    S = len(seeds)
     agents = config.agents()
-    offsets = config.agent_offsets()
-    n_agents = len(agents)
+    G = len(agents)
+    offsets = np.array(config.agent_offsets())
 
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    action_u = rng.random((T, n_agents))
-    v_idx = np.empty((T, n), dtype=np.int16)
-    for i, p in enumerate(pops):
-        v_idx[:, i] = rng.integers(0, len(p), size=T)
+    gens = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    # the type draws follow the T x G uniforms in each seed's stream
+    v_idx = np.empty((S, T, n), dtype=np.int16)
+    for s, seed in enumerate(seeds):
+        bits = np.random.PCG64(seed)
+        bits.advance(T * G)
+        types = np.random.Generator(bits)
+        for i, p in enumerate(config.populations):
+            v_idx[s, :, i] = types.integers(0, len(p), size=T)
 
-    tables = [mech.utility_table(m, pop, val) for (pop, _ti, val) in agents]
+    # tables[g, opp] is agent g's utility vector against opponent profile opp
+    tables = np.stack(
+        [mech.utility_table(m, pop, val).T for (pop, _ti, val) in agents]
+    )
     kind = HEDGE if config.feedback == FEEDBACK_FULL else BANDIT
     # hedge states ignore gamma; only the bandit distribution mixes it in
-    states = [
-        LearnerState.fresh(kind, sizes_a[pop], config.gamma) for (pop, _ti, _v) in agents
-    ]
-    ledgers = [RegretLedger.fresh(sizes_a[pop]) for (pop, _ti, _v) in agents]
+    state = LearnerState.fresh(kind, A, config.gamma, rows=S * G)
+    bandit_eta = config.eta if config.eta is not None else config.gamma / A
+    counterfactual = np.zeros((S * G, A))
+    realized_sum = np.zeros(S * G)
 
-    opp_places = []
+    # opp_place[j, i]: weight of seat j's bid in seat i's opponent index
+    opp_place = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        places = mech.radix_place_values([sizes_a[j] for j in others])
-        opp_places.append(list(zip(others, places)))
+        opp_place[others, i] = mech.radix_place_values([A] * len(others))
+    row_base = np.arange(S)[:, None] * G + offsets
+    pick = np.arange(S * n)
 
-    strategy = np.empty((T, n_agents), dtype=np.int16)
-    realized = np.empty((T, n), dtype=np.int16)
-    cdfs: list[np.ndarray | None] = [None] * n_agents
+    strategy = np.empty((S, T, G), dtype=np.int16)
+    realized = np.empty((S, T, n), dtype=np.int16)
+    draws = np.empty((min(DRAW_CHUNK, T), S * G))
     two_h = 2.0 * H
 
     for t in range(T):
-        srow = strategy[t]
-        for g in range(n_agents):
-            cdf = cdfs[g]
-            if cdf is None:
-                cdf = np.cumsum(states[g].probabilities())
-                cdfs[g] = cdf
-            j = int(np.searchsorted(cdf, action_u[t, g] * cdf[-1], side="right"))
-            srow[g] = j if j < len(cdf) else len(cdf) - 1
+        c = t % DRAW_CHUNK
+        if c == 0:
+            rounds = min(DRAW_CHUNK, T - t)
+            for s, gen in enumerate(gens):
+                draws[:rounds, s * G:(s + 1) * G] = gen.random((rounds, G))
+        cdf = state.probabilities().cumsum(axis=1)
+        # inverse-CDF sampling: the count of CDF entries at or below the draw,
+        # leaving out the last entry caps the index at A - 1
+        j = (cdf[:, :-1] <= draws[c, :, None] * cdf[:, -1:]).sum(axis=1)
+        strategy[:, t] = j.reshape(S, G)
 
-        vrow = v_idx[t]
-        sel = [offsets[i] + int(vrow[i]) for i in range(n)]
-        ridx = [int(srow[s]) for s in sel]
-        realized[t] = ridx
+        vrow = v_idx[:, t]
+        rows = (row_base + vrow).ravel()
+        bids = j[rows].reshape(S, n)
+        realized[:, t] = bids
+        chosen = bids.ravel()
+        uvec = tables[(offsets + vrow).ravel(), (bids @ opp_place).ravel()]
+        own = uvec[pick, chosen]
+        counterfactual[rows] += uvec
+        realized_sum[rows] += own
+        if kind == HEDGE:
+            hedge_update(state, rows, (uvec + H) / two_h, config.eta)
+        else:
+            bandit_update(state, rows, chosen, (own + H) / two_h, bandit_eta)
 
-        for i in range(n):
-            g = sel[i]
-            opp = 0
-            for j, place in opp_places[i]:
-                opp += ridx[j] * place
-            uvec = tables[g][:, opp]
-            ledgers[g].record_selected(uvec, ridx[i])
-            st = states[g]
-            if kind == HEDGE:
-                eta = config.eta if config.eta is not None else anytime_eta(
-                    st.n_actions, st.t_sel + 1
-                )
-                hedge_update(st, (uvec + H) / two_h, eta)
-            else:
-                eta = config.eta if config.eta is not None else config.gamma / st.n_actions
-                bandit_update(st, ridx[i], (uvec[ridx[i]] + H) / two_h, eta)
-            cdfs[g] = None
-        for g in range(n_agents):
-            if g not in sel:
-                ledgers[g].record_unselected()
-
-    sw, opt = welfare_columns(config, v_idx, realized)
-    trace = Trace(
-        config=config,
-        v_idx=v_idx,
-        strategy=strategy,
-        realized_idx=realized,
-        sw=sw,
-        opt=opt,
-        ledgers=ledgers,
-    )
-    if config.feedback == FEEDBACK_FULL:
-        _check_hedge_bound(trace)
-    return trace
+    return v_idx, strategy, realized, counterfactual, realized_sum, state.t_sel
 
 
 def _check_hedge_bound(trace: Trace) -> None:
@@ -337,6 +390,10 @@ def write_trace_csv(trace: Trace, path) -> None:
     Path(path).write_text(trace_csv_text(trace))
 
 
+# Rounds formatted per step of strategies_json_text.
+JSON_CHUNK = 4096
+
+
 def strategies_json_text(trace: Trace, every: int = 1) -> str:
     """Commitment tables (all agents, every ``every``-th round) plus run metadata."""
     if every < 1:
@@ -355,12 +412,19 @@ def strategies_json_text(trace: Trace, every: int = 1) -> str:
             "eta": cfg.eta,
         },
         "every": every,
-        "rounds": [
-            [int(x) for x in trace.strategy[t]]
-            for t in range(0, trace.horizon, every)
-        ],
+        "rounds": 0,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # "rounds" sorts last, so the formatted table replaces the placeholder at
+    # the end; it is formatted in chunks without a Python list per round
+    head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    kept = trace.strategy[::every]
+    row = "[" + ",".join(["%d"] * kept.shape[1]) + "]"
+    parts = [head[:-2], "["]
+    for a in range(0, len(kept), JSON_CHUNK):
+        block = kept[a:a + JSON_CHUNK]
+        parts += [",".join([row] * len(block)) % tuple(block.ravel().tolist()), ","]
+    parts[-1] = "]}"
+    return "".join(parts)
 
 
 def write_strategies_json(trace: Trace, path, every: int = 1) -> None:
@@ -462,9 +526,9 @@ def load_trace(csv_path, strategies_path) -> Trace:
     bad = np.flatnonzero((sw != want_sw) | (opt != want_opt))
     if len(bad):
         raise ContractViolationError(
-            f"{csv_path}: round {bad[0] + 1} stores sw={sw[bad[0]]!r}, "
-            f"opt={opt[bad[0]]!r}, but its types and bids give "
-            f"sw={want_sw[bad[0]]!r}, opt={want_opt[bad[0]]!r}"
+            f"{csv_path}: round {bad[0] + 1} stores sw={float(sw[bad[0]])!r}, "
+            f"opt={float(opt[bad[0]])!r}, but its types and bids give "
+            f"sw={float(want_sw[bad[0]])!r}, opt={float(want_opt[bad[0]])!r}"
         )
     return Trace(
         config=config,

@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
+from regretlab import learners as ln
 from regretlab import mechanisms as mech
+from regretlab import simulator as sim
 
 
 # --- auction rules from the definitions --------------------------------------
@@ -253,3 +255,132 @@ def t_star_arithmetic(delta, rho, n, sigma_size, v_size, H):
     """The sufficient-horizon formula, written out term by term."""
     cubic = (n * n * n) * (H * H * H) / (delta * delta * delta)
     return 54.0 * cubic * sigma_size * (v_size * v_size) * math.log(2.0 / rho)
+
+
+# --- the repeated game, one agent at a time ---------------------------------------
+
+
+class _Learner:
+    """One agent's weights, with the arithmetic of a lone Hedge/bandit learner."""
+
+    def __init__(self, kind, n_actions, gamma):
+        self.kind = kind
+        self.weights = np.ones(n_actions)
+        self.t_sel = 0
+        self.gamma = gamma
+
+    @property
+    def n_actions(self):
+        return len(self.weights)
+
+    def probabilities(self):
+        p = self.weights / self.weights.sum()
+        if self.kind == ln.BANDIT and self.gamma > 0.0:
+            p = (1.0 - self.gamma) * p + self.gamma / self.n_actions
+        return p
+
+    def _renormalize(self):
+        top = self.weights.max()
+        if top > ln.WEIGHT_CEILING:
+            self.weights /= top
+
+    def hedge(self, u, eta):
+        self.weights *= np.exp(eta * u)
+        self._renormalize()
+        self.t_sel += 1
+
+    def bandit(self, chosen, realized_utility, eta):
+        estimate = realized_utility / self.probabilities()[chosen]
+        self.weights[chosen] *= math.exp(eta * estimate)
+        self._renormalize()
+        self.t_sel += 1
+
+
+def reference_run(config):
+    """One seed of the repeated game, agent by agent and round by round.
+
+    The loop the batched engine replaced: one (horizon, agents) block of
+    uniforms drawn up front, a cached CDF and one ``searchsorted`` per agent,
+    one update and one ledger record per selected agent, and welfare from a
+    per-round replay of the mechanism. It reads the library's utility tables;
+    the loop around them is what it pins. Returns a dict with ``v_idx``,
+    ``strategy``, ``realized_idx``, ``sw``, ``opt`` and ``ledgers``.
+    """
+    m = config.mechanism
+    n = m.n
+    T = config.horizon
+    H = m.scale
+    sizes_a = list(m.actions.sizes())
+    pops = config.populations
+    agents = config.agents()
+    offsets = config.agent_offsets()
+    n_agents = len(agents)
+
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    action_u = rng.random((T, n_agents))
+    v_idx = np.empty((T, n), dtype=np.int16)
+    for i, p in enumerate(pops):
+        v_idx[:, i] = rng.integers(0, len(p), size=T)
+
+    tables = [mech.utility_table(m, pop, val) for (pop, _ti, val) in agents]
+    kind = ln.HEDGE if config.feedback == sim.FEEDBACK_FULL else ln.BANDIT
+    states = [_Learner(kind, sizes_a[pop], config.gamma) for (pop, _ti, _v) in agents]
+    ledgers = [ln.RegretLedger.fresh(sizes_a[pop]) for (pop, _ti, _v) in agents]
+
+    opp_places = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        places = mech.radix_place_values([sizes_a[j] for j in others])
+        opp_places.append(list(zip(others, places)))
+
+    strategy = np.empty((T, n_agents), dtype=np.int16)
+    realized = np.empty((T, n), dtype=np.int16)
+    sw = np.empty(T)
+    opt = np.empty(T)
+    cdfs = [None] * n_agents
+    two_h = 2.0 * H
+
+    for t in range(T):
+        srow = strategy[t]
+        for g in range(n_agents):
+            cdf = cdfs[g]
+            if cdf is None:
+                cdf = np.cumsum(states[g].probabilities())
+                cdfs[g] = cdf
+            j = int(np.searchsorted(cdf, action_u[t, g] * cdf[-1], side="right"))
+            srow[g] = j if j < len(cdf) else len(cdf) - 1
+
+        vrow = v_idx[t]
+        sel = [offsets[i] + int(vrow[i]) for i in range(n)]
+        ridx = [int(srow[s]) for s in sel]
+        realized[t] = ridx
+
+        for i in range(n):
+            g = sel[i]
+            opp = 0
+            for j, place in opp_places[i]:
+                opp += ridx[j] * place
+            uvec = tables[g][:, opp]
+            ledgers[g].record_selected(uvec, ridx[i])
+            st = states[g]
+            if kind == ln.HEDGE:
+                eta = config.eta if config.eta is not None else math.sqrt(
+                    math.log(max(st.n_actions, 2)) / (st.t_sel + 1)
+                )
+                st.hedge((uvec + H) / two_h, eta)
+            else:
+                eta = config.eta if config.eta is not None else config.gamma / st.n_actions
+                st.bandit(ridx[i], (uvec[ridx[i]] + H) / two_h, eta)
+            cdfs[g] = None
+        for g in range(n_agents):
+            if g not in sel:
+                ledgers[g].record_unselected()
+
+        values = tuple(pops[i].values[vrow[i]] for i in range(n))
+        out = mech._play_on_grid(m, tuple(m.actions.grids[i][ridx[i]] for i in range(n)),
+                                 values)
+        sw[t] = sum(out.utilities) + out.revenue
+        opt[t] = mech.optimal_welfare(values, m)
+
+    return {"v_idx": v_idx, "strategy": strategy, "realized_idx": realized,
+            "sw": sw, "opt": opt, "ledgers": ledgers}

@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,74 @@ def test_realized_welfare_matches_oracle_every_round(cfg):
         )
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+TRACE_ARRAYS = ("v_idx", "strategy", "realized_idx", "sw", "opt")
+
+
+def assert_matches_reference(trace, cfg):
+    """``trace`` equals the per-agent reference engine's run of ``cfg`` bit
+    for bit, live ledgers included."""
+    want = oracles.reference_run(cfg)
+    assert trace.config == cfg
+    for name in TRACE_ARRAYS:
+        assert same_bits(getattr(trace, name), want[name]), name
+    assert len(trace.ledgers) == len(want["ledgers"])
+    for got, ref in zip(trace.ledgers, want["ledgers"]):
+        assert same_bits(got.counterfactual, ref.counterfactual)
+        assert got.realized == ref.realized
+        assert (got.selected_rounds, got.unselected_rounds) == (
+            ref.selected_rounds, ref.unselected_rounds
+        )
+
+
+@st.composite
+def seed_batches(draw):
+    """A small run with a fixed or anytime step and one to four seeds."""
+    cfg = replace(draw(small_runs()), eta=draw(st.sampled_from((None, 0.1, 2.5))))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True))
+    return cfg, seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=seed_batches())
+def test_seed_batch_matches_the_reference_engine(batch):
+    cfg, seeds = batch
+    traces = list(sim.run_seed_batch(cfg, seeds))
+    assert len(traces) == len(seeds)
+    for seed, trace in zip(seeds, traces):
+        assert_matches_reference(trace, replace(cfg, seed=seed))
+        # a seed's trace does not depend on its batch mates
+        alone = sim.run_repeated_game(replace(cfg, seed=seed))
+        for name in TRACE_ARRAYS:
+            assert same_bits(getattr(alone, name), getattr(trace, name)), name
+
+
+@pytest.mark.parametrize(
+    "kind, feedback",
+    [(mech.KIND_FIRST_PRICE, sim.FEEDBACK_FULL), (mech.KIND_ALL_PAY, sim.FEEDBACK_FULL),
+     (mech.KIND_FIRST_PRICE, sim.FEEDBACK_BANDIT)],
+)
+def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(kind, feedback):
+    # 11 bids per grid: row sums of eight or more weights take numpy's
+    # pairwise path, which the small grids above never reach; 1,500 rounds
+    # also cross a boundary between chunks of uniform draws
+    m = mech.Mechanism(kind=kind, n=2, actions=mech.ActionSpace.uniform(2, 0.1, 1.0))
+    cfg = sim.SimConfig(
+        mechanism=m,
+        populations=(sim.Population((0.5, 1.0)), sim.Population((0.5, 1.0))),
+        horizon=1500,
+        seed=2,
+        feedback=feedback,
+        gamma=0.1,
+    )
+    seeds = [2, 4, 7]
+    for seed, trace in zip(seeds, sim.run_seed_batch(cfg, seeds)):
+        assert_matches_reference(trace, replace(cfg, seed=seed))
+
+
 def test_single_type_populations_have_constant_draws():
     m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, actions=mech.ActionSpace.uniform(2, 0.5, 1.0))
     cfg = sim.SimConfig(
@@ -169,10 +238,6 @@ def test_csv_format():
     assert float(first[5]) == trace.sw[0]
 
 
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @settings(max_examples=40, deadline=None)
 @given(cfg=small_runs(), every=st.sampled_from((1, 3)))
 def test_round_trip_preserves_everything(cfg, every):
@@ -208,6 +273,17 @@ def test_subsampled_sidecar_drops_strategy_table(tmp_path):
         sim.strategies_json_text(back)  # nothing left to serialize
     with pytest.raises(InputError):
         sim.strategies_json_text(trace, every=0)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_sidecar_text_equals_the_plain_json_document(every):
+    # the table is formatted in chunks of rounds; across chunk boundaries the
+    # text must still be the sorted, compact json.dumps of the whole document
+    trace = sim.run_repeated_game(small_config(horizon=2 * sim.JSON_CHUNK + 5, seed=8))
+    text = sim.strategies_json_text(trace, every)
+    doc = json.loads(text)
+    doc["rounds"] = [[int(x) for x in row] for row in trace.strategy[::every]]
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def test_sidecar_meta_fields():
@@ -279,6 +355,13 @@ def test_config_validation():
     crowd = tuple(k / 40_000 for k in range(sim.INDEX_LIMIT + 1))
     with pytest.raises(InputError, match="32768"):
         sim.SimConfig(mechanism=one, populations=(crowd,), horizon=5, seed=0)
+    # every seat's learners share one row layout, so grid sizes must agree
+    uneven = mech.Mechanism(
+        kind=mech.KIND_FIRST_PRICE, n=2,
+        actions=mech.ActionSpace(grids=((0.0, 0.5, 1.0), (0.0, 1.0)), scale=1.0),
+    )
+    with pytest.raises(InputError, match="differ"):
+        sim.SimConfig(mechanism=uneven, populations=((1.0,), (0.5,)), horizon=5, seed=0)
 
 
 def test_validate_catches_tampering(tmp_path):
