@@ -143,13 +143,6 @@ def _assert_ledger_identity(trace: Trace, recount) -> None:
             )
 
 
-def measured_epsilon(trace: Trace, horizon: int | None = None) -> float:
-    """n times the worst per-population epsilon (the regret budget is split
-    evenly across populations, so the total is n times the worst share)."""
-    eps, _ = bayes_cce_epsilon(trace, horizon=horizon)
-    return trace.config.mechanism.n * eps
-
-
 # --- welfare ------------------------------------------------------------------
 
 
@@ -215,8 +208,9 @@ def finite_time_check(
     """Check avg SW >= (lambda/max(1,mu)) * avg Opt - delta - mu * epsilon.
 
     ``measured_epsilon`` is the total regret level: n times the worst
-    per-population time-averaged regret (see measured_epsilon()). Returns the
-    slack of the inequality; holds means slack >= 0.
+    per-population time-averaged regret from ``bayes_cce_epsilon`` (the
+    regret budget is split evenly across populations). Returns the slack of
+    the inequality; holds means slack >= 0.
 
     Whenever the welfare ratio is within the smoothness bound and both delta
     and epsilon are non-negative, the inequality is implied; that implication

@@ -94,6 +94,9 @@ def _check_keys(obj: dict, spec: dict[str, bool], path: str) -> None:
 def _number(obj, path: str, minimum=None) -> float:
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ConfigError(f"{path}: expected a number, got {type(obj).__name__}")
+    # NaN fails the comparison too; an integer literal can exceed the float range
+    if not abs(obj) <= sys.float_info.max:
+        raise ConfigError(f"{path}: must be a finite number, got {obj}")
     x = float(obj)
     if minimum is not None and x < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {x}")

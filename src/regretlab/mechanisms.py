@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -103,15 +104,6 @@ class ActionSpace:
 
 
 @dataclass(frozen=True)
-class Outcome:
-    """Result of one play: per-player utilities, collected revenue, winner set."""
-
-    utilities: tuple[float, ...]
-    revenue: float
-    winners: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Mechanism:
     kind: str
     n: int
@@ -168,6 +160,8 @@ class Mechanism:
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "Mechanism":
+        if not isinstance(d, dict):
+            raise InputError(f"descriptor must be an object, got {type(d).__name__}")
         required = {"kind", "n", "k", "grid_step", "H", "tie_break"}
         missing = required - d.keys()
         if missing:
@@ -177,78 +171,22 @@ class Mechanism:
             raise InputError(f"descriptor has unknown keys: {sorted(unknown)}")
         if d["tie_break"] != TIE_LOWEST:
             raise InputError(f"unknown tie_break {d['tie_break']!r}; use {TIE_LOWEST!r}")
-        actions = ActionSpace.uniform(int(d["n"]), float(d["grid_step"]), float(d["H"]))
+        for key in ("n", "k"):
+            if not isinstance(d[key], int) or isinstance(d[key], bool):
+                raise InputError(f"descriptor {key}: expected an integer, got {d[key]!r}")
+        for key in ("grid_step", "H"):
+            x = d[key]
+            # NaN fails the comparison too; an integer can exceed the float range
+            if isinstance(x, bool) or not isinstance(x, (int, float)) or not (
+                abs(x) <= sys.float_info.max
+            ):
+                raise InputError(f"descriptor {key}: expected a finite number, got {x!r}")
         return cls(
             kind=d["kind"],
-            n=int(d["n"]),
-            actions=actions,
-            units=int(d["k"]),
+            n=d["n"],
+            actions=ActionSpace.uniform(d["n"], float(d["grid_step"]), float(d["H"])),
+            units=d["k"],
         )
-
-
-def _winners(mechanism: Mechanism, bids: Sequence[float]) -> tuple[int, ...]:
-    k = mechanism.units if mechanism.kind == KIND_MULTI_UNIT else 1
-    n = mechanism.n
-    if k >= n:
-        return tuple(range(n))
-    # sort is stable, so equal bids keep ascending player order
-    order = sorted(range(n), key=lambda i: -bids[i])
-    return tuple(sorted(order[:k]))
-
-
-def play(
-    mechanism: Mechanism,
-    action_profile: Sequence[float],
-    valuation_profile: Sequence[float],
-) -> Outcome:
-    """Run the auction once and return the realized outcome.
-
-    ``action_profile`` entries must sit on the per-player grids. Utilities are
-    quasilinear: winners get value minus payment, and under ``all-pay`` losers
-    additionally pay their own bid.
-    """
-    values = mechanism.validate_values(valuation_profile)
-    if len(action_profile) != mechanism.n:
-        raise InputError(
-            f"expected {mechanism.n} actions, got {len(action_profile)}"
-        )
-    idx = [
-        mechanism.actions.index_of(i, b) for i, b in enumerate(action_profile)
-    ]
-    bids = [mechanism.actions.grids[i][j] for i, j in enumerate(idx)]
-    return _play_on_grid(mechanism, bids, values)
-
-
-def _play_on_grid(
-    mechanism: Mechanism, bids: Sequence[float], values: Sequence[float]
-) -> Outcome:
-    # Internal fast path: bids already canonical grid values, values validated.
-    winners = _winners(mechanism, bids)
-    win_set = set(winners)
-    utilities = []
-    revenue = 0.0
-    if mechanism.kind == KIND_ALL_PAY:
-        for i in range(mechanism.n):
-            revenue += bids[i]
-            utilities.append(values[i] - bids[i] if i in win_set else -bids[i])
-    else:
-        for i in range(mechanism.n):
-            if i in win_set:
-                utilities.append(values[i] - bids[i])
-                revenue += bids[i]
-            else:
-                utilities.append(0.0)
-    return Outcome(utilities=tuple(utilities), revenue=revenue, winners=winners)
-
-
-def social_welfare(
-    mechanism: Mechanism,
-    action_profile: Sequence[float],
-    valuation_profile: Sequence[float],
-) -> float:
-    """Utilitarian welfare of the realized play: sum of utilities plus revenue."""
-    out = play(mechanism, action_profile, valuation_profile)
-    return sum(out.utilities) + out.revenue
 
 
 def optimal_welfare(valuation_profile: Sequence[float], mechanism: Mechanism) -> float:
@@ -267,6 +205,9 @@ def optimal_welfare(valuation_profile: Sequence[float], mechanism: Mechanism) ->
 # every joint opponent profile. Building the table once per (player, value)
 # keeps those paths to array lookups. Opponent profiles are flattened in
 # mixed-radix order over ascending player index j != i.
+#
+# The auction rule itself is the cached win-flag array below; the utility and
+# revenue tables apply the payment rule to it with array operations.
 
 
 def joint_profile_count(mechanism: Mechanism) -> int:
@@ -280,6 +221,38 @@ def _check_table_cap(entries: int, cap: int) -> None:
         )
 
 
+def _seat_bids(mechanism: Mechanism) -> list[np.ndarray]:
+    """Each seat's grid shaped to broadcast over the joint profile grid."""
+    n = mechanism.n
+    return [
+        np.asarray(g, dtype=np.float64).reshape([-1 if j == i else 1 for j in range(n)])
+        for i, g in enumerate(mechanism.actions.grids)
+    ]
+
+
+@lru_cache(maxsize=64)
+def _win_flags(mechanism: Mechanism) -> np.ndarray:
+    """Boolean ``W[i, b_0, ..., b_{n-1}]``: whether seat ``i`` wins a unit at
+    the joint bid profile with grid indices ``b``.
+
+    Seat ``j`` outranks seat ``i`` when it bids more, or bids the same from a
+    lower index. Seat ``i`` wins when fewer than ``units`` seats outrank it:
+    the top ``units`` bids win, ties to the lowest index.
+    """
+    bids = _seat_bids(mechanism)
+    flags = np.empty((mechanism.n, *mechanism.actions.sizes()), dtype=bool)
+    for i, own in enumerate(bids):
+        # float64 counts are exact here; an integer counter pulls in numpy
+        # loops that no other step runs, which raised peak RSS by ~0.1 MB
+        outranked = np.zeros(flags.shape[1:])
+        for j, other in enumerate(bids):
+            if j != i:
+                outranked += own <= other if j < i else own < other
+        np.less(outranked, mechanism.units, out=flags[i])
+    flags.setflags(write=False)
+    return flags
+
+
 @lru_cache(maxsize=256)
 def utility_table(
     mechanism: Mechanism, player: int, value: float, cap: int = 10_000_000
@@ -288,25 +261,19 @@ def utility_table(
     opponent bid profile, holding the player's value fixed.
 
     Opponent profiles are indexed in mixed-radix order over the other players'
-    grids, ascending player index, last player fastest.
+    grids, ascending player index, last player fastest. A winner gets value
+    minus bid; a loser gets 0.0, or minus its bid under all-pay.
     """
     if not 0 <= player < mechanism.n:
         raise InputError(f"player {player} out of range for n={mechanism.n}")
-    own = mechanism.actions.grids[player]
-    others = [mechanism.actions.grids[j] for j in range(mechanism.n) if j != player]
-    n_opp = int(np.prod([len(g) for g in others], dtype=np.int64)) if others else 1
-    _check_table_cap(len(own) * n_opp, cap)
-    values = [0.0] * mechanism.n
-    values[player] = value
-    table = np.empty((len(own), n_opp), dtype=np.float64)
-    # product of zero grids yields the single empty profile, which is what the
-    # single-player case needs
-    for opp_idx, opp_bids in enumerate(itertools.product(*others)):
-        bids = list(opp_bids[:player]) + [0.0] + list(opp_bids[player:])
-        for b_idx, b in enumerate(own):
-            bids[player] = b
-            out = _play_on_grid(mechanism, bids, values)
-            table[b_idx, opp_idx] = out.utilities[player]
+    _check_table_cap(joint_profile_count(mechanism), cap)
+    own = np.asarray(mechanism.actions.grids[player], dtype=np.float64)[:, None]
+    # C order, as callers' matrix products sum in the layout's order
+    wins = np.ascontiguousarray(
+        np.moveaxis(_win_flags(mechanism)[player], player, 0).reshape(len(own), -1)
+    )
+    lose = -own if mechanism.kind == KIND_ALL_PAY else 0.0
+    table = np.where(wins, value - own, lose)
     table.setflags(write=False)
     return table
 
@@ -314,14 +281,17 @@ def utility_table(
 @lru_cache(maxsize=64)
 def revenue_table(mechanism: Mechanism, cap: int = 10_000_000) -> np.ndarray:
     """Flat array of auction revenue for every joint action profile, indexed
-    in mixed-radix order over all players' grids (last player fastest)."""
-    grids = mechanism.actions.grids
-    total = joint_profile_count(mechanism)
-    _check_table_cap(total, cap)
-    zeros = (0.0,) * mechanism.n
-    rev = np.empty(total, dtype=np.float64)
-    for flat, bids in enumerate(itertools.product(*grids)):
-        rev[flat] = _play_on_grid(mechanism, bids, zeros).revenue
+    in mixed-radix order over all players' grids (last player fastest).
+
+    Seats add their payments in seat order: every bid under all-pay, the
+    winners' bids otherwise.
+    """
+    _check_table_cap(joint_profile_count(mechanism), cap)
+    rev = np.zeros(mechanism.actions.sizes())
+    all_pay = mechanism.kind == KIND_ALL_PAY
+    for i, bid in enumerate(_seat_bids(mechanism)):
+        np.add(rev, bid, out=rev, where=all_pay or _win_flags(mechanism)[i])
+    rev = rev.ravel()
     rev.setflags(write=False)
     return rev
 
@@ -364,7 +334,3 @@ def value_profiles(per_player_values: Iterable[Sequence[float]]) -> list[tuple[f
     """Cartesian product of per-player value lists, in lexicographic order."""
     return [tuple(v) for v in itertools.product(*per_player_values)]
 
-
-def clear_table_caches() -> None:
-    utility_table.cache_clear()
-    revenue_table.cache_clear()

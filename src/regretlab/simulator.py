@@ -492,22 +492,28 @@ def load_trace(csv_path, strategies_path) -> Trace:
     need regret sums recompute them from the realized data. The commitment
     table is only reconstructed when the sidecar recorded every round.
 
-    A malformed table raises InputError. The stored welfare columns must equal
-    ``welfare_columns`` recomputed from the types and bids, and every sidecar
-    row must agree with the realized bids of its round; otherwise
-    ContractViolationError names what disagrees.
+    A malformed table or sidecar raises InputError naming the file. The
+    stored welfare columns must equal ``welfare_columns`` recomputed from the
+    types and bids, and every sidecar row must agree with the realized bids
+    of its round; otherwise ContractViolationError names what disagrees.
     """
-    doc = json.loads(Path(strategies_path).read_text())
-    meta = doc["meta"]
-    config = SimConfig(
-        mechanism=mech.Mechanism.from_descriptor(meta["mechanism"]),
-        populations=tuple(Population(tuple(v)) for v in meta["populations"]),
-        horizon=int(meta["horizon"]),
-        seed=int(meta["seed"]),
-        feedback=meta["feedback"],
-        eta=meta["eta"],
-        gamma=float(meta["gamma"]),
-    )
+    try:
+        doc = json.loads(Path(strategies_path).read_text())
+        meta = doc["meta"]
+        config = SimConfig(
+            mechanism=mech.Mechanism.from_descriptor(meta["mechanism"]),
+            populations=tuple(Population(tuple(v)) for v in meta["populations"]),
+            horizon=int(meta["horizon"]),
+            seed=int(meta["seed"]),
+            feedback=meta["feedback"],
+            eta=meta["eta"],
+            gamma=float(meta["gamma"]),
+        )
+    except KeyError as e:
+        raise InputError(f"{strategies_path}: malformed sidecar: no entry {e}") from e
+    except (InputError, ValueError, TypeError) as e:
+        # a document that does not parse as JSON raises a ValueError
+        raise InputError(f"{strategies_path}: malformed sidecar: {e}") from e
     try:
         every = doc["every"]
         kept = range(0, config.horizon, every)
@@ -515,7 +521,7 @@ def load_trace(csv_path, strategies_path) -> Trace:
         committed = np.asarray(doc.pop("rounds"), dtype=np.int16)
         if committed.shape != (len(kept), len(config.agents())):
             raise ValueError(f"shape {committed.shape}")
-    except (TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"{strategies_path}: malformed commitment table: {e}") from e
     v_idx, realized, sw, opt = _read_trace_csv(csv_path, config)
     try:

@@ -38,10 +38,11 @@ class SmoothnessParams:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise InputError(f"lam must be positive, got {self.lam}")
-        if self.mu < 0:
-            raise InputError(f"mu must be nonnegative, got {self.mu}")
+        # chained comparisons are false for NaN
+        if not 0 < self.lam < math.inf:
+            raise InputError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 <= self.mu < math.inf:
+            raise InputError(f"mu must be nonnegative and finite, got {self.mu}")
 
     @property
     def poa_bound(self) -> float:

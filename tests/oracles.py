@@ -301,10 +301,11 @@ def reference_run(config):
 
     The loop the batched engine replaced: one (horizon, agents) block of
     uniforms drawn up front, a cached CDF and one ``searchsorted`` per agent,
-    one update and one ledger record per selected agent, and welfare from a
-    per-round replay of the mechanism. It reads the library's utility tables;
-    the loop around them is what it pins. Returns a dict with ``v_idx``,
-    ``strategy``, ``realized_idx``, ``sw``, ``opt`` and ``ledgers``.
+    one update and one ledger record per selected agent, and welfare from
+    ``auction_outcome`` once per round. It reads the library's utility
+    tables; the loop around them is what it pins. Returns a dict with
+    ``v_idx``, ``strategy``, ``realized_idx``, ``sw``, ``opt`` and
+    ``ledgers``.
     """
     m = config.mechanism
     n = m.n
@@ -377,9 +378,9 @@ def reference_run(config):
                 ledgers[g].record_unselected()
 
         values = tuple(pops[i].values[vrow[i]] for i in range(n))
-        out = mech._play_on_grid(m, tuple(m.actions.grids[i][ridx[i]] for i in range(n)),
-                                 values)
-        sw[t] = sum(out.utilities) + out.revenue
+        bids = [m.actions.grids[i][ridx[i]] for i in range(n)]
+        utilities, revenue, _ = auction_outcome(m.kind, bids, values, m.units)
+        sw[t] = sum(utilities) + revenue
         opt[t] = mech.optimal_welfare(values, m)
 
     return {"v_idx": v_idx, "strategy": strategy, "realized_idx": realized,

@@ -160,7 +160,11 @@ def test_epsilon_of_constant_overbidding():
     # to 0 gains 0.5 every round
     assert eps == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(breakdown[(0, 0)], [0.5, 0.0], atol=1e-12)
-    assert an.measured_epsilon(constant_bid_trace()) == pytest.approx(0.5, abs=1e-12)
+    # one seat, so the total regret level n * epsilon is epsilon itself
+    trace = constant_bid_trace()
+    assert trace.config.mechanism.n * an.bayes_cce_epsilon(trace)[0] == pytest.approx(
+        0.5, abs=1e-12
+    )
 
 
 def test_epsilon_of_best_responding_is_zero():
@@ -255,7 +259,7 @@ def test_finite_time_check_formula():
         acceptance_config(mech.KIND_FIRST_PRICE, seed=2, horizon=2_000)
     )
     params = SmoothnessParams(1.0 - 1.0 / math.e, 1.0)
-    eps = an.measured_epsilon(trace)
+    eps = trace.config.mechanism.n * an.bayes_cce_epsilon(trace)[0]
     res = an.finite_time_check(trace, params, 0.05, eps)
     want = float(trace.sw.mean()) - (
         params.lam / max(1.0, params.mu) * float(trace.opt.mean()) - 0.05 - params.mu * eps

@@ -123,12 +123,33 @@ def test_config_value_validation(tmp_path):
         dict(populations=[[0.5, -1.0], [0.5, 1.0]]),
         dict(populations=[]),
         dict(smoothness={"lambda": 0.0, "mu": 1.0}),
+        dict(smoothness={"lambda": math.nan, "mu": 1.0}),
+        dict(smoothness={"lambda": 0.5, "mu": math.inf}),
+        dict(smoothness={"lambda": 10**400, "mu": 1.0}),
+        dict(gamma=math.nan),
+        dict(populations=[[0.5, math.inf], [0.5, 1.0]]),
         dict(strategies_every=0),
         dict(analysis={"checkpoints": []}),
     ]
     for i, kw in enumerate(cases):
         with pytest.raises(ConfigError):
             cli.load_config(write_config(tmp_path, name=f"bad{i}.json", **kw))
+    bad_mechanisms = [
+        [],
+        {**base_doc()["mechanism"], "n": "x"},
+        {**base_doc()["mechanism"], "n": 2.5},
+        {**base_doc()["mechanism"], "n": True},
+        {**base_doc()["mechanism"], "k": 1.0},
+        {**base_doc()["mechanism"], "grid_step": "abc"},
+        {**base_doc()["mechanism"], "grid_step": math.inf},
+        {**base_doc()["mechanism"], "H": math.nan},
+        {**base_doc()["mechanism"], "H": 10**400},
+    ]
+    for i, m in enumerate(bad_mechanisms):
+        path = tmp_path / f"badmech{i}.json"
+        path.write_text(json.dumps(base_doc(mechanism=m)))
+        with pytest.raises(ConfigError, match="mechanism"):
+            cli.load_config(str(path))
     doc = base_doc()
     doc["mechanism"]["kind"] = "second-price"
     path = tmp_path / "badmech.json"
@@ -246,6 +267,40 @@ def test_analyze_rejects_a_malformed_trace(tmp_path, capsys, column, edit):
     assert f"column {column}:" in err
 
 
+def drop_meta_entry(doc, key):
+    del doc["meta"][key]
+    return doc
+
+
+def set_meta_entry(doc, key, value):
+    doc["meta"][key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: json.dumps(drop_meta_entry(json.loads(text), "horizon")),
+        lambda text: json.dumps(set_meta_entry(json.loads(text), "mechanism", "x")),
+        lambda text: json.dumps(set_meta_entry(json.loads(text), "seed", "abc")),
+    ],
+    ids=["truncated", "no-horizon", "mechanism-not-an-object", "non-numeric-seed"],
+)
+def test_analyze_rejects_a_malformed_sidecar(tmp_path, capsys, edit):
+    out = tmp_path / "runs"
+    cfg = write_config(tmp_path, name="sim.json", horizon=40, seeds=[1],
+                       out_dir=str(out))
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    sidecar = out / "seed_1" / "strategies.json"
+    sidecar.write_text(edit(sidecar.read_text()))
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(sidecar) in err
+
+
 def test_thinned_sidecar_is_analyzed_without_the_independence_gap(tmp_path, capsys):
     out = tmp_path / "runs"
     cfg = simulate_config(tmp_path, out, strategies_every=4)
@@ -328,6 +383,12 @@ def test_certify_half_rule_passes_and_overreach_fails(tmp_path, capsys):
     assert cli.main(["certify", "--config", cfg]) == 0
     assert "rule 'half'" in capsys.readouterr().out
     assert cli.main(["certify", "--config", cfg, "--lambda", "0.95", "--mu", "0"]) == 1
+    # a non-finite parameter is an input error, never a certificate that holds
+    for flags in (["--lambda", "nan"], ["--mu", "inf"]):
+        capsys.readouterr()
+        assert cli.main(["certify", "--config", cfg, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and "holds" not in out
 
 
 def test_certify_all_pay_uniform_rule(tmp_path):

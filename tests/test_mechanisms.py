@@ -1,4 +1,5 @@
-"""Auction rules: outcomes, welfare, exhaustive tables, serialization."""
+"""Auction rules: outcomes and welfare read from the exhaustive tables, and
+serialization."""
 
 import itertools
 
@@ -26,21 +27,35 @@ QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
 TENTHS = tuple(round(0.1 * i, 10) for i in range(11))
 
 
+def outcome(m, bids, values):
+    """(utilities, revenue) of one bid profile, read from the tables."""
+    idx = [m.actions.index_of(i, b) for i, b in enumerate(bids)]
+    sizes = m.actions.sizes()
+    utilities = []
+    for i in range(m.n):
+        others = [j for j in range(m.n) if j != i]
+        opp = mech.radix_encode([idx[j] for j in others], [sizes[j] for j in others])
+        utilities.append(float(mech.utility_table(m, i, values[i])[idx[i], opp]))
+    revenue = float(mech.revenue_table(m)[mech.radix_encode(idx, sizes)])
+    return tuple(utilities), revenue
+
+
+def welfare(m, bids, values):
+    utilities, revenue = outcome(m, bids, values)
+    return sum(utilities) + revenue
+
+
 def test_first_price_outcome():
     m = fp(2, (QUARTERS, QUARTERS))
-    out = mech.play(m, (0.5, 0.25), (1.0, 0.5))
-    assert out.utilities == (0.5, 0.0)
-    assert out.revenue == 0.5
-    assert out.winners == (0,)
+    # seat 1 would get 0.25 had it won
+    assert outcome(m, (0.5, 0.25), (1.0, 0.5)) == ((0.5, 0.0), 0.5)
 
 
 def test_all_pay_outcome():
     m = mech.Mechanism(
         kind=mech.KIND_ALL_PAY, n=2, actions=mech.ActionSpace(grids=(QUARTERS, QUARTERS), scale=1.0)
     )
-    out = mech.play(m, (0.5, 0.25), (1.0, 0.5))
-    assert out.utilities == (0.5, -0.25)
-    assert out.revenue == 0.75
+    assert outcome(m, (0.5, 0.25), (1.0, 0.5)) == ((0.5, -0.25), 0.75)
 
 
 def test_multi_unit_outcome():
@@ -50,29 +65,27 @@ def test_multi_unit_outcome():
         units=2,
         actions=mech.ActionSpace(grids=(TENTHS,) * 3, scale=1.0),
     )
-    out = mech.play(m, (0.4, 0.3, 0.3), (1.0, 0.5, 0.2))
-    # the 0.3 tie at the second unit goes to the lower index
-    assert out.winners == (0, 1)
-    assert out.utilities == (0.6, 0.2, 0.0)
-    assert out.revenue == pytest.approx(0.7, abs=1e-15)
+    utilities, revenue = outcome(m, (0.4, 0.3, 0.3), (1.0, 0.5, 0.2))
+    # the 0.3 tie at the second unit goes to the lower index; seat 2 would
+    # get 0.2 - 0.3 had it won
+    assert utilities == (0.6, 0.2, 0.0)
+    assert revenue == pytest.approx(0.7, abs=1e-15)
 
 
 def test_social_welfare_examples():
     m2 = fp(2, (QUARTERS, QUARTERS))
-    assert mech.social_welfare(m2, (0.5, 0.25), (1.0, 0.5)) == 1.0
+    assert welfare(m2, (0.5, 0.25), (1.0, 0.5)) == 1.0
     ap = mech.Mechanism(
         kind=mech.KIND_ALL_PAY, n=2, actions=mech.ActionSpace(grids=(QUARTERS, QUARTERS), scale=1.0)
     )
-    assert mech.social_welfare(ap, (0.5, 0.25), (1.0, 0.5)) == 1.0
+    assert welfare(ap, (0.5, 0.25), (1.0, 0.5)) == 1.0
     mu = mech.Mechanism(
         kind=mech.KIND_MULTI_UNIT,
         n=3,
         units=2,
         actions=mech.ActionSpace(grids=(TENTHS,) * 3, scale=1.0),
     )
-    assert mech.social_welfare(mu, (0.4, 0.3, 0.3), (1.0, 0.5, 0.2)) == pytest.approx(
-        1.5, abs=1e-15
-    )
+    assert welfare(mu, (0.4, 0.3, 0.3), (1.0, 0.5, 0.2)) == pytest.approx(1.5, abs=1e-15)
 
 
 def test_optimal_welfare():
@@ -91,11 +104,13 @@ def test_optimal_welfare():
 def test_off_grid_and_arity_rejected():
     m = fp(2, (QUARTERS, QUARTERS))
     with pytest.raises(InputError):
-        mech.play(m, (0.3, 0.25), (1.0, 0.5))
+        m.actions.index_of(0, 0.3)
     with pytest.raises(InputError):
-        mech.play(m, (0.5,), (1.0, 0.5))
+        m.validate_values((1.0,))
     with pytest.raises(InputError):
-        mech.play(m, (0.5, 0.25), (1.5, 0.5))  # value above the scale
+        m.validate_values((1.5, 0.5))  # value above the scale
+    with pytest.raises(InputError):
+        mech.optimal_welfare((1.0, 0.5, 0.2), m)
 
 
 def test_action_space_invariants():
@@ -132,8 +147,8 @@ def test_mechanism_validation():
 
 
 def test_identity_against_independent_recomputation():
-    """social_welfare == sum of utilities + revenue == value of the allocation,
-    with the right-hand side computed by the standalone oracle."""
+    """Table utilities and revenue equal the standalone oracle's, and their
+    sum is the value of the allocation."""
     rng = np.random.default_rng(5)
     kinds = [mech.KIND_FIRST_PRICE, mech.KIND_ALL_PAY, mech.KIND_MULTI_UNIT]
     for _ in range(300):
@@ -145,9 +160,10 @@ def test_identity_against_independent_recomputation():
         )
         bids = [QUARTERS[rng.integers(5)] for _ in range(n)]
         values = [QUARTERS[rng.integers(5)] for _ in range(n)]
-        out = mech.play(m, bids, values)
-        sw = mech.social_welfare(m, bids, values)
-        assert abs(sw - (sum(out.utilities) + out.revenue)) <= 1e-12
+        utilities, revenue = outcome(m, bids, values)
+        want_u, want_rev, _ = oracles.auction_outcome(kind, bids, values, units)
+        assert list(utilities) == want_u and revenue == want_rev
+        sw = sum(utilities) + revenue
         assert abs(sw - oracles.allocation_welfare(kind, bids, values, units)) <= 1e-12
 
 
@@ -156,7 +172,7 @@ def test_welfare_dominated_by_optimum():
     for v in mech.value_profiles([[0.0, 0.5, 1.0]] * 2):
         opt = mech.optimal_welfare(v, m)
         for a in itertools.product((0.0, 0.5, 1.0), repeat=2):
-            assert mech.social_welfare(m, a, v) <= opt + 1e-12
+            assert welfare(m, a, v) <= opt + 1e-12
 
 
 def test_all_pay_welfare_is_winner_value():
@@ -165,28 +181,32 @@ def test_all_pay_welfare_is_winner_value():
     )
     v = (0.75, 0.5)
     for a in itertools.product(QUARTERS, repeat=2):
-        out = mech.play(ap, a, v)
-        assert mech.social_welfare(ap, a, v) == pytest.approx(v[out.winners[0]], abs=1e-12)
+        utilities, _ = outcome(ap, a, v)
+        # a loser pays its bid for nothing; both values are positive
+        winners = [i for i in range(2) if utilities[i] != -a[i]]
+        assert len(winners) == 1
+        assert welfare(ap, a, v) == pytest.approx(v[winners[0]], abs=1e-12)
 
 
 def test_tie_break_is_minimal_index():
     m = fp(3, (QUARTERS,) * 3)
-    out = mech.play(m, (0.5, 0.5, 0.5), (0.2, 0.9, 0.9))
-    assert out.winners == (0,)
+    assert outcome(m, (0.5, 0.5, 0.5), (0.2, 0.9, 0.9))[0] == (0.2 - 0.5, 0.0, 0.0)
     # moving the equal high bids to later seats never steals the win from
     # the earliest max bidder
-    out2 = mech.play(m, (0.25, 0.5, 0.5), (0.2, 0.9, 0.9))
-    assert out2.winners == (1,)
+    assert outcome(m, (0.25, 0.5, 0.5), (0.2, 0.9, 0.9))[0] == (0.0, 0.9 - 0.5, 0.0)
 
 
 def test_utility_table_matches_plays():
     m = fp(2, (QUARTERS, (0.0, 0.5, 1.0)))
     table = mech.utility_table(m, 0, 0.8)
     assert table.shape == (5, 3)
+    assert not table.flags.writeable
     for bi, b in enumerate(QUARTERS):
         for oi, ob in enumerate((0.0, 0.5, 1.0)):
-            out = mech.play(m, (b, ob), (0.8, 0.0))
-            assert table[bi, oi] == out.utilities[0]
+            u, _, _ = oracles.auction_outcome(m.kind, (b, ob), (0.8, 0.0))
+            assert table[bi, oi] == u[0]
+    # C order whatever the seat: callers' matrix products sum in layout order
+    assert mech.utility_table(m, 1, 0.5).flags.c_contiguous
     # single-player table has one opponent column
     sp = fp(1, ((0.0, 0.5),))
     assert mech.utility_table(sp, 0, 1.0).shape == (2, 1)
@@ -199,12 +219,54 @@ def test_revenue_table_matches_plays():
         actions=mech.ActionSpace(grids=((0.0, 0.5), (0.0, 0.25, 0.5)), scale=1.0),
     )
     rev = mech.revenue_table(ap)
+    assert not rev.flags.writeable
     flat = 0
     for b0 in (0.0, 0.5):
         for b1 in (0.0, 0.25, 0.5):
-            out = mech.play(ap, (b0, b1), (0.0, 0.0))
-            assert rev[flat] == out.revenue
+            _, want, _ = oracles.auction_outcome(ap.kind, (b0, b1), (0.0, 0.0))
+            assert rev[flat] == want
             flat += 1
+
+
+@st.composite
+def table_cases(draw):
+    kind = draw(st.sampled_from(
+        [mech.KIND_FIRST_PRICE, mech.KIND_ALL_PAY, mech.KIND_MULTI_UNIT]
+    ))
+    n = draw(st.integers(1, 4))
+    units = draw(st.integers(1, n)) if kind == mech.KIND_MULTI_UNIT else 1
+    scale = draw(st.sampled_from([1.0, 0.7]))
+    point = st.integers(1, 20).map(lambda x: round(scale * x / 20, 12))
+    grids = tuple(
+        (0.0,) + tuple(sorted(draw(st.sets(point, max_size=3))))
+        for _ in range(n)
+    )
+    m = mech.Mechanism(
+        kind=kind, n=n, units=units, actions=mech.ActionSpace(grids=grids, scale=scale)
+    )
+    value = st.one_of(st.just(0.0), st.just(scale), st.floats(0.0, scale))
+    values = tuple(draw(value) for _ in range(n))
+    return m, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=table_cases())
+def test_tables_match_the_oracle(case):
+    """Every table entry equals the rule applied to its profile directly. The
+    only difference allowed is the sign of zero: the table's all-pay loser at
+    bid 0 gets -0.0, the oracle's 0.0 - 0.0 gives 0.0, and == ignores it."""
+    m, values = case
+    tables = [mech.utility_table(m, i, values[i]) for i in range(m.n)]
+    rev = mech.revenue_table(m)
+    sizes = m.actions.sizes()
+    for flat, idx in enumerate(itertools.product(*[range(s) for s in sizes])):
+        bids = [m.actions.grids[i][idx[i]] for i in range(m.n)]
+        want_u, want_rev, _ = oracles.auction_outcome(m.kind, bids, values, m.units)
+        assert rev[flat] == want_rev
+        for i in range(m.n):
+            others = [j for j in range(m.n) if j != i]
+            opp = mech.radix_encode([idx[j] for j in others], [sizes[j] for j in others])
+            assert tables[i][idx[i], opp] == want_u[i], (i, bids)
 
 
 def test_table_cap_enforced():

@@ -37,6 +37,10 @@ def test_poa_bound():
         smooth.SmoothnessParams(0.0, 1.0)
     with pytest.raises(InputError):
         smooth.SmoothnessParams(0.5, -0.1)
+    # NaN passes a plain "<= 0" test, and infinities give no bound
+    for lam, mu in [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf)]:
+        with pytest.raises(InputError):
+            smooth.SmoothnessParams(lam, mu)
 
 
 def test_distribution_validation():
