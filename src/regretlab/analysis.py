@@ -39,7 +39,10 @@ class EmpiricalJoint:
 
     Keys are the raw bytes of the int16 commitment row, which double as the
     canonical form: the dict compares full keys on lookup, so distinct
-    profiles can never alias each other.
+    profiles can never alias each other. ``cond[key][v]`` counts the rounds
+    of that profile drawn with flat type profile ``v``, as int32 below 2**31
+    rounds: the table holds a row per distinct profile, nearly one per round
+    under bandit exploration.
     """
 
     total: int
@@ -56,18 +59,18 @@ def empirical_joint(trace: Trace, zeta: float = 0.0) -> EmpiricalJoint:
     if not 0.0 <= zeta <= 1.0:
         raise InputError(f"zeta must lie in [0, 1], got {zeta}")
     v_sizes = tuple(len(p) for p in trace.config.populations)
-    vflat = mech.radix_encode(trace.v_idx.T, v_sizes)
-    v_count = int(np.prod(v_sizes))
-    uniq, inverse, cnt = np.unique(
-        trace.strategy, axis=0, return_inverse=True, return_counts=True
+    a_sizes = trace.config.mechanism.actions.sizes()
+    row, inverse, cnt = mech.profile_index(
+        trace.strategy.T, [a_sizes[pop] for pop, _ti, _v in trace.config.agents()]
     )
-    inverse = inverse.reshape(-1)
-    table = np.zeros((len(uniq), v_count))
-    np.add.at(table, (inverse, vflat), 1.0)
+    count_type = np.int32 if trace.horizon < 2**31 else np.int64
+    table = np.zeros((len(row), int(np.prod(v_sizes))), dtype=count_type)
+    np.add.at(table, (inverse, mech.radix_encode(trace.v_idx.T, v_sizes)), 1)
+    del inverse  # round-sized; freed before the per-profile dicts are built
     counts: dict[bytes, int] = {}
     cond: dict[bytes, np.ndarray] = {}
-    for r in range(len(uniq)):
-        key = uniq[r].tobytes()
+    for r in range(len(row)):
+        key = trace.strategy[row[r]].tobytes()
         counts[key] = int(cnt[r])
         cond[key] = table[r]
     return EmpiricalJoint(

@@ -32,6 +32,11 @@ from .errors import InputError
 # them passes this, which leaves its sampling probabilities untouched.
 WEIGHT_CEILING = 1e100
 
+# Bound on how far the rounding of one update (the exponent, exp, the product,
+# and a caller's running sum of step sizes) can move ln(weight) past its exact
+# value; each of these is off by at most a few units in the last place.
+LOG_STEP_SLACK = 1e-9
+
 HEDGE = "hedge"
 BANDIT = "bandit"
 
@@ -43,6 +48,23 @@ def anytime_eta(n_actions: int, t_sel) -> np.ndarray:
     if n_actions < 1 or t.min() < 1:
         raise InputError(f"need n_actions >= 1 and t_sel >= 1, got {n_actions}, {t_sel}")
     return np.sqrt(math.log(max(n_actions, 2)) / t)
+
+
+def count_selections(t_sel: np.ndarray, rows) -> np.ndarray:
+    """Selected-round count each update of a block of rounds brings its row to.
+
+    ``rows[r]`` lists the distinct learner rows updated in round ``r`` of the
+    block. Returns an array shaped like ``rows`` and advances ``t_sel`` past
+    the block.
+    """
+    rows = np.asarray(rows)
+    hits = np.zeros((len(rows), len(t_sel)), dtype=np.int64)
+    np.put_along_axis(hits, rows, 1, axis=1)
+    np.cumsum(hits, axis=0, out=hits)
+    counts = t_sel[rows]
+    counts += np.take_along_axis(hits, rows, axis=1)
+    t_sel += hits[-1]
+    return counts
 
 
 @dataclass
@@ -87,11 +109,19 @@ class LearnerState:
         return p
 
 
-def _renormalize(weights: np.ndarray) -> None:
+def renormalize(weights: np.ndarray) -> None:
+    """Divide every row whose largest weight passed WEIGHT_CEILING by it."""
     if weights.max() > WEIGHT_CEILING:
         top = weights.max(axis=1)
         big = top > WEIGHT_CEILING
         weights[big] /= top[big, None]
+
+
+def ceiling_headroom(weights: np.ndarray) -> float:
+    """How far ln(weight) can grow, for every weight, before one of them can
+    pass WEIGHT_CEILING. A caller may skip ``renormalize`` while the
+    exponents it multiplied in since, each plus LOG_STEP_SLACK, sum to less."""
+    return math.log(WEIGHT_CEILING) - math.log(float(weights.max()))
 
 
 def hedge_update(state: LearnerState, rows, utilities, eta=None) -> LearnerState:
@@ -107,12 +137,11 @@ def hedge_update(state: LearnerState, rows, utilities, eta=None) -> LearnerState
         raise InputError(
             f"utilities have shape {u.shape}, expected {(len(rows), state.n_actions)}"
         )
-    t_sel = state.t_sel[rows] + 1
-    state.t_sel[rows] = t_sel
+    t_sel = count_selections(state.t_sel, rows[None])[0]
     if eta is None:
         eta = anytime_eta(state.n_actions, t_sel)[:, None]
     w = state.weights[rows] * np.exp(eta * u)
-    _renormalize(w)
+    renormalize(w)
     state.weights[rows] = w
     return state
 
@@ -135,7 +164,7 @@ def bandit_update(
     w = state.weights[rows]
     # math.exp, not np.exp: the two can differ in the last bit
     w[k, chosen] *= [math.exp(x) for x in exponents.tolist()]
-    _renormalize(w)
+    renormalize(w)
     state.weights[rows] = w
     state.t_sel[rows] += 1
     return state

@@ -27,6 +27,10 @@ from .errors import InputError
 
 GRID_TOL = 1e-9
 
+# Type and action indices are stored as int16, so a grid holds at most this
+# many bids and a population at most this many types.
+INDEX_LIMIT = int(np.iinfo(np.int16).max) + 1
+
 KIND_FIRST_PRICE = "first-price"
 KIND_ALL_PAY = "all-pay"
 KIND_MULTI_UNIT = "multi-unit-first-price"
@@ -78,7 +82,13 @@ class ActionSpace:
         """Shared grid {0, step, 2*step, ..., scale} for every player."""
         if step <= 0 or step > scale + GRID_TOL:
             raise InputError(f"grid step {step} not in (0, {scale}]")
-        m = round(scale / step)
+        # sized before any point is built; min() also keeps an overflowing
+        # ratio out of round()
+        m = round(min(scale / step, INDEX_LIMIT))
+        if m + 1 > INDEX_LIMIT:
+            raise InputError(
+                f"grid step {step} gives more than {INDEX_LIMIT} bids on [0, {scale}]"
+            )
         if abs(m * step - scale) > GRID_TOL:
             raise InputError(f"grid step {step} does not divide scale {scale}")
         grid = tuple(_canonical_point(j * step) for j in range(m + 1))
@@ -319,6 +329,51 @@ def radix_encode(digits, sizes: Sequence[int]):
     for d, size in zip(digits, sizes):
         flat = flat * size + np.asarray(d, dtype=np.int64)
     return flat
+
+
+# profile_index ranks the rows seen so far before a partial code could pass
+# this, which keeps the codes inside int64.
+RANK_SPAN_LIMIT = 2**62
+# Codes spanning at most this many values are ranked by counting them, which
+# needs no sort; wider ones are ranked by np.unique.
+COUNT_SPAN_LIMIT = 2**16
+
+
+def _dense_rank(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each code's rank among the distinct codes, ascending, and each
+    distinct code's count; codes lie in [0, span)."""
+    if span > COUNT_SPAN_LIMIT:
+        _, rank, counts = np.unique(code, return_inverse=True, return_counts=True)
+        return rank, counts
+    counts = np.bincount(code, minlength=span)
+    seen = np.flatnonzero(counts)
+    rank_of = np.zeros(span, dtype=np.int64)
+    rank_of[seen] = np.arange(len(seen))
+    return rank_of[code], counts[seen]
+
+
+def profile_index(columns, sizes: Sequence[int]):
+    """The distinct digit tuples of a table's rows, in lexicographic order.
+
+    ``columns`` holds one integer array per digit, all of one length. Returns
+    a row holding each distinct tuple, each row's rank among the distinct
+    tuples, and each tuple's count: the order, inverse and counts of
+    ``np.unique(rows, axis=0)``. Rows are compared by their ``radix_encode``
+    code; when the sizes' product would overflow int64, the partial codes are
+    replaced by their ranks, which keep their order.
+    """
+    code, span = 0, 1
+    for col, size in zip(columns, sizes):
+        if span * size > RANK_SPAN_LIMIT:
+            code, counts = _dense_rank(code, span)
+            span = len(counts)
+        code = code * size + np.asarray(col, dtype=np.int64)
+        span *= size
+    rank, counts = _dense_rank(code, span)
+    # rows of one tuple are interchangeable, so whichever write lands is one
+    row = np.empty(len(counts), dtype=np.int64)
+    row[rank] = np.arange(len(rank))
+    return row, rank, counts
 
 
 def radix_decode(flat, sizes: Sequence[int]) -> tuple:

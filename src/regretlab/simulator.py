@@ -21,15 +21,21 @@ stable across numpy releases since 1.17). Draw order is fixed: one uniform
 per agent per round in round-major order, then one type-index column per
 population. Runs with equal configs are therefore reproducible bit for bit,
 whichever seeds share a batch.
+
+The loop works through the rounds in chunks of DRAW_CHUNK. The types are
+drawn before play, so a chunk first works out everything play cannot
+change (each round's learner rows and hedge step sizes), a round then only
+samples, looks up its utility cells and updates, and the chunk ends by
+adding its rounds to the regret ledgers in round order. ``trace.csv`` is
+streamed to its file in blocks of CSV_CHUNK rounds.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import math
+import os
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -42,20 +48,21 @@ from .errors import ContractViolationError, InputError
 from .learners import (
     BANDIT,
     HEDGE,
+    LOG_STEP_SLACK,
     LearnerState,
     RegretLedger,
+    anytime_eta,
     bandit_update,
+    ceiling_headroom,
+    count_selections,
     external_regret,
-    hedge_update,
+    renormalize,
 )
 
 logger = logging.getLogger(__name__)
 
 FEEDBACK_FULL = "full"
 FEEDBACK_BANDIT = "bandit"
-
-# Type and action indices are stored as int16.
-INDEX_LIMIT = int(np.iinfo(np.int16).max) + 1
 
 
 @dataclass(frozen=True)
@@ -115,10 +122,19 @@ class SimConfig:
                 "grid size for every seat"
             )
         largest = max(sizes[0], max(len(p) for p in pops))
-        if largest > INDEX_LIMIT:
+        if largest > mech.INDEX_LIMIT:
             raise InputError(
                 f"a bid grid or population has {largest} entries; the simulator "
-                f"indexes at most {INDEX_LIMIT}"
+                f"indexes at most {mech.INDEX_LIMIT}"
+            )
+        # a seed's type, commitment and realized-bid indices, int16 each
+        need = 2 * self.horizon * (2 * self.mechanism.n + len(self.agents()))
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > memory:
+            raise InputError(
+                f"horizon {self.horizon} needs {need / 2**30:.3g} GiB of index "
+                f"arrays per seed, more than the {memory / 2**30:.3g} GiB of "
+                "physical memory"
             )
 
     def agents(self) -> list[tuple[int, int, float]]:
@@ -250,7 +266,8 @@ def run_seed_batch(config: SimConfig, seeds) -> Iterator[Trace]:
         yield trace
 
 
-# Rounds of uniforms drawn per generator call; bounds the draw buffer.
+# Rounds per draw chunk: the loop draws the uniforms, precomputes what play
+# cannot change, and settles the ledgers and index arrays once per chunk.
 DRAW_CHUNK = 1024
 
 
@@ -260,8 +277,12 @@ def _play_rounds(config: SimConfig, seeds):
     Returns the (seeds, rounds, ...) type, commitment and realized-bid index
     arrays, and per learner row (seed-major, then flat agent order) the
     counterfactual and realized ledger sums and the selected-round count.
-    The loop's working set (stacked tables, learner weights, draw buffer) is
+    The loop's working set (stacked tables, learner weights, chunk buffers) is
     freed on return, before the first trace is handed out.
+
+    Hedge skips the weight-ceiling check while the step sizes since the last
+    check provably cannot take a weight past the ceiling, which leaves every
+    weight as a check in every round would.
     """
     m = config.mechanism
     n = m.n
@@ -283,14 +304,26 @@ def _play_rounds(config: SimConfig, seeds):
         for i, p in enumerate(config.populations):
             v_idx[s, :, i] = types.integers(0, len(p), size=T)
 
-    # tables[g, opp] is agent g's utility vector against opponent profile opp
-    tables = np.stack(
-        [mech.utility_table(m, pop, val).T for (pop, _ti, val) in agents]
-    )
+    # cell g * n_opp + opp holds agent g's utility vector against opponent
+    # profile opp
+    n_opp = A ** (n - 1)
+    tables = np.empty((G * n_opp, A))
+    for g, (pop, _ti, val) in enumerate(agents):
+        tables[g * n_opp:(g + 1) * n_opp] = mech.utility_table(m, pop, val).T
+    flat_tables = tables.ravel()
     kind = HEDGE if config.feedback == FEEDBACK_FULL else BANDIT
     # hedge states ignore gamma; only the bandit distribution mixes it in
     state = LearnerState.fresh(kind, A, config.gamma, rows=S * G)
-    bandit_eta = config.eta if config.eta is not None else config.gamma / A
+    two_h = 2.0 * H
+    if kind == HEDGE:
+        # (tables + H) / two_h, without a second temporary table
+        unit = tables + H
+        unit /= two_h
+        # ln(weight) grows by at most eta * top_unit per update
+        top_unit = max(float(unit.max()), 0.0)
+        headroom = ceiling_headroom(state.weights)
+    else:
+        bandit_eta = config.eta if config.eta is not None else config.gamma / A
     counterfactual = np.zeros((S * G, A))
     realized_sum = np.zeros(S * G)
 
@@ -300,38 +333,71 @@ def _play_rounds(config: SimConfig, seeds):
         others = [j for j in range(n) if j != i]
         opp_place[others, i] = mech.radix_place_values([A] * len(others))
     row_base = np.arange(S)[:, None] * G + offsets
-    pick = np.arange(S * n)
+    # the first utility cell of each learner row's agent
+    first_cell = np.tile(np.arange(G) * n_opp, S)
 
     strategy = np.empty((S, T, G), dtype=np.int16)
     realized = np.empty((S, T, n), dtype=np.int16)
-    draws = np.empty((min(DRAW_CHUNK, T), S * G))
-    two_h = 2.0 * H
+    chunk = min(DRAW_CHUNK, T)
+    draws = np.empty((chunk, S * G))
+    rows_at = np.empty((chunk, S * n), dtype=np.int64)
+    if kind == HEDGE:
+        etas = np.empty((chunk, S * n, 1))
 
-    for t in range(T):
-        c = t % DRAW_CHUNK
-        if c == 0:
-            rounds = min(DRAW_CHUNK, T - t)
-            for s, gen in enumerate(gens):
-                draws[:rounds, s * G:(s + 1) * G] = gen.random((rounds, G))
-        cdf = state.probabilities().cumsum(axis=1)
-        # inverse-CDF sampling: the count of CDF entries at or below the draw,
-        # leaving out the last entry caps the index at A - 1
-        j = (cdf[:, :-1] <= draws[c, :, None] * cdf[:, -1:]).sum(axis=1)
-        strategy[:, t] = j.reshape(S, G)
-
-        vrow = v_idx[:, t]
-        rows = (row_base + vrow).ravel()
-        bids = j[rows].reshape(S, n)
-        realized[:, t] = bids
-        chosen = bids.ravel()
-        uvec = tables[(offsets + vrow).ravel(), (bids @ opp_place).ravel()]
-        own = uvec[pick, chosen]
-        counterfactual[rows] += uvec
-        realized_sum[rows] += own
+    for a in range(0, T, DRAW_CHUNK):
+        R = min(DRAW_CHUNK, T - a)
+        for s, gen in enumerate(gens):
+            draws[:R, s * G:(s + 1) * G] = gen.random((R, G))
+        vrows = v_idx[:, a:a + R].transpose(1, 0, 2)
+        np.add(row_base, vrows, out=rows_at[:R].reshape(R, S, n))
         if kind == HEDGE:
-            hedge_update(state, rows, (uvec + H) / two_h, config.eta)
-        else:
-            bandit_update(state, rows, chosen, (own + H) / two_h, bandit_eta)
+            # a seed at a time keeps the (rounds, rows) count block small
+            for s in range(S):
+                cols = slice(s * n, (s + 1) * n)
+                counts = count_selections(
+                    state.t_sel[s * G:(s + 1) * G], rows_at[:R, cols] - s * G
+                )
+                etas[:R, cols, 0] = (
+                    anytime_eta(A, counts) if config.eta is None else config.eta
+                )
+            steps = (etas[:R, :, 0].max(axis=1) * top_unit + LOG_STEP_SLACK).tolist()
+
+        for c in range(R):
+            cdf = state.probabilities().cumsum(axis=1)
+            # inverse-CDF sampling: the count of CDF entries at or below the
+            # draw, leaving out the last entry caps the index at A - 1
+            j = (cdf[:, :-1] <= draws[c, :, None] * cdf[:, -1:]).sum(axis=1)
+            strategy[:, a + c] = j.reshape(S, G)
+            rows = rows_at[c]
+            bids = j[rows]
+            realized[:, a + c] = bids.reshape(S, n)
+            cells = first_cell[rows]
+            cells += (bids.reshape(S, n) @ opp_place).ravel()
+            if kind == HEDGE:
+                w = state.weights[rows] * np.exp(etas[c] * unit[cells])
+                headroom -= steps[c]
+                if headroom < 0.0:
+                    renormalize(w)
+                    state.weights[rows] = w
+                    headroom = ceiling_headroom(state.weights)
+                else:
+                    state.weights[rows] = w
+            else:
+                own = flat_tables[cells * A + bids]
+                bandit_update(state, rows, bids, (own + H) / two_h, bandit_eta)
+
+        # np.add.at adds in index order, so round by round as a per-round +=
+        # would; a seed and a column at a time bound the gathered block
+        for s in range(S):
+            cols = slice(s * n, (s + 1) * n)
+            rows = rows_at[:R, cols].ravel()
+            cells = first_cell[rows]
+            cells += (realized[s, a:a + R] @ opp_place).ravel()
+            for col in range(A):
+                np.add.at(counterfactual[:, col], rows, tables[cells, col])
+            own = cells * A
+            own += realized[s, a:a + R].ravel()
+            np.add.at(realized_sum, rows, flat_tables[own])
 
     return v_idx, strategy, realized, counterfactual, realized_sum, state.t_sel
 
@@ -370,24 +436,53 @@ def _csv_header(n: int) -> list[str]:
     )
 
 
-def trace_csv_text(trace: Trace) -> str:
-    """Render the per-round table as CSV (1-based round numbers)."""
-    n = trace.config.mechanism.n
-    grids = trace.config.mechanism.actions.grids
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_csv_header(n))
-    for t in range(trace.horizon):
-        row = [t + 1]
-        row += [int(trace.v_idx[t, i]) for i in range(n)]
-        row += [repr(grids[i][trace.realized_idx[t, i]]) for i in range(n)]
-        row += [repr(float(trace.sw[t])), repr(float(trace.opt[t]))]
-        writer.writerow(row)
-    return buf.getvalue()
+# Rounds written per step of write_trace_csv.
+CSV_CHUNK = 4096
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    Path(path).write_text(trace_csv_text(trace))
+    """Write the per-round table as CSV (1-based round numbers).
+
+    A row after its round number depends only on the round's (type profile,
+    bid profile) key, so the rows are streamed to the file CSV_CHUNK rounds
+    at a time, each key formatted once per chunk.
+    """
+    cfg = trace.config
+    n = cfg.mechanism.n
+    grids = cfg.mechanism.actions.grids
+    row, key, _ = mech.profile_index(
+        [*trace.v_idx.T, *trace.realized_idx.T],
+        [len(p) for p in cfg.populations] + list(cfg.mechanism.actions.sizes()),
+    )
+    for name in ("sw", "opt"):
+        col = getattr(trace, name)
+        bad = np.flatnonzero(col != col[row][key])
+        if len(bad):
+            t, other = bad[0], row[key[bad[0]]]
+            raise ContractViolationError(
+                f"round {t + 1} stores {name}={float(col[t])!r}, but round "
+                f"{other + 1} with the same types and bids stores {float(col[other])!r}"
+            )
+
+    def suffix(t: int) -> str:
+        return ",".join(
+            [str(int(trace.v_idx[t, i])) for i in range(n)]
+            + [repr(grids[i][trace.realized_idx[t, i]]) for i in range(n)]
+            + [repr(float(trace.sw[t])), repr(float(trace.opt[t]))]
+        )
+
+    def lines(a: int):
+        texts = {}
+        for t, k in enumerate(key[a:a + CSV_CHUNK].tolist(), a + 1):
+            text = texts.get(k)
+            if text is None:
+                text = texts[k] = suffix(int(row[k]))
+            yield f"{t},{text}\n"
+
+    with open(path, "w") as fh:
+        fh.write(",".join(_csv_header(n)) + "\n")
+        for a in range(0, trace.horizon, CSV_CHUNK):
+            fh.writelines(lines(a))
 
 
 # Rounds formatted per step of strategies_json_text.
@@ -521,6 +616,10 @@ def load_trace(csv_path, strategies_path) -> Trace:
         committed = np.asarray(doc.pop("rounds"), dtype=np.int16)
         if committed.shape != (len(kept), len(config.agents())):
             raise ValueError(f"shape {committed.shape}")
+        if committed.size and not (
+            committed.min() >= 0 and committed.max() < config.mechanism.actions.size(0)
+        ):
+            raise ValueError("a bid index lies off the grid")
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"{strategies_path}: malformed commitment table: {e}") from e
     v_idx, realized, sw, opt = _read_trace_csv(csv_path, config)

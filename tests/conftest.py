@@ -6,7 +6,9 @@ Those runs are built once per session and shared by every acceptance
 criterion; unit tests use their own tiny horizons and never touch these.
 """
 
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,14 @@ def acceptance_config(kind, seed, horizon=ACCEPT_HORIZON):
         horizon=horizon,
         seed=seed,
     )
+
+
+def written_csv(trace):
+    """The text ``write_trace_csv`` writes for ``trace``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        sim.write_trace_csv(trace, path)
+        return path.read_text()
 
 
 def _run_all(kind):

@@ -6,6 +6,8 @@ When a test compares a library result against a function here, the two values
 reach the same quantity through disjoint code.
 """
 
+import csv
+import io
 import itertools
 import math
 
@@ -268,6 +270,7 @@ class _Learner:
         self.weights = np.ones(n_actions)
         self.t_sel = 0
         self.gamma = gamma
+        self.renormalizations = 0
 
     @property
     def n_actions(self):
@@ -283,6 +286,7 @@ class _Learner:
         top = self.weights.max()
         if top > ln.WEIGHT_CEILING:
             self.weights /= top
+            self.renormalizations += 1
 
     def hedge(self, u, eta):
         self.weights *= np.exp(eta * u)
@@ -304,8 +308,9 @@ def reference_run(config):
     one update and one ledger record per selected agent, and welfare from
     ``auction_outcome`` once per round. It reads the library's utility
     tables; the loop around them is what it pins. Returns a dict with
-    ``v_idx``, ``strategy``, ``realized_idx``, ``sw``, ``opt`` and
-    ``ledgers``.
+    ``v_idx``, ``strategy``, ``realized_idx``, ``sw``, ``opt``, ``ledgers``
+    and ``renormalizations``, the number of times a weight passed the
+    ceiling.
     """
     m = config.mechanism
     n = m.n
@@ -384,4 +389,30 @@ def reference_run(config):
         opt[t] = mech.optimal_welfare(values, m)
 
     return {"v_idx": v_idx, "strategy": strategy, "realized_idx": realized,
-            "sw": sw, "opt": opt, "ledgers": ledgers}
+            "sw": sw, "opt": opt, "ledgers": ledgers,
+            "renormalizations": sum(st.renormalizations for st in states)}
+
+
+# --- persistence ------------------------------------------------------------------
+
+
+def trace_csv_text(trace):
+    """A trace's CSV table, one ``csv.writer`` row per round (1-based round
+    numbers), every cell formatted afresh."""
+    n = trace.config.mechanism.n
+    grids = trace.config.mechanism.actions.grids
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["t"]
+        + [f"v_idx_{i + 1}" for i in range(n)]
+        + [f"action_{i + 1}" for i in range(n)]
+        + ["sw", "opt"]
+    )
+    for t in range(trace.horizon):
+        row = [t + 1]
+        row += [int(trace.v_idx[t, i]) for i in range(n)]
+        row += [repr(grids[i][trace.realized_idx[t, i]]) for i in range(n)]
+        row += [repr(float(trace.sw[t])), repr(float(trace.opt[t]))]
+        writer.writerow(row)
+    return buf.getvalue()

@@ -21,7 +21,7 @@ from regretlab import simulator as sim
 from regretlab import smoothness as smooth
 
 from . import oracles
-from .conftest import ACCEPT_SEEDS, acceptance_config
+from .conftest import ACCEPT_SEEDS, acceptance_config, written_csv
 from .corpus import TINY_CORPUS
 
 E_INV = 1.0 - 1.0 / math.e
@@ -270,7 +270,7 @@ def test_criterion_8_identities_and_determinism():
         for seed in ACCEPT_SEEDS[:2]:
             a = sim.run_repeated_game(acceptance_config(kind, seed, horizon=5000))
             b = sim.run_repeated_game(acceptance_config(kind, seed, horizon=5000))
-            ta, tb = sim.trace_csv_text(a), sim.trace_csv_text(b)
+            ta, tb = written_csv(a), written_csv(b)
             assert ta == tb, f"{kind} seed {seed}: reruns differ"
             assert sim.strategies_json_text(a) == sim.strategies_json_text(b)
             texts[seed] = ta

@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+import tracemalloc
 
 import pytest
 
@@ -277,6 +279,13 @@ def set_meta_entry(doc, key, value):
     return doc
 
 
+def bid_off_the_grid(doc):
+    # every agent's first commitment, so an unselected agent's too; rows are
+    # ranked by their bid indices, which must lie on the 5-bid grid
+    doc["rounds"][0] = [5] * len(doc["rounds"][0])
+    return doc
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -284,8 +293,10 @@ def set_meta_entry(doc, key, value):
         lambda text: json.dumps(drop_meta_entry(json.loads(text), "horizon")),
         lambda text: json.dumps(set_meta_entry(json.loads(text), "mechanism", "x")),
         lambda text: json.dumps(set_meta_entry(json.loads(text), "seed", "abc")),
+        lambda text: json.dumps(bid_off_the_grid(json.loads(text))),
     ],
-    ids=["truncated", "no-horizon", "mechanism-not-an-object", "non-numeric-seed"],
+    ids=["truncated", "no-horizon", "mechanism-not-an-object", "non-numeric-seed",
+         "bid-off-the-grid"],
 )
 def test_analyze_rejects_a_malformed_sidecar(tmp_path, capsys, edit):
     out = tmp_path / "runs"
@@ -371,6 +382,31 @@ def test_simulate_usage_errors(tmp_path):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["simulate", "--config", str(path)]) == 2
+
+
+def test_oversized_grid_and_horizon_exit_two_before_allocating(tmp_path, capsys):
+    # a 1e9-point grid is refused from its step alone, before any point is built
+    doc = base_doc(horizon=10, seeds=[1], out_dir=str(tmp_path / "g"))
+    doc["mechanism"]["grid_step"] = 1e-9
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "32768 bids" in capsys.readouterr().err
+    # a horizon whose index arrays outgrow physical memory is refused by size
+    # alone: the run allocates next to nothing before it exits
+    path = write_config(tmp_path, name="long.json", horizon=10**12, seeds=[1],
+                        out_dir=str(tmp_path / "h"))
+    tracemalloc.start()
+    try:
+        assert cli.main(["simulate", "--config", path]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon 1000000000000 needs") and "physical memory" in err
 
 
 # --- certify ------------------------------------------------------------------------

@@ -321,3 +321,35 @@ def test_descriptor_round_trip():
 def test_value_profiles_order():
     profs = mech.value_profiles([[0.5, 1.0], [0.25]])
     assert profs == [(0.5, 0.25), (1.0, 0.25)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from((1, 2, 3, 11, mech.INDEX_LIMIT)), min_size=1, max_size=7),
+    rows=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_profile_index_matches_unique_rows(sizes, rows, seed):
+    # digits drawn from at most 3 values repeat rows often; small products of
+    # sizes are ranked by counting, larger ones by sorting, and five or more
+    # 32768-sized digits overflow int64 and take the re-ranking step
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, np.minimum(sizes, 3), size=(rows, len(sizes))).astype(np.int16)
+    check_profile_index(table, sizes)
+
+
+def check_profile_index(table, sizes):
+    uniq, inverse, counts = np.unique(table, axis=0, return_inverse=True, return_counts=True)
+    row, rank, cnt = mech.profile_index(table.T, sizes)
+    np.testing.assert_array_equal(table[row], uniq)
+    np.testing.assert_array_equal(rank, inverse.reshape(-1))
+    np.testing.assert_array_equal(cnt, counts)
+
+
+def test_profile_index_reranks_before_int64_overflow():
+    sizes = [mech.INDEX_LIMIT] * 6  # a product of 2**90
+    rng = np.random.default_rng(5)
+    table = rng.integers(0, mech.INDEX_LIMIT, size=(200, 6)).astype(np.int16)
+    table[100:] = table[:100]  # every row occurs twice
+    table[::7, 0] = mech.INDEX_LIMIT - 1  # digits at the top of the range
+    check_profile_index(table, sizes)

@@ -17,6 +17,7 @@ from regretlab import mechanisms as mech
 from regretlab import simulator as sim
 
 from . import oracles
+from .conftest import written_csv
 
 
 def small_config(kind=mech.KIND_FIRST_PRICE, horizon=400, seed=3, **kw):
@@ -103,7 +104,7 @@ TRACE_ARRAYS = ("v_idx", "strategy", "realized_idx", "sw", "opt")
 
 def assert_matches_reference(trace, cfg):
     """``trace`` equals the per-agent reference engine's run of ``cfg`` bit
-    for bit, live ledgers included."""
+    for bit, live ledgers included. Returns the reference run."""
     want = oracles.reference_run(cfg)
     assert trace.config == cfg
     for name in TRACE_ARRAYS:
@@ -115,6 +116,7 @@ def assert_matches_reference(trace, cfg):
         assert (got.selected_rounds, got.unselected_rounds) == (
             ref.selected_rounds, ref.unselected_rounds
         )
+    return want
 
 
 @st.composite
@@ -162,6 +164,19 @@ def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(kind, feed
         assert_matches_reference(trace, replace(cfg, seed=seed))
 
 
+@pytest.mark.parametrize("feedback", [sim.FEEDBACK_FULL, sim.FEEDBACK_BANDIT])
+def test_seed_batch_matches_the_reference_engine_across_the_weight_ceiling(feedback):
+    # a step of 5 takes weights past the ceiling again and again; hedge skips
+    # the ceiling check while it provably cannot fire, so the checks it does
+    # run must renormalize on exactly the rounds the reference does. 1,500
+    # rounds end partway into the second draw chunk.
+    cfg = small_config(horizon=1500, feedback=feedback, eta=5.0, gamma=0.1)
+    seeds = [3, 8]
+    for seed, trace in zip(seeds, sim.run_seed_batch(cfg, seeds)):
+        want = assert_matches_reference(trace, replace(cfg, seed=seed))
+        assert want["renormalizations"] >= 20
+
+
 def test_single_type_populations_have_constant_draws():
     m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, actions=mech.ActionSpace.uniform(2, 0.5, 1.0))
     cfg = sim.SimConfig(
@@ -176,9 +191,9 @@ def test_single_type_populations_have_constant_draws():
 
 
 def test_same_seed_reproduces_bytes_different_seed_does_not():
-    a = sim.trace_csv_text(sim.run_repeated_game(small_config(seed=5)))
-    b = sim.trace_csv_text(sim.run_repeated_game(small_config(seed=5)))
-    c = sim.trace_csv_text(sim.run_repeated_game(small_config(seed=6)))
+    a = written_csv(sim.run_repeated_game(small_config(seed=5)))
+    b = written_csv(sim.run_repeated_game(small_config(seed=5)))
+    c = written_csv(sim.run_repeated_game(small_config(seed=6)))
     assert a == b
     assert a != c
 
@@ -227,9 +242,39 @@ def test_counterfactual_vector_examples():
     assert mech.utility_table(ap, 0, 1.0)[:, 1].tolist() == [0.0, 0.5, 0.0]
 
 
+@st.composite
+def csv_runs(draw):
+    """A small run, sometimes longer than one chunk of written rows."""
+    cfg = draw(small_runs())
+    horizon = draw(st.sampled_from((cfg.horizon, sim.CSV_CHUNK + 7)))
+    return replace(cfg, horizon=horizon)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=csv_runs())
+def test_streamed_csv_equals_the_csv_writer_table(cfg):
+    trace = sim.run_repeated_game(cfg)
+    assert written_csv(trace) == oracles.trace_csv_text(trace)
+
+
+def test_csv_writer_rejects_welfare_that_its_types_and_bids_do_not_give(tmp_path):
+    # rows are formatted once per (types, bids) key, so two rounds with one key
+    # must store one welfare
+    trace = sim.run_repeated_game(small_config(horizon=50, seed=4))
+    seen = set()
+    for t, key in enumerate(zip(map(tuple, trace.v_idx), map(tuple, trace.realized_idx))):
+        if key in seen:
+            break
+        seen.add(key)
+    trace.sw = trace.sw.copy()
+    trace.sw[t] += 0.5
+    with pytest.raises(ContractViolationError, match="stores sw="):
+        sim.write_trace_csv(trace, tmp_path / "trace.csv")
+
+
 def test_csv_format():
     trace = sim.run_repeated_game(small_config(horizon=3, seed=4))
-    text = sim.trace_csv_text(trace)
+    text = written_csv(trace)
     lines = text.strip().split("\n")
     assert lines[0] == "t,v_idx_1,v_idx_2,action_1,action_2,sw,opt"
     assert len(lines) == 4
@@ -344,15 +389,16 @@ def test_config_validation():
             mechanism=m, populations=(sim.Population((1.0,)),), horizon=5, seed=0
         )
     # indices are stored as int16: larger grids and populations are rejected
-    wide = mech.Mechanism(
-        kind=mech.KIND_FIRST_PRICE, n=1, actions=mech.ActionSpace.uniform(1, 2.5e-5, 1.0)
-    )
+    wide = mech.ActionSpace(grids=(tuple(k / 40_000 for k in range(40_001)),), scale=1.0)
     with pytest.raises(InputError, match="32768"):
-        sim.SimConfig(mechanism=wide, populations=((1.0,),), horizon=5, seed=0)
+        sim.SimConfig(
+            mechanism=mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=1, actions=wide),
+            populations=((1.0,),), horizon=5, seed=0,
+        )
     one = mech.Mechanism(
         kind=mech.KIND_FIRST_PRICE, n=1, actions=mech.ActionSpace.uniform(1, 0.5, 1.0)
     )
-    crowd = tuple(k / 40_000 for k in range(sim.INDEX_LIMIT + 1))
+    crowd = tuple(k / 40_000 for k in range(mech.INDEX_LIMIT + 1))
     with pytest.raises(InputError, match="32768"):
         sim.SimConfig(mechanism=one, populations=(crowd,), horizon=5, seed=0)
     # every seat's learners share one row layout, so grid sizes must agree
