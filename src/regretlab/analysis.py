@@ -37,19 +37,20 @@ IDENTITY_RTOL = 1e-9
 class EmpiricalJoint:
     """Counts of commitment profiles and, per profile, of type draws.
 
-    Keys are the raw bytes of the int16 commitment row, which double as the
-    canonical form: the dict compares full keys on lookup, so distinct
-    profiles can never alias each other. ``cond[key][v]`` counts the rounds
-    of that profile drawn with flat type profile ``v``, as int32 below 2**31
-    rounds: the table holds a row per distinct profile, nearly one per round
-    under bandit exploration.
+    ``profiles[r]`` is the ``r``-th distinct commitment profile (an int16
+    row of the commitment table, in lexicographic order), ``counts[r]`` the
+    number of rounds it was committed, and ``cond[r, v]`` the rounds of it
+    drawn with flat type profile ``v``, as int32 below 2**31 rounds: the
+    table holds a row per distinct profile, nearly one per round under
+    bandit exploration.
     """
 
     total: int
     zeta: float
     v_sizes: tuple[int, ...]
-    counts: dict[bytes, int]
-    cond: dict[bytes, np.ndarray]
+    profiles: np.ndarray
+    counts: np.ndarray
+    cond: np.ndarray
 
 
 def empirical_joint(trace: Trace, zeta: float = 0.0) -> EmpiricalJoint:
@@ -60,21 +61,15 @@ def empirical_joint(trace: Trace, zeta: float = 0.0) -> EmpiricalJoint:
         raise InputError(f"zeta must lie in [0, 1], got {zeta}")
     v_sizes = tuple(len(p) for p in trace.config.populations)
     a_sizes = trace.config.mechanism.actions.sizes()
-    row, inverse, cnt = mech.profile_index(
+    row, inverse, counts = mech.profile_index(
         trace.strategy.T, [a_sizes[pop] for pop, _ti, _v in trace.config.agents()]
     )
     count_type = np.int32 if trace.horizon < 2**31 else np.int64
-    table = np.zeros((len(row), int(np.prod(v_sizes))), dtype=count_type)
-    np.add.at(table, (inverse, mech.radix_encode(trace.v_idx.T, v_sizes)), 1)
-    del inverse  # round-sized; freed before the per-profile dicts are built
-    counts: dict[bytes, int] = {}
-    cond: dict[bytes, np.ndarray] = {}
-    for r in range(len(row)):
-        key = trace.strategy[row[r]].tobytes()
-        counts[key] = int(cnt[r])
-        cond[key] = table[r]
+    cond = np.zeros((len(row), int(np.prod(v_sizes))), dtype=count_type)
+    np.add.at(cond, (inverse, mech.radix_encode(trace.v_idx.T, v_sizes)), 1)
     return EmpiricalJoint(
-        total=trace.horizon, zeta=zeta, v_sizes=v_sizes, counts=counts, cond=cond
+        total=trace.horizon, zeta=zeta, v_sizes=v_sizes,
+        profiles=trace.strategy[row], counts=counts, cond=cond,
     )
 
 
@@ -85,15 +80,9 @@ def conditional_independence_gap(joint: EmpiricalJoint) -> float:
 
     Returns 0 when no profile clears the threshold.
     """
-    v_count = int(np.prod(joint.v_sizes))
-    target = np.full(v_count, 1.0 / v_count)
-    worst = 0.0
-    for key, c in joint.counts.items():
-        if c / joint.total < joint.zeta:
-            continue
-        p = joint.cond[key] / c
-        worst = max(worst, 0.5 * float(np.abs(p - target).sum()))
-    return worst
+    keep = joint.counts / joint.total >= joint.zeta
+    p = joint.cond[keep] / joint.counts[keep, None]
+    return float((0.5 * np.abs(p - 1.0 / p.shape[1]).sum(axis=1)).max(initial=0.0))
 
 
 # --- empirical epsilon of the coarse-equilibrium condition -------------------

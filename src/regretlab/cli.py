@@ -342,6 +342,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
         raise ConfigError("simulate needs a non-empty seeds list")
     if cfg.horizon is None:
         raise ConfigError("simulate needs a horizon")
+    _sim_config(cfg, cfg.seeds[0])  # an invalid run exits before writing anything
     Path(out).mkdir(parents=True, exist_ok=True)
     # k contiguous seed batches whose sizes differ by at most one
     n, k = len(cfg.seeds), min(workers, len(cfg.seeds))

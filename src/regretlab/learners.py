@@ -1,27 +1,26 @@
-"""Multiplicative-weights learners and exact regret accounting.
-
-Two update rules share one state object: ``hedge`` consumes a full
-counterfactual utility vector each round, ``bandit`` consumes only the
-realized utility of the chosen action and reweights it by the probability of
-having chosen it (importance weighting), mixing a uniform exploration floor
-into the sampling distribution.
+"""Multiplicative-weights learner state and exact regret accounting.
 
 One state holds many independent learners over the same action set, one per
-row of its ``(rows, n_actions)`` weight array; an update touches only the
-rows it is given, with the float operations a single learner would perform,
-so a row's trajectory does not depend on the other rows.
+row of its ``(rows, n_actions)`` weight array. The simulator's round loop is
+the only code that updates it, with one of two rules: full-feedback Hedge
+multiplies exp(eta * utility) into every weight of a row, importance-weighted
+bandit (Exp3) multiplies exp(eta * utility / p) into the chosen weight only,
+where p is the exploration-mixed probability it was sampled with. This module
+holds what the loop shares: the sampling distribution, the step-size
+schedule, the selected-round counts and the weight-ceiling renormalization.
 
 Updates happen only on rounds where the owning agent was matched into the
 game; the anytime step size is therefore driven by the selected-round count,
-not wall-clock rounds. Callers feeding game utilities in [-H, H] should remap
-them to [0, 1] before updating so the classical step-size schedule applies
-unchanged; constant shifts do not change hedge's probabilities, only the
-effective step size.
+not wall-clock rounds. Game utilities in [-H, H] are remapped to [0, 1]
+before updating so the classical step-size schedule applies unchanged;
+constant shifts do not change Hedge's probabilities, only the effective step
+size.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,9 @@ WEIGHT_CEILING = 1e100
 # value; each of these is off by at most a few units in the last place.
 LOG_STEP_SLACK = 1e-9
 
-HEDGE = "hedge"
-BANDIT = "bandit"
+# Largest log step one update may take: a weight at the ceiling, times
+# exp(step) plus rounding, stays below the largest float.
+MAX_LOG_STEP = math.log(sys.float_info.max) - math.log(WEIGHT_CEILING) - LOG_STEP_SLACK
 
 
 def anytime_eta(n_actions: int, t_sel) -> np.ndarray:
@@ -70,16 +70,14 @@ def count_selections(t_sel: np.ndarray, rows) -> np.ndarray:
 @dataclass
 class LearnerState:
     """``weights[r]`` and ``t_sel[r]`` are learner ``r``'s weights and its
-    number of updates so far."""
+    number of updates so far; ``gamma`` is the uniform exploration share of
+    the sampling distribution, 0 for Hedge."""
 
-    kind: str
     weights: np.ndarray
     t_sel: np.ndarray | None = None
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (HEDGE, BANDIT):
-            raise InputError(f"unknown learner kind {self.kind!r}")
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 2 or self.weights.size == 0:
             raise InputError("weights must be a nonempty (rows, actions) array")
@@ -90,21 +88,14 @@ class LearnerState:
         if not 0.0 <= self.gamma <= 1.0:
             raise InputError(f"gamma must lie in [0, 1], got {self.gamma}")
 
-    @classmethod
-    def fresh(
-        cls, kind: str, n_actions: int, gamma: float = 0.0, rows: int = 1
-    ) -> "LearnerState":
-        return cls(kind=kind, weights=np.ones((rows, n_actions)), gamma=gamma)
-
     @property
     def n_actions(self) -> int:
         return self.weights.shape[1]
 
-    def probabilities(self, rows=None) -> np.ndarray:
-        """Sampling distributions of the given rows (default: all), one per row."""
-        w = self.weights if rows is None else self.weights[rows]
-        p = w / w.sum(axis=1, keepdims=True)
-        if self.kind == BANDIT and self.gamma > 0.0:
+    def probabilities(self) -> np.ndarray:
+        """Sampling distributions, one per row."""
+        p = self.weights / self.weights.sum(axis=1, keepdims=True)
+        if self.gamma > 0.0:
             p = (1.0 - self.gamma) * p + self.gamma / self.n_actions
         return p
 
@@ -124,52 +115,6 @@ def ceiling_headroom(weights: np.ndarray) -> float:
     return math.log(WEIGHT_CEILING) - math.log(float(weights.max()))
 
 
-def hedge_update(state: LearnerState, rows, utilities, eta=None) -> LearnerState:
-    """Multiply each weight of the given rows by exp(eta * utility).
-
-    ``utilities`` holds one utility vector per row. ``eta`` is a fixed step
-    size, or None for each row's anytime step at its new selected-round
-    count. Mutates and returns state.
-    """
-    rows = np.asarray(rows)
-    u = np.asarray(utilities, dtype=np.float64)
-    if u.shape != (len(rows), state.n_actions):
-        raise InputError(
-            f"utilities have shape {u.shape}, expected {(len(rows), state.n_actions)}"
-        )
-    t_sel = count_selections(state.t_sel, rows[None])[0]
-    if eta is None:
-        eta = anytime_eta(state.n_actions, t_sel)[:, None]
-    w = state.weights[rows] * np.exp(eta * u)
-    renormalize(w)
-    state.weights[rows] = w
-    return state
-
-
-def bandit_update(
-    state: LearnerState, rows, chosen, realized_utilities, eta: float
-) -> LearnerState:
-    """Importance-weighted exponential update on each given row's chosen arm.
-
-    The estimate utility / p(chosen) uses ``state.probabilities()``, the
-    exploration-mixed distribution that generated the choice. Mutates and
-    returns state.
-    """
-    rows = np.asarray(rows)
-    chosen = np.asarray(chosen)
-    if chosen.shape != rows.shape or chosen.min() < 0 or chosen.max() >= state.n_actions:
-        raise InputError(f"chosen actions {chosen} out of range")
-    k = np.arange(len(rows))
-    exponents = eta * (realized_utilities / state.probabilities(rows)[k, chosen])
-    w = state.weights[rows]
-    # math.exp, not np.exp: the two can differ in the last bit
-    w[k, chosen] *= [math.exp(x) for x in exponents.tolist()]
-    renormalize(w)
-    state.weights[rows] = w
-    state.t_sel[rows] += 1
-    return state
-
-
 @dataclass
 class RegretLedger:
     """Exact counterfactual bookkeeping for one agent.
@@ -185,25 +130,6 @@ class RegretLedger:
     selected_rounds: int = 0
     unselected_rounds: int = 0
 
-    @classmethod
-    def fresh(cls, n_actions: int) -> "RegretLedger":
-        return cls(counterfactual=np.zeros(n_actions))
-
-    def record_selected(self, utility_vector, chosen_action: int) -> None:
-        u = np.asarray(utility_vector, dtype=np.float64)
-        if u.shape != self.counterfactual.shape:
-            raise InputError(
-                f"utility vector has shape {u.shape}, expected {self.counterfactual.shape}"
-            )
-        if not 0 <= chosen_action < len(u):
-            raise InputError(f"chosen_action {chosen_action} out of range")
-        self.counterfactual += u
-        self.realized += float(u[chosen_action])
-        self.selected_rounds += 1
-
-    def record_unselected(self) -> None:
-        self.unselected_rounds += 1
-
     def gaps(self) -> np.ndarray:
         """Cumulative regret sums counterfactual(a) - realized, one per action."""
         return self.counterfactual - self.realized
@@ -213,7 +139,7 @@ def external_regret(ledger: RegretLedger) -> float:
     """Time-averaged external regret max_a (counterfactual(a) - realized) / T.
 
     T counts the rounds that contribute to the sums, i.e. the selected ones;
-    recording unselected rounds changes neither the sums nor the average.
+    unselected rounds change neither the sums nor the average.
     Returns 0.0 when nothing was recorded.
     """
     if ledger.selected_rounds == 0:

@@ -11,10 +11,11 @@ learning agent per valuation type. Every round proceeds in three steps:
    utility, while unselected agents earn zero and do not update.
 
 Selected agents receive either the full counterfactual utility vector
-(``full`` feedback, hedge update) or only the realized utility (``bandit``
-feedback, importance-weighted update). Regret ledgers always record the exact
-counterfactual vector regardless of the feedback the learner saw; they are
-the simulator's accounting device, not the agent's information set.
+(``full`` feedback, Hedge update) or only the realized utility (``bandit``
+feedback, importance-weighted update); one round step applies both. Regret
+ledgers always record the exact counterfactual vector regardless of the
+feedback the learner saw; they are the simulator's accounting device, not
+the agent's information set.
 
 Randomness comes from a single numpy PCG64 stream per seed (counter-based,
 stable across numpy releases since 1.17). Draw order is fixed: one uniform
@@ -24,10 +25,10 @@ whichever seeds share a batch.
 
 The loop works through the rounds in chunks of DRAW_CHUNK. The types are
 drawn before play, so a chunk first works out everything play cannot
-change (each round's learner rows and hedge step sizes), a round then only
+change (each round's learner rows and Hedge step sizes), a round then only
 samples, looks up its utility cells and updates, and the chunk ends by
-adding its rounds to the regret ledgers in round order. ``trace.csv`` is
-streamed to its file in blocks of CSV_CHUNK rounds.
+adding its rounds to the regret ledgers in round order. ``trace.csv`` and
+``strategies.json`` are written in blocks of WRITE_CHUNK rounds.
 """
 
 from __future__ import annotations
@@ -46,13 +47,11 @@ import numpy as np
 from . import mechanisms as mech
 from .errors import ContractViolationError, InputError
 from .learners import (
-    BANDIT,
-    HEDGE,
     LOG_STEP_SLACK,
+    MAX_LOG_STEP,
     LearnerState,
     RegretLedger,
     anytime_eta,
-    bandit_update,
     ceiling_headroom,
     count_selections,
     external_regret,
@@ -90,7 +89,7 @@ class SimConfig:
     horizon: int
     seed: int
     feedback: str = FEEDBACK_FULL
-    eta: float | None = None  # None selects the anytime schedule
+    eta: float | None = None  # None: the anytime schedule, or gamma / |A| for bandit
     gamma: float = 0.05
 
     def __post_init__(self) -> None:
@@ -121,6 +120,17 @@ class SimConfig:
                 f"bid grid sizes {list(sizes)} differ; the simulator needs one "
                 "grid size for every seat"
             )
+        if self.eta is not None:
+            # an update multiplies a weight of up to the ceiling by exp(step);
+            # unit utilities lie in [0, 1], bandit probabilities in [gamma/|A|, 1]
+            step = self.eta
+            if self.feedback == FEEDBACK_BANDIT and self.eta > 0.0:
+                step = self.eta * sizes[0] / self.gamma if self.gamma > 0.0 else math.inf
+            if not 0.0 <= step <= MAX_LOG_STEP:
+                raise InputError(
+                    f"eta {self.eta} ({self.feedback} feedback, gamma {self.gamma}) takes "
+                    f"log steps up to {step:.6g}; weights stay finite up to {MAX_LOG_STEP:.6g}"
+                )
         largest = max(sizes[0], max(len(p) for p in pops))
         if largest > mech.INDEX_LIMIT:
             raise InputError(
@@ -280,9 +290,12 @@ def _play_rounds(config: SimConfig, seeds):
     The loop's working set (stacked tables, learner weights, chunk buffers) is
     freed on return, before the first trace is handed out.
 
-    Hedge skips the weight-ceiling check while the step sizes since the last
-    check provably cannot take a weight past the ceiling, which leaves every
-    weight as a check in every round would.
+    A round samples every row from one ``state.probabilities()`` and updates
+    the selected rows: Hedge multiplies exp(eta * unit utility) into the row,
+    bandit exp(eta * unit utility / p) into the chosen weight. Both skip the
+    weight-ceiling check while the log steps since the last check provably
+    cannot take a weight past the ceiling, which leaves every weight as a
+    check in every round would.
     """
     m = config.mechanism
     n = m.n
@@ -301,8 +314,8 @@ def _play_rounds(config: SimConfig, seeds):
         bits = np.random.PCG64(seed)
         bits.advance(T * G)
         types = np.random.Generator(bits)
-        for i, p in enumerate(config.populations):
-            v_idx[s, :, i] = types.integers(0, len(p), size=T)
+        for i, pop in enumerate(config.populations):
+            v_idx[s, :, i] = types.integers(0, len(pop), size=T)
 
     # cell g * n_opp + opp holds agent g's utility vector against opponent
     # profile opp
@@ -311,19 +324,18 @@ def _play_rounds(config: SimConfig, seeds):
     for g, (pop, _ti, val) in enumerate(agents):
         tables[g * n_opp:(g + 1) * n_opp] = mech.utility_table(m, pop, val).T
     flat_tables = tables.ravel()
-    kind = HEDGE if config.feedback == FEEDBACK_FULL else BANDIT
-    # hedge states ignore gamma; only the bandit distribution mixes it in
-    state = LearnerState.fresh(kind, A, config.gamma, rows=S * G)
+    full = config.feedback == FEEDBACK_FULL
+    state = LearnerState(np.ones((S * G, A)), gamma=0.0 if full else config.gamma)
+    headroom = ceiling_headroom(state.weights)
     two_h = 2.0 * H
-    if kind == HEDGE:
+    if full:
         # (tables + H) / two_h, without a second temporary table
         unit = tables + H
         unit /= two_h
         # ln(weight) grows by at most eta * top_unit per update
         top_unit = max(float(unit.max()), 0.0)
-        headroom = ceiling_headroom(state.weights)
     else:
-        bandit_eta = config.eta if config.eta is not None else config.gamma / A
+        eta = config.eta if config.eta is not None else config.gamma / A
     counterfactual = np.zeros((S * G, A))
     realized_sum = np.zeros(S * G)
 
@@ -341,7 +353,7 @@ def _play_rounds(config: SimConfig, seeds):
     chunk = min(DRAW_CHUNK, T)
     draws = np.empty((chunk, S * G))
     rows_at = np.empty((chunk, S * n), dtype=np.int64)
-    if kind == HEDGE:
+    if full:
         etas = np.empty((chunk, S * n, 1))
 
     for a in range(0, T, DRAW_CHUNK):
@@ -350,7 +362,7 @@ def _play_rounds(config: SimConfig, seeds):
             draws[:R, s * G:(s + 1) * G] = gen.random((R, G))
         vrows = v_idx[:, a:a + R].transpose(1, 0, 2)
         np.add(row_base, vrows, out=rows_at[:R].reshape(R, S, n))
-        if kind == HEDGE:
+        if full:
             # a seed at a time keeps the (rounds, rows) count block small
             for s in range(S):
                 cols = slice(s * n, (s + 1) * n)
@@ -363,7 +375,8 @@ def _play_rounds(config: SimConfig, seeds):
             steps = (etas[:R, :, 0].max(axis=1) * top_unit + LOG_STEP_SLACK).tolist()
 
         for c in range(R):
-            cdf = state.probabilities().cumsum(axis=1)
+            p = state.probabilities()
+            cdf = p.cumsum(axis=1)
             # inverse-CDF sampling: the count of CDF entries at or below the
             # draw, leaving out the last entry caps the index at A - 1
             j = (cdf[:, :-1] <= draws[c, :, None] * cdf[:, -1:]).sum(axis=1)
@@ -373,18 +386,19 @@ def _play_rounds(config: SimConfig, seeds):
             realized[:, a + c] = bids.reshape(S, n)
             cells = first_cell[rows]
             cells += (bids.reshape(S, n) @ opp_place).ravel()
-            if kind == HEDGE:
-                w = state.weights[rows] * np.exp(etas[c] * unit[cells])
+            if full:
+                state.weights[rows] *= np.exp(etas[c] * unit[cells])
                 headroom -= steps[c]
-                if headroom < 0.0:
-                    renormalize(w)
-                    state.weights[rows] = w
-                    headroom = ceiling_headroom(state.weights)
-                else:
-                    state.weights[rows] = w
             else:
                 own = flat_tables[cells * A + bids]
-                bandit_update(state, rows, bids, (own + H) / two_h, bandit_eta)
+                xs = (eta * (((own + H) / two_h) / p[rows, bids])).tolist()
+                # math.exp, not np.exp: the two can differ in the last bit
+                state.weights[rows, bids] *= [math.exp(x) for x in xs]
+                state.t_sel[rows] += 1
+                headroom -= max(xs) + LOG_STEP_SLACK
+            if headroom < 0.0:
+                renormalize(state.weights)
+                headroom = ceiling_headroom(state.weights)
 
         # np.add.at adds in index order, so round by round as a per-round +=
         # would; a seed and a column at a time bound the gathered block
@@ -436,15 +450,15 @@ def _csv_header(n: int) -> list[str]:
     )
 
 
-# Rounds written per step of write_trace_csv.
-CSV_CHUNK = 4096
+# Rounds written per step of write_trace_csv and strategies_json_text.
+WRITE_CHUNK = 4096
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Write the per-round table as CSV (1-based round numbers).
 
     A row after its round number depends only on the round's (type profile,
-    bid profile) key, so the rows are streamed to the file CSV_CHUNK rounds
+    bid profile) key, so the rows are streamed to the file WRITE_CHUNK rounds
     at a time, each key formatted once per chunk.
     """
     cfg = trace.config
@@ -473,7 +487,7 @@ def write_trace_csv(trace: Trace, path) -> None:
 
     def lines(a: int):
         texts = {}
-        for t, k in enumerate(key[a:a + CSV_CHUNK].tolist(), a + 1):
+        for t, k in enumerate(key[a:a + WRITE_CHUNK].tolist(), a + 1):
             text = texts.get(k)
             if text is None:
                 text = texts[k] = suffix(int(row[k]))
@@ -481,12 +495,8 @@ def write_trace_csv(trace: Trace, path) -> None:
 
     with open(path, "w") as fh:
         fh.write(",".join(_csv_header(n)) + "\n")
-        for a in range(0, trace.horizon, CSV_CHUNK):
+        for a in range(0, trace.horizon, WRITE_CHUNK):
             fh.writelines(lines(a))
-
-
-# Rounds formatted per step of strategies_json_text.
-JSON_CHUNK = 4096
 
 
 def strategies_json_text(trace: Trace, every: int = 1) -> str:
@@ -515,8 +525,8 @@ def strategies_json_text(trace: Trace, every: int = 1) -> str:
     kept = trace.strategy[::every]
     row = "[" + ",".join(["%d"] * kept.shape[1]) + "]"
     parts = [head[:-2], "["]
-    for a in range(0, len(kept), JSON_CHUNK):
-        block = kept[a:a + JSON_CHUNK]
+    for a in range(0, len(kept), WRITE_CHUNK):
+        block = kept[a:a + WRITE_CHUNK]
         parts += [",".join([row] * len(block)) % tuple(block.ravel().tolist()), ","]
     parts[-1] = "]}"
     return "".join(parts)

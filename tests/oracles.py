@@ -263,10 +263,11 @@ def t_star_arithmetic(delta, rho, n, sigma_size, v_size, H):
 
 
 class _Learner:
-    """One agent's weights, with the arithmetic of a lone Hedge/bandit learner."""
+    """One agent's weights, with the arithmetic of a lone Hedge/bandit
+    learner. ``gamma`` is the exploration share of the sampling distribution,
+    0 for Hedge."""
 
-    def __init__(self, kind, n_actions, gamma):
-        self.kind = kind
+    def __init__(self, n_actions, gamma=0.0):
         self.weights = np.ones(n_actions)
         self.t_sel = 0
         self.gamma = gamma
@@ -278,7 +279,7 @@ class _Learner:
 
     def probabilities(self):
         p = self.weights / self.weights.sum()
-        if self.kind == ln.BANDIT and self.gamma > 0.0:
+        if self.gamma > 0.0:
             p = (1.0 - self.gamma) * p + self.gamma / self.n_actions
         return p
 
@@ -305,9 +306,9 @@ def reference_run(config):
 
     The loop the batched engine replaced: one (horizon, agents) block of
     uniforms drawn up front, a cached CDF and one ``searchsorted`` per agent,
-    one update and one ledger record per selected agent, and welfare from
-    ``auction_outcome`` once per round. It reads the library's utility
-    tables; the loop around them is what it pins. Returns a dict with
+    one update and one addition to the ledger sums per selected agent, and
+    welfare from ``auction_outcome`` once per round. It reads the library's
+    utility tables; the loop around them is what it pins. Returns a dict with
     ``v_idx``, ``strategy``, ``realized_idx``, ``sw``, ``opt``, ``ledgers``
     and ``renormalizations``, the number of times a weight passed the
     ceiling.
@@ -329,9 +330,11 @@ def reference_run(config):
         v_idx[:, i] = rng.integers(0, len(p), size=T)
 
     tables = [mech.utility_table(m, pop, val) for (pop, _ti, val) in agents]
-    kind = ln.HEDGE if config.feedback == sim.FEEDBACK_FULL else ln.BANDIT
-    states = [_Learner(kind, sizes_a[pop], config.gamma) for (pop, _ti, _v) in agents]
-    ledgers = [ln.RegretLedger.fresh(sizes_a[pop]) for (pop, _ti, _v) in agents]
+    full = config.feedback == sim.FEEDBACK_FULL
+    states = [_Learner(sizes_a[pop], 0.0 if full else config.gamma)
+              for (pop, _ti, _v) in agents]
+    counterfactual = [np.zeros(sizes_a[pop]) for (pop, _ti, _v) in agents]
+    earned = [0.0] * n_agents
 
     opp_places = []
     for i in range(n):
@@ -367,9 +370,10 @@ def reference_run(config):
             for j, place in opp_places[i]:
                 opp += ridx[j] * place
             uvec = tables[g][:, opp]
-            ledgers[g].record_selected(uvec, ridx[i])
+            counterfactual[g] += uvec
+            earned[g] += float(uvec[ridx[i]])
             st = states[g]
-            if kind == ln.HEDGE:
+            if full:
                 eta = config.eta if config.eta is not None else math.sqrt(
                     math.log(max(st.n_actions, 2)) / (st.t_sel + 1)
                 )
@@ -378,9 +382,6 @@ def reference_run(config):
                 eta = config.eta if config.eta is not None else config.gamma / st.n_actions
                 st.bandit(ridx[i], (uvec[ridx[i]] + H) / two_h, eta)
             cdfs[g] = None
-        for g in range(n_agents):
-            if g not in sel:
-                ledgers[g].record_unselected()
 
         values = tuple(pops[i].values[vrow[i]] for i in range(n))
         bids = [m.actions.grids[i][ridx[i]] for i in range(n)]
@@ -388,6 +389,11 @@ def reference_run(config):
         sw[t] = sum(utilities) + revenue
         opt[t] = mech.optimal_welfare(values, m)
 
+    ledgers = [
+        ln.RegretLedger(counterfactual=counterfactual[g], realized=earned[g],
+                        selected_rounds=st.t_sel, unselected_rounds=T - st.t_sel)
+        for g, st in enumerate(states)
+    ]
     return {"v_idx": v_idx, "strategy": strategy, "realized_idx": realized,
             "sw": sw, "opt": opt, "ledgers": ledgers,
             "renormalizations": sum(st.renormalizations for st in states)}

@@ -8,6 +8,7 @@ measured numbers; assertions carry them too so a red run is self-describing.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,15 +254,14 @@ def test_criterion_8_identities_and_determinism():
 
     # (b) regret is exactly invariant under inserted unselected rounds
     rng = np.random.default_rng(1)
-    plain = ln.RegretLedger.fresh(4)
-    padded = ln.RegretLedger.fresh(4)
+    plain = ln.RegretLedger(counterfactual=np.zeros(4))
     for _ in range(200):
         u = rng.uniform(-1.0, 1.0, size=4)
         a = int(rng.integers(0, 4))
-        plain.record_selected(u, a)
-        padded.record_selected(u, a)
-        for _ in range(int(rng.integers(0, 3))):
-            padded.record_unselected()
+        plain.counterfactual += u
+        plain.realized += float(u[a])
+        plain.selected_rounds += 1
+    padded = replace(plain, unselected_rounds=int(rng.integers(0, 400)))
     assert ln.external_regret(plain) == ln.external_regret(padded)
 
     # (c) byte-exact reruns per seed; different seeds differ

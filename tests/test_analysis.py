@@ -66,11 +66,9 @@ def test_joint_constant_strategies_single_profile():
     )
     joint = an.empirical_joint(trace)
     assert joint.total == 4
-    assert len(joint.counts) == 1
-    (key,) = joint.counts
-    assert joint.counts[key] == joint.total
-    assert np.frombuffer(key, dtype=np.int16).tolist() == [1, 1]
-    np.testing.assert_allclose(joint.cond[key] / joint.counts[key], [0.5, 0.5])
+    assert joint.profiles.tolist() == [[1, 1]]
+    assert joint.counts.tolist() == [joint.total]
+    np.testing.assert_allclose(joint.cond[0] / joint.counts[0], [0.5, 0.5])
 
 
 def test_joint_all_distinct_profiles():
@@ -83,8 +81,8 @@ def test_joint_all_distinct_profiles():
         opt=[1.0] * 4,
     )
     joint = an.empirical_joint(trace)
-    assert len(joint.counts) == 4
-    assert all(c / joint.total == 0.25 for c in joint.counts.values())
+    assert joint.profiles.tolist() == [[0], [1], [2], [3]]
+    assert (joint.counts / joint.total).tolist() == [0.25] * 4
 
 
 def test_joint_window_matches_direct_recount():
@@ -93,10 +91,11 @@ def test_joint_window_matches_direct_recount():
     )
     joint = an.empirical_joint(trace)
     assert joint.total == 200
-    want = Counter(trace.strategy[t].tobytes() for t in range(200))
-    assert joint.counts == dict(want)
-    for key, c in joint.counts.items():
-        assert joint.cond[key].sum() == c
+    want = Counter(tuple(trace.strategy[t].tolist()) for t in range(200))
+    got = dict(zip(map(tuple, joint.profiles.tolist()), joint.counts.tolist()))
+    assert got == dict(want)
+    assert sorted(got) == list(got)  # lexicographic order
+    assert joint.cond.sum(axis=1).tolist() == joint.counts.tolist()
 
 
 def test_joint_rejects_bad_inputs():

@@ -409,6 +409,32 @@ def test_oversized_grid_and_horizon_exit_two_before_allocating(tmp_path, capsys)
     assert err.startswith("error: horizon 1000000000000 needs") and "physical memory" in err
 
 
+def test_step_sizes_that_can_overflow_a_weight_exit_two(tmp_path, capsys):
+    # on 11 bids, a bandit step of 5 at gamma 0.05 can multiply a weight by
+    # exp(1100), and a full-feedback step of 1000 by exp(1000)
+    for name, kw in (("bandit", dict(feedback="bandit", eta=5, gamma=0.05)),
+                     ("full", dict(feedback="full", eta=1000))):
+        doc = base_doc(horizon=50, seeds=[1], out_dir=str(tmp_path / name), **kw)
+        doc["mechanism"]["grid_step"] = 0.1
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eta") and "finite" in err
+        assert not (tmp_path / name).exists()
+    # a sidecar whose step was raised after the run is caught the same way
+    cfg = write_config(tmp_path, horizon=50, seeds=[1], eta=1.0, out_dir=str(tmp_path / "ok"))
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    sidecar = tmp_path / "ok" / "seed_1" / "strategies.json"
+    doc = json.loads(sidecar.read_text())
+    doc["meta"]["eta"] = 1000.0
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed sidecar" in err and "finite" in err
+
+
 # --- certify ------------------------------------------------------------------------
 
 

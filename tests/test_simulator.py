@@ -142,14 +142,22 @@ def test_seed_batch_matches_the_reference_engine(batch):
 
 
 @pytest.mark.parametrize(
-    "kind, feedback",
-    [(mech.KIND_FIRST_PRICE, sim.FEEDBACK_FULL), (mech.KIND_ALL_PAY, sim.FEEDBACK_FULL),
-     (mech.KIND_FIRST_PRICE, sim.FEEDBACK_BANDIT)],
+    "kind, feedback, eta, gamma",
+    [(mech.KIND_FIRST_PRICE, sim.FEEDBACK_FULL, None, 0.1),
+     (mech.KIND_ALL_PAY, sim.FEEDBACK_FULL, None, 0.1),
+     (mech.KIND_FIRST_PRICE, sim.FEEDBACK_BANDIT, None, 0.1),
+     (mech.KIND_FIRST_PRICE, sim.FEEDBACK_BANDIT, 2.0, 0.05)],
+    ids=["first-price-full", "all-pay-full", "first-price-bandit",
+         "first-price-bandit-across-the-ceiling"],
 )
-def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(kind, feedback):
+def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(
+    kind, feedback, eta, gamma
+):
     # 11 bids per grid: row sums of eight or more weights take numpy's
     # pairwise path, which the small grids above never reach; 1,500 rounds
-    # also cross a boundary between chunks of uniform draws
+    # also cross a boundary between chunks of uniform draws. A fixed bandit
+    # step of 2 at gamma 0.05 multiplies in exponents up to 2 * 11 / 0.05,
+    # so the ceiling checks run on that path too.
     m = mech.Mechanism(kind=kind, n=2, actions=mech.ActionSpace.uniform(2, 0.1, 1.0))
     cfg = sim.SimConfig(
         mechanism=m,
@@ -157,11 +165,14 @@ def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(kind, feed
         horizon=1500,
         seed=2,
         feedback=feedback,
-        gamma=0.1,
+        eta=eta,
+        gamma=gamma,
     )
     seeds = [2, 4, 7]
     for seed, trace in zip(seeds, sim.run_seed_batch(cfg, seeds)):
-        assert_matches_reference(trace, replace(cfg, seed=seed))
+        want = assert_matches_reference(trace, replace(cfg, seed=seed))
+        if eta is not None:
+            assert want["renormalizations"] >= 20
 
 
 @pytest.mark.parametrize("feedback", [sim.FEEDBACK_FULL, sim.FEEDBACK_BANDIT])
@@ -175,6 +186,23 @@ def test_seed_batch_matches_the_reference_engine_across_the_weight_ceiling(feedb
     for seed, trace in zip(seeds, sim.run_seed_batch(cfg, seeds)):
         want = assert_matches_reference(trace, replace(cfg, seed=seed))
         assert want["renormalizations"] >= 20
+
+
+def test_step_sizes_that_can_overflow_a_weight_are_rejected():
+    # one update may move ln(weight) by ln(float max) - ln(ceiling), about
+    # 479.5: eta for Hedge, eta * |A| / gamma for bandit (5 bids here)
+    assert 479.0 < ln.MAX_LOG_STEP < 480.0
+    ok = [dict(eta=479.0), dict(feedback=sim.FEEDBACK_BANDIT, eta=9.5, gamma=0.1),
+          dict(feedback=sim.FEEDBACK_BANDIT, eta=0.0, gamma=0.0),
+          dict(feedback=sim.FEEDBACK_BANDIT, gamma=0.0)]
+    for kw in ok:
+        small_config(**kw)
+    bad = [dict(eta=480.0), dict(eta=-0.1),
+           dict(feedback=sim.FEEDBACK_BANDIT, eta=9.6, gamma=0.1),
+           dict(feedback=sim.FEEDBACK_BANDIT, eta=1e-9, gamma=0.0)]
+    for kw in bad:
+        with pytest.raises(InputError, match="eta"):
+            small_config(**kw)
 
 
 def test_single_type_populations_have_constant_draws():
@@ -246,7 +274,7 @@ def test_counterfactual_vector_examples():
 def csv_runs(draw):
     """A small run, sometimes longer than one chunk of written rows."""
     cfg = draw(small_runs())
-    horizon = draw(st.sampled_from((cfg.horizon, sim.CSV_CHUNK + 7)))
+    horizon = draw(st.sampled_from((cfg.horizon, sim.WRITE_CHUNK + 7)))
     return replace(cfg, horizon=horizon)
 
 
@@ -324,7 +352,7 @@ def test_subsampled_sidecar_drops_strategy_table(tmp_path):
 def test_sidecar_text_equals_the_plain_json_document(every):
     # the table is formatted in chunks of rounds; across chunk boundaries the
     # text must still be the sorted, compact json.dumps of the whole document
-    trace = sim.run_repeated_game(small_config(horizon=2 * sim.JSON_CHUNK + 5, seed=8))
+    trace = sim.run_repeated_game(small_config(horizon=2 * sim.WRITE_CHUNK + 5, seed=8))
     text = sim.strategies_json_text(trace, every)
     doc = json.loads(text)
     doc["rounds"] = [[int(x) for x in row] for row in trace.strategy[::every]]
