@@ -43,12 +43,10 @@ from .errors import (
     UndefinedResultError,
 )
 
-E_INV = 1.0 - 1.0 / math.e
-
 DEFAULT_SMOOTHNESS = {
-    mech.KIND_FIRST_PRICE: (E_INV, 1.0),
+    mech.KIND_FIRST_PRICE: (smoothness.LOG_RULE_LIMIT, 1.0),
     mech.KIND_ALL_PAY: (0.5, 1.0),
-    mech.KIND_MULTI_UNIT: (E_INV, 1.0),
+    mech.KIND_MULTI_UNIT: (smoothness.LOG_RULE_LIMIT, 1.0),
 }
 DEFAULT_DEVIATION = {
     mech.KIND_FIRST_PRICE: "log",
@@ -91,7 +89,7 @@ def _check_keys(obj: dict, spec: dict[str, bool], path: str) -> None:
         raise ConfigError(f"{path}: missing required keys {missing}")
 
 
-def _number(obj, path: str, minimum=None) -> float:
+def _number(obj, path: str, minimum=None, maximum=None, positive=False) -> float:
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ConfigError(f"{path}: expected a number, got {type(obj).__name__}")
     # NaN fails the comparison too; an integer literal can exceed the float range
@@ -100,6 +98,10 @@ def _number(obj, path: str, minimum=None) -> float:
     x = float(obj)
     if minimum is not None and x < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {x}")
+    if positive and x <= 0.0:
+        raise ConfigError(f"{path}: must be > 0, got {x}")
+    if maximum is not None and x > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {x}")
     return x
 
 
@@ -113,7 +115,10 @@ def _integer(obj, path: str, minimum=None) -> int:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate one experiment file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: cannot read the config file: {e}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -182,9 +187,7 @@ def load_config(path) -> ExperimentConfig:
     eta = None
     if doc.get("eta") is not None:
         eta = _number(doc["eta"], f"{path}: eta", minimum=0.0)
-    gamma = _number(doc.get("gamma", 0.05), f"{path}: gamma", minimum=0.0)
-    if gamma > 1.0:
-        raise ConfigError(f"{path}: gamma: must be <= 1, got {gamma}")
+    gamma = _number(doc.get("gamma", 0.05), f"{path}: gamma", minimum=0.0, maximum=1)
 
     deviation = doc.get("deviation")
     if deviation is not None and not isinstance(deviation, str):
@@ -224,10 +227,15 @@ def load_config(path) -> ExperimentConfig:
                 _integer(c, f"{path}: analysis.checkpoints[{j}]", minimum=1)
                 for j, c in enumerate(an["checkpoints"])
             )
+        # the ranges the report needs: t_star takes delta > 0 and rho in
+        # (0, 1], the independence gap zeta in [0, 1]
         settings = AnalysisSettings(
-            zeta=_number(an.get("zeta", 0.01), f"{path}: analysis.zeta", minimum=0.0),
-            delta=_number(an.get("delta", 0.05), f"{path}: analysis.delta", minimum=0.0),
-            rho=_number(an.get("rho", 0.05), f"{path}: analysis.rho", minimum=0.0),
+            zeta=_number(an.get("zeta", 0.01), f"{path}: analysis.zeta",
+                         minimum=0.0, maximum=1),
+            delta=_number(an.get("delta", 0.05), f"{path}: analysis.delta",
+                          positive=True),
+            rho=_number(an.get("rho", 0.05), f"{path}: analysis.rho",
+                        positive=True, maximum=1),
             tolerance=_number(
                 an.get("tolerance", 0.05), f"{path}: analysis.tolerance", minimum=0.0
             ),
@@ -342,6 +350,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
         raise ConfigError("simulate needs a non-empty seeds list")
     if cfg.horizon is None:
         raise ConfigError("simulate needs a horizon")
+    last = max(cfg.settings.checkpoints or (1,))
+    if last > cfg.horizon:
+        raise ConfigError(
+            f"analysis.checkpoints: {last} lies beyond the horizon {cfg.horizon}"
+        )
     _sim_config(cfg, cfg.seeds[0])  # an invalid run exits before writing anything
     Path(out).mkdir(parents=True, exist_ok=True)
     # k contiguous seed batches whose sizes differ by at most one
@@ -453,10 +466,14 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: str | None) -> int:
     if out is None:
         raise ConfigError("analyze needs the directory holding the seed runs")
     root = Path(out)
-    seed_dirs = sorted(
-        (p for p in root.glob("seed_*") if p.is_dir()),
-        key=lambda p: int(p.name.split("_", 1)[1]),
-    )
+    seeds = {}
+    for p in root.glob("seed_*"):
+        if p.is_dir():
+            try:
+                seeds[p] = int(p.name.split("_", 1)[1])
+            except ValueError:
+                raise ConfigError(f"{p}: not a seed run directory (seed_<integer>)") from None
+    seed_dirs = sorted(seeds, key=seeds.get)
     if not seed_dirs:
         raise ConfigError(f"no seed_* directories under {root}")
     summaries = []

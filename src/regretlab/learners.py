@@ -69,8 +69,9 @@ def count_selections(t_sel: np.ndarray, rows) -> np.ndarray:
 
 @dataclass
 class LearnerState:
-    """``weights[r]`` and ``t_sel[r]`` are learner ``r``'s weights and its
-    number of updates so far; ``gamma`` is the uniform exploration share of
+    """``weights[r]`` are learner ``r``'s weights and ``t_sel[r]`` its number
+    of Hedge updates so far, as ``count_selections`` advances it (a bandit
+    update leaves it alone); ``gamma`` is the uniform exploration share of
     the sampling distribution, 0 for Hedge."""
 
     weights: np.ndarray

@@ -12,10 +12,12 @@ learning agent per valuation type. Every round proceeds in three steps:
 
 Selected agents receive either the full counterfactual utility vector
 (``full`` feedback, Hedge update) or only the realized utility (``bandit``
-feedback, importance-weighted update); one round step applies both. Regret
-ledgers always record the exact counterfactual vector regardless of the
-feedback the learner saw; they are the simulator's accounting device, not
-the agent's information set.
+feedback, importance-weighted update); one round step applies both. A trace
+holds only what play decided: the types, the commitments and the realized
+bids, plus the welfare they give. The regret ledgers are recounted from the
+type and realized-bid columns by ``rebuild_ledgers``, for a simulated and a
+loaded trace alike; they always hold the exact counterfactual vector,
+whatever feedback the learner saw.
 
 Randomness comes from a single numpy PCG64 stream per seed (counter-based,
 stable across numpy releases since 1.17). Draw order is fixed: one uniform
@@ -25,16 +27,14 @@ whichever seeds share a batch.
 
 The loop works through the rounds in chunks of DRAW_CHUNK. The types are
 drawn before play, so a chunk first works out everything play cannot
-change (each round's learner rows and Hedge step sizes), a round then only
-samples, looks up its utility cells and updates, and the chunk ends by
-adding its rounds to the regret ledgers in round order. ``trace.csv`` and
+change (each round's learner rows and Hedge step sizes), and a round then
+only samples, looks up its utility cells and updates. ``trace.csv`` and
 ``strategies.json`` are written in blocks of WRITE_CHUNK rounds.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import re
@@ -54,11 +54,8 @@ from .learners import (
     anytime_eta,
     ceiling_headroom,
     count_selections,
-    external_regret,
     renormalize,
 )
-
-logger = logging.getLogger(__name__)
 
 FEEDBACK_FULL = "full"
 FEEDBACK_BANDIT = "bandit"
@@ -180,7 +177,6 @@ class Trace:
     realized_idx: np.ndarray
     sw: np.ndarray
     opt: np.ndarray
-    ledgers: list[RegretLedger] | None = None
 
     @property
     def horizon(self) -> int:
@@ -242,42 +238,25 @@ def run_seed_batch(config: SimConfig, seeds) -> Iterator[Trace]:
     depend on the other seeds in the batch.
 
     All rounds run before the first trace is yielded. A trace's welfare
-    columns and ledgers are built as it is yielded, so a caller that handles
-    one trace at a time holds one seed's welfare columns at a time.
+    columns are built as it is yielded, so a caller that handles one trace
+    at a time holds one seed's welfare columns at a time.
     """
-    T = config.horizon
-    G = len(config.agents())
-    v_idx, strategy, realized, counterfactual, realized_sum, selected = _play_rounds(
-        config, seeds
-    )
+    v_idx, strategy, realized = _play_rounds(config, seeds)
     for s, seed in enumerate(seeds):
         cfg = replace(config, seed=seed)
         sw, opt = welfare_columns(cfg, v_idx[s], realized[s])
-        ledgers = [
-            RegretLedger(
-                counterfactual=counterfactual[r],
-                realized=float(realized_sum[r]),
-                selected_rounds=int(selected[r]),
-                unselected_rounds=T - int(selected[r]),
-            )
-            for r in range(s * G, (s + 1) * G)
-        ]
-        trace = Trace(
+        yield Trace(
             config=cfg,
             v_idx=v_idx[s],
             strategy=strategy[s],
             realized_idx=realized[s],
             sw=sw,
             opt=opt,
-            ledgers=ledgers,
         )
-        if config.feedback == FEEDBACK_FULL:
-            _check_hedge_bound(trace)
-        yield trace
 
 
-# Rounds per draw chunk: the loop draws the uniforms, precomputes what play
-# cannot change, and settles the ledgers and index arrays once per chunk.
+# Rounds per draw chunk: the loop draws the uniforms and precomputes what play
+# cannot change once per chunk.
 DRAW_CHUNK = 1024
 
 
@@ -285,9 +264,8 @@ def _play_rounds(config: SimConfig, seeds):
     """The round loop of ``run_seed_batch``.
 
     Returns the (seeds, rounds, ...) type, commitment and realized-bid index
-    arrays, and per learner row (seed-major, then flat agent order) the
-    counterfactual and realized ledger sums and the selected-round count.
-    The loop's working set (stacked tables, learner weights, chunk buffers) is
+    arrays; learner rows are seed-major, then in flat agent order. The
+    loop's working set (stacked tables, learner weights, chunk buffers) is
     freed on return, before the first trace is handed out.
 
     A round samples every row from one ``state.probabilities()`` and updates
@@ -323,21 +301,20 @@ def _play_rounds(config: SimConfig, seeds):
     tables = np.empty((G * n_opp, A))
     for g, (pop, _ti, val) in enumerate(agents):
         tables[g * n_opp:(g + 1) * n_opp] = mech.utility_table(m, pop, val).T
-    flat_tables = tables.ravel()
     full = config.feedback == FEEDBACK_FULL
     state = LearnerState(np.ones((S * G, A)), gamma=0.0 if full else config.gamma)
     headroom = ceiling_headroom(state.weights)
     two_h = 2.0 * H
     if full:
-        # (tables + H) / two_h, without a second temporary table
-        unit = tables + H
+        # Hedge reads only (tables + H) / two_h, so the tables become that
+        unit = tables
+        unit += H
         unit /= two_h
         # ln(weight) grows by at most eta * top_unit per update
         top_unit = max(float(unit.max()), 0.0)
     else:
+        flat_tables = tables.ravel()
         eta = config.eta if config.eta is not None else config.gamma / A
-    counterfactual = np.zeros((S * G, A))
-    realized_sum = np.zeros(S * G)
 
     # opp_place[j, i]: weight of seat j's bid in seat i's opponent index
     opp_place = np.zeros((n, n), dtype=np.int64)
@@ -394,48 +371,12 @@ def _play_rounds(config: SimConfig, seeds):
                 xs = (eta * (((own + H) / two_h) / p[rows, bids])).tolist()
                 # math.exp, not np.exp: the two can differ in the last bit
                 state.weights[rows, bids] *= [math.exp(x) for x in xs]
-                state.t_sel[rows] += 1
                 headroom -= max(xs) + LOG_STEP_SLACK
             if headroom < 0.0:
                 renormalize(state.weights)
                 headroom = ceiling_headroom(state.weights)
 
-        # np.add.at adds in index order, so round by round as a per-round +=
-        # would; a seed and a column at a time bound the gathered block
-        for s in range(S):
-            cols = slice(s * n, (s + 1) * n)
-            rows = rows_at[:R, cols].ravel()
-            cells = first_cell[rows]
-            cells += (realized[s, a:a + R] @ opp_place).ravel()
-            for col in range(A):
-                np.add.at(counterfactual[:, col], rows, tables[cells, col])
-            own = cells * A
-            own += realized[s, a:a + R].ravel()
-            np.add.at(realized_sum, rows, flat_tables[own])
-
-    return v_idx, strategy, realized, counterfactual, realized_sum, state.t_sel
-
-
-def _check_hedge_bound(trace: Trace) -> None:
-    # Soft sanity bound on measured regret; a violation is logged, not fatal,
-    # since it is a probabilistic statement.
-    H = trace.config.mechanism.scale
-    for g, (pop, ti, val) in enumerate(trace.config.agents()):
-        led = trace.ledgers[g]
-        if led.selected_rounds == 0:
-            continue
-        bound = 2.0 * H * math.sqrt(
-            math.log(max(led.counterfactual.shape[0], 2)) / led.selected_rounds
-        ) + 0.01
-        reg = external_regret(led)
-        if reg > bound:
-            logger.warning(
-                "agent (pop=%d, type=%.4g): regret %.4f above the hedge bound %.4f",
-                pop,
-                val,
-                reg,
-                bound,
-            )
+    return v_idx, strategy, realized
 
 
 # --- persistence -------------------------------------------------------------
@@ -593,9 +534,8 @@ def _read_trace_csv(csv_path, config: SimConfig):
 def load_trace(csv_path, strategies_path) -> Trace:
     """Rebuild a trace from its CSV table and strategies sidecar.
 
-    The sidecar supplies the config. Ledgers are not persisted; analyses that
-    need regret sums recompute them from the realized data. The commitment
-    table is only reconstructed when the sidecar recorded every round.
+    The sidecar supplies the config. The commitment table is only
+    reconstructed when the sidecar recorded every round.
 
     A malformed table or sidecar raises InputError naming the file. The
     stored welfare columns must equal ``welfare_columns`` recomputed from the
@@ -656,8 +596,9 @@ def load_trace(csv_path, strategies_path) -> Trace:
 
 
 def rebuild_ledgers(trace: Trace, horizon: int | None = None) -> list[RegretLedger]:
-    """Recompute per-agent ledgers, in flat agent order, from the realized rows
-    of the first ``horizon`` rounds (default: all) of a trace."""
+    """Count per-agent ledgers, in flat agent order, from the type and
+    realized-bid rows of the first ``horizon`` rounds (default: all) of a
+    trace. This is the one place regret sums are kept."""
     cfg = trace.config
     m = cfg.mechanism
     sizes_a = m.actions.sizes()
@@ -676,9 +617,10 @@ def rebuild_ledgers(trace: Trace, horizon: int | None = None) -> list[RegretLedg
         counts = np.bincount(
             np.broadcast_to(opp, n_sel), minlength=table.shape[1]
         ).astype(np.float64)
-        led = RegretLedger(counterfactual=table @ counts)
-        led.realized = float(table[realized[sel, pop], opp].sum())
-        led.selected_rounds = n_sel
-        led.unselected_rounds = T - n_sel
-        ledgers.append(led)
+        ledgers.append(RegretLedger(
+            counterfactual=table @ counts,
+            realized=float(table[realized[sel, pop], opp].sum()),
+            selected_rounds=n_sel,
+            unselected_rounds=T - n_sel,
+        ))
     return ledgers

@@ -330,7 +330,6 @@ class LogRuleCertificate:
     certified_lambda: float
     mu: float
     degradation: float  # max(0, limit - certified), the grid discretization cost
-    raw_gap: float  # limit - certified, may be negative on coarse grids
     witness_values: tuple[float, ...]
     witness_actions: tuple[float, ...]
 
@@ -371,12 +370,10 @@ def log_deviation_certificate(
             "every profile in value_space has zero optimal welfare"
         )
     actions = tuple(mechanism.actions.grids[i][j] for i, j in enumerate(wit_a))
-    gap = LOG_RULE_LIMIT - best
     return LogRuleCertificate(
         certified_lambda=best,
         mu=mu,
-        degradation=max(0.0, gap),
-        raw_gap=gap,
+        degradation=max(0.0, LOG_RULE_LIMIT - best),
         witness_values=wit_v,
         witness_actions=actions,
     )

@@ -201,7 +201,7 @@ def test_simulate_writes_all_artifacts(tmp_path, capsys):
     assert "seed 1:" in stdout
 
 
-def test_analyze_reproduces_simulate_reports(tmp_path):
+def test_analyze_reproduces_simulate_reports(tmp_path, capsys):
     out = tmp_path / "runs"
     cfg = simulate_config(tmp_path, out)
     assert cli.main(["simulate", "--config", cfg]) == 0
@@ -212,6 +212,12 @@ def test_analyze_reproduces_simulate_reports(tmp_path):
     assert cli.main(["analyze", "--config", cfg]) == 0
     for p, text in before.items():
         assert (out / p).read_text() == text, f"{p} changed on re-analysis"
+    # a seed_* directory without an integer seed is named, not a traceback
+    (out / "seed_abc").mkdir()
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out / "seed_abc") in err
 
 
 def test_analyze_rejects_a_tampered_welfare_cell(tmp_path, capsys):
@@ -353,7 +359,7 @@ def test_parallel_workers_match_serial(tmp_path):
         assert (outs[1] / f).read_bytes() == (outs[2] / f).read_bytes(), f
 
 
-def test_simulate_usage_errors(tmp_path):
+def test_simulate_usage_errors(tmp_path, capsys):
     # no out_dir anywhere
     cfg = write_config(tmp_path, name="noout.json", horizon=10, seeds=[1])
     assert cli.main(["simulate", "--config", cfg]) == 2
@@ -368,6 +374,24 @@ def test_simulate_usage_errors(tmp_path):
     )
     assert cli.main(["simulate", "--config", cfg]) == 2
     assert cli.main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
+    # a config path that is a directory, or a file that is not UTF-8
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes(b'{"out_dir": "caf\xe9"}')
+    for path in (tmp_path, binary):
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:") and "Traceback" not in err
+    # analysis settings the report would reject exit before anything is written
+    for i, analysis in enumerate(({"delta": 0}, {"rho": 0}, {"rho": 1.5},
+                                  {"zeta": 1.5}, {"checkpoints": [10, 11]})):
+        out = tmp_path / f"an{i}"
+        cfg = write_config(tmp_path, name=f"an{i}.json", horizon=10, seeds=[1, 2],
+                           out_dir=str(out), analysis=analysis)
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
     # a grid too wide for the int16 index arrays
     doc = base_doc(horizon=10, seeds=[1], out_dir=str(tmp_path / "z"),
                    populations=[[1.0]])

@@ -46,8 +46,9 @@ def test_trace_shapes_and_consistency():
     assert trace.realized_idx.shape == (400, 2)
     assert trace.v_idx.min() >= 0 and trace.v_idx.max() <= 1
     sim.check_commitments(cfg, trace.strategy, trace.v_idx, trace.realized_idx)
-    assert len(trace.ledgers) == 4
-    sel = trace.ledgers[0].selected_rounds + trace.ledgers[1].selected_rounds
+    ledgers = sim.rebuild_ledgers(trace)
+    assert len(ledgers) == 4
+    sel = ledgers[0].selected_rounds + ledgers[1].selected_rounds
     assert sel == 400  # population 0 selects exactly one of its two agents
 
 
@@ -102,20 +103,28 @@ def same_bits(a, b):
 TRACE_ARRAYS = ("v_idx", "strategy", "realized_idx", "sw", "opt")
 
 
+def assert_ledgers_match(got, want, cfg):
+    """Recounted ledgers ``got`` agree with the reference engine's running
+    sums ``want``: the round counts exactly, the gap sums up to the rounding
+    of adding the same terms in another order."""
+    atol = 1e-9 * cfg.horizon * cfg.mechanism.scale
+    assert len(got) == len(want)
+    for fresh, ref in zip(got, want):
+        assert (fresh.selected_rounds, fresh.unselected_rounds) == (
+            ref.selected_rounds, ref.unselected_rounds
+        )
+        np.testing.assert_allclose(fresh.gaps(), ref.gaps(), rtol=1e-9, atol=atol)
+
+
 def assert_matches_reference(trace, cfg):
     """``trace`` equals the per-agent reference engine's run of ``cfg`` bit
-    for bit, live ledgers included. Returns the reference run."""
+    for bit, and its recounted ledgers agree with the reference's running
+    sums. Returns the reference run."""
     want = oracles.reference_run(cfg)
     assert trace.config == cfg
     for name in TRACE_ARRAYS:
         assert same_bits(getattr(trace, name), want[name]), name
-    assert len(trace.ledgers) == len(want["ledgers"])
-    for got, ref in zip(trace.ledgers, want["ledgers"]):
-        assert same_bits(got.counterfactual, ref.counterfactual)
-        assert got.realized == ref.realized
-        assert (got.selected_rounds, got.unselected_rounds) == (
-            ref.selected_rounds, ref.unselected_rounds
-        )
+    assert_ledgers_match(sim.rebuild_ledgers(trace), want["ledgers"], cfg)
     return want
 
 
@@ -142,26 +151,30 @@ def test_seed_batch_matches_the_reference_engine(batch):
 
 
 @pytest.mark.parametrize(
-    "kind, feedback, eta, gamma",
-    [(mech.KIND_FIRST_PRICE, sim.FEEDBACK_FULL, None, 0.1),
-     (mech.KIND_ALL_PAY, sim.FEEDBACK_FULL, None, 0.1),
-     (mech.KIND_FIRST_PRICE, sim.FEEDBACK_BANDIT, None, 0.1),
-     (mech.KIND_FIRST_PRICE, sim.FEEDBACK_BANDIT, 2.0, 0.05)],
+    "kind, n, units, feedback, eta, gamma",
+    [(mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_FULL, None, 0.1),
+     (mech.KIND_ALL_PAY, 2, 1, sim.FEEDBACK_FULL, None, 0.1),
+     (mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_BANDIT, None, 0.1),
+     (mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_BANDIT, 2.0, 0.05),
+     (mech.KIND_MULTI_UNIT, 4, 2, sim.FEEDBACK_BANDIT, None, 0.1)],
     ids=["first-price-full", "all-pay-full", "first-price-bandit",
-         "first-price-bandit-across-the-ceiling"],
+         "first-price-bandit-across-the-ceiling", "multi-unit-n4-bandit"],
 )
 def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(
-    kind, feedback, eta, gamma
+    kind, n, units, feedback, eta, gamma
 ):
     # 11 bids per grid: row sums of eight or more weights take numpy's
     # pairwise path, which the small grids above never reach; 1,500 rounds
     # also cross a boundary between chunks of uniform draws. A fixed bandit
     # step of 2 at gamma 0.05 multiplies in exponents up to 2 * 11 / 0.05,
-    # so the ceiling checks run on that path too.
-    m = mech.Mechanism(kind=kind, n=2, actions=mech.ActionSpace.uniform(2, 0.1, 1.0))
+    # so the ceiling checks run on that path too. Four seats selling two
+    # units index 11**3 opponent profiles per agent.
+    m = mech.Mechanism(
+        kind=kind, n=n, actions=mech.ActionSpace.uniform(n, 0.1, 1.0), units=units
+    )
     cfg = sim.SimConfig(
         mechanism=m,
-        populations=(sim.Population((0.5, 1.0)), sim.Population((0.5, 1.0))),
+        populations=(sim.Population((0.5, 1.0)),) * n,
         horizon=1500,
         seed=2,
         feedback=feedback,
@@ -245,7 +258,7 @@ def test_average_optimum_concentrates(medium_trace):
 
 
 def test_every_agent_meets_the_regret_bound(medium_trace):
-    for led in medium_trace.ledgers:
+    for led in sim.rebuild_ledgers(medium_trace):
         if led.selected_rounds == 0:
             continue
         bound = 2.0 * math.sqrt(math.log(5.0) / led.selected_rounds) + 0.01
@@ -328,7 +341,6 @@ def test_round_trip_preserves_everything(cfg, every):
         assert same_bits(back.strategy, trace.strategy)
     else:
         assert back.strategy is None
-    assert back.ledgers is None
 
 
 def test_subsampled_sidecar_drops_strategy_table(tmp_path):
@@ -371,13 +383,16 @@ def test_sidecar_meta_fields():
 
 
 def test_rebuild_ledgers_matches_live_ones():
-    trace = sim.run_repeated_game(small_config(horizon=300, seed=13))
+    # the reference engine adds each selected round to running sums
+    cfg = small_config(horizon=300, seed=13)
+    trace = sim.run_repeated_game(cfg)
     rebuilt = sim.rebuild_ledgers(trace)
-    assert len(rebuilt) == len(trace.ledgers)
-    for fresh, live in zip(rebuilt, trace.ledgers):
-        assert fresh.selected_rounds == live.selected_rounds
-        assert fresh.realized == pytest.approx(live.realized, abs=1e-9)
-        np.testing.assert_allclose(fresh.counterfactual, live.counterfactual, atol=1e-9)
+    live = oracles.reference_run(cfg)["ledgers"]
+    assert len(rebuilt) == len(live)
+    for fresh, ref in zip(rebuilt, live):
+        assert fresh.selected_rounds == ref.selected_rounds
+        assert fresh.realized == pytest.approx(ref.realized, abs=1e-9)
+        np.testing.assert_allclose(fresh.counterfactual, ref.counterfactual, atol=1e-9)
     # a prefix recount sees only the first rounds
     prefix = sim.rebuild_ledgers(trace, 100)
     for (pop, ti, _v), led in zip(trace.config.agents(), prefix):
@@ -392,8 +407,9 @@ def test_bandit_mode_runs_and_stays_consistent():
     # the diagnostic ledgers see full counterfactual vectors even though the
     # learners only see realized payoffs
     rebuilt = sim.rebuild_ledgers(trace)
-    for fresh, live in zip(rebuilt, trace.ledgers):
-        np.testing.assert_allclose(fresh.counterfactual, live.counterfactual, atol=1e-9)
+    live = oracles.reference_run(cfg)["ledgers"]
+    for fresh, ref in zip(rebuilt, live):
+        np.testing.assert_allclose(fresh.counterfactual, ref.counterfactual, atol=1e-9)
 
 
 def test_eta_override_changes_dynamics():
