@@ -278,9 +278,13 @@ def default_checkpoints(T: int) -> list[int]:
 
 
 def checkpoint_series(
-    trace: Trace, checkpoints: Sequence[int] | None = None
+    trace: Trace,
+    checkpoints: Sequence[int] | None = None,
+    full_epsilon: float | None = None,
 ) -> list[dict]:
-    """Running epsilon and welfare ratio at increasing prefix horizons."""
+    """Running epsilon and welfare ratio at increasing prefix horizons.
+    ``full_epsilon``, when given, is the whole horizon's epsilon, which the
+    caller has already counted."""
     if checkpoints is None:
         checkpoints = default_checkpoints(trace.horizon)
     pts = sorted(set(int(c) for c in checkpoints))
@@ -290,7 +294,10 @@ def checkpoint_series(
     cum_opt = np.cumsum(trace.opt)
     rows = []
     for T in pts:
-        eps, _ = bayes_cce_epsilon(trace, horizon=T)
+        if T == trace.horizon and full_epsilon is not None:
+            eps = full_epsilon
+        else:
+            eps, _ = bayes_cce_epsilon(trace, horizon=T)
         sw = float(cum_sw[T - 1])
         ratio = float(cum_opt[T - 1]) / sw if sw > 0 else math.inf
         rows.append({"horizon": T, "epsilon": eps, "ratio": ratio})
@@ -370,5 +377,5 @@ def analysis_report(
         "delta": delta,
         "rho": rho,
         "t_star": ts,
-        "checkpoints": checkpoint_series(trace, checkpoints),
+        "checkpoints": checkpoint_series(trace, checkpoints, full_epsilon=eps),
     }

@@ -29,7 +29,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -362,6 +361,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
     cuts = [(n * b + k - 1) // k for b in range(k + 1)]
     jobs = [(cfg, cfg.seeds[a:b], out) for a, b in zip(cuts, cuts[1:])]
     if k > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only workers need it
+
         with ProcessPoolExecutor(max_workers=k) as pool:
             summaries = [r for batch in pool.map(_run_batch, jobs) for r in batch]
     else:
@@ -442,7 +443,8 @@ def cmd_exact(cfg: ExperimentConfig, lam: float | None, mu: float | None,
         f"constraints {table['n_constraints']}, pivots {table['lp_iterations']}"
     )
     print(
-        f"worst equilibrium welfare {table['lp_welfare']:.6f} vs floor "
+        f"worst equilibrium welfare {table['lp_welfare']:.6f}, dual bound "
+        f"{table['lp_dual_bound']:.6f} (gap {table['lp_dual_gap']:.1e}) vs floor "
         f"{table['floor']:.6f} (lam/max(1,mu) * E[Opt], E[Opt]={table['e_opt']:.6f})"
         f" -> {'holds' if table['holds'] else 'FAILS'}"
     )

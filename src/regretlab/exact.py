@@ -9,17 +9,27 @@ worst-case coarse-equilibrium welfare with a linear program.
 Everything is deliberately dense and exact within double precision. Size caps
 reject instances that would not fit; nothing here samples.
 
-LP solver: a dense two-phase primal simplex with Bland's smallest-index rule.
-Bland's rule is slow but cannot cycle and is fully deterministic, which is
-what a ground-truth oracle needs at these sizes (a few thousand variables at
-most). Feasibility and re-evaluation tolerances are 1e-7.
+LP solver: a two-phase revised primal simplex with Bland's smallest-index
+rule. Bland's rule is slow but cannot cycle and is fully deterministic, which
+is what a ground-truth oracle needs at these sizes (a few thousand variables,
+a few dozen rows). The solver keeps one explicit m x m basis inverse, updated
+by a rank-1 step per pivot and recomputed from the basis columns every
+``REFACTOR_EVERY`` pivots so that rounding cannot pile up; pricing computes
+reduced costs one block of ``PRICE_BLOCK`` columns at a time and stops at the
+first block holding an entering column. A singular basis is a SolverError.
+
+The minimum is certified by weak duality: with y >= 0 the final basis's
+deviation-row duals (clipped at 0), z = min_s (sw(s) - y.G(s)) is a lower
+bound on every coarse equilibrium's welfare, checked from the tensor. The
+solution is refused unless z lies within the feasibility tolerance of the
+primal value, and floor verdicts compare z. Feasibility, re-evaluation and
+duality-gap tolerances are 1e-7 (relative to the objective when above 1).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -212,110 +222,135 @@ def lift_smoothness_check(
 
 @dataclass(frozen=True)
 class CceLpSolution:
-    """LP minimizer with its independently re-evaluated certificates."""
+    """LP minimizer with its independently re-evaluated certificates.
+
+    ``duals`` are the deviation rows' duals from the final basis, clipped at
+    0; ``dual_bound`` is the weak-duality lower bound they prove on the
+    minimum, and ``dual_gap`` is ``objective - dual_bound``.
+    """
 
     distribution: np.ndarray
     objective: float
     slacks: np.ndarray
     constraints: tuple[tuple[int, int], ...]
     iterations: int
+    duals: np.ndarray
+    dual_bound: float
+    dual_gap: float
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    piv = tableau[row]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * piv
-    basis[row] = col
+PRICE_BLOCK = 512  # columns priced per matrix product
+REFACTOR_EVERY = 32  # pivots between fresh basis inverses
 
 
-def _bland_loop(
-    tableau: np.ndarray, basis: list[int], n_cols: int, maxiter: int, phase: int
-) -> int:
-    """Primal simplex pivots with Bland's smallest-index rule. Returns the
-    pivot count; raises SolverError on non-convergence or unboundedness."""
-    m = tableau.shape[0] - 1
+class _Basis:
+    """An explicit inverse of the basis drawn from ``cols``, whose rows are the
+    standard-form columns, and the basic solution it gives for ``b``."""
+
+    def __init__(self, cols: np.ndarray, b: np.ndarray, basis: np.ndarray):
+        self.cols = cols
+        self.b = b
+        self.basis = basis
+        self.refactor()
+
+    def refactor(self) -> None:
+        try:
+            self.inv = np.linalg.inv(self.cols[self.basis].T)
+        except np.linalg.LinAlgError as e:
+            raise SolverError(f"singular basis {self.basis.tolist()}: {e}") from None
+        self.x = self.inv @ self.b
+        self.updates = 0
+
+    def pivot(self, row: int, col: int, alpha: np.ndarray) -> None:
+        """Exchange basis[row] for col, whose column in the basis is alpha."""
+        self.basis[row] = col
+        if self.updates == REFACTOR_EVERY:
+            self.refactor()
+            return
+        f = alpha.copy()
+        f[row] = 0.0
+        self.inv[row] /= alpha[row]
+        self.inv -= f[:, None] * self.inv[row]
+        self.x[row] /= alpha[row]
+        self.x -= f * self.x[row]
+        self.updates += 1
+
+
+def _bland_loop(B: _Basis, cost: np.ndarray, n_cols: int, maxiter: int,
+                phase: int) -> int:
+    """Primal simplex pivots with Bland's smallest-index rule over the first
+    ``n_cols`` columns. Returns the pivot count; raises SolverError on
+    non-convergence or unboundedness."""
+    cols, price = B.cols[:n_cols], cost[:n_cols]
     it = 0
     while True:
-        obj = tableau[m]
+        y = cost[B.basis] @ B.inv
         col = -1
-        for j in range(n_cols):
-            if obj[j] < -1e-9:
-                col = j
+        for lo in range(0, n_cols, PRICE_BLOCK):
+            hi = lo + PRICE_BLOCK
+            # reduced cost c_j - y.A_j below -1e-9
+            neg = cols[lo:hi] @ y - price[lo:hi] > 1e-9
+            k = int(neg.argmax())
+            if neg[k]:
+                col = lo + k
                 break
         if col < 0:
             return it
-        ratio = math.inf
-        row = -1
-        for r in range(m):
-            a = tableau[r, col]
-            if a > 1e-9:
-                q = tableau[r, -1] / a
-                if q < ratio - 1e-12 or (
-                    abs(q - ratio) <= 1e-12 and (row < 0 or basis[r] < basis[row])
-                ):
-                    ratio = q
-                    row = r
-        if row < 0:
+        alpha = B.inv @ B.cols[col]
+        rows = (alpha > 1e-9).nonzero()[0]
+        if len(rows) == 0:
             raise SolverError(
                 f"LP unbounded in phase {phase} at pivot {it}, entering column "
-                f"{col}, basis {basis}"
+                f"{col}, basis {B.basis.tolist()}"
             )
-        _pivot(tableau, basis, row, col)
+        q = B.x[rows] / alpha[rows]
+        ties = rows[q <= q.min() + 1e-12]
+        row = int(ties[B.basis[ties].argmin()])
+        B.pivot(row, col, alpha)
         it += 1
         if it > maxiter:
             raise SolverError(
                 f"simplex exceeded {maxiter} pivots in phase {phase}; last basis "
-                f"{basis}, objective row value {tableau[m, -1]!r}"
+                f"{B.basis.tolist()}, objective value {float(cost[B.basis] @ B.x)!r}"
             )
 
 
 def _two_phase_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """min c.x subject to A x = b, x >= 0. Returns (x, objective, pivots)."""
+    """min c.x subject to A x = b, x >= 0. Returns (x, objective, pivots, y)
+    with y = c_B B^-1 the duals of the final basis."""
     m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    sign = np.where(b < 0, -1.0, 1.0)
     maxiter = 1000 + 200 * (m + n)
-
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = A
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    basis = list(range(n, n + m))
-    tableau[m, :n] = -A.sum(axis=0)
-    tableau[m, -1] = -b.sum()
-    pivots = _bland_loop(tableau, basis, n + m, maxiter, phase=1)
-    if tableau[m, -1] < -FEAS_TOL:
+    # one row per column: the sign-normalized A's columns, then artificials
+    cols = np.vstack([(A * sign[:, None]).T, np.eye(m)])
+    B = _Basis(cols, b * sign, np.arange(n, n + m))
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    pivots = _bland_loop(B, cost, n + m, maxiter, phase=1)
+    mass = float(cost[B.basis] @ B.x)
+    if mass > FEAS_TOL:
         raise SolverError(
-            f"phase 1 ended infeasible (artificial mass {-tableau[m, -1]!r}) "
-            f"after {pivots} pivots, basis {basis}"
+            f"phase 1 ended infeasible (artificial mass {mass!r}) "
+            f"after {pivots} pivots, basis {B.basis.tolist()}"
         )
     # Drive leftover artificials out of the basis; rows that admit no pivot
     # are redundant and harmless (the artificial stays basic at level 0 and
     # phase 2 never lets it grow since its column is excluded).
     for r in range(m):
-        if basis[r] >= n:
-            for j in range(n):
-                if abs(tableau[r, j]) > 1e-9:
-                    _pivot(tableau, basis, r, j)
-                    pivots += 1
-                    break
+        if B.basis[r] >= n:
+            row = cols[:n] @ B.inv[r]
+            hit = np.abs(row) > 1e-9
+            j = int(hit.argmax())
+            if hit[j]:
+                B.pivot(r, j, B.inv @ cols[j])
+                pivots += 1
 
-    tableau[m, :] = 0.0
-    tableau[m, :n] = c
-    for r in range(m):
-        if basis[r] < n and c[basis[r]] != 0.0:
-            tableau[m] -= c[basis[r]] * tableau[r]
-    pivots += _bland_loop(tableau, basis, n, maxiter, phase=2)
-    x = np.zeros(n)
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tableau[r, -1]
-    return x, float(c @ x), pivots
+    cost = np.concatenate([c, np.zeros(m)])
+    pivots += _bland_loop(B, cost, n, maxiter, phase=2)
+    B.refactor()
+    x = np.zeros(n + m)
+    x[B.basis] = B.x
+    y = (cost[B.basis] @ B.inv) * sign
+    return x[:n], float(c @ x[:n]), pivots, y
 
 
 def worst_cce_welfare(agent_game: AgentGame, lp_cap: int = LP_CAP) -> CceLpSolution:
@@ -342,19 +377,17 @@ def worst_cce_welfare(agent_game: AgentGame, lp_cap: int = LP_CAP) -> CceLpSolut
                 rows.append(row)
                 labels.append((g, a))
     n_c = len(rows)
+    G = np.array(rows).reshape(n_c, g_.sigma)
     sw = g_.social_welfare()
     # standard form: [x, t] with G x - t = 0 and sum x = 1
-    n_var = g_.sigma + n_c
-    A = np.zeros((n_c + 1, n_var))
-    b = np.zeros(n_c + 1)
-    for r, row in enumerate(rows):
-        A[r, : g_.sigma] = row
-        A[r, g_.sigma + r] = -1.0
+    A = np.zeros((n_c + 1, g_.sigma + n_c))
+    A[:n_c, : g_.sigma] = G
+    A[:n_c, g_.sigma :] = -np.eye(n_c)
     A[n_c, : g_.sigma] = 1.0
+    b = np.zeros(n_c + 1)
     b[n_c] = 1.0
-    c = np.zeros(n_var)
-    c[: g_.sigma] = sw
-    x_full, objective, pivots = _two_phase_simplex(c, A, b)
+    c = np.concatenate([sw, np.zeros(n_c)])
+    x_full, objective, pivots, y = _two_phase_simplex(c, A, b)
     x = x_full[: g_.sigma]
 
     if abs(x.sum() - 1.0) > FEAS_TOL or x.min() < -FEAS_TOL:
@@ -362,7 +395,7 @@ def worst_cce_welfare(agent_game: AgentGame, lp_cap: int = LP_CAP) -> CceLpSolut
             f"solver returned a non-distribution (mass {x.sum()!r}, "
             f"min {x.min()!r}) after {pivots} pivots"
         )
-    slacks = np.array([row @ x for row in rows]) if rows else np.zeros(0)
+    slacks = G @ x
     if len(slacks) and slacks.min() < -FEAS_TOL:
         worst = labels[int(np.argmin(slacks))]
         raise SolverError(
@@ -373,19 +406,35 @@ def worst_cce_welfare(agent_game: AgentGame, lp_cap: int = LP_CAP) -> CceLpSolut
         raise ContractViolationError(
             f"objective {objective!r} disagrees with re-evaluation {re_obj!r}"
         )
+    # Weak duality: for any y_G >= 0 and any feasible x, sw.x >= sw.x - y_G.Gx
+    # >= min_s (sw(s) - y_G.G(s)), so that minimum is a lower bound.
+    duals = np.maximum(y[:n_c], 0.0)
+    dual_bound = float((sw - duals @ G).min())
+    gap = re_obj - dual_bound
+    if gap > FEAS_TOL * max(1.0, abs(re_obj)):
+        raise SolverError(
+            f"dual bound {dual_bound!r} lies {gap!r} below the objective "
+            f"{re_obj!r} after {pivots} pivots"
+        )
     return CceLpSolution(
         distribution=x,
         objective=re_obj,
         slacks=slacks,
         constraints=tuple(labels),
         iterations=pivots,
+        duals=duals,
+        dual_bound=dual_bound,
+        dual_gap=gap,
     )
 
 
 def bound_comparison(
     agent_game: AgentGame, solution: CceLpSolution, params: SmoothnessParams
 ) -> dict:
-    """Worst-equilibrium welfare against the smoothness floor lam/max(1,mu)*E[Opt]."""
+    """Worst-equilibrium welfare against the smoothness floor lam/max(1,mu)*E[Opt].
+
+    The verdict compares the LP's dual bound, a proven lower bound on the
+    minimum, with the floor."""
     floor = params.lam / max(1.0, params.mu) * agent_game.e_opt
     return {
         "e_opt": agent_game.e_opt,
@@ -393,8 +442,10 @@ def bound_comparison(
         "floor": floor,
         "lam": params.lam,
         "mu": params.mu,
-        "holds": bool(solution.objective >= floor - 1e-6),
+        "holds": bool(solution.dual_bound >= floor - 1e-6),
         "lp_iterations": solution.iterations,
+        "lp_dual_bound": solution.dual_bound,
+        "lp_dual_gap": solution.dual_gap,
         "sigma": agent_game.sigma,
         "n_constraints": len(solution.constraints),
     }
@@ -420,5 +471,8 @@ def solution_to_json(solution: CceLpSolution) -> str:
         "slacks": [float(x) for x in solution.slacks],
         "constraints": [list(c) for c in solution.constraints],
         "iterations": solution.iterations,
+        "duals": [float(y) for y in solution.duals],
+        "dual_bound": solution.dual_bound,
+        "dual_gap": solution.dual_gap,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

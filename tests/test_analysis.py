@@ -343,6 +343,26 @@ def test_checkpoint_series_matches_prefix_recomputation():
         an.checkpoint_series(trace, [501])
 
 
+def test_report_counts_the_full_horizon_once(monkeypatch):
+    trace = sim.run_repeated_game(
+        acceptance_config(mech.KIND_FIRST_PRICE, seed=5, horizon=500)
+    )
+    calls = []
+
+    def counted(trace, horizon=None):
+        calls.append(horizon)
+        return sim.rebuild_ledgers(trace, horizon)
+
+    monkeypatch.setattr(an, "rebuild_ledgers", counted)
+    report = an.analysis_report(trace, SmoothnessParams(1.0, 1.0))
+    # one full-horizon recount shared by the report's epsilon and its last
+    # checkpoint, plus one per shorter prefix
+    assert calls == [None, 16, 32, 64, 128, 256]
+    monkeypatch.undo()
+    assert report["checkpoints"] == an.checkpoint_series(trace)
+    assert report["checkpoints"][-1]["epsilon"] == report["epsilon"]
+
+
 def test_checkpoints_csv_round_trip():
     rows = [
         {"horizon": 16, "epsilon": 0.125, "ratio": 1.25},

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from regretlab import ConfigError
@@ -359,6 +363,17 @@ def test_parallel_workers_match_serial(tmp_path):
         assert (outs[1] / f).read_bytes() == (outs[2] / f).read_bytes(), f
 
 
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only simulate --workers k > 1 needs multiprocessing; every other command
+    # should not pay for importing it
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    probe = "import sys, regretlab.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_simulate_usage_errors(tmp_path, capsys):
     # no out_dir anywhere
     cfg = write_config(tmp_path, name="noout.json", horizon=10, seeds=[1])
@@ -553,8 +568,30 @@ def test_exact_writes_artifacts_and_passes(tmp_path, capsys):
     report = json.loads((out / "exact_report.json").read_text())
     assert report["base_holds"] and report["lift_holds"] and report["table"]["holds"]
     assert report["table"]["lp_welfare"] == pytest.approx(0.75, abs=1e-9)
+    table = report["table"]
+    assert abs(table["lp_dual_gap"]) <= 1e-9
+    assert table["lp_dual_bound"] == pytest.approx(0.75, abs=1e-9)
+    assert sol_doc["dual_bound"] == table["lp_dual_bound"]
+    assert sol_doc["dual_gap"] == table["lp_dual_gap"]
+    assert len(sol_doc["duals"]) == len(sol_doc["constraints"])
+    assert min(sol_doc["duals"]) >= 0.0
     stdout = capsys.readouterr().out
-    assert "worst equilibrium welfare" in stdout
+    assert "worst equilibrium welfare" in stdout and "dual bound" in stdout
+
+
+def test_exact_singular_basis_exits_one_without_traceback(tmp_path, monkeypatch, capsys):
+    doc = base_doc(deviation="half", smoothness={"lambda": 0.5, "mu": 1.0})
+    doc["mechanism"]["grid_step"] = 0.5
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(doc))
+
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    assert cli.main(["exact", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("failure: singular basis") and "Traceback" not in err
 
 
 def test_exact_rejects_oversize_instances(tmp_path):

@@ -1,11 +1,14 @@
 """Exact small-instance machinery: agent game, lifted certificates, LP."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regretlab import CapExceededError, InputError
+from regretlab import CapExceededError, InputError, SolverError
 from regretlab import exact
 from regretlab import mechanisms as mech
 from regretlab import smoothness as smooth
@@ -30,6 +33,19 @@ SMALL_LP = {
     "ap_2x1": 0.75,
     "mu_2x1_k1": 1.0,
     "fp_1pop_1type": 1.0,
+}
+
+# Two-player, two-type instances on the 0.1 grid with thousands of profiles.
+# Each objective was solved independently with HiGHS
+# (scipy.optimize.linprog, method="highs"); the benchmark's LP corpus pins
+# the same values.
+# name: (kind, H, types per population, worst-CCE welfare)
+HIGHS_LP = {
+    "fp-h06": (mech.KIND_FIRST_PRICE, 0.6, (0.3, 0.6), 0.472745292369),
+    "ap-h06": (mech.KIND_ALL_PAY, 0.6, (0.3, 0.6), 21 / 40),
+    "ap-h07": (mech.KIND_ALL_PAY, 0.7, (0.35, 0.7), 171 / 280),
+    "fp-h07b": (mech.KIND_FIRST_PRICE, 0.7, (0.4, 0.7), 0.554959950709),
+    "fp-h07a": (mech.KIND_FIRST_PRICE, 0.7, (0.35, 0.7), 0.550811117277),
 }
 
 
@@ -268,6 +284,11 @@ def test_bound_comparison_fields():
     assert comp["sigma"] == 16
     assert comp["n_constraints"] == len(sol.constraints)
     assert comp["lam"] == params.lam and comp["mu"] == params.mu
+    assert comp["lp_dual_bound"] == sol.dual_bound
+    assert comp["lp_dual_gap"] == sol.dual_gap
+    # the verdict rests on the proven lower bound, not on the primal value
+    unproven = dataclasses.replace(sol, dual_bound=comp["floor"] - 1e-3)
+    assert not exact.bound_comparison(game, unproven, params)["holds"]
 
 
 def test_json_exports_parse_and_round_figures():
@@ -284,3 +305,100 @@ def test_json_exports_parse_and_round_figures():
     assert sum(sdoc["distribution"]) == pytest.approx(1.0, abs=1e-9)
     assert sdoc["objective"] == pytest.approx(sol.objective)
     assert len(sdoc["slacks"]) == len(sdoc["constraints"])
+
+
+@pytest.mark.parametrize("inst", TINY_CORPUS, ids=lambda i: i.name)
+def test_dual_bound_certifies_the_minimum(inst):
+    game = exact.build_agent_game(inst.mechanism, inst.populations)
+    sol = exact.worst_cce_welfare(game)
+    assert abs(sol.dual_gap) <= 1e-9
+    assert sol.dual_gap == sol.objective - sol.dual_bound
+    assert sol.duals.shape == (len(sol.constraints),) and sol.duals.min() >= 0.0
+    # re-evaluate the bound from the tensor
+    G = np.array([
+        game.utilities[g] - game.utilities[g][game.deviation_view(g, a)]
+        for g, a in sol.constraints
+    ]).reshape(len(sol.constraints), game.sigma)
+    z = float((game.social_welfare() - sol.duals @ G).min())
+    assert z == pytest.approx(sol.dual_bound, abs=1e-12)
+
+
+def test_duals_that_prove_nothing_are_refused(monkeypatch):
+    inst = BY_NAME["fp_2x2_coarse"]
+    game = exact.build_agent_game(inst.mechanism, inst.populations)
+    solve = exact._two_phase_simplex
+
+    def zero_duals(c, A, b):
+        x, objective, pivots, y = solve(c, A, b)
+        return x, objective, pivots, np.zeros_like(y)
+
+    monkeypatch.setattr(exact, "_two_phase_simplex", zero_duals)
+    # with y = 0 the bound is the least welfare of any profile, 0.625 < 0.75
+    with pytest.raises(SolverError, match="dual bound"):
+        exact.worst_cce_welfare(game)
+
+
+@pytest.mark.parametrize("name", list(HIGHS_LP))
+def test_lp_matches_highs_on_the_grid_instances(name):
+    kind, H, types, want = HIGHS_LP[name]
+    m = mech.Mechanism.from_descriptor(
+        {"kind": kind, "n": 2, "k": 1, "grid_step": 0.1, "H": H,
+         "tie_break": "lowest-index"}
+    )
+    game = exact.build_agent_game(m, (types, types))
+    sol = exact.worst_cce_welfare(game)
+    assert abs(sol.objective - want) <= 1e-9
+    assert abs(sol.dual_gap) <= 1e-9
+    assert abs(sol.dual_bound - want) <= 1e-9
+
+
+def test_singular_basis_is_a_solver_error():
+    cols = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # columns 0 and 1 agree
+    with pytest.raises(SolverError, match="singular basis"):
+        exact._Basis(cols, np.array([1.0, 1.0]), np.array([0, 1]))
+
+
+@st.composite
+def degenerate_lps(draw):
+    """min c.x over {x >= 0, sum x = 1, r.x <= 0 for each row r}, integer data.
+
+    Every inequality has right-hand side 0, so vertices are highly
+    degenerate; a repeated row makes the equality system redundant.
+    """
+    k = draw(st.integers(1, 5))
+    ints = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(ints, min_size=k, max_size=k), max_size=4))
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[0]))
+    cost = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    flip = draw(st.booleans())  # state the normalization as -sum x = -1
+    return np.array(rows, dtype=float).reshape(len(rows), k), np.array(cost, float), flip
+
+
+@settings(max_examples=150, deadline=None)
+@given(lp=degenerate_lps())
+def test_simplex_matches_vertex_enumeration_on_degenerate_lps(lp):
+    R, cost, flip = lp
+    r, k = R.shape
+    # standard form over [x, s]: R x + s = 0, sum x = 1
+    A = np.zeros((r + 1, k + r))
+    A[:r, :k] = R
+    A[:r, k:] = np.eye(r)
+    A[r, :k] = 1.0
+    b = np.zeros(r + 1)
+    b[r] = 1.0
+    if flip:
+        A[r] *= -1.0
+        b[r] = -1.0
+    c = np.concatenate([cost, np.zeros(r)])
+    want = oracles.vertex_minimum(cost, list(R))
+    if want == np.inf:
+        with pytest.raises(SolverError, match="infeasible"):
+            exact._two_phase_simplex(c, A, b)
+        return
+    x, objective, _pivots, y = exact._two_phase_simplex(c, A, b)
+    assert objective == pytest.approx(want, abs=1e-9)
+    assert np.abs(A @ x - b).max() <= 1e-9 and x.min() >= -1e-9
+    # the final basis's duals are feasible and meet the primal value
+    assert (A.T @ y <= c + 1e-9).all()
+    assert float(b @ y) == pytest.approx(objective, abs=1e-9)
