@@ -19,8 +19,9 @@ randomness flows from the configured seeds; output naming is deterministic
 and independent of worker completion order.
 
 Exit codes: 0 success / property holds, 1 property fails or solver failure,
-2 usage or config error, a malformed trace file, or a result that is
-undefined on the configured inputs (such as a ratio of zero welfares).
+2 usage or config error, a malformed trace file, an input or output path
+that cannot be read or written, or a result that is undefined on the
+configured inputs (such as a ratio of zero welfares).
 """
 
 from __future__ import annotations
@@ -378,27 +379,27 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
     return 0
 
 
-def _params(
-    cfg: ExperimentConfig, lam: float | None, mu: float | None
-) -> smoothness.SmoothnessParams:
-    """The config's (lambda, mu) with the --lambda/--mu overrides applied."""
+def _base_check(cfg: ExperimentConfig, rule_name: str, lam: float | None,
+                mu: float | None):
+    """The config's (lambda, mu) with the --lambda/--mu overrides applied, the
+    named rule, the value space, and the rule's exhaustive check on it."""
     params = cfg.params
     if lam is not None:
         params = replace(params, lam=lam)
     if mu is not None:
         params = replace(params, mu=mu)
-    return params
+    rule = smoothness.named_deviation(rule_name, cfg.mechanism)
+    value_space = mech.value_profiles(cfg.populations)
+    report = smoothness.check_deviation_smoothness(
+        cfg.mechanism, rule, params, value_space
+    )
+    return params, rule, value_space, report
 
 
 def cmd_certify(cfg: ExperimentConfig, lam: float | None, mu: float | None) -> int:
     if cfg.deviation is None:
         raise ConfigError("certify needs a deviation rule name in the config")
-    params = _params(cfg, lam, mu)
-    rule = smoothness.named_deviation(cfg.deviation, cfg.mechanism)
-    value_space = mech.value_profiles(cfg.populations)
-    report = smoothness.check_deviation_smoothness(
-        cfg.mechanism, rule, params, value_space
-    )
+    params, rule, value_space, report = _base_check(cfg, cfg.deviation, lam, mu)
     print(f"rule {rule.name!r}: {report}")
     try:
         best, _ = smoothness.best_pure_deviation(cfg.mechanism, params.mu, value_space)
@@ -407,30 +408,22 @@ def cmd_certify(cfg: ExperimentConfig, lam: float | None, mu: float | None) -> i
     else:
         print(f"best pure-deviation level at mu={params.mu:.6g}: {best:.6g}")
     if cfg.mechanism.kind == mech.KIND_FIRST_PRICE and rule.name == "log":
-        try:
-            cert = smoothness.log_deviation_certificate(
-                cfg.mechanism, value_space, params.mu
-            )
-        except UndefinedResultError as e:
-            print(f"log rule certificate skipped: {e}")
+        if report.level is None:
+            print("log rule certificate skipped: every profile in value_space "
+                  "has zero optimal welfare")
         else:
             print(
-                f"log rule certifies lam={cert.certified_lambda:.6g} "
-                f"(continuum limit {smoothness.LOG_RULE_LIMIT:.6g}, "
-                f"degradation {cert.degradation:.6g})"
+                f"log rule certifies lam={report.level:.6g} "
+                f"(continuum limit {smoothness.LOG_RULE_LIMIT:.6g}, degradation "
+                f"{max(0.0, smoothness.LOG_RULE_LIMIT - report.level):.6g})"
             )
     return 0 if report.holds else 1
 
 
 def cmd_exact(cfg: ExperimentConfig, lam: float | None, mu: float | None,
               out_dir: str | None) -> int:
-    params = _params(cfg, lam, mu)
     name = cfg.deviation or DEFAULT_DEVIATION[cfg.mechanism.kind]
-    rule = smoothness.named_deviation(name, cfg.mechanism)
-    value_space = mech.value_profiles(cfg.populations)
-    base = smoothness.check_deviation_smoothness(
-        cfg.mechanism, rule, params, value_space
-    )
+    params, rule, _, base = _base_check(cfg, name, lam, mu)
     game = exact.build_agent_game(cfg.mechanism, cfg.populations)
     lift = exact.lift_smoothness_check(game, rule, params)
     solution = exact.worst_cce_welfare(game)
@@ -533,7 +526,7 @@ def main(argv=None) -> int:
             return cmd_exact(cfg, args.lam, args.mu, args.out)
         return cmd_analyze(cfg, args.out)
     except (ConfigError, CapExceededError, InputError, UndefinedResultError,
-            FileNotFoundError) as e:
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SolverError, ContractViolationError) as e:

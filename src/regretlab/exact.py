@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +59,6 @@ class AgentGame:
     populations: tuple[Population, ...]
     agents: tuple[tuple[int, int, float], ...]
     sizes: tuple[int, ...]
-    strides: tuple[int, ...]
     utilities: np.ndarray
     revenue: np.ndarray
     e_opt: float
@@ -73,32 +71,24 @@ class AgentGame:
     def n_agents(self) -> int:
         return len(self.agents)
 
-    @cached_property
-    def _digits(self) -> tuple[np.ndarray, ...]:
-        # every agent's own action index at every joint profile
-        return mech.radix_decode(np.arange(self.sigma), self.sizes)
-
-    def deviation_view(self, g: int, action: int) -> np.ndarray:
-        """Index map s -> (action, s_minus_g)."""
+    def deviation(self, g: int, action: int) -> np.ndarray:
+        """Agent g's utility at every joint profile s after g switches to
+        ``action``: entry s holds U_g(action, s_-g)."""
         if not 0 <= action < self.sizes[g]:
             raise InputError(f"action {action} out of range for agent {g}")
-        return np.arange(self.sigma) + (action - self._digits[g]) * self.strides[g]
+        u = self.utilities[g].reshape(self.sizes)
+        return np.broadcast_to(u.take([action], axis=g), self.sizes).ravel()
 
     def social_welfare(self) -> np.ndarray:
         return self.utilities.sum(axis=0) + self.revenue
 
-    def profile_digits(self, s: int) -> tuple[int, ...]:
-        return mech.radix_decode(s, self.sizes)
 
-
-def build_agent_game(
-    mechanism: mech.Mechanism, populations, cap: int = TENSOR_CAP
-) -> AgentGame:
+def build_agent_game(mechanism: mech.Mechanism, populations) -> AgentGame:
     """Exact expected payoffs of every agent at every joint profile.
 
     Expectations run over the uniform product type draw by full enumeration;
-    E[Opt] likewise. Instances above ``cap`` joint profiles are rejected with
-    the measured size.
+    E[Opt] likewise. Instances above ``TENSOR_CAP`` joint profiles are
+    rejected with the measured size.
     """
     pops = tuple(
         p if isinstance(p, Population) else Population(tuple(p)) for p in populations
@@ -120,9 +110,9 @@ def build_agent_game(
     sigma = 1
     for k in sizes:
         sigma *= k
-    if sigma > cap:
+    if sigma > TENSOR_CAP:
         raise CapExceededError(
-            f"agent game needs {sigma} joint profiles, cap is {cap} "
+            f"agent game needs {sigma} joint profiles, cap is {TENSOR_CAP} "
             f"(per-agent action counts: {sizes})"
         )
     n = mechanism.n
@@ -163,7 +153,6 @@ def build_agent_game(
         populations=pops,
         agents=tuple(agents),
         sizes=tuple(sizes),
-        strides=tuple(mech.radix_place_values(sizes)),
         utilities=utilities,
         revenue=revenue,
         e_opt=opt_total / v_count,
@@ -180,7 +169,9 @@ def lift_smoothness_check(
     that is realized as an exact mixture over the base rule's distributions.
     Checks sum_g E[U_g(dev_g, s_-g)] >= lam * E[Opt] - mu * R(s) for every s.
     Meaningful when the base rule certifies (lam, mu) on the same grids; on a
-    corrupted rule it fails and reports a witness profile.
+    corrupted rule it fails and reports a witness profile. The report's
+    ``level`` is min_s (sum_g E[U_g(dev_g, s_-g)] + mu * R(s)) / E[Opt], or
+    None when E[Opt] is 0.
     """
     g_ = agent_game
     m = g_.mechanism
@@ -196,24 +187,27 @@ def lift_smoothness_check(
             dev += base_deviation.distribution(m, i, tuple(wv))
             count += 1
         dev /= count
-        ug = g_.utilities[g]
         for a in range(g_.sizes[g]):
             w = dev[a]
             if w > 0.0:
-                lhs += w * ug[g_.deviation_view(g, a)]
+                lhs += w * g_.deviation(g, a)
     slack = lhs - params.lam * g_.e_opt + params.mu * g_.revenue
     worst = int(np.argmin(slack))
     worst_slack = float(slack[worst])
-    digits = g_.profile_digits(worst)
+    digits = np.unravel_index(worst, g_.sizes)
     bids = tuple(
         m.actions.grids[i][d] for (i, _ti, _v), d in zip(g_.agents, digits)
     )
+    level = None
+    if g_.e_opt > 0.0:
+        level = float((lhs + params.mu * g_.revenue).min()) / g_.e_opt
     return SmoothnessReport(
         params=params,
         holds=bool(worst_slack >= -SLACK_TOL),
         worst_slack=worst_slack,
         witness_values=(),
         witness_actions=bids,
+        level=level,
     )
 
 
@@ -353,7 +347,7 @@ def _two_phase_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     return x[:n], float(c @ x[:n]), pivots, y
 
 
-def worst_cce_welfare(agent_game: AgentGame, lp_cap: int = LP_CAP) -> CceLpSolution:
+def worst_cce_welfare(agent_game: AgentGame) -> CceLpSolution:
     """Minimize expected welfare over coarse-equilibrium distributions.
 
     Variables are the joint-profile probabilities; for every agent g and
@@ -362,9 +356,9 @@ def worst_cce_welfare(agent_game: AgentGame, lp_cap: int = LP_CAP) -> CceLpSolut
     are re-evaluated from the tensor, not read off the solver.
     """
     g_ = agent_game
-    if g_.sigma > lp_cap:
+    if g_.sigma > LP_CAP:
         raise CapExceededError(
-            f"LP needs {g_.sigma} variables, cap is {lp_cap} "
+            f"LP needs {g_.sigma} variables, cap is {LP_CAP} "
             f"(per-agent action counts: {list(g_.sizes)})"
         )
     rows = []
@@ -372,7 +366,7 @@ def worst_cce_welfare(agent_game: AgentGame, lp_cap: int = LP_CAP) -> CceLpSolut
     for g in range(g_.n_agents):
         ug = g_.utilities[g]
         for a in range(g_.sizes[g]):
-            row = ug - ug[g_.deviation_view(g, a)]
+            row = ug - g_.deviation(g, a)
             if np.abs(row).max() > 0.0:
                 rows.append(row)
                 labels.append((g, a))

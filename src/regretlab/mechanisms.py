@@ -219,15 +219,17 @@ def optimal_welfare(valuation_profile: Sequence[float], mechanism: Mechanism) ->
 # The auction rule itself is the cached win-flag array below; the utility and
 # revenue tables apply the payment rule to it with array operations.
 
+TABLE_CAP = 10_000_000  # joint profiles per utility or revenue table
+
 
 def joint_profile_count(mechanism: Mechanism) -> int:
     return int(np.prod(mechanism.actions.sizes(), dtype=np.int64))
 
 
-def _check_table_cap(entries: int, cap: int) -> None:
-    if entries > cap:
+def _check_table_cap(entries: int) -> None:
+    if entries > TABLE_CAP:
         raise InputError(
-            f"utility table would hold {entries} entries, over the cap of {cap}"
+            f"utility table would hold {entries} entries, over the cap of {TABLE_CAP}"
         )
 
 
@@ -264,9 +266,7 @@ def _win_flags(mechanism: Mechanism) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def utility_table(
-    mechanism: Mechanism, player: int, value: float, cap: int = 10_000_000
-) -> np.ndarray:
+def utility_table(mechanism: Mechanism, player: int, value: float) -> np.ndarray:
     """Array ``T[b_idx, opp_idx]`` of the player's utility against every joint
     opponent bid profile, holding the player's value fixed.
 
@@ -276,7 +276,7 @@ def utility_table(
     """
     if not 0 <= player < mechanism.n:
         raise InputError(f"player {player} out of range for n={mechanism.n}")
-    _check_table_cap(joint_profile_count(mechanism), cap)
+    _check_table_cap(joint_profile_count(mechanism))
     own = np.asarray(mechanism.actions.grids[player], dtype=np.float64)[:, None]
     # C order, as callers' matrix products sum in the layout's order
     wins = np.ascontiguousarray(
@@ -289,14 +289,14 @@ def utility_table(
 
 
 @lru_cache(maxsize=64)
-def revenue_table(mechanism: Mechanism, cap: int = 10_000_000) -> np.ndarray:
+def revenue_table(mechanism: Mechanism) -> np.ndarray:
     """Flat array of auction revenue for every joint action profile, indexed
     in mixed-radix order over all players' grids (last player fastest).
 
     Seats add their payments in seat order: every bid under all-pay, the
     winners' bids otherwise.
     """
-    _check_table_cap(joint_profile_count(mechanism), cap)
+    _check_table_cap(joint_profile_count(mechanism))
     rev = np.zeros(mechanism.actions.sizes())
     all_pay = mechanism.kind == KIND_ALL_PAY
     for i, bid in enumerate(_seat_bids(mechanism)):

@@ -9,7 +9,8 @@ for every action profile a and every v in V. The functions here evaluate that
 inequality exhaustively and exactly on the finite bid grids, search for the
 best certificate reachable with pure deviations, and build the logarithmic
 randomized deviation that is the standard certificate for the first-price
-rule.
+rule. The exhaustive check also reports the largest lam its rule certifies at
+the given mu, so a rule's grid-certified level comes from the same pass.
 
 All expectations are closed-form sums over grid points; nothing is sampled.
 """
@@ -27,6 +28,7 @@ from .errors import CapExceededError, InputError, UndefinedResultError
 
 SLACK_TOL = 1e-9
 DIST_TOL = 1e-9
+PURE_SEARCH_CAP = 20_000_000  # maximin evaluations, joint profiles squared
 
 # Continuous-grid limit of the certificate reached by the logarithmic rule.
 LOG_RULE_LIMIT = 1.0 - 1.0 / math.e
@@ -102,11 +104,19 @@ class DeviationRule:
 
 @dataclass(frozen=True)
 class SmoothnessReport:
+    """Verdict of one exhaustive check at ``params``.
+
+    ``level`` is the largest lam the checked rule certifies at ``params.mu``:
+    the minimum of (deviation gain + mu R) / Opt over the checked pairs, or
+    None when every optimum is 0 and no lam is certified or refuted.
+    """
+
     params: SmoothnessParams
     holds: bool
     worst_slack: float
     witness_values: tuple[float, ...]
     witness_actions: tuple[float, ...]
+    level: float | None
 
     def __str__(self) -> str:
         verdict = "holds" if self.holds else "FAILS"
@@ -223,18 +233,23 @@ def check_deviation_smoothness(
     The expectation over the deviation is computed in closed form, so the
     check is exact up to float arithmetic; the verdict uses a -1e-9 slack
     tolerance. The witness is the minimizing (v, a) pair whether or not the
-    certificate holds.
+    certificate holds. The report's ``level`` comes from the same gain grids,
+    over the value profiles with positive optimum.
     """
     profiles = [mechanism.validate_values(v) for v in value_space]
     if not profiles:
         raise InputError("value_space must contain at least one profile")
     shape = mechanism.actions.sizes()
     worst = math.inf
+    level = math.inf
     wit_v: tuple[float, ...] = profiles[0]
     wit_a: tuple[int, ...] = (0,) * mechanism.n
     for values in profiles:
         opt = mech.optimal_welfare(values, mechanism)
-        slack = _deviation_gain_grid(mechanism, rule, values, params.mu) - params.lam * opt
+        gain = _deviation_gain_grid(mechanism, rule, values, params.mu)
+        if opt > 0.0:
+            level = min(level, float(gain.min()) / opt)
+        slack = gain - params.lam * opt
         flat = int(np.argmin(slack))
         low = float(slack.reshape(-1)[flat])
         if low < worst:
@@ -250,6 +265,7 @@ def check_deviation_smoothness(
         worst_slack=worst,
         witness_values=wit_v,
         witness_actions=actions,
+        level=level if level < math.inf else None,
     )
 
 
@@ -257,7 +273,6 @@ def best_pure_deviation(
     mechanism: mech.Mechanism,
     mu: float,
     value_space: Sequence[Sequence[float]],
-    cap: int = 20_000_000,
 ) -> tuple[float, DeviationRule]:
     """Best certificate level reachable with pure deviations, plus the rule.
 
@@ -276,10 +291,10 @@ def best_pure_deviation(
         raise InputError("value_space must contain at least one profile")
     sizes = mechanism.actions.sizes()
     joint = mech.joint_profile_count(mechanism)
-    if joint * joint > cap:
+    if joint * joint > PURE_SEARCH_CAP:
         raise CapExceededError(
             f"maximin enumeration needs {joint}^2 = {joint * joint} evaluations, "
-            f"over the cap of {cap}"
+            f"over the cap of {PURE_SEARCH_CAP}"
         )
     digits = mech.radix_decode(np.arange(joint), sizes)
     opp_idx = [
@@ -321,59 +336,3 @@ def best_pure_deviation(
         return dist
 
     return best_overall, DeviationRule(name="best-pure", fn=fn)
-
-
-@dataclass(frozen=True)
-class LogRuleCertificate:
-    """Measured certificate level of the logarithmic rule on a given grid."""
-
-    certified_lambda: float
-    mu: float
-    degradation: float  # max(0, limit - certified), the grid discretization cost
-    witness_values: tuple[float, ...]
-    witness_actions: tuple[float, ...]
-
-
-def log_deviation_certificate(
-    mechanism: mech.Mechanism,
-    value_space: Sequence[Sequence[float]],
-    mu: float = 1.0,
-) -> LogRuleCertificate:
-    """Largest lam such that the logarithmic rule certifies (lam, mu).
-
-    Computed as the minimum over value profiles with positive optimum, and
-    over adversary profiles a, of (sum_i E[U_i] + mu R(a)) / Opt(v). The
-    degradation field reports how far below the continuous limit 1 - 1/e the
-    grid pushes the certificate.
-    """
-    if mechanism.kind != mech.KIND_FIRST_PRICE:
-        raise InputError("the logarithmic rule certifies the first-price rule only")
-    rule = named_deviation("log", mechanism)
-    profiles = [mechanism.validate_values(v) for v in value_space]
-    shape = mechanism.actions.sizes()
-    best = math.inf
-    wit_v: tuple[float, ...] | None = None
-    wit_a: tuple[int, ...] = (0,) * mechanism.n
-    for values in profiles:
-        opt = mech.optimal_welfare(values, mechanism)
-        if opt <= 0.0:
-            continue
-        gain = _deviation_gain_grid(mechanism, rule, values, mu)
-        flat = int(np.argmin(gain))
-        ratio = float(gain.reshape(-1)[flat]) / opt
-        if ratio < best:
-            best = ratio
-            wit_v = values
-            wit_a = np.unravel_index(flat, shape)
-    if wit_v is None:
-        raise UndefinedResultError(
-            "every profile in value_space has zero optimal welfare"
-        )
-    actions = tuple(mechanism.actions.grids[i][j] for i, j in enumerate(wit_a))
-    return LogRuleCertificate(
-        certified_lambda=best,
-        mu=mu,
-        degradation=max(0.0, LOG_RULE_LIMIT - best),
-        witness_values=wit_v,
-        witness_actions=actions,
-    )

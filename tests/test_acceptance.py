@@ -114,33 +114,32 @@ def test_criterion_4_certificates_via_cli(tmp_path):
     assert cli.main(["certify", "--config", str(ap_cfg)]) == 0
 
     values = mech.value_profiles(tuple(tuple(p) for p in pops))
-    certs = {}
+    certs, penalty = {}, {}
     for step in (0.1, 0.05):
         m = mech.Mechanism(
             kind=mech.KIND_FIRST_PRICE, n=2,
             actions=mech.ActionSpace.uniform(2, step, 1.0),
         )
-        cert = smooth.log_deviation_certificate(m, values, 1.0)
+        rule = smooth.named_deviation("log", m)
+        cert = smooth.check_deviation_smoothness(
+            m, rule, smooth.SmoothnessParams(E_INV, 1.0), values
+        ).level
         certs[step] = cert
         report = smooth.check_deviation_smoothness(
-            m,
-            smooth.named_deviation("log", m),
-            smooth.SmoothnessParams(cert.certified_lambda - 1e-9, 1.0),
-            values,
+            m, rule, smooth.SmoothnessParams(cert - 1e-9, 1.0), values
         )
         assert report.holds, f"step {step}: log certificate not exhaustively verified"
-        assert cert.certified_lambda == pytest.approx(
-            E_INV - cert.degradation, abs=1e-12
-        )
-    assert certs[0.1].certified_lambda == pytest.approx(0.533483707250338, rel=1e-10)
-    assert certs[0.05].degradation <= certs[0.1].degradation / 2.0 + 1e-12, (
+        penalty[step] = max(0.0, E_INV - cert)
+        assert cert == pytest.approx(E_INV - penalty[step], abs=1e-12)
+    assert certs[0.1] == pytest.approx(0.533483707250338, rel=1e-10)
+    assert penalty[0.05] <= penalty[0.1] / 2.0 + 1e-12, (
         f"halving the grid step only moved the penalty from "
-        f"{certs[0.1].degradation:.6f} to {certs[0.05].degradation:.6f}"
+        f"{penalty[0.1]:.6f} to {penalty[0.05]:.6f}"
     )
     print(
         "criterion 4: PASS - half certifies (0.5, 1), uniform certifies (0.5, 1), "
-        f"log certifies ({certs[0.1].certified_lambda:.4f}, 1) at step 0.1 with "
-        f"penalty {certs[0.1].degradation:.4f} -> {certs[0.05].degradation:.4f} "
+        f"log certifies ({certs[0.1]:.4f}, 1) at step 0.1 with "
+        f"penalty {penalty[0.1]:.4f} -> {penalty[0.05]:.4f} "
         "at step 0.05"
     )
 
@@ -184,7 +183,7 @@ def test_criterion_6_lp_floor_and_vertex_oracle():
             for g in range(game.n_agents):
                 ug = game.utilities[g]
                 for a in range(game.sizes[g]):
-                    row = ug[game.deviation_view(g, a)] - ug
+                    row = game.deviation(g, a) - ug
                     if np.abs(row).max() > 0.0:
                         rows.append(row)
             want = oracles.vertex_minimum(game.social_welfare(), rows)

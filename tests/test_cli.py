@@ -423,6 +423,46 @@ def test_simulate_usage_errors(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(path)]) == 2
 
 
+def simulate_into_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    cfg = write_config(tmp_path, horizon=10, seeds=[1])
+    return ["simulate", "--config", cfg, "--out", str(tmp_path / "taken")]
+
+
+def exact_into_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    doc = base_doc(deviation="half", smoothness={"lambda": 0.5, "mu": 1.0})
+    doc["mechanism"]["grid_step"] = 0.5
+    cfg = tmp_path / "exact.json"
+    cfg.write_text(json.dumps(doc))
+    return ["exact", "--config", str(cfg), "--out", str(tmp_path / "taken")]
+
+
+def simulate_under_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    cfg = write_config(tmp_path, horizon=10, seeds=[1])
+    return ["simulate", "--config", cfg, "--out", str(tmp_path / "taken" / "sub")]
+
+
+def analyze_a_directory_sidecar(tmp_path):
+    (tmp_path / "runs" / "seed_1" / "strategies.json").mkdir(parents=True)
+    cfg = write_config(tmp_path, out_dir=str(tmp_path / "runs"))
+    return ["analyze", "--config", cfg]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [simulate_into_a_file, exact_into_a_file, simulate_under_a_file,
+     analyze_a_directory_sidecar],
+    ids=["simulate-out-is-a-file", "exact-out-is-a-file", "out-under-a-file",
+         "sidecar-is-a-directory"],
+)
+def test_unusable_file_paths_exit_two(tmp_path, capsys, argv):
+    assert cli.main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_oversized_grid_and_horizon_exit_two_before_allocating(tmp_path, capsys):
     # a 1e9-point grid is refused from its step alone, before any point is built
     doc = base_doc(horizon=10, seeds=[1], out_dir=str(tmp_path / "g"))
@@ -504,20 +544,21 @@ def test_certify_all_pay_uniform_rule(tmp_path):
 def test_certify_log_rule_at_its_certified_level(tmp_path, capsys):
     cfg_path = write_config(tmp_path, deviation="log")
     cfg = cli.load_config(cfg_path)
-    cert = smooth.log_deviation_certificate(
-        cfg.mechanism, mech.value_profiles(cfg.populations), 1.0
+    cert = smooth.check_deviation_smoothness(
+        cfg.mechanism, smooth.named_deviation("log", cfg.mechanism), cfg.params,
+        mech.value_profiles(cfg.populations),
     )
     assert (
         cli.main(
             ["certify", "--config", cfg_path,
-             "--lambda", repr(cert.certified_lambda - 1e-9)]
+             "--lambda", repr(cert.level - 1e-9)]
         )
         == 0
     )
     out = capsys.readouterr().out
     assert "log rule certifies" in out
     # the grid penalty keeps the certified level below the continuum limit
-    assert cert.certified_lambda < smooth.LOG_RULE_LIMIT
+    assert cert.level < smooth.LOG_RULE_LIMIT
 
 
 def test_certify_skips_an_oversize_pure_search(tmp_path, capsys):

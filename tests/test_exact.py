@@ -104,19 +104,22 @@ def test_deviation_view_edits_one_digit():
     )
     for g in range(game.n_agents):
         for a in range(game.sizes[g]):
-            view = game.deviation_view(g, a)
+            dev = game.deviation(g, a)
+            assert dev.shape == (game.sigma,)
             for s in [0, 5, 11, 15]:
-                digits = list(game.profile_digits(s))
+                digits = list(mech.radix_decode(s, game.sizes))
                 digits[g] = a
-                assert game.profile_digits(int(view[s])) == tuple(digits)
+                moved = int(mech.radix_encode(digits, game.sizes))
+                assert dev[s] == game.utilities[g][moved]
     with pytest.raises(InputError):
-        game.deviation_view(0, 7)
+        game.deviation(0, 7)
 
 
-def test_agent_game_caps_and_validation():
+def test_agent_game_caps_and_validation(monkeypatch):
     inst = BY_NAME["fp_2x2_fine"]
+    monkeypatch.setattr(exact, "TENSOR_CAP", 10)
     with pytest.raises(CapExceededError) as exc:
-        exact.build_agent_game(inst.mechanism, inst.populations, cap=10)
+        exact.build_agent_game(inst.mechanism, inst.populations)
     assert "cap is 10" in str(exc.value)
     assert "action counts" in str(exc.value)
     with pytest.raises(InputError):
@@ -153,6 +156,23 @@ def test_certified_base_rules_survive_the_lift(inst):
         f"{inst.name}: lift failed with slack {lifted.worst_slack} "
         f"at {lifted.witness_actions}"
     )
+
+
+@pytest.mark.parametrize("inst", TINY_CORPUS, ids=lambda i: i.name)
+def test_lifted_level_is_at_least_the_base_level(inst):
+    # the base inequality at every value profile averages into the lifted one
+    params, corpus_rule = inst.certificate()
+    game = exact.build_agent_game(inst.mechanism, inst.populations)
+    rules = [corpus_rule] + [
+        smooth.named_deviation(name, inst.mechanism)
+        for name in ("half", "uniform", "log", "zero")
+    ]
+    for rule in rules:
+        base = smooth.check_deviation_smoothness(
+            inst.mechanism, rule, params, inst.value_space()
+        )
+        lifted = exact.lift_smoothness_check(game, rule, params)
+        assert lifted.level >= base.level - 1e-9, (inst.name, rule.name)
 
 
 def test_corrupted_rule_fails_the_lift_with_witness():
@@ -203,7 +223,7 @@ def test_lp_agrees_with_vertex_enumeration(name):
     for g in range(game.n_agents):
         ug = game.utilities[g]
         for a in range(game.sizes[g]):
-            row = ug[game.deviation_view(g, a)] - ug
+            row = game.deviation(g, a) - ug
             if np.abs(row).max() > 0.0:
                 rows.append(row)
     want = oracles.vertex_minimum(game.social_welfare(), rows)
@@ -224,7 +244,7 @@ def test_lp_solution_certificates(name):
     # re-evaluate everything from the tensor
     assert sol.objective == pytest.approx(float(game.social_welfare() @ x), abs=1e-9)
     for (g, a), slack in zip(sol.constraints, sol.slacks):
-        row = game.utilities[g] - game.utilities[g][game.deviation_view(g, a)]
+        row = game.utilities[g] - game.deviation(g, a)
         assert slack == pytest.approx(float(row @ x), abs=1e-12)
 
 
@@ -261,11 +281,12 @@ def test_lp_single_profile_game():
     assert len(sol.slacks) == 0
 
 
-def test_lp_cap():
+def test_lp_cap(monkeypatch):
     inst = BY_NAME["fp_2x2_coarse"]
     game = exact.build_agent_game(inst.mechanism, inst.populations)
+    monkeypatch.setattr(exact, "LP_CAP", 4)
     with pytest.raises(CapExceededError) as exc:
-        exact.worst_cce_welfare(game, lp_cap=4)
+        exact.worst_cce_welfare(game)
     assert "cap is 4" in str(exc.value)
 
 
@@ -316,7 +337,7 @@ def test_dual_bound_certifies_the_minimum(inst):
     assert sol.duals.shape == (len(sol.constraints),) and sol.duals.min() >= 0.0
     # re-evaluate the bound from the tensor
     G = np.array([
-        game.utilities[g] - game.utilities[g][game.deviation_view(g, a)]
+        game.utilities[g] - game.deviation(g, a)
         for g, a in sol.constraints
     ]).reshape(len(sol.constraints), game.sigma)
     z = float((game.social_welfare() - sol.duals @ G).min())

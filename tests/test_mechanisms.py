@@ -269,10 +269,16 @@ def test_tables_match_the_oracle(case):
             assert tables[i][idx[i], opp] == want_u[i], (i, bids)
 
 
-def test_table_cap_enforced():
+def test_table_cap_enforced(monkeypatch):
     m = fp(2, (QUARTERS, QUARTERS))
-    with pytest.raises(InputError):
-        mech.utility_table(m, 0, 1.0, cap=3)
+    # a cached table would skip the check
+    mech.utility_table.cache_clear()
+    mech.revenue_table.cache_clear()
+    monkeypatch.setattr(mech, "TABLE_CAP", 3)
+    with pytest.raises(InputError, match="over the cap of 3"):
+        mech.utility_table(m, 0, 1.0)
+    with pytest.raises(InputError, match="over the cap of 3"):
+        mech.revenue_table(m)
 
 
 @settings(max_examples=200, deadline=None)

@@ -228,25 +228,54 @@ def test_best_pure_lambda_undefined_on_zero_values():
         smooth.best_pure_deviation(m, 1.0, [(0.0, 0.0)])
 
 
+def log_report(step):
+    m = fp(step=step)
+    return smooth.check_deviation_smoothness(
+        m, smooth.named_deviation("log", m), smooth.SmoothnessParams(E_LIMIT, 1.0),
+        QUARTER_VALUES,
+    )
+
+
 def test_log_certificate_degradation_halves_with_the_grid():
-    coarse = smooth.log_deviation_certificate(fp(step=0.1), QUARTER_VALUES)
-    fine = smooth.log_deviation_certificate(fp(step=0.05), QUARTER_VALUES)
-    assert coarse.certified_lambda == pytest.approx(0.533483707250338, abs=1e-12)
-    assert coarse.degradation == pytest.approx(0.09863685157821966, abs=1e-12)
+    coarse = log_report(0.1)
+    fine = log_report(0.05)
+    assert coarse.level == pytest.approx(0.533483707250338, abs=1e-12)
+    assert E_LIMIT - coarse.level == pytest.approx(0.09863685157821966, abs=1e-12)
     assert coarse.witness_values == (0.5, 1.0)
-    assert fine.certified_lambda == pytest.approx(0.583483707250338, abs=1e-12)
-    assert fine.degradation <= coarse.degradation / 2.0 + 1e-12
+    assert fine.level == pytest.approx(0.583483707250338, abs=1e-12)
+    assert E_LIMIT - fine.level <= (E_LIMIT - coarse.level) / 2.0 + 1e-12
     # the certificate it reports indeed holds, exhaustively
     m = fp(step=0.1)
     report = smooth.check_deviation_smoothness(
         m,
         smooth.named_deviation("log", m),
-        smooth.SmoothnessParams(coarse.certified_lambda - 1e-9, 1.0),
+        smooth.SmoothnessParams(coarse.level - 1e-9, 1.0),
         QUARTER_VALUES,
     )
     assert report.holds
 
 
-def test_log_certificate_first_price_only():
-    with pytest.raises(InputError):
-        smooth.log_deviation_certificate(ap(), QUARTER_VALUES)
+def two_unit(step=0.25):
+    return mech.Mechanism(
+        kind=mech.KIND_MULTI_UNIT, n=2, actions=mech.ActionSpace.uniform(2, step, 1.0),
+        units=2,
+    )
+
+
+@pytest.mark.parametrize("make", [fp, ap, two_unit], ids=["fp", "ap", "mu"])
+@pytest.mark.parametrize("name", ["half", "uniform", "log", "zero"])
+def test_level_matches_brute_force(make, name):
+    m = make()
+    rule = smooth.named_deviation(name, m)
+    params = smooth.SmoothnessParams(0.5, 1.0)
+    report = smooth.check_deviation_smoothness(m, rule, params, QUARTER_VALUES)
+    brute = min(
+        oracles.deviation_slack(m, [rule.distribution(m, i, v) for i in range(m.n)],
+                                0.0, params.mu, v)
+        / oracles.opt_welfare(m.kind, v, m.units)
+        for v in QUARTER_VALUES
+    )
+    assert report.level == pytest.approx(brute, abs=1e-12)
+    # with every optimum 0 no level is certified
+    zero = smooth.check_deviation_smoothness(m, rule, params, [(0.0, 0.0)])
+    assert zero.level is None
