@@ -9,7 +9,8 @@ agent-form game.
 
 __version__ = "0.1.0"
 
-from . import analysis, exact, learners, mechanisms, simulator, smoothness
+import importlib
+
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -20,13 +21,10 @@ from .errors import (
     UndefinedResultError,
 )
 
+_SUBMODULES = ("analysis", "exact", "learners", "mechanisms", "simulator", "smoothness")
+
 __all__ = [
-    "analysis",
-    "exact",
-    "learners",
-    "mechanisms",
-    "simulator",
-    "smoothness",
+    *_SUBMODULES,
     "CapExceededError",
     "ConfigError",
     "ContractViolationError",
@@ -35,3 +33,11 @@ __all__ = [
     "SolverError",
     "UndefinedResultError",
 ]
+
+
+def __getattr__(name: str):
+    """Import a submodule on first access (PEP 562), so that a command loads
+    only the modules it runs."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,8 +32,9 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import analysis, exact, mechanisms as mech, simulator, smoothness
+from . import mechanisms as mech, smoothness
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -42,6 +43,11 @@ from .errors import (
     SolverError,
     UndefinedResultError,
 )
+
+# Each command imports only the modules it runs: certify never loads the
+# simulator, the learners, the analysis or the LP.
+if TYPE_CHECKING:
+    from . import simulator
 
 DEFAULT_SMOOTHNESS = {
     mech.KIND_FIRST_PRICE: (smoothness.LOG_RULE_LIMIT, 1.0),
@@ -181,8 +187,8 @@ def load_config(path) -> ExperimentConfig:
         if len(set(seeds)) != len(seeds):
             raise ConfigError(f"{path}: seeds: duplicates are not allowed")
 
-    feedback = doc.get("feedback", simulator.FEEDBACK_FULL)
-    if feedback not in (simulator.FEEDBACK_FULL, simulator.FEEDBACK_BANDIT):
+    feedback = doc.get("feedback", mech.FEEDBACK_FULL)
+    if feedback not in (mech.FEEDBACK_FULL, mech.FEEDBACK_BANDIT):
         raise ConfigError(f"{path}: feedback: unknown mode {feedback!r}")
     eta = None
     if doc.get("eta") is not None:
@@ -269,9 +275,11 @@ def _json_text(doc) -> str:
 
 
 def _sim_config(cfg: ExperimentConfig, seed: int) -> simulator.SimConfig:
+    from . import simulator
+
     return simulator.SimConfig(
         mechanism=cfg.mechanism,
-        populations=tuple(simulator.Population(p) for p in cfg.populations),
+        populations=tuple(mech.Population(p) for p in cfg.populations),
         horizon=cfg.horizon,
         seed=seed,
         feedback=cfg.feedback,
@@ -283,6 +291,8 @@ def _sim_config(cfg: ExperimentConfig, seed: int) -> simulator.SimConfig:
 def _write_report(cfg: ExperimentConfig, trace: simulator.Trace, d: Path) -> dict:
     """Analyze one seed's trace, write its report.json and checkpoints.csv
     into ``d``, and return the seed's summary."""
+    from . import analysis
+
     s = cfg.settings
     report = analysis.analysis_report(
         trace,
@@ -310,6 +320,8 @@ def _write_report(cfg: ExperimentConfig, trace: simulator.Trace, d: Path) -> dic
 def _run_batch(job) -> list[dict]:
     """Worker for a batch of seeds: simulate them together, then persist and
     analyze each seed. Top level so process pools can pickle it."""
+    from . import simulator
+
     cfg, seeds, out_root = job
     summaries = []
     for trace in simulator.run_seed_batch(_sim_config(cfg, seeds[0]), seeds):
@@ -422,6 +434,10 @@ def cmd_certify(cfg: ExperimentConfig, lam: float | None, mu: float | None) -> i
 
 def cmd_exact(cfg: ExperimentConfig, lam: float | None, mu: float | None,
               out_dir: str | None) -> int:
+    if out_dir is not None:  # an unusable --out exits before any work
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    from . import exact
+
     name = cfg.deviation or DEFAULT_DEVIATION[cfg.mechanism.kind]
     params, rule, _, base = _base_check(cfg, name, lam, mu)
     game = exact.build_agent_game(cfg.mechanism, cfg.populations)
@@ -443,7 +459,6 @@ def cmd_exact(cfg: ExperimentConfig, lam: float | None, mu: float | None,
     )
     if out_dir is not None:
         d = Path(out_dir)
-        d.mkdir(parents=True, exist_ok=True)
         (d / "agent_game.json").write_text(exact.agent_game_to_json(game) + "\n")
         (d / "lp_solution.json").write_text(exact.solution_to_json(solution) + "\n")
         (d / "exact_report.json").write_text(_json_text({
@@ -457,6 +472,8 @@ def cmd_exact(cfg: ExperimentConfig, lam: float | None, mu: float | None,
 
 
 def cmd_analyze(cfg: ExperimentConfig, out_dir: str | None) -> int:
+    from . import simulator
+
     out = out_dir or cfg.out_dir
     if out is None:
         raise ConfigError("analyze needs the directory holding the seed runs")

@@ -9,14 +9,18 @@ worst-case coarse-equilibrium welfare with a linear program.
 Everything is deliberately dense and exact within double precision. Size caps
 reject instances that would not fit; nothing here samples.
 
-LP solver: a two-phase revised primal simplex with Bland's smallest-index
-rule. Bland's rule is slow but cannot cycle and is fully deterministic, which
-is what a ground-truth oracle needs at these sizes (a few thousand variables,
-a few dozen rows). The solver keeps one explicit m x m basis inverse, updated
-by a rank-1 step per pivot and recomputed from the basis columns every
-``REFACTOR_EVERY`` pivots so that rounding cannot pile up; pricing computes
-reduced costs one block of ``PRICE_BLOCK`` columns at a time and stops at the
-first block holding an entering column. A singular basis is a SolverError.
+LP solver: a two-phase revised primal simplex. Each pivot prices every
+nonbasic column and enters the most negative reduced cost (Dantzig's rule,
+lowest index on ties); the leaving row is chosen by the lexicographic ratio
+test over the rows of [x, B^-1] / alpha (Dantzig, Orden & Wolfe, Pac. J.
+Math. 1955). The identity start basis is lexico-positive and the test keeps
+it so, which rules out cycling; only driving a leftover artificial out of
+the basis after phase 1 can break that, and the pivot cap stays as the
+backstop. The rule is fully deterministic, which is what a ground-truth
+oracle needs at these sizes (up to ``LP_CAP`` variables, a few dozen rows).
+The solver keeps one explicit m x m basis inverse, updated by a rank-1 step
+per pivot and recomputed from the basis columns every ``REFACTOR_EVERY``
+pivots so that rounding cannot pile up. A singular basis is a SolverError.
 
 The minimum is certified by weak duality: with y >= 0 the final basis's
 deviation-row duals (clipped at 0), z = min_s (sw(s) - y.G(s)) is a lower
@@ -36,11 +40,10 @@ import numpy as np
 
 from . import mechanisms as mech
 from .errors import CapExceededError, ContractViolationError, InputError, SolverError
-from .simulator import Population
 from .smoothness import SLACK_TOL, DeviationRule, SmoothnessParams, SmoothnessReport
 
 TENSOR_CAP = 1_000_000
-LP_CAP = 4096
+LP_CAP = 16_384
 FEAS_TOL = 1e-7
 
 
@@ -56,7 +59,7 @@ class AgentGame:
     """
 
     mechanism: mech.Mechanism
-    populations: tuple[Population, ...]
+    populations: tuple[mech.Population, ...]
     agents: tuple[tuple[int, int, float], ...]
     sizes: tuple[int, ...]
     utilities: np.ndarray
@@ -91,7 +94,8 @@ def build_agent_game(mechanism: mech.Mechanism, populations) -> AgentGame:
     rejected with the measured size.
     """
     pops = tuple(
-        p if isinstance(p, Population) else Population(tuple(p)) for p in populations
+        p if isinstance(p, mech.Population) else mech.Population(tuple(p))
+        for p in populations
     )
     if len(pops) != mechanism.n:
         raise InputError(
@@ -233,7 +237,6 @@ class CceLpSolution:
     dual_gap: float
 
 
-PRICE_BLOCK = 512  # columns priced per matrix product
 REFACTOR_EVERY = 32  # pivots between fresh basis inverses
 
 
@@ -270,25 +273,33 @@ class _Basis:
         self.updates += 1
 
 
-def _bland_loop(B: _Basis, cost: np.ndarray, n_cols: int, maxiter: int,
+def _leaving_row(B: _Basis, alpha: np.ndarray, rows: np.ndarray) -> int:
+    """The lexicographic ratio test: the row r among ``rows`` (those with
+    alpha_r > 0) whose [x_r, inv[r]] / alpha_r is lexicographically least,
+    entries within 1e-12 counting as equal."""
+    for key in (B.x, *B.inv.T):
+        if len(rows) == 1:
+            break
+        q = key[rows] / alpha[rows]
+        rows = rows[q <= q.min() + 1e-12]
+    return int(rows[0])
+
+
+def _pivot_loop(B: _Basis, cost: np.ndarray, n_cols: int, maxiter: int,
                 phase: int) -> int:
-    """Primal simplex pivots with Bland's smallest-index rule over the first
-    ``n_cols`` columns. Returns the pivot count; raises SolverError on
-    non-convergence or unboundedness."""
+    """Primal simplex pivots over the first ``n_cols`` columns, entering the
+    nonbasic column of most negative reduced cost (Dantzig's rule, lowest
+    index on ties) and leaving by the lexicographic ratio test. Returns the
+    pivot count; raises SolverError on non-convergence or unboundedness."""
     cols, price = B.cols[:n_cols], cost[:n_cols]
     it = 0
     while True:
         y = cost[B.basis] @ B.inv
-        col = -1
-        for lo in range(0, n_cols, PRICE_BLOCK):
-            hi = lo + PRICE_BLOCK
-            # reduced cost c_j - y.A_j below -1e-9
-            neg = cols[lo:hi] @ y - price[lo:hi] > 1e-9
-            k = int(neg.argmax())
-            if neg[k]:
-                col = lo + k
-                break
-        if col < 0:
+        reduced = price - cols @ y
+        # a basic column's reduced cost is 0 up to rounding; never re-enter it
+        reduced[B.basis[B.basis < n_cols]] = 0.0
+        col = int(reduced.argmin())
+        if reduced[col] >= -1e-9:
             return it
         alpha = B.inv @ B.cols[col]
         rows = (alpha > 1e-9).nonzero()[0]
@@ -297,10 +308,7 @@ def _bland_loop(B: _Basis, cost: np.ndarray, n_cols: int, maxiter: int,
                 f"LP unbounded in phase {phase} at pivot {it}, entering column "
                 f"{col}, basis {B.basis.tolist()}"
             )
-        q = B.x[rows] / alpha[rows]
-        ties = rows[q <= q.min() + 1e-12]
-        row = int(ties[B.basis[ties].argmin()])
-        B.pivot(row, col, alpha)
+        B.pivot(_leaving_row(B, alpha, rows), col, alpha)
         it += 1
         if it > maxiter:
             raise SolverError(
@@ -319,7 +327,7 @@ def _two_phase_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     cols = np.vstack([(A * sign[:, None]).T, np.eye(m)])
     B = _Basis(cols, b * sign, np.arange(n, n + m))
     cost = np.concatenate([np.zeros(n), np.ones(m)])
-    pivots = _bland_loop(B, cost, n + m, maxiter, phase=1)
+    pivots = _pivot_loop(B, cost, n + m, maxiter, phase=1)
     mass = float(cost[B.basis] @ B.x)
     if mass > FEAS_TOL:
         raise SolverError(
@@ -339,7 +347,7 @@ def _two_phase_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray):
                 pivots += 1
 
     cost = np.concatenate([c, np.zeros(m)])
-    pivots += _bland_loop(B, cost, n, maxiter, phase=2)
+    pivots += _pivot_loop(B, cost, n, maxiter, phase=2)
     B.refactor()
     x = np.zeros(n + m)
     x[B.basis] = B.x

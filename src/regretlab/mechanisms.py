@@ -199,6 +199,30 @@ class Mechanism:
         )
 
 
+@dataclass(frozen=True)
+class Population:
+    """The distinct valuation types competing for one player seat."""
+
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        vals = tuple(float(v) for v in self.values)
+        if not vals:
+            raise InputError("a population needs at least one type")
+        if len(set(vals)) != len(vals):
+            raise InputError(f"population types must be distinct, got {vals}")
+        object.__setattr__(self, "values", vals)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+# What a selected agent learns from its round: the full counterfactual
+# utility vector, or only its realized utility.
+FEEDBACK_FULL = "full"
+FEEDBACK_BANDIT = "bandit"
+
+
 def optimal_welfare(valuation_profile: Sequence[float], mechanism: Mechanism) -> float:
     """Welfare of the best feasible allocation: the top value, or the sum of
     the top ``units`` values for the multi-unit rule."""

@@ -56,27 +56,7 @@ from .learners import (
     count_selections,
     renormalize,
 )
-
-FEEDBACK_FULL = "full"
-FEEDBACK_BANDIT = "bandit"
-
-
-@dataclass(frozen=True)
-class Population:
-    """The distinct valuation types competing for one player seat."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise InputError("a population needs at least one type")
-        if len(set(vals)) != len(vals):
-            raise InputError(f"population types must be distinct, got {vals}")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
+from .mechanisms import FEEDBACK_BANDIT, FEEDBACK_FULL, Population
 
 
 @dataclass(frozen=True)

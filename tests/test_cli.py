@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from regretlab import ConfigError
-from regretlab import cli
+from regretlab import cli, exact
 from regretlab import mechanisms as mech
 from regretlab import smoothness as smooth
 
@@ -374,6 +374,27 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("command, loaded", [
+    ("certify", {"cli", "errors", "mechanisms", "smoothness"}),
+    ("exact", {"cli", "errors", "exact", "mechanisms", "smoothness"}),
+])
+def test_each_command_imports_only_what_it_runs(tmp_path, command, loaded):
+    doc = base_doc(deviation="half", smoothness={"lambda": 0.5, "mu": 1.0})
+    doc["mechanism"]["grid_step"] = 0.5
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    probe = (
+        "import sys, regretlab.cli\n"
+        f"assert regretlab.cli.main([{command!r}, '--config', {str(cfg)!r}]) == 0\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('regretlab.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert set(out.splitlines()[-1].split()) == {f"regretlab.{m}" for m in loaded}
+
+
 def test_simulate_usage_errors(tmp_path, capsys):
     # no out_dir anywhere
     cfg = write_config(tmp_path, name="noout.json", horizon=10, seeds=[1])
@@ -457,9 +478,16 @@ def analyze_a_directory_sidecar(tmp_path):
     ids=["simulate-out-is-a-file", "exact-out-is-a-file", "out-under-a-file",
          "sidecar-is-a-directory"],
 )
-def test_unusable_file_paths_exit_two(tmp_path, capsys, argv):
+def test_unusable_file_paths_exit_two(tmp_path, monkeypatch, capsys, argv):
+    # a path is checked before any work: nothing is printed, and exact builds
+    # no agent game
+    def unreachable(*args):
+        raise AssertionError("the agent game was built before the path check")
+
+    monkeypatch.setattr(exact, "build_agent_game", unreachable)
     assert cli.main(argv(tmp_path)) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
 
