@@ -367,7 +367,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
         raise ConfigError(
             f"analysis.checkpoints: {last} lies beyond the horizon {cfg.horizon}"
         )
-    _sim_config(cfg, cfg.seeds[0])  # an invalid run exits before writing anything
+    # an invalid run exits before writing anything; the seeds' index arrays
+    # are all held at once, in one batch or across the workers' batches
+    from . import simulator
+
+    simulator.check_index_memory(_sim_config(cfg, cfg.seeds[0]), len(cfg.seeds))
     Path(out).mkdir(parents=True, exist_ok=True)
     # k contiguous seed batches whose sizes differ by at most one
     n, k = len(cfg.seeds), min(workers, len(cfg.seeds))

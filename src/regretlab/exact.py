@@ -217,6 +217,10 @@ def lift_smoothness_check(
 
 # --- worst-case coarse-equilibrium welfare ------------------------------------
 
+# The LP's products over the joint profiles go through einsum, not BLAS: BLAS
+# splits a long product across threads, so its sums, and with them the pivots
+# and the written solution, would depend on the thread count.
+
 
 @dataclass(frozen=True)
 class CceLpSolution:
@@ -295,7 +299,7 @@ def _pivot_loop(B: _Basis, cost: np.ndarray, n_cols: int, maxiter: int,
     it = 0
     while True:
         y = cost[B.basis] @ B.inv
-        reduced = price - cols @ y
+        reduced = price - np.einsum("ij,j->i", cols, y)
         # a basic column's reduced cost is 0 up to rounding; never re-enter it
         reduced[B.basis[B.basis < n_cols]] = 0.0
         col = int(reduced.argmin())
@@ -339,7 +343,7 @@ def _two_phase_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     # phase 2 never lets it grow since its column is excluded).
     for r in range(m):
         if B.basis[r] >= n:
-            row = cols[:n] @ B.inv[r]
+            row = np.einsum("ij,j->i", cols[:n], B.inv[r])
             hit = np.abs(row) > 1e-9
             j = int(hit.argmax())
             if hit[j]:
@@ -352,7 +356,7 @@ def _two_phase_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     x = np.zeros(n + m)
     x[B.basis] = B.x
     y = (cost[B.basis] @ B.inv) * sign
-    return x[:n], float(c @ x[:n]), pivots, y
+    return x[:n], float(np.einsum("i,i->", c, x[:n])), pivots, y
 
 
 def worst_cce_welfare(agent_game: AgentGame) -> CceLpSolution:
@@ -397,13 +401,13 @@ def worst_cce_welfare(agent_game: AgentGame) -> CceLpSolution:
             f"solver returned a non-distribution (mass {x.sum()!r}, "
             f"min {x.min()!r}) after {pivots} pivots"
         )
-    slacks = G @ x
+    slacks = np.einsum("ij,j->i", G, x)
     if len(slacks) and slacks.min() < -FEAS_TOL:
         worst = labels[int(np.argmin(slacks))]
         raise SolverError(
             f"constraint {worst} violated by {-slacks.min()!r} after {pivots} pivots"
         )
-    re_obj = float(sw @ x)
+    re_obj = float(np.einsum("i,i->", sw, x))
     if abs(re_obj - objective) > FEAS_TOL * max(1.0, abs(objective)):
         raise ContractViolationError(
             f"objective {objective!r} disagrees with re-evaluation {re_obj!r}"
@@ -411,7 +415,7 @@ def worst_cce_welfare(agent_game: AgentGame) -> CceLpSolution:
     # Weak duality: for any y_G >= 0 and any feasible x, sw.x >= sw.x - y_G.Gx
     # >= min_s (sw(s) - y_G.G(s)), so that minimum is a lower bound.
     duals = np.maximum(y[:n_c], 0.0)
-    dual_bound = float((sw - duals @ G).min())
+    dual_bound = float((sw - np.einsum("i,ij->j", duals, G)).min())
     gap = re_obj - dual_bound
     if gap > FEAS_TOL * max(1.0, abs(re_obj)):
         raise SolverError(

@@ -1,13 +1,18 @@
 """Multiplicative-weights learner state and exact regret accounting.
 
 One state holds many independent learners over the same action set, one per
-row of its ``(rows, n_actions)`` weight array. The simulator's round loop is
-the only code that updates it, with one of two rules: full-feedback Hedge
+row of its ``(rows, n_actions)`` weight array. Only the simulator's round
+loop updates the weights, with one of two rules: full-feedback Hedge
 multiplies exp(eta * utility) into every weight of a row, importance-weighted
 bandit (Exp3) multiplies exp(eta * utility / p) into the chosen weight only,
-where p is the exploration-mixed probability it was sampled with. This module
-holds what the loop shares: the sampling distribution, the step-size
-schedule, the selected-round counts and the weight-ceiling renormalization.
+where p is the exploration-mixed probability it was sampled with. Its
+batched step reads ``probabilities`` on the whole array; its scalar step
+keeps each row's weights as Python lists between ceiling checks and repeats
+the float operations of ``probabilities`` one row at a time
+(``scalar_step.row_cdf``), so a change to one must be made to the other.
+This module holds what the loop shares: the sampling distribution, the
+step-size schedule, the selected-round counts and the weight-ceiling
+renormalization.
 
 Updates happen only on rounds where the owning agent was matched into the
 game; the anytime step size is therefore driven by the selected-round count,

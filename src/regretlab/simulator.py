@@ -28,8 +28,14 @@ whichever seeds share a batch.
 The loop works through the rounds in chunks of DRAW_CHUNK. The types are
 drawn before play, so a chunk first works out everything play cannot
 change (each round's learner rows and Hedge step sizes), and a round then
-only samples, looks up its utility cells and updates. ``trace.csv`` and
-``strategies.json`` are written in blocks of WRITE_CHUNK rounds.
+only samples, looks up its utility cells and updates. A round takes one of
+two steps that give the same bits. A batch that updates more than
+SCALAR_WEIGHTS learner weights per round runs a round as a few numpy calls
+over all rows at once; a smaller batch runs it in plain Python over per-row
+CDFs that are rebuilt only when their row's weights change, which costs less
+when those numpy calls would each touch a handful of short rows.
+``trace.csv`` and ``strategies.json`` are written in blocks of WRITE_CHUNK
+rounds.
 """
 
 from __future__ import annotations
@@ -114,15 +120,7 @@ class SimConfig:
                 f"a bid grid or population has {largest} entries; the simulator "
                 f"indexes at most {mech.INDEX_LIMIT}"
             )
-        # a seed's type, commitment and realized-bid indices, int16 each
-        need = 2 * self.horizon * (2 * self.mechanism.n + len(self.agents()))
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > memory:
-            raise InputError(
-                f"horizon {self.horizon} needs {need / 2**30:.3g} GiB of index "
-                f"arrays per seed, more than the {memory / 2**30:.3g} GiB of "
-                "physical memory"
-            )
+        check_index_memory(self, 1)
 
     def agents(self) -> list[tuple[int, int, float]]:
         """Flat agent order: (population, type index, type value), populations
@@ -139,6 +137,20 @@ class SimConfig:
             offs.append(acc)
             acc += len(p)
         return offs
+
+
+def check_index_memory(config: SimConfig, n_seeds: int) -> None:
+    """Raise InputError unless the type, commitment and realized-bid indices
+    of ``n_seeds`` seeds, int16 each and all held at once, fit in physical
+    memory."""
+    need = 2 * n_seeds * config.horizon * (2 * config.mechanism.n + len(config.agents()))
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise InputError(
+            f"horizon {config.horizon} needs {need / 2**30:.3g} GiB of index "
+            f"arrays for {n_seeds} seed(s), more than the {memory / 2**30:.3g} "
+            "GiB of physical memory"
+        )
 
 
 @dataclass
@@ -239,6 +251,12 @@ def run_seed_batch(config: SimConfig, seeds) -> Iterator[Trace]:
 # cannot change once per chunk.
 DRAW_CHUNK = 1024
 
+# Batches that update at most this many weights per round (seeds x seats x
+# bids) take the scalar round step, whose cost grows with them; larger ones
+# take the batched numpy step, whose cost barely does. On 11 bids that is up
+# to 4 rows, as two two-seat seeds or one four-seat seed.
+SCALAR_WEIGHTS = 48
+
 
 def _play_rounds(config: SimConfig, seeds):
     """The round loop of ``run_seed_batch``.
@@ -248,12 +266,15 @@ def _play_rounds(config: SimConfig, seeds):
     loop's working set (stacked tables, learner weights, chunk buffers) is
     freed on return, before the first trace is handed out.
 
-    A round samples every row from one ``state.probabilities()`` and updates
-    the selected rows: Hedge multiplies exp(eta * unit utility) into the row,
-    bandit exp(eta * unit utility / p) into the chosen weight. Both skip the
-    weight-ceiling check while the log steps since the last check provably
-    cannot take a weight past the ceiling, which leaves every weight as a
-    check in every round would.
+    A round samples every row and updates the selected rows: Hedge
+    multiplies exp(eta * unit utility) into the row, bandit exp(eta * unit
+    utility / p) into the chosen weight. Both skip the weight-ceiling check
+    while the log steps since the last check provably cannot take a weight
+    past the ceiling, which leaves every weight as a check in every round
+    would. A batch that updates more than SCALAR_WEIGHTS weights per round
+    takes the batched step: one ``state.probabilities()`` and a handful of
+    numpy calls on all rows at once. A smaller batch takes the scalar step of
+    ``scalar_step.ScalarStep``, which gives the same bits.
     """
     m = config.mechanism
     n = m.n
@@ -305,6 +326,12 @@ def _play_rounds(config: SimConfig, seeds):
     # the first utility cell of each learner row's agent
     first_cell = np.tile(np.arange(G) * n_opp, S)
 
+    scalar = S * n * A <= SCALAR_WEIGHTS
+    if scalar:
+        from .scalar_step import ScalarStep
+
+        step = ScalarStep(state, first_cell, opp_place, S)
+
     strategy = np.empty((S, T, G), dtype=np.int16)
     realized = np.empty((S, T, n), dtype=np.int16)
     chunk = min(DRAW_CHUNK, T)
@@ -330,6 +357,16 @@ def _play_rounds(config: SimConfig, seeds):
                     anytime_eta(A, counts) if config.eta is None else config.eta
                 )
             steps = (etas[:R, :, 0].max(axis=1) * top_unit + LOG_STEP_SLACK).tolist()
+
+        if scalar:
+            picks, played, headroom = step.rounds(
+                draws[:R], rows_at[:R], headroom,
+                hedge=(etas[:R], unit, steps) if full else None,
+                bandit=None if full else (flat_tables, eta, H),
+            )
+            strategy[:, a:a + R] = np.reshape(picks, (R, S, G)).swapaxes(0, 1)
+            realized[:, a:a + R] = np.reshape(played, (R, S, n)).swapaxes(0, 1)
+            continue
 
         for c in range(R):
             p = state.probabilities()

@@ -516,6 +516,45 @@ def test_oversized_grid_and_horizon_exit_two_before_allocating(tmp_path, capsys)
     assert err.startswith("error: horizon 1000000000000 needs") and "physical memory" in err
 
 
+def test_index_arrays_of_every_seed_must_fit_in_memory(tmp_path, capsys, monkeypatch):
+    # a run holds every seed's index arrays at once, 2 * T * (2n + agents)
+    # bytes each: 16,000 here. Memory for three seeds admits one seed but
+    # not the five, which exit 2 before the output directory is made.
+    real = os.sysconf
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3 * 16_000}
+    monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or real(name))
+    out = tmp_path / "runs"
+    path = write_config(tmp_path, horizon=1000, seeds=[1, 2, 3, 4, 5], out_dir=str(out))
+    assert cli.main(["simulate", "--config", path]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon 1000 needs") and "for 5 seed(s)" in err
+    path = write_config(tmp_path, name="one.json", horizon=1000, seeds=[1], out_dir=str(out))
+    assert cli.main(["simulate", "--config", path]) == 0
+    assert (out / "seed_1" / "trace.csv").exists()
+
+
+def test_exact_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):
+    # the headline game's LP sums over 14,641 joint profiles, long enough
+    # that a threaded BLAS splits its products and rounds them differently
+    doc = base_doc(deviation="log", smoothness={"lambda": 0.5, "mu": 1.0})
+    doc["mechanism"]["grid_step"] = 0.1
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.abspath(os.path.join(os.path.dirname(cli.__file__), os.pardir))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "regretlab.cli", "exact", "--config",
+                        str(cfg), "--out", str(out)], env=env, capture_output=True,
+                       check=True)
+        written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert len(written[0]) == 3
+    assert written[0] == written[1]
+
+
 def test_step_sizes_that_can_overflow_a_weight_exit_two(tmp_path, capsys):
     # on 11 bids, a bandit step of 5 at gamma 0.05 can multiply a weight by
     # exp(1100), and a full-feedback step of 1000 by exp(1000)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from regretlab import ContractViolationError, InputError
 from regretlab import learners as ln
 from regretlab import mechanisms as mech
+from regretlab import scalar_step
 from regretlab import simulator as sim
 
 from . import oracles
@@ -150,25 +151,36 @@ def test_seed_batch_matches_the_reference_engine(batch):
             assert same_bits(getattr(alone, name), getattr(trace, name)), name
 
 
+HEADLINE_GRID_RUNS = {
+    "first-price-full": (mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_FULL, None, 0.1),
+    "all-pay-full": (mech.KIND_ALL_PAY, 2, 1, sim.FEEDBACK_FULL, None, 0.1),
+    "first-price-bandit": (mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_BANDIT, None, 0.1),
+    "first-price-bandit-across-the-ceiling":
+        (mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_BANDIT, 2.0, 0.05),
+    "first-price-bandit-unmixed": (mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_BANDIT, None, 0.0),
+    "multi-unit-n4-bandit": (mech.KIND_MULTI_UNIT, 4, 2, sim.FEEDBACK_BANDIT, None, 0.1),
+}
+
+
 @pytest.mark.parametrize(
-    "kind, n, units, feedback, eta, gamma",
-    [(mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_FULL, None, 0.1),
-     (mech.KIND_ALL_PAY, 2, 1, sim.FEEDBACK_FULL, None, 0.1),
-     (mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_BANDIT, None, 0.1),
-     (mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_BANDIT, 2.0, 0.05),
-     (mech.KIND_MULTI_UNIT, 4, 2, sim.FEEDBACK_BANDIT, None, 0.1)],
-    ids=["first-price-full", "all-pay-full", "first-price-bandit",
-         "first-price-bandit-across-the-ceiling", "multi-unit-n4-bandit"],
+    "kind, n, units, feedback, eta, gamma, seeds",
+    [pytest.param(*run, seeds, id=name + suffix)
+     for name, run in HEADLINE_GRID_RUNS.items()
+     for seeds, suffix in (([2, 4, 7], ""), ([4], "-one-seed"))],
 )
 def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(
-    kind, n, units, feedback, eta, gamma
+    kind, n, units, feedback, eta, gamma, seeds
 ):
     # 11 bids per grid: row sums of eight or more weights take numpy's
     # pairwise path, which the small grids above never reach; 1,500 rounds
     # also cross a boundary between chunks of uniform draws. A fixed bandit
     # step of 2 at gamma 0.05 multiplies in exponents up to 2 * 11 / 0.05,
-    # so the ceiling checks run on that path too. Four seats selling two
-    # units index 11**3 opponent profiles per agent.
+    # so the ceiling checks run on that path too; at gamma 0 the importance
+    # weight divides by the unmixed probability. Four seats selling two
+    # units index 11**3 opponent profiles per agent. Three seeds update six
+    # or more rows of 11 weights a round and take the batched step, one seed
+    # the scalar step.
+    assert (len(seeds) * n * 11 <= sim.SCALAR_WEIGHTS) == (len(seeds) == 1)
     m = mech.Mechanism(
         kind=kind, n=n, actions=mech.ActionSpace.uniform(n, 0.1, 1.0), units=units
     )
@@ -181,24 +193,44 @@ def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(
         eta=eta,
         gamma=gamma,
     )
-    seeds = [2, 4, 7]
     for seed, trace in zip(seeds, sim.run_seed_batch(cfg, seeds)):
         want = assert_matches_reference(trace, replace(cfg, seed=seed))
         if eta is not None:
             assert want["renormalizations"] >= 20
 
 
-@pytest.mark.parametrize("feedback", [sim.FEEDBACK_FULL, sim.FEEDBACK_BANDIT])
-def test_seed_batch_matches_the_reference_engine_across_the_weight_ceiling(feedback):
+@pytest.mark.parametrize(
+    "feedback, seeds",
+    [pytest.param(feedback, seeds, id=feedback + suffix)
+     for feedback in (sim.FEEDBACK_FULL, sim.FEEDBACK_BANDIT)
+     for seeds, suffix in (([3, 8], ""), ([3, 8, 11, 14, 17], "-five-seeds"))],
+)
+def test_seed_batch_matches_the_reference_engine_across_the_weight_ceiling(feedback, seeds):
     # a step of 5 takes weights past the ceiling again and again; hedge skips
     # the ceiling check while it provably cannot fire, so the checks it does
     # run must renormalize on exactly the rounds the reference does. 1,500
-    # rounds end partway into the second draw chunk.
+    # rounds end partway into the second draw chunk. Two seeds of two seats
+    # update four rows of 5 weights a round and take the scalar step, five
+    # seeds the batched step.
+    assert (len(seeds) * 2 * 5 <= sim.SCALAR_WEIGHTS) == (len(seeds) == 2)
     cfg = small_config(horizon=1500, feedback=feedback, eta=5.0, gamma=0.1)
-    seeds = [3, 8]
     for seed, trace in zip(seeds, sim.run_seed_batch(cfg, seeds)):
         want = assert_matches_reference(trace, replace(cfg, seed=seed))
         assert want["renormalizations"] >= 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       extra=st.lists(st.floats(-1e296, 1e296), max_size=8))
+def test_pairwise_sum_is_numpys_float64_sum(n, seed, extra):
+    # the scalar round step sums weight rows in numpy's order; terms of both
+    # signs spread over 2**-60 to 2**60 round differently in any other order
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], n) * rng.random(n) * 2.0 ** rng.integers(-60, 60, n)
+    a = np.concatenate([a, extra])
+    for terms in (a, np.full(n, -0.0)):  # numpy sums -0.0 terms to 0.0
+        got = np.float64(scalar_step.pairwise_sum(terms.tolist()))
+        assert got.tobytes() == np.add.reduce(terms).tobytes()
 
 
 def test_step_sizes_that_can_overflow_a_weight_are_rejected():
