@@ -9,7 +9,8 @@ where p is the exploration-mixed probability it was sampled with. Its
 batched step reads ``probabilities`` on the whole array; its scalar step
 keeps each row's weights as Python lists between ceiling checks and repeats
 the float operations of ``probabilities`` one row at a time
-(``scalar_step.row_cdf``), so a change to one must be made to the other.
+(``scalar_step.hedge_row`` and ``scalar_step.row_cdf``), so a change to one
+must be made to the others.
 This module holds what the loop shares: the sampling distribution, the
 step-size schedule, the selected-round counts and the weight-ceiling
 renormalization.

@@ -2,16 +2,23 @@
 
 A batch that updates at most ``simulator.SCALAR_WEIGHTS`` learner weights per
 round plays its rounds here, in plain Python: each learner row keeps its
-weights, sampling probabilities and CDF as lists, rebuilt only when the row's
-weights change. Every float operation repeats the batched step's, so the two
-steps give the same bits. Only runs that take this step import the module;
-the others do not compile it, which kept their peak RSS where it was.
+weights and CDF (bandit also its sampling probabilities) as lists, rebuilt
+only when the row's weights change. An agent's unit utility table holds few
+distinct floats (ties go to the lowest index, so at most a win and a lose
+value per own bid), so the step keeps each agent's list of them and every
+table entry as a code into it. One np.exp per draw chunk gives every
+round's Hedge factors for the values of its rows' agents; a round turns its
+slice into lists and looks each row's factors up by the codes of its cell.
+Every float operation repeats the batched step's, so the two steps give the
+same bits. Only runs that take this step import the module; the others do not
+compile it, which kept their peak RSS where it was.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate
 from operator import add, mul
 
@@ -35,20 +42,33 @@ def pairwise_sum(a: list) -> float:
         return pairwise_sum(a[:half]) + pairwise_sum(a[half:])
     r0, r1, r2, r3, r4, r5, r6, r7 = a[:8]
     end = n - n % 8
-    for i in range(8, end, 8):
-        r0, r1, r2, r3, r4, r5, r6, r7 = map(
-            add, (r0, r1, r2, r3, r4, r5, r6, r7), a[i:i + 8]
-        )
+    if end > 8:
+        for i in range(8, end, 8):
+            r0, r1, r2, r3, r4, r5, r6, r7 = map(
+                add, (r0, r1, r2, r3, r4, r5, r6, r7), a[i:i + 8]
+            )
     res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for i in range(end, n):
-        res += a[i]
+    for x in a[end:]:
+        res += x
     # numpy adds the sum to a zero of its own, which turns -0.0 into 0.0
     return 0.0 + res
 
 
+def hedge_row(w: list) -> tuple[list, None, list]:
+    """A Hedge weight row with the CDF of its sampling probabilities, by the
+    float operations of ``LearnerState.probabilities`` at gamma 0 and
+    ``cumsum``."""
+    total = pairwise_sum(w)
+    cdf, acc = [], 0.0
+    for x in w:
+        acc += x / total
+        cdf.append(acc)
+    return w, None, cdf
+
+
 def row_cdf(w: list, gamma: float) -> tuple[list, list, list]:
-    """One weight row with its sampling probabilities and their CDF, by the
-    float operations of ``LearnerState.probabilities`` and ``cumsum``."""
+    """A bandit weight row with its sampling probabilities and their CDF, by
+    the float operations of ``LearnerState.probabilities`` and ``cumsum``."""
     total = pairwise_sum(w)
     if gamma > 0.0:
         keep, floor = 1.0 - gamma, gamma / len(w)
@@ -58,64 +78,103 @@ def row_cdf(w: list, gamma: float) -> tuple[list, list, list]:
     return w, p, list(accumulate(p))
 
 
+def code_table(unit: np.ndarray, n_agents: int) -> tuple[np.ndarray, bytes]:
+    """Each agent's distinct entries of ``unit``, whose rows are split evenly
+    among ``n_agents`` agents, as the rows of a zero-padded array, and every
+    entry of ``unit`` in order as a one-byte index into its agent's row.
+    Ties go to the lowest index, so an agent has at most two distinct values
+    per bid: at most 96 on the scalar step's grids of up to
+    ``simulator.SCALAR_WEIGHTS`` bids."""
+    vals, codes = [], bytearray()
+    for block in unit.reshape(n_agents, -1):
+        index = {}
+        codes.extend([index.setdefault(x, len(index)) for x in block.tolist()])
+        vals.append(list(index))
+    width = max(map(len, vals))
+    return np.array([v + [0.0] * (width - len(v)) for v in vals]), bytes(codes)
+
+
 class ScalarStep:
     """One batch's learner rows as Python lists, and the rounds that update
-    them. ``state.weights`` is brought up to date only for a ceiling check."""
+    them. ``state.weights`` is brought up to date only for a ceiling check.
+
+    Hedge passes its unit utility table as ``unit``, bandit ``(flat_tables,
+    eta, scale)`` as ``bandit``, as the batched step uses them; ``chunk`` is
+    the most rounds one call of ``rounds`` plays."""
 
     def __init__(self, state: LearnerState, first_cell: np.ndarray,
-                 opp_place: np.ndarray, n_seeds: int):
+                 opp_place: np.ndarray, n_seeds: int, chunk: int,
+                 unit: np.ndarray | None = None, bandit=None):
         self.state = state
-        self.cache = [row_cdf(w, state.gamma) for w in state.weights.tolist()]
-        self.first = first_cell.tolist()
-        # place[k][k2]: the weight of bid k2 in update k's opponent index
+        A = state.n_actions
+        # a row's table entries start at first[r] + sum(bids * place[k]), for
+        # the row r of update k
+        self.first = (first_cell * A).tolist()
         n = len(opp_place)
         self.place = [[0] * (n_seeds * n) for _ in range(n_seeds * n)]
         for k in range(n_seeds * n):
-            self.place[k][k - k % n:k - k % n + n] = opp_place[:, k % n].tolist()
+            self.place[k][k - k % n:k - k % n + n] = (opp_place[:, k % n] * A).tolist()
+        if unit is None:
+            self.bandit = bandit
+            self.row = partial(row_cdf, gamma=state.gamma)
+        else:
+            self.n_agents = len(first_cell) // n_seeds
+            self.vals, self.codes = code_table(unit, self.n_agents)
+            self.factors = np.empty((chunk, n_seeds * n, self.vals.shape[1]))
+            self.row = hedge_row
+        self.cache = [self.row(w) for w in state.weights.tolist()]
 
     def rounds(self, draws: np.ndarray, rows_at: np.ndarray, headroom: float,
-               hedge=None, bandit=None):
+               etas: np.ndarray | None = None, steps: list | None = None):
         """Play one chunk: ``draws[c]`` and ``rows_at[c]`` are round c's
-        uniforms and updated learner rows. Hedge passes ``(etas, unit,
-        steps)``, bandit ``(flat_tables, eta, scale)``, as the batched step
-        uses them. Returns the commitments and realized bids, flat in round
-        order, and the weight-ceiling headroom left."""
+        uniforms and updated learner rows; Hedge passes the chunk's step
+        sizes ``etas`` and their log-step bounds ``steps``, as the batched
+        step uses them. Returns the commitments and realized bids, flat in
+        round order, and the weight-ceiling headroom left."""
         state, cache, first, place = self.state, self.cache, self.first, self.place
         gamma, top = state.gamma, state.n_actions - 1
+        A = top + 1
+        hedge = etas is not None
         if hedge:
-            etas, unit, steps = hedge
+            codes = self.codes
+            # factors[c, k, i]: exp(eta * value i of the agent of round c's
+            # row k), the batched step's exp(eta * unit) entry for entry
+            factors = self.factors[:len(draws)]
+            np.take(self.vals, rows_at % self.n_agents, axis=0, out=factors, mode="clip")
+            factors *= etas
+            np.exp(factors, out=factors)
         else:
-            flat_tables, eta, H = bandit
-            A, two_h = top + 1, 2.0 * H
+            flat_tables, eta, H = self.bandit
+            two_h = 2.0 * H
         picks, played = [], []
-        for c in range(len(draws)):
-            # a round at a time: lists of a whole chunk raised the peak RSS
-            us, rows = draws[c].tolist(), rows_at[c].tolist()
+        for c, (us, rows) in enumerate(zip(draws.tolist(), rows_at.tolist())):
             # the count of CDF entries below the last at or below the draw,
             # as the batched step counts them
             j = [bisect_right(cdf, u * cdf[-1], 0, top) for (_, _, cdf), u in zip(cache, us)]
             bids = [j[r] for r in rows]
             picks += j
             played += bids
-            cells = [first[r] + sum(map(mul, bids, place[k])) for k, r in enumerate(rows)]
             if hedge:
-                factors = np.exp(etas[c] * unit[cells]).tolist()
-            xs = []
-            for k, r in enumerate(rows):
-                w, p, _ = cache[r]
-                if hedge:
-                    w = list(map(mul, w, factors[k]))
-                else:
-                    b = bids[k]
-                    x = eta * (((flat_tables.item(cells[k] * A + b) + H) / two_h) / p[b])
+                for r, f, pl in zip(rows, factors[c].tolist(), place):
+                    o = first[r] + sum(map(mul, bids, pl))
+                    cache[r] = hedge_row(list(map(
+                        mul, cache[r][0], map(f.__getitem__, codes[o:o + A])
+                    )))
+                headroom -= steps[c]
+            else:
+                xs = []
+                for r, b, pl in zip(rows, bids, place):
+                    o = first[r] + sum(map(mul, bids, pl))
+                    w, p, _ = cache[r]
+                    x = eta * (((flat_tables.item(o + b) + H) / two_h) / p[b])
                     w[b] *= math.exp(x)
                     xs.append(x)
-                cache[r] = row_cdf(w, gamma)
-            headroom -= steps[c] if hedge else max(xs) + LOG_STEP_SLACK
+                    cache[r] = row_cdf(w, gamma)
+                headroom -= max(xs) + LOG_STEP_SLACK
             if headroom < 0.0:
                 state.weights[:] = [w for w, _, _ in cache]
                 renormalize(state.weights)
                 headroom = ceiling_headroom(state.weights)
-                cache = [row_cdf(w, gamma) for w in state.weights.tolist()]
+                cache = [self.row(w) for w in state.weights.tolist()]
         self.cache = cache
         return picks, played, headroom

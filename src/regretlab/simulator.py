@@ -326,12 +326,6 @@ def _play_rounds(config: SimConfig, seeds):
     # the first utility cell of each learner row's agent
     first_cell = np.tile(np.arange(G) * n_opp, S)
 
-    scalar = S * n * A <= SCALAR_WEIGHTS
-    if scalar:
-        from .scalar_step import ScalarStep
-
-        step = ScalarStep(state, first_cell, opp_place, S)
-
     strategy = np.empty((S, T, G), dtype=np.int16)
     realized = np.empty((S, T, n), dtype=np.int16)
     chunk = min(DRAW_CHUNK, T)
@@ -339,6 +333,14 @@ def _play_rounds(config: SimConfig, seeds):
     rows_at = np.empty((chunk, S * n), dtype=np.int64)
     if full:
         etas = np.empty((chunk, S * n, 1))
+
+    scalar = S * n * A <= SCALAR_WEIGHTS
+    if scalar:
+        from .scalar_step import ScalarStep
+
+        step = (ScalarStep(state, first_cell, opp_place, S, chunk, unit=unit) if full
+                else ScalarStep(state, first_cell, opp_place, S, chunk,
+                                bandit=(flat_tables, eta, H)))
 
     for a in range(0, T, DRAW_CHUNK):
         R = min(DRAW_CHUNK, T - a)
@@ -361,8 +363,7 @@ def _play_rounds(config: SimConfig, seeds):
         if scalar:
             picks, played, headroom = step.rounds(
                 draws[:R], rows_at[:R], headroom,
-                hedge=(etas[:R], unit, steps) if full else None,
-                bandit=None if full else (flat_tables, eta, H),
+                *((etas[:R], steps) if full else ()),
             )
             strategy[:, a:a + R] = np.reshape(picks, (R, S, G)).swapaxes(0, 1)
             realized[:, a:a + R] = np.reshape(played, (R, S, n)).swapaxes(0, 1)
@@ -417,11 +418,11 @@ def write_trace_csv(trace: Trace, path) -> None:
 
     A row after its round number depends only on the round's (type profile,
     bid profile) key, so the rows are streamed to the file WRITE_CHUNK rounds
-    at a time, each key formatted once per chunk.
+    at a time, each key's text joined once per chunk from the texts of its
+    cells; each grid bid is formatted once per run.
     """
     cfg = trace.config
     n = cfg.mechanism.n
-    grids = cfg.mechanism.actions.grids
     row, key, _ = mech.profile_index(
         [*trace.v_idx.T, *trace.realized_idx.T],
         [len(p) for p in cfg.populations] + list(cfg.mechanism.actions.sizes()),
@@ -435,21 +436,19 @@ def write_trace_csv(trace: Trace, path) -> None:
                 f"round {t + 1} stores {name}={float(col[t])!r}, but round "
                 f"{other + 1} with the same types and bids stores {float(col[other])!r}"
             )
-
-    def suffix(t: int) -> str:
-        return ",".join(
-            [str(int(trace.v_idx[t, i])) for i in range(n)]
-            + [repr(grids[i][trace.realized_idx[t, i]]) for i in range(n)]
-            + [repr(float(trace.sw[t])), repr(float(trace.opt[t]))]
-        )
+    bid_texts = [[repr(b) for b in grid] for grid in cfg.mechanism.actions.grids]
 
     def lines(a: int):
-        texts = {}
-        for t, k in enumerate(key[a:a + WRITE_CHUNK].tolist(), a + 1):
-            text = texts.get(k)
-            if text is None:
-                text = texts[k] = suffix(int(row[k]))
-            yield f"{t},{text}\n"
+        b = min(a + WRITE_CHUNK, trace.horizon)
+        keys = key[a:b].tolist()
+        distinct = list(dict.fromkeys(keys))
+        at = row[distinct]
+        cols = [map(str, col) for col in trace.v_idx[at].T.tolist()]
+        cols += [map(bids.__getitem__, col)
+                 for bids, col in zip(bid_texts, trace.realized_idx[at].T.tolist())]
+        cols += [map(repr, trace.sw[at].tolist()), map(repr, trace.opt[at].tolist())]
+        texts = dict(zip(distinct, map(",".join, zip(*cols))))
+        return (f"{t},{texts[k]}\n" for t, k in zip(range(a + 1, b + 1), keys))
 
     with open(path, "w") as fh:
         fh.write(",".join(_csv_header(n)) + "\n")
@@ -504,6 +503,14 @@ def _read_trace_csv(csv_path, config: SimConfig):
         got = fh.readline().rstrip("\n").split(",")
         if got != header:
             raise InputError(f"{csv_path}: unexpected CSV header {got}")
+        # np.loadtxt warns instead of raising on a table with no data rows,
+        # only blank lines and '#' comments
+        start = fh.tell()
+        if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
+            raise InputError(
+                f"{csv_path}: table has no rows, expected {T} by {len(header)}"
+            )
+        fh.seek(start)
         try:
             body = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as e:

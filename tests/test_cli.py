@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -245,38 +246,43 @@ def test_analyze_rejects_a_tampered_welfare_cell(tmp_path, capsys):
 
 
 def replace_cell(lines, t, column, text):
-    """Row ``t`` of trace.csv ``lines`` with the cell under ``column`` replaced."""
+    """``lines`` of trace.csv with the cell of row ``t`` under ``column`` replaced."""
     cells = lines[t].split(",")
     cells[lines[0].split(",").index(column)] = text
-    return ",".join(cells)
+    return lines[:t] + [",".join(cells)] + lines[t + 1:]
 
 
 @pytest.mark.parametrize(
-    "column, edit",
+    "message, edit",
     [
-        ("t", lambda lines: lines[2]),  # round 3 duplicates round 2
-        ("v_idx_1", lambda lines: replace_cell(lines, 3, "v_idx_1", "0.5")),
-        ("v_idx_1", lambda lines: replace_cell(lines, 3, "v_idx_1", "2")),
-        ("action_1", lambda lines: replace_cell(lines, 3, "action_1", "0.3")),
-        ("sw", lambda lines: replace_cell(lines, 3, "sw", "abc")),
+        # round 3 duplicates round 2
+        ("column t:", lambda lines: lines[:3] + lines[2:3] + lines[4:]),
+        ("column v_idx_1:", lambda lines: replace_cell(lines, 3, "v_idx_1", "0.5")),
+        ("column v_idx_1:", lambda lines: replace_cell(lines, 3, "v_idx_1", "2")),
+        ("column action_1:", lambda lines: replace_cell(lines, 3, "action_1", "0.3")),
+        ("column sw:", lambda lines: replace_cell(lines, 3, "sw", "abc")),
+        ("table has no rows, expected 40 by 7", lambda lines: lines[:1] + [""]),
+        ("table has no rows, expected 40 by 7", lambda lines: lines[:1] + ["", " ", ""]),
     ],
     ids=["duplicate-round", "fractional-type", "type-out-of-range", "off-grid-bid",
-         "non-numeric"],
+         "non-numeric", "header-only", "blank-lines"],
 )
-def test_analyze_rejects_a_malformed_trace(tmp_path, capsys, column, edit):
+def test_analyze_rejects_a_malformed_trace(tmp_path, capsys, message, edit):
     out = tmp_path / "runs"
     cfg = write_config(tmp_path, name="sim.json", horizon=40, seeds=[1],
                        out_dir=str(out))
     assert cli.main(["simulate", "--config", cfg]) == 0
     trace = out / "seed_1" / "trace.csv"
-    lines = trace.read_text().split("\n")
-    lines[3] = edit(lines)
-    trace.write_text("\n".join(lines))
+    trace.write_text("\n".join(edit(trace.read_text().split("\n"))))
     capsys.readouterr()
-    assert cli.main(["analyze", "--config", cfg]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["analyze", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    assert f"column {column}:" in err
+    # one error line: no traceback, and no warning numpy would print
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert [str(w.message) for w in caught] == []
 
 
 def drop_meta_entry(doc, key):

@@ -159,6 +159,7 @@ HEADLINE_GRID_RUNS = {
         (mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_BANDIT, 2.0, 0.05),
     "first-price-bandit-unmixed": (mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_BANDIT, None, 0.0),
     "multi-unit-n4-bandit": (mech.KIND_MULTI_UNIT, 4, 2, sim.FEEDBACK_BANDIT, None, 0.1),
+    "multi-unit-n4-full": (mech.KIND_MULTI_UNIT, 4, 2, sim.FEEDBACK_FULL, None, 0.1),
 }
 
 
@@ -177,9 +178,9 @@ def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(
     # step of 2 at gamma 0.05 multiplies in exponents up to 2 * 11 / 0.05,
     # so the ceiling checks run on that path too; at gamma 0 the importance
     # weight divides by the unmixed probability. Four seats selling two
-    # units index 11**3 opponent profiles per agent. Three seeds update six
-    # or more rows of 11 weights a round and take the batched step, one seed
-    # the scalar step.
+    # units index 11**3 opponent profiles per agent, under either feedback.
+    # Three seeds update six or more rows of 11 weights a round and take the
+    # batched step, one seed the scalar step.
     assert (len(seeds) * n * 11 <= sim.SCALAR_WEIGHTS) == (len(seeds) == 1)
     m = mech.Mechanism(
         kind=kind, n=n, actions=mech.ActionSpace.uniform(n, 0.1, 1.0), units=units
@@ -231,6 +232,35 @@ def test_pairwise_sum_is_numpys_float64_sum(n, seed, extra):
     for terms in (a, np.full(n, -0.0)):  # numpy sums -0.0 terms to 0.0
         got = np.float64(scalar_step.pairwise_sum(terms.tolist()))
         assert got.tobytes() == np.add.reduce(terms).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       gamma=st.sampled_from((0.0, 0.05, 0.3)))
+def test_scalar_rows_hold_the_batched_step_s_probabilities(n, seed, gamma):
+    # the scalar step samples from these lists, so they must hold the bits of
+    # the batched step's probabilities and their cumsum; a draw rarely lands
+    # within a rounding error of a CDF entry, so traces alone miss a change
+    rng = np.random.default_rng(seed)
+    w = rng.random((1, n)) * 2.0 ** rng.integers(-60, 60, (1, n))
+    p = ln.LearnerState(w, gamma=gamma).probabilities()
+    rows = [scalar_step.row_cdf(w[0].tolist(), gamma)]
+    if gamma == 0.0:
+        rows.append(scalar_step.hedge_row(w[0].tolist()))
+    for _, got_p, got_cdf in rows:
+        assert got_p is None or same_bits(np.array(got_p), p[0])
+        assert same_bits(np.array(got_cdf), p[0].cumsum())
+
+
+def test_code_table_holds_every_utility_as_a_code_into_its_agent_s_values():
+    # the scalar step looks a Hedge factor up by one byte per table entry
+    rng = np.random.default_rng(5)
+    unit = rng.choice(rng.random(40), size=(3 * 30, 11))
+    vals, codes = scalar_step.code_table(unit, 3)
+    widest = max(len(set(block.tolist())) for block in unit.reshape(3, -1))
+    assert vals.shape == (3, widest) and isinstance(codes, bytes)
+    agent = np.repeat(np.arange(3), unit.size // 3)
+    assert same_bits(vals[agent, list(codes)].reshape(unit.shape), unit)
 
 
 def test_step_sizes_that_can_overflow_a_weight_are_rejected():
