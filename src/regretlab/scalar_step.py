@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import partial
 from itertools import accumulate
 from operator import add, mul
 
@@ -42,11 +41,10 @@ def pairwise_sum(a: list) -> float:
         return pairwise_sum(a[:half]) + pairwise_sum(a[half:])
     r0, r1, r2, r3, r4, r5, r6, r7 = a[:8]
     end = n - n % 8
-    if end > 8:
-        for i in range(8, end, 8):
-            r0, r1, r2, r3, r4, r5, r6, r7 = map(
-                add, (r0, r1, r2, r3, r4, r5, r6, r7), a[i:i + 8]
-            )
+    for i in range(8, end, 8):
+        r0, r1, r2, r3, r4, r5, r6, r7 = map(
+            add, (r0, r1, r2, r3, r4, r5, r6, r7), a[i:i + 8]
+        )
     res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
     for x in a[end:]:
         res += x
@@ -57,7 +55,8 @@ def pairwise_sum(a: list) -> float:
 def hedge_row(w: list) -> tuple[list, None, list]:
     """A Hedge weight row with the CDF of its sampling probabilities, by the
     float operations of ``LearnerState.probabilities`` at gamma 0 and
-    ``cumsum``."""
+    ``cumsum``. Hedge samples from the CDF alone, so one pass skips the
+    probability list that ``row_cdf`` keeps for bandit's importance weights."""
     total = pairwise_sum(w)
     cdf, acc = [], 0.0
     for x in w:
@@ -67,8 +66,8 @@ def hedge_row(w: list) -> tuple[list, None, list]:
 
 
 def row_cdf(w: list, gamma: float) -> tuple[list, list, list]:
-    """A bandit weight row with its sampling probabilities and their CDF, by
-    the float operations of ``LearnerState.probabilities`` and ``cumsum``."""
+    """One weight row with its sampling probabilities and their CDF, by the
+    float operations of ``LearnerState.probabilities`` and ``cumsum``."""
     total = pairwise_sum(w)
     if gamma > 0.0:
         keep, floor = 1.0 - gamma, gamma / len(w)
@@ -116,13 +115,11 @@ class ScalarStep:
             self.place[k][k - k % n:k - k % n + n] = (opp_place[:, k % n] * A).tolist()
         if unit is None:
             self.bandit = bandit
-            self.row = partial(row_cdf, gamma=state.gamma)
         else:
             self.n_agents = len(first_cell) // n_seeds
             self.vals, self.codes = code_table(unit, self.n_agents)
             self.factors = np.empty((chunk, n_seeds * n, self.vals.shape[1]))
-            self.row = hedge_row
-        self.cache = [self.row(w) for w in state.weights.tolist()]
+        self.cache = [row_cdf(w, state.gamma) for w in state.weights.tolist()]
 
     def rounds(self, draws: np.ndarray, rows_at: np.ndarray, headroom: float,
                etas: np.ndarray | None = None, steps: list | None = None):
@@ -147,7 +144,9 @@ class ScalarStep:
             flat_tables, eta, H = self.bandit
             two_h = 2.0 * H
         picks, played = [], []
-        for c, (us, rows) in enumerate(zip(draws.tolist(), rows_at.tolist())):
+        for c in range(len(draws)):
+            # a round at a time: lists of a whole chunk raised the peak RSS
+            us, rows = draws[c].tolist(), rows_at[c].tolist()
             # the count of CDF entries below the last at or below the draw,
             # as the batched step counts them
             j = [bisect_right(cdf, u * cdf[-1], 0, top) for (_, _, cdf), u in zip(cache, us)]
@@ -175,6 +174,6 @@ class ScalarStep:
                 state.weights[:] = [w for w, _, _ in cache]
                 renormalize(state.weights)
                 headroom = ceiling_headroom(state.weights)
-                cache = [self.row(w) for w in state.weights.tolist()]
+                cache = [row_cdf(w, gamma) for w in state.weights.tolist()]
         self.cache = cache
         return picks, played, headroom
