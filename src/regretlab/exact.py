@@ -18,9 +18,9 @@ it so, which rules out cycling; only driving a leftover artificial out of
 the basis after phase 1 can break that, and the pivot cap stays as the
 backstop. The rule is fully deterministic, which is what a ground-truth
 oracle needs at these sizes (up to ``LP_CAP`` variables, a few dozen rows).
-The solver keeps one explicit m x m basis inverse, updated by a rank-1 step
-per pivot and recomputed from the basis columns every ``REFACTOR_EVERY``
-pivots so that rounding cannot pile up. A singular basis is a SolverError.
+The solver keeps one explicit m x m basis inverse, recomputed from the basis
+columns at every pivot, so no rounding carries from one pivot to the next. A
+singular basis is a SolverError.
 
 The minimum is certified by weak duality: with y >= 0 the final basis's
 deviation-row duals (clipped at 0), z = min_s (sw(s) - y.G(s)) is a lower
@@ -93,24 +93,9 @@ def build_agent_game(mechanism: mech.Mechanism, populations) -> AgentGame:
     E[Opt] likewise. Instances above ``TENSOR_CAP`` joint profiles are
     rejected with the measured size.
     """
-    pops = tuple(
-        p if isinstance(p, mech.Population) else mech.Population(tuple(p))
-        for p in populations
-    )
-    if len(pops) != mechanism.n:
-        raise InputError(
-            f"{len(pops)} populations for {mechanism.n} player seats"
-        )
-    agents = []
-    sizes = []
-    for i, p in enumerate(pops):
-        for ti, v in enumerate(p.values):
-            if not 0.0 <= v <= mechanism.scale + mech.GRID_TOL:
-                raise InputError(
-                    f"population {i}: type value {v} outside [0, {mechanism.scale}]"
-                )
-            agents.append((i, ti, v))
-            sizes.append(mechanism.actions.size(i))
+    pops = mech.check_populations(mechanism, populations)
+    agents = mech.flat_agents(pops)
+    sizes = [mechanism.actions.size(i) for i, _ti, _v in agents]
     sigma = 1
     for k in sizes:
         sigma *= k
@@ -131,7 +116,7 @@ def build_agent_game(mechanism: mech.Mechanism, populations) -> AgentGame:
     rev_flat = mech.revenue_table(mechanism)
     util_flat: dict[tuple[int, float], np.ndarray] = {}
     for i, p in enumerate(pops):
-        oflat = mech.radix_encode(pdigs[:i] + pdigs[i + 1:], a_sizes[:i] + a_sizes[i + 1:])
+        oflat = mech.opponent_index(pdigs, a_sizes, i)
         for v in p.values:
             table = mech.utility_table(mechanism, i, v)
             util_flat[(i, v)] = table[pdigs[i], oflat]
@@ -241,12 +226,10 @@ class CceLpSolution:
     dual_gap: float
 
 
-REFACTOR_EVERY = 32  # pivots between fresh basis inverses
-
-
 class _Basis:
     """An explicit inverse of the basis drawn from ``cols``, whose rows are the
-    standard-form columns, and the basic solution it gives for ``b``."""
+    standard-form columns, and the basic solution it gives for ``b``, both
+    recomputed at every pivot."""
 
     def __init__(self, cols: np.ndarray, b: np.ndarray, basis: np.ndarray):
         self.cols = cols
@@ -260,21 +243,11 @@ class _Basis:
         except np.linalg.LinAlgError as e:
             raise SolverError(f"singular basis {self.basis.tolist()}: {e}") from None
         self.x = self.inv @ self.b
-        self.updates = 0
 
-    def pivot(self, row: int, col: int, alpha: np.ndarray) -> None:
-        """Exchange basis[row] for col, whose column in the basis is alpha."""
+    def pivot(self, row: int, col: int) -> None:
+        """Exchange basis[row] for col."""
         self.basis[row] = col
-        if self.updates == REFACTOR_EVERY:
-            self.refactor()
-            return
-        f = alpha.copy()
-        f[row] = 0.0
-        self.inv[row] /= alpha[row]
-        self.inv -= f[:, None] * self.inv[row]
-        self.x[row] /= alpha[row]
-        self.x -= f * self.x[row]
-        self.updates += 1
+        self.refactor()
 
 
 def _leaving_row(B: _Basis, alpha: np.ndarray, rows: np.ndarray) -> int:
@@ -312,7 +285,7 @@ def _pivot_loop(B: _Basis, cost: np.ndarray, n_cols: int, maxiter: int,
                 f"LP unbounded in phase {phase} at pivot {it}, entering column "
                 f"{col}, basis {B.basis.tolist()}"
             )
-        B.pivot(_leaving_row(B, alpha, rows), col, alpha)
+        B.pivot(_leaving_row(B, alpha, rows), col)
         it += 1
         if it > maxiter:
             raise SolverError(
@@ -347,12 +320,11 @@ def _two_phase_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray):
             hit = np.abs(row) > 1e-9
             j = int(hit.argmax())
             if hit[j]:
-                B.pivot(r, j, B.inv @ cols[j])
+                B.pivot(r, j)
                 pivots += 1
 
     cost = np.concatenate([c, np.zeros(m)])
     pivots += _pivot_loop(B, cost, n, maxiter, phase=2)
-    B.refactor()
     x = np.zeros(n + m)
     x[B.basis] = B.x
     y = (cost[B.basis] @ B.inv) * sign

@@ -217,6 +217,28 @@ class Population:
         return len(self.values)
 
 
+def check_populations(mechanism: Mechanism, populations) -> tuple[Population, ...]:
+    """One Population per player seat of ``mechanism``, each type value in
+    ``[0, scale]``; a plain sequence of values is converted."""
+    pops = tuple(p if isinstance(p, Population) else Population(tuple(p)) for p in populations)
+    if len(pops) != mechanism.n:
+        raise InputError(f"{len(pops)} populations for {mechanism.n} player seats")
+    for i, p in enumerate(pops):
+        for v in p.values:
+            if not 0.0 <= v <= mechanism.scale + GRID_TOL:
+                raise InputError(
+                    f"population {i}: type value {v} outside [0, {mechanism.scale}]"
+                )
+    return pops
+
+
+def flat_agents(populations: Sequence[Population]) -> list[tuple[int, int, float]]:
+    """The population game's agents as (population, type index, type value),
+    populations ascending, types in declaration order: the row order of the
+    simulator's learners and the player order of the exact agent game."""
+    return [(i, ti, v) for i, p in enumerate(populations) for ti, v in enumerate(p.values)]
+
+
 # What a selected agent learns from its round: the full counterfactual
 # utility vector, or only its realized utility.
 FEEDBACK_FULL = "full"
@@ -352,6 +374,26 @@ def radix_encode(digits, sizes: Sequence[int]):
     flat = 0
     for d, size in zip(digits, sizes):
         flat = flat * size + np.asarray(d, dtype=np.int64)
+    return flat
+
+
+def opponent_places(sizes: Sequence[int], seat: int) -> list[int]:
+    """Place value of each seat's digit in ``seat``'s opponent index: the
+    other seats in ascending order, last fastest, and 0 for ``seat`` itself."""
+    places = radix_place_values([s for j, s in enumerate(sizes) if j != seat])
+    places.insert(seat, 0)
+    return places
+
+
+def opponent_index(digits, sizes: Sequence[int], seat: int) -> np.ndarray:
+    """Flat opponent profile of ``seat`` for a joint digit tuple, the column
+    of ``utility_table(mechanism, seat, value)`` it indexes. Digits may be
+    ints or integer arrays of one shape; the result is an int64 array of that
+    shape, all zeros when ``seat`` has no opponents."""
+    flat = np.zeros(np.shape(digits[seat]), dtype=np.int64)
+    for d, place in zip(digits, opponent_places(sizes, seat)):
+        if place:
+            flat += np.multiply(d, place, dtype=np.int64)
     return flat
 
 

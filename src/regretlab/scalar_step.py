@@ -97,13 +97,14 @@ class ScalarStep:
     """One batch's learner rows as Python lists, and the rounds that update
     them. ``state.weights`` is brought up to date only for a ceiling check.
 
-    Hedge passes its unit utility table as ``unit``, bandit ``(flat_tables,
-    eta, scale)`` as ``bandit``, as the batched step uses them; ``chunk`` is
-    the most rounds one call of ``rounds`` plays."""
+    Both rules pass the unit utility table ``unit`` that the batched step
+    reads; bandit also passes its step size ``eta``, Hedge None, as Hedge's
+    step sizes come with each chunk. ``chunk`` is the most rounds one call of
+    ``rounds`` plays."""
 
     def __init__(self, state: LearnerState, first_cell: np.ndarray,
                  opp_place: np.ndarray, n_seeds: int, chunk: int,
-                 unit: np.ndarray | None = None, bandit=None):
+                 unit: np.ndarray, eta: float | None):
         self.state = state
         A = state.n_actions
         # a row's table entries start at first[r] + sum(bids * place[k]), for
@@ -113,8 +114,9 @@ class ScalarStep:
         self.place = [[0] * (n_seeds * n) for _ in range(n_seeds * n)]
         for k in range(n_seeds * n):
             self.place[k][k - k % n:k - k % n + n] = (opp_place[:, k % n] * A).tolist()
-        if unit is None:
-            self.bandit = bandit
+        self.eta = eta
+        if eta is not None:
+            self.unit = unit.ravel()
         else:
             self.n_agents = len(first_cell) // n_seeds
             self.vals, self.codes = code_table(unit, self.n_agents)
@@ -131,7 +133,8 @@ class ScalarStep:
         state, cache, first, place = self.state, self.cache, self.first, self.place
         gamma, top = state.gamma, state.n_actions - 1
         A = top + 1
-        hedge = etas is not None
+        eta = self.eta
+        hedge = eta is None
         if hedge:
             codes = self.codes
             # factors[c, k, i]: exp(eta * value i of the agent of round c's
@@ -141,8 +144,7 @@ class ScalarStep:
             factors *= etas
             np.exp(factors, out=factors)
         else:
-            flat_tables, eta, H = self.bandit
-            two_h = 2.0 * H
+            unit = self.unit
         picks, played = [], []
         for c in range(len(draws)):
             # a round at a time: lists of a whole chunk raised the peak RSS
@@ -165,7 +167,7 @@ class ScalarStep:
                 for r, b, pl in zip(rows, bids, place):
                     o = first[r] + sum(map(mul, bids, pl))
                     w, p, _ = cache[r]
-                    x = eta * (((flat_tables.item(o + b) + H) / two_h) / p[b])
+                    x = eta * (unit.item(o + b) / p[b])
                     w[b] *= math.exp(x)
                     xs.append(x)
                     cache[r] = row_cdf(w, gamma)

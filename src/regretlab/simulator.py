@@ -80,20 +80,7 @@ class SimConfig:
             raise InputError(f"horizon must be >= 1, got {self.horizon}")
         if self.feedback not in (FEEDBACK_FULL, FEEDBACK_BANDIT):
             raise InputError(f"unknown feedback mode {self.feedback!r}")
-        if len(self.populations) != self.mechanism.n:
-            raise InputError(
-                f"{len(self.populations)} populations for {self.mechanism.n} player seats"
-            )
-        pops = tuple(
-            p if isinstance(p, Population) else Population(tuple(p))
-            for p in self.populations
-        )
-        for i, p in enumerate(pops):
-            for v in p.values:
-                if not 0.0 <= v <= self.mechanism.scale + mech.GRID_TOL:
-                    raise InputError(
-                        f"population {i}: type value {v} outside [0, {self.mechanism.scale}]"
-                    )
+        pops = mech.check_populations(self.mechanism, self.populations)
         object.__setattr__(self, "populations", pops)
         if not 0.0 <= self.gamma <= 1.0:
             raise InputError(f"gamma must lie in [0, 1], got {self.gamma}")
@@ -123,13 +110,10 @@ class SimConfig:
         check_index_memory(self, 1)
 
     def agents(self) -> list[tuple[int, int, float]]:
-        """Flat agent order: (population, type index, type value), populations
-        ascending, types in declaration order."""
-        out = []
-        for i, p in enumerate(self.populations):
-            for ti, v in enumerate(p.values):
-                out.append((i, ti, v))
-        return out
+        """Flat agent order, ``mechanisms.flat_agents``: (population, type
+        index, type value), the order of the learner rows and of the exact
+        agent game's players."""
+        return mech.flat_agents(self.populations)
 
     def agent_offsets(self) -> list[int]:
         offs, acc = [], 0
@@ -200,10 +184,7 @@ def welfare_columns(
     sizes_a = m.actions.sizes()
     sw = np.zeros(len(v_idx))
     for i, pop in enumerate(config.populations):
-        others = [j for j in range(m.n) if j != i]
-        opp = mech.radix_encode(
-            [realized_idx[:, j] for j in others], [sizes_a[j] for j in others]
-        )
+        opp = mech.opponent_index(realized_idx.T, sizes_a, i)
         tables = np.stack([mech.utility_table(m, i, v) for v in pop.values])
         sw += tables[v_idx[:, i], realized_idx[:, i], opp]
     sw += mech.revenue_table(m)[mech.radix_encode(realized_idx.T, sizes_a)]
@@ -305,23 +286,19 @@ def _play_rounds(config: SimConfig, seeds):
     full = config.feedback == FEEDBACK_FULL
     state = LearnerState(np.ones((S * G, A)), gamma=0.0 if full else config.gamma)
     headroom = ceiling_headroom(state.weights)
-    two_h = 2.0 * H
+    # both rules read only the unit utilities (tables + H) / 2H, so the
+    # tables become those
+    unit = tables
+    unit += H
+    unit /= 2.0 * H
     if full:
-        # Hedge reads only (tables + H) / two_h, so the tables become that
-        unit = tables
-        unit += H
-        unit /= two_h
         # ln(weight) grows by at most eta * top_unit per update
         top_unit = max(float(unit.max()), 0.0)
     else:
-        flat_tables = tables.ravel()
         eta = config.eta if config.eta is not None else config.gamma / A
 
     # opp_place[j, i]: weight of seat j's bid in seat i's opponent index
-    opp_place = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        opp_place[others, i] = mech.radix_place_values([A] * len(others))
+    opp_place = np.array([mech.opponent_places([A] * n, i) for i in range(n)]).T
     row_base = np.arange(S)[:, None] * G + offsets
     # the first utility cell of each learner row's agent
     first_cell = np.tile(np.arange(G) * n_opp, S)
@@ -338,9 +315,8 @@ def _play_rounds(config: SimConfig, seeds):
     if scalar:
         from .scalar_step import ScalarStep
 
-        step = (ScalarStep(state, first_cell, opp_place, S, chunk, unit=unit) if full
-                else ScalarStep(state, first_cell, opp_place, S, chunk,
-                                bandit=(flat_tables, eta, H)))
+        step = ScalarStep(state, first_cell, opp_place, S, chunk, unit,
+                          None if full else eta)
 
     for a in range(0, T, DRAW_CHUNK):
         R = min(DRAW_CHUNK, T - a)
@@ -385,8 +361,7 @@ def _play_rounds(config: SimConfig, seeds):
                 state.weights[rows] *= np.exp(etas[c] * unit[cells])
                 headroom -= steps[c]
             else:
-                own = flat_tables[cells * A + bids]
-                xs = (eta * (((own + H) / two_h) / p[rows, bids])).tolist()
+                xs = (eta * (unit[cells, bids] / p[rows, bids])).tolist()
                 # math.exp, not np.exp: the two can differ in the last bit
                 state.weights[rows, bids] *= [math.exp(x) for x in xs]
                 headroom -= max(xs) + LOG_STEP_SLACK
@@ -634,16 +609,12 @@ def rebuild_ledgers(trace: Trace, horizon: int | None = None) -> list[RegretLedg
         table = mech.utility_table(m, pop, val)
         sel = v_idx[:, pop] == ti
         n_sel = int(sel.sum())
-        others = [j for j in range(m.n) if j != pop]
-        opp = mech.radix_encode(
-            [realized[sel, j] for j in others], [sizes_a[j] for j in others]
-        )
-        counts = np.bincount(
-            np.broadcast_to(opp, n_sel), minlength=table.shape[1]
-        ).astype(np.float64)
+        bids = realized[sel].T
+        opp = mech.opponent_index(bids, sizes_a, pop)
+        counts = np.bincount(opp, minlength=table.shape[1]).astype(np.float64)
         ledgers.append(RegretLedger(
             counterfactual=table @ counts,
-            realized=float(table[realized[sel, pop], opp].sum()),
+            realized=float(table[bids[pop], opp].sum()),
             selected_rounds=n_sel,
             unselected_rounds=T - n_sel,
         ))

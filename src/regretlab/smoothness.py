@@ -297,10 +297,7 @@ def best_pure_deviation(
             f"over the cap of {PURE_SEARCH_CAP}"
         )
     digits = mech.radix_decode(np.arange(joint), sizes)
-    opp_idx = [
-        mech.radix_encode(digits[:i] + digits[i + 1:], sizes[:i] + sizes[i + 1:])
-        for i in range(mechanism.n)
-    ]
+    opp_idx = [mech.opponent_index(digits, sizes, i) for i in range(mechanism.n)]
     rev = mech.revenue_table(mechanism)
 
     best_overall = math.inf
@@ -315,7 +312,7 @@ def best_pure_deviation(
         gain = np.broadcast_to(mu * rev, (joint, joint)).copy()
         for i in range(mechanism.n):
             table = mech.utility_table(mechanism, i, values[i])
-            gain += table[np.ix_(digits[i], np.atleast_1d(opp_idx[i]))]
+            gain += table[np.ix_(digits[i], opp_idx[i])]
         floor = gain.min(axis=1)
         b_flat = int(np.argmax(floor))
         chosen[values] = tuple(int(d[b_flat]) for d in digits)

@@ -131,9 +131,9 @@ def test_agent_game_caps_and_validation(monkeypatch):
         exact.build_agent_game(inst.mechanism, inst.populations)
     assert "cap is 10" in str(exc.value)
     assert "action counts" in str(exc.value)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="player seats"):
         exact.build_agent_game(inst.mechanism, [(0.5, 1.0)])  # one pop for two seats
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"outside \[0"):
         exact.build_agent_game(inst.mechanism, [(0.5, 1.0), (0.5, 2.0)])
 
 
@@ -383,7 +383,7 @@ def test_lp_matches_highs_on_the_grid_instances(name):
     assert abs(sol.objective - want) <= 1e-9
     assert abs(sol.dual_gap) <= 1e-9
     assert abs(sol.dual_bound - want) <= 1e-9
-    # Dantzig pricing takes 61-79 pivots here; Bland's smallest-index rule
+    # Dantzig pricing takes 61-80 pivots here; Bland's smallest-index rule
     # took 1,114-5,301, so a slide back to it fails this bound
     assert sol.iterations <= 150
 

@@ -267,6 +267,9 @@ def test_tables_match_the_oracle(case):
             others = [j for j in range(m.n) if j != i]
             opp = mech.radix_encode([idx[j] for j in others], [sizes[j] for j in others])
             assert tables[i][idx[i], opp] == want_u[i], (i, bids)
+            # the shared opponent layout agrees with this recount
+            assert mech.opponent_index(idx, sizes, i) == opp
+            assert np.dot(idx, mech.opponent_places(sizes, i)) == opp
 
 
 def test_table_cap_enforced(monkeypatch):

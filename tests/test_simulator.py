@@ -490,10 +490,12 @@ def test_config_validation():
     with pytest.raises(InputError):
         sim.Population((0.5, 0.5))
     m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, actions=mech.ActionSpace.uniform(2, 0.5, 1.0))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="player seats"):
         sim.SimConfig(
             mechanism=m, populations=(sim.Population((1.0,)),), horizon=5, seed=0
         )
+    with pytest.raises(InputError, match=r"outside \[0"):
+        sim.SimConfig(mechanism=m, populations=((1.0,), (0.5, 2.0)), horizon=5, seed=0)
     # indices are stored as int16: larger grids and populations are rejected
     wide = mech.ActionSpace(grids=(tuple(k / 40_000 for k in range(40_001)),), scale=1.0)
     with pytest.raises(InputError, match="32768"):
