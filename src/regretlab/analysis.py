@@ -11,7 +11,9 @@ Conventions. Averages that define epsilon divide by the full window length,
 not by the number of rounds an agent was selected. Their numerators are the
 gap sums of the per-agent regret ledgers, which ``simulator.rebuild_ledgers``
 counts from the trace's type and realized-bid columns; a simulated and a
-loaded trace take this one path. A report also checks each agent's regret
+loaded trace take this one path. A report counts the whole horizon and each
+checkpoint of its learning curve (epsilon and welfare ratio at prefix
+horizons) in one sweep of the ledgers. It also checks each agent's regret
 over the whole horizon against the Hedge bound under full feedback, and logs
 a warning, not an error, when an agent lies above it.
 """
@@ -107,7 +109,8 @@ def bayes_cce_epsilon(trace: Trace, horizon: int | None = None) -> tuple[float, 
     T = trace.horizon if horizon is None else horizon
     if not 1 <= T <= trace.horizon:
         raise InputError(f"horizon {T} outside [1, {trace.horizon}]")
-    return _epsilon(trace, rebuild_ledgers(trace, T), T)
+    (ledgers,) = rebuild_ledgers(trace, [T])
+    return _epsilon(trace, ledgers, T)
 
 
 def _epsilon(trace: Trace, ledgers: list[RegretLedger], T: int) -> tuple[float, dict]:
@@ -251,18 +254,13 @@ def t_star(
         raise InputError(f"rho must lie in (0, 1], got {rho}")
     if n < 1 or sigma_size < 1 or v_size < 1 or H <= 0:
         raise InputError("need n >= 1, sigma_size >= 1, v_size >= 1, H > 0")
-    return (
-        54.0
-        * n**3
-        * sigma_size
-        * v_size**2
-        * H**3
-        / delta**3
-        * math.log(2.0 / rho)
-    )
+    cube = delta**3
+    if cube == 0.0:  # delta**3 underflows below delta ~1.35e-108
+        return math.inf
+    return 54.0 * n**3 * sigma_size * v_size**2 * H**3 / cube * math.log(2.0 / rho)
 
 
-# --- report + checkpoint series ----------------------------------------------
+# --- report ------------------------------------------------------------------
 
 
 def default_checkpoints(T: int) -> list[int]:
@@ -275,33 +273,6 @@ def default_checkpoints(T: int) -> list[int]:
     if not pts or pts[-1] != T:
         pts.append(T)
     return pts
-
-
-def checkpoint_series(
-    trace: Trace,
-    checkpoints: Sequence[int] | None = None,
-    full_epsilon: float | None = None,
-) -> list[dict]:
-    """Running epsilon and welfare ratio at increasing prefix horizons.
-    ``full_epsilon``, when given, is the whole horizon's epsilon, which the
-    caller has already counted."""
-    if checkpoints is None:
-        checkpoints = default_checkpoints(trace.horizon)
-    pts = sorted(set(int(c) for c in checkpoints))
-    if not pts or pts[0] < 1 or pts[-1] > trace.horizon:
-        raise InputError(f"checkpoints must lie in [1, {trace.horizon}]")
-    cum_sw = np.cumsum(trace.sw)
-    cum_opt = np.cumsum(trace.opt)
-    rows = []
-    for T in pts:
-        if T == trace.horizon and full_epsilon is not None:
-            eps = full_epsilon
-        else:
-            eps, _ = bayes_cce_epsilon(trace, horizon=T)
-        sw = float(cum_sw[T - 1])
-        ratio = float(cum_opt[T - 1]) / sw if sw > 0 else math.inf
-        rows.append({"horizon": T, "epsilon": eps, "ratio": ratio})
-    return rows
 
 
 def checkpoints_csv_text(rows: Sequence[dict]) -> str:
@@ -332,11 +303,19 @@ def analysis_report(
     """One-stop JSON-ready summary of a trace. The independence gap needs the
     commitment table and is None on a trace without one. Under full feedback,
     agents whose regret over the horizon lies above the Hedge bound are
-    logged as warnings."""
-    ledgers = rebuild_ledgers(trace)
+    logged as warnings. One ledger sweep counts the horizon and the
+    ``checkpoints`` (default ``default_checkpoints``) of the running rows."""
+    T = trace.horizon
+    if checkpoints is None:
+        checkpoints = default_checkpoints(T)
+    pts = sorted(set(int(c) for c in checkpoints))
+    if not pts or pts[0] < 1 or pts[-1] > T:
+        raise InputError(f"checkpoints must lie in [1, {T}]")
+    counted = rebuild_ledgers(trace, pts if pts[-1] == T else pts + [T])
+    ledgers = counted[-1]
     if trace.config.feedback == FEEDBACK_FULL:
         _check_hedge_bound(trace, ledgers)
-    eps, breakdown = _epsilon(trace, ledgers, trace.horizon)
+    eps, breakdown = _epsilon(trace, ledgers, T)
     gap = None
     if trace.strategy is not None:
         gap = conditional_independence_gap(empirical_joint(trace, zeta=zeta))
@@ -360,8 +339,19 @@ def analysis_report(
             "per_action": [float(x) for x in avg],
             "epsilon": max(0.0, float(avg.max())),
         }
+    # built after the empirical joint, so the running sums stay out of its peak
+    cum_sw = np.cumsum(trace.sw)
+    cum_opt = np.cumsum(trace.opt)
+    rows = []
+    for h, led in zip(pts, counted):
+        sw = float(cum_sw[h - 1])
+        rows.append({
+            "horizon": h,
+            "epsilon": _epsilon(trace, led, h)[0],
+            "ratio": float(cum_opt[h - 1]) / sw if sw > 0 else math.inf,
+        })
     return {
-        "horizon": trace.horizon,
+        "horizon": T,
         "seed": trace.config.seed,
         "epsilon": eps,
         "epsilon_breakdown": bd,
@@ -377,5 +367,5 @@ def analysis_report(
         "delta": delta,
         "rho": rho,
         "t_star": ts,
-        "checkpoints": checkpoint_series(trace, checkpoints, full_epsilon=eps),
+        "checkpoints": rows,
     }

@@ -30,7 +30,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -236,15 +236,14 @@ def load_config(path) -> ExperimentConfig:
         # the ranges the report needs: t_star takes delta > 0 and rho in
         # (0, 1], the independence gap zeta in [0, 1]
         settings = AnalysisSettings(
-            zeta=_number(an.get("zeta", 0.01), f"{path}: analysis.zeta",
+            zeta=_number(an.get("zeta", settings.zeta), f"{path}: analysis.zeta",
                          minimum=0.0, maximum=1),
-            delta=_number(an.get("delta", 0.05), f"{path}: analysis.delta",
+            delta=_number(an.get("delta", settings.delta), f"{path}: analysis.delta",
                           positive=True),
-            rho=_number(an.get("rho", 0.05), f"{path}: analysis.rho",
+            rho=_number(an.get("rho", settings.rho), f"{path}: analysis.rho",
                         positive=True, maximum=1),
-            tolerance=_number(
-                an.get("tolerance", 0.05), f"{path}: analysis.tolerance", minimum=0.0
-            ),
+            tolerance=_number(an.get("tolerance", settings.tolerance),
+                              f"{path}: analysis.tolerance", minimum=0.0),
             checkpoints=checkpoints,
         )
 
@@ -293,16 +292,7 @@ def _write_report(cfg: ExperimentConfig, trace: simulator.Trace, d: Path) -> dic
     into ``d``, and return the seed's summary."""
     from . import analysis
 
-    s = cfg.settings
-    report = analysis.analysis_report(
-        trace,
-        cfg.params,
-        delta=s.delta,
-        rho=s.rho,
-        zeta=s.zeta,
-        checkpoints=s.checkpoints,
-        tolerance=s.tolerance,
-    )
+    report = analysis.analysis_report(trace, cfg.params, **asdict(cfg.settings))
     (d / "report.json").write_text(_json_text(report))
     (d / "checkpoints.csv").write_text(
         analysis.checkpoints_csv_text(report["checkpoints"])
@@ -475,6 +465,21 @@ def cmd_exact(cfg: ExperimentConfig, lam: float | None, mu: float | None,
     return 0 if (base.holds and lift.holds and table["holds"]) else 1
 
 
+def _check_describes(cfg: ExperimentConfig, trace: simulator.Trace, sidecar: Path) -> None:
+    """Raise ConfigError unless the trace was run with the config's mechanism,
+    populations and horizon (when it gives one): the report takes lambda and
+    mu from the config."""
+    run = trace.config
+    for name, ours, theirs in (
+        ("mechanism", cfg.mechanism.to_descriptor(), run.mechanism.to_descriptor()),
+        ("populations", cfg.populations, tuple(p.values for p in run.populations)),
+        ("horizon", cfg.horizon or trace.horizon, trace.horizon),
+    ):
+        if ours != theirs:
+            raise ConfigError(f"{sidecar}: {name}: the config gives {ours}, "
+                              f"the trace was run with {theirs}")
+
+
 def cmd_analyze(cfg: ExperimentConfig, out_dir: str | None) -> int:
     from . import simulator
 
@@ -495,6 +500,7 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: str | None) -> int:
     summaries = []
     for d in seed_dirs:
         trace = simulator.load_trace(d / "trace.csv", d / "strategies.json")
+        _check_describes(cfg, trace, d / "strategies.json")
         summary = _write_report(cfg, trace, d)
         summaries.append(summary)
         print(f"{d.name}: ratio {summary['ratio']:.4f}, epsilon {summary['epsilon']:.5f}")

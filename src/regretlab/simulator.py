@@ -14,10 +14,10 @@ Selected agents receive either the full counterfactual utility vector
 (``full`` feedback, Hedge update) or only the realized utility (``bandit``
 feedback, importance-weighted update); one round step applies both. A trace
 holds only what play decided: the types, the commitments and the realized
-bids, plus the welfare they give. The regret ledgers are recounted from the
-type and realized-bid columns by ``rebuild_ledgers``, for a simulated and a
-loaded trace alike; they always hold the exact counterfactual vector,
-whatever feedback the learner saw.
+bids, plus the welfare they give. ``rebuild_ledgers`` recounts the regret
+ledgers from the type and realized-bid columns, at many horizons in one
+sweep, for a simulated and a loaded trace alike; they always hold the exact
+counterfactual vector, whatever feedback the learner saw.
 
 Randomness comes from a single numpy PCG64 stream per seed (counter-based,
 stable across numpy releases since 1.17). Draw order is fixed: one uniform
@@ -44,7 +44,7 @@ import json
 import math
 import os
 import re
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -594,28 +594,29 @@ def load_trace(csv_path, strategies_path) -> Trace:
     )
 
 
-def rebuild_ledgers(trace: Trace, horizon: int | None = None) -> list[RegretLedger]:
-    """Count per-agent ledgers, in flat agent order, from the type and
-    realized-bid rows of the first ``horizon`` rounds (default: all) of a
-    trace. This is the one place regret sums are kept."""
+def rebuild_ledgers(trace: Trace, horizons: Sequence[int]) -> list[list[RegretLedger]]:
+    """Per-agent ledgers, in flat agent order, of the first T rounds of a
+    trace, for each T in ``horizons`` (the whole trace: ``[trace.horizon]``).
+    Each agent's selected rounds, opponents and utilities are gathered once;
+    horizon T sums those of the first T rounds, in round order. This is the
+    one place regret sums are kept."""
     cfg = trace.config
     m = cfg.mechanism
     sizes_a = m.actions.sizes()
-    T = trace.horizon if horizon is None else horizon
-    v_idx = trace.v_idx[:T]
-    realized = trace.realized_idx[:T]
-    ledgers = []
+    out = [[] for _ in horizons]
     for pop, ti, val in cfg.agents():
         table = mech.utility_table(m, pop, val)
-        sel = v_idx[:, pop] == ti
-        n_sel = int(sel.sum())
-        bids = realized[sel].T
+        sel = np.flatnonzero(trace.v_idx[:, pop] == ti)
+        bids = trace.realized_idx[sel].T
         opp = mech.opponent_index(bids, sizes_a, pop)
-        counts = np.bincount(opp, minlength=table.shape[1]).astype(np.float64)
-        ledgers.append(RegretLedger(
-            counterfactual=table @ counts,
-            realized=float(table[bids[pop], opp].sum()),
-            selected_rounds=n_sel,
-            unselected_rounds=T - n_sel,
-        ))
-    return ledgers
+        got = table[bids[pop], opp]
+        for ledgers, T in zip(out, horizons):
+            k = int(np.searchsorted(sel, T))
+            counts = np.bincount(opp[:k], minlength=table.shape[1]).astype(np.float64)
+            ledgers.append(RegretLedger(
+                counterfactual=table @ counts,
+                realized=float(got[:k].sum()),
+                selected_rounds=k,
+                unselected_rounds=T - k,
+            ))
+    return out

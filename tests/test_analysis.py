@@ -4,6 +4,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,11 +325,12 @@ def test_default_checkpoints():
     assert pts[0] == 16 and pts[-1] == 200_000 and 131072 in pts
 
 
-def test_checkpoint_series_matches_prefix_recomputation():
+def test_report_checkpoints_match_prefix_recomputation():
     trace = sim.run_repeated_game(
         acceptance_config(mech.KIND_FIRST_PRICE, seed=5, horizon=500)
     )
-    rows = an.checkpoint_series(trace)
+    params = SmoothnessParams(1.0, 1.0)
+    rows = an.analysis_report(trace, params)["checkpoints"]
     assert [r["horizon"] for r in rows] == [16, 32, 64, 128, 256, 500]
     for r in rows:
         h = r["horizon"]
@@ -338,9 +340,9 @@ def test_checkpoint_series_matches_prefix_recomputation():
             float(trace.opt[:h].sum()) / float(trace.sw[:h].sum()), rel=1e-12
         )
     with pytest.raises(InputError):
-        an.checkpoint_series(trace, [0, 10])
+        an.analysis_report(trace, params, checkpoints=[0, 10])
     with pytest.raises(InputError):
-        an.checkpoint_series(trace, [501])
+        an.analysis_report(trace, params, checkpoints=[501])
 
 
 def test_report_counts_the_full_horizon_once(monkeypatch):
@@ -349,18 +351,23 @@ def test_report_counts_the_full_horizon_once(monkeypatch):
     )
     calls = []
 
-    def counted(trace, horizon=None):
-        calls.append(horizon)
-        return sim.rebuild_ledgers(trace, horizon)
+    def counted(trace, horizons):
+        calls.append(list(horizons))
+        return sim.rebuild_ledgers(trace, horizons)
 
     monkeypatch.setattr(an, "rebuild_ledgers", counted)
-    report = an.analysis_report(trace, SmoothnessParams(1.0, 1.0))
-    # one full-horizon recount shared by the report's epsilon and its last
-    # checkpoint, plus one per shorter prefix
-    assert calls == [None, 16, 32, 64, 128, 256]
-    monkeypatch.undo()
-    assert report["checkpoints"] == an.checkpoint_series(trace)
+    params = SmoothnessParams(1.0, 1.0)
+    report = an.analysis_report(trace, params)
+    # one sweep counts every checkpoint; the last is the whole horizon, which
+    # the report's epsilon shares
+    assert calls == [[16, 32, 64, 128, 256, 500]]
     assert report["checkpoints"][-1]["epsilon"] == report["epsilon"]
+    # checkpoints that omit the horizon add it to the same sweep, not a row
+    calls.clear()
+    custom = an.analysis_report(trace, params, checkpoints=[64, 16, 64])
+    assert calls == [[16, 64, 500]]
+    assert custom["checkpoints"] == report["checkpoints"][0:3:2]
+    assert custom["epsilon"] == report["epsilon"]
 
 
 def test_checkpoints_csv_round_trip():
@@ -400,3 +407,13 @@ def test_analysis_report_contents(run_1e5):
     }
     assert report["t_star"] == an.t_star(0.05, 0.05, 2, an.sigma_size_of(run_1e5), 4.0, 1.0)
     assert report["checkpoints"][-1]["horizon"] == 100_000
+
+
+def test_readme_python_example_runs(capsys):
+    # the documented call, at a horizon a test can afford
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "horizon=200_000" in code
+    exec(compile(code.replace("horizon=200_000", "horizon=2_000"), "README.md", "exec"), {})
+    eps, ratio, within = capsys.readouterr().out.split()
+    assert float(eps) >= 0.0 and float(ratio) >= 1.0 and within in ("True", "False")

@@ -354,6 +354,49 @@ def test_thinned_sidecar_is_analyzed_without_the_independence_gap(tmp_path, caps
     assert "diverge" in capsys.readouterr().err
 
 
+def multi_unit_of_four(doc):
+    # another experiment's config, whose lambda 0.35 would bound a first-price run
+    doc["mechanism"].update(kind="multi-unit-first-price", n=4, k=2)
+    doc.update(populations=[[0.5, 1.0]] * 4, smoothness={"lambda": 0.35, "mu": 1.0})
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("mechanism", multi_unit_of_four),
+    ("populations", lambda doc: doc.update(populations=[[0.5, 1.0], [0.25, 1.0]])),
+    ("horizon", lambda doc: doc.update(horizon=401)),
+])
+def test_analyze_rejects_a_config_that_does_not_describe_the_traces(
+        tmp_path, capsys, field, edit):
+    out = tmp_path / "runs"
+    assert cli.main(["simulate", "--config", simulate_config(tmp_path, out)]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    doc = base_doc(horizon=400, out_dir=str(out))
+    edit(doc)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", str(other)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"seed_1/strategies.json: {field}:" in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # a config without a horizon describes a run of any length
+    doc = base_doc(out_dir=str(out))
+    other.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--config", str(other)]) == 0
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_a_vanishing_delta_reports_an_infinite_sufficient_horizon(tmp_path, capsys):
+    # delta**3 underflows to 0 below delta ~1.35e-108
+    out = tmp_path / "runs"
+    cfg = simulate_config(tmp_path, out, analysis={"delta": 1e-120})
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    for seed in (1, 2):
+        report = json.loads((out / f"seed_{seed}" / "report.json").read_text())
+        assert report["delta"] == 1e-120 and report["t_star"] == math.inf
+
+
 def test_parallel_workers_match_serial(tmp_path):
     # five seeds over two workers run as batches of three and two; every file
     # must equal the one-batch run byte for byte

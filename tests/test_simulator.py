@@ -16,6 +16,7 @@ from regretlab import learners as ln
 from regretlab import mechanisms as mech
 from regretlab import scalar_step
 from regretlab import simulator as sim
+from regretlab.analysis import default_checkpoints
 
 from . import oracles
 from .conftest import written_csv
@@ -47,7 +48,7 @@ def test_trace_shapes_and_consistency():
     assert trace.realized_idx.shape == (400, 2)
     assert trace.v_idx.min() >= 0 and trace.v_idx.max() <= 1
     sim.check_commitments(cfg, trace.strategy, trace.v_idx, trace.realized_idx)
-    ledgers = sim.rebuild_ledgers(trace)
+    (ledgers,) = sim.rebuild_ledgers(trace, [trace.horizon])
     assert len(ledgers) == 4
     sel = ledgers[0].selected_rounds + ledgers[1].selected_rounds
     assert sel == 400  # population 0 selects exactly one of its two agents
@@ -125,7 +126,8 @@ def assert_matches_reference(trace, cfg):
     assert trace.config == cfg
     for name in TRACE_ARRAYS:
         assert same_bits(getattr(trace, name), want[name]), name
-    assert_ledgers_match(sim.rebuild_ledgers(trace), want["ledgers"], cfg)
+    (ledgers,) = sim.rebuild_ledgers(trace, [trace.horizon])
+    assert_ledgers_match(ledgers, want["ledgers"], cfg)
     return want
 
 
@@ -320,7 +322,7 @@ def test_average_optimum_concentrates(medium_trace):
 
 
 def test_every_agent_meets_the_regret_bound(medium_trace):
-    for led in sim.rebuild_ledgers(medium_trace):
+    for led in sim.rebuild_ledgers(medium_trace, [medium_trace.horizon])[0]:
         if led.selected_rounds == 0:
             continue
         bound = 2.0 * math.sqrt(math.log(5.0) / led.selected_rounds) + 0.01
@@ -448,7 +450,7 @@ def test_rebuild_ledgers_matches_live_ones():
     # the reference engine adds each selected round to running sums
     cfg = small_config(horizon=300, seed=13)
     trace = sim.run_repeated_game(cfg)
-    rebuilt = sim.rebuild_ledgers(trace)
+    (rebuilt,) = sim.rebuild_ledgers(trace, [trace.horizon])
     live = oracles.reference_run(cfg)["ledgers"]
     assert len(rebuilt) == len(live)
     for fresh, ref in zip(rebuilt, live):
@@ -456,10 +458,42 @@ def test_rebuild_ledgers_matches_live_ones():
         assert fresh.realized == pytest.approx(ref.realized, abs=1e-9)
         np.testing.assert_allclose(fresh.counterfactual, ref.counterfactual, atol=1e-9)
     # a prefix recount sees only the first rounds
-    prefix = sim.rebuild_ledgers(trace, 100)
+    (prefix,) = sim.rebuild_ledgers(trace, [100])
     for (pop, ti, _v), led in zip(trace.config.agents(), prefix):
         assert led.selected_rounds == int((trace.v_idx[:100, pop] == ti).sum())
         assert led.selected_rounds + led.unselected_rounds == 100
+
+
+def prefix_of(trace, h):
+    """``trace`` cut to its first ``h`` rounds."""
+    return replace(trace, v_idx=trace.v_idx[:h], strategy=trace.strategy[:h],
+                   realized_idx=trace.realized_idx[:h], sw=trace.sw[:h], opt=trace.opt[:h])
+
+
+@pytest.mark.parametrize("feedback", [sim.FEEDBACK_FULL, sim.FEEDBACK_BANDIT])
+def test_one_sweep_counts_each_prefix_as_a_recount_would(feedback):
+    # a first-price Hedge run, and an n = 4 multi-unit bandit run; each
+    # population selects some agent in every round, so a sweep that counted
+    # round h into horizon h (or left round h - 1 out) fails for some agent
+    if feedback == sim.FEEDBACK_FULL:
+        cfg = small_config(horizon=700, seed=8)
+    else:
+        m = mech.Mechanism(kind=mech.KIND_MULTI_UNIT, n=4, units=2,
+                           actions=mech.ActionSpace.uniform(4, 0.25, 1.0))
+        cfg = sim.SimConfig(mechanism=m, populations=(sim.Population((0.5, 1.0)),) * 4,
+                            horizon=700, seed=4, feedback=feedback, gamma=0.1)
+    trace = sim.run_repeated_game(cfg)
+    pts = default_checkpoints(trace.horizon)
+    assert pts == [16, 32, 64, 128, 256, 512, 700]
+    for h, swept in zip(pts, sim.rebuild_ledgers(trace, pts)):
+        (whole,) = sim.rebuild_ledgers(prefix_of(trace, h), [h])
+        assert len(swept) == len(whole) == len(cfg.agents())
+        for (pop, ti, _v), got, want in zip(cfg.agents(), swept, whole):
+            assert want.selected_rounds == int((trace.v_idx[:h, pop] == ti).sum())
+            assert got.selected_rounds == want.selected_rounds
+            assert got.unselected_rounds == want.unselected_rounds == h - got.selected_rounds
+            assert got.realized == want.realized
+            assert np.array_equal(got.counterfactual, want.counterfactual)
 
 
 def test_bandit_mode_runs_and_stays_consistent():
@@ -468,7 +502,7 @@ def test_bandit_mode_runs_and_stays_consistent():
     sim.check_commitments(cfg, trace.strategy, trace.v_idx, trace.realized_idx)
     # the diagnostic ledgers see full counterfactual vectors even though the
     # learners only see realized payoffs
-    rebuilt = sim.rebuild_ledgers(trace)
+    (rebuilt,) = sim.rebuild_ledgers(trace, [trace.horizon])
     live = oracles.reference_run(cfg)["ledgers"]
     for fresh, ref in zip(rebuilt, live):
         np.testing.assert_allclose(fresh.counterfactual, ref.counterfactual, atol=1e-9)
