@@ -474,7 +474,7 @@ def prefix_of(trace, h):
 def test_one_sweep_counts_each_prefix_as_a_recount_would(feedback):
     # a first-price Hedge run, and an n = 4 multi-unit bandit run; each
     # population selects some agent in every round, so a sweep that counted
-    # round h into horizon h (or left round h - 1 out) fails for some agent
+    # round h + 1 into horizon h, or left round h out, fails for some agent
     if feedback == sim.FEEDBACK_FULL:
         cfg = small_config(horizon=700, seed=8)
     else:
