@@ -453,7 +453,7 @@ def cmd_exact(cfg: ExperimentConfig, lam: float | None, mu: float | None,
     )
     if out_dir is not None:
         d = Path(out_dir)
-        (d / "agent_game.json").write_text(exact.agent_game_to_json(game) + "\n")
+        exact.write_agent_game_json(game, d / "agent_game.json")
         (d / "lp_solution.json").write_text(exact.solution_to_json(solution) + "\n")
         (d / "exact_report.json").write_text(_json_text({
             "base_holds": base.holds,

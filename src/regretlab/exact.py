@@ -17,10 +17,15 @@ Math. 1955). The identity start basis is lexico-positive and the test keeps
 it so, which rules out cycling; only driving a leftover artificial out of
 the basis after phase 1 can break that, and the pivot cap stays as the
 backstop. The rule is fully deterministic, which is what a ground-truth
-oracle needs at these sizes (up to ``LP_CAP`` variables, a few dozen rows).
-The solver keeps one explicit m x m basis inverse, recomputed from the basis
-columns at every pivot, so no rounding carries from one pivot to the next. A
-singular basis is a SolverError.
+oracle needs. The solver keeps one explicit m x m basis inverse, recomputed
+from the basis columns at every pivot, so no rounding carries from one pivot
+to the next. A singular basis is a SolverError.
+
+The constraint matrix G is never stored. Its row (g, a) is U_g(s) - U_g(a,
+s_-g), so a column is gathered from 2 entries of the tensor per row, and
+every product y.G(s) over all profiles is one ``AgentGame.price`` call, one
+contraction per agent. The LP thus takes O(sigma + rows^2) memory, and
+``TENSOR_CAP`` is its only size limit.
 
 The minimum is certified by weak duality: with y >= 0 the final basis's
 deviation-row duals (clipped at 0), z = min_s (sw(s) - y.G(s)) is a lower
@@ -39,11 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mechanisms as mech
-from .errors import CapExceededError, ContractViolationError, InputError, SolverError
+from .errors import CapExceededError, ContractViolationError, SolverError
 from .smoothness import SLACK_TOL, DeviationRule, SmoothnessParams, SmoothnessReport
 
 TENSOR_CAP = 1_000_000
-LP_CAP = 16_384
 FEAS_TOL = 1e-7
 
 
@@ -74,13 +78,31 @@ class AgentGame:
     def n_agents(self) -> int:
         return len(self.agents)
 
-    def deviation(self, g: int, action: int) -> np.ndarray:
-        """Agent g's utility at every joint profile s after g switches to
-        ``action``: entry s holds U_g(action, s_-g)."""
-        if not 0 <= action < self.sizes[g]:
-            raise InputError(f"action {action} out of range for agent {g}")
-        u = self.utilities[g].reshape(self.sizes)
-        return np.broadcast_to(u.take([action], axis=g), self.sizes).ravel()
+    def deviation_mix(self, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """sum_g sum_a Y[g][a] * U_g(a, s_-g) at every joint profile s, where
+        ``weights`` holds Y[0], Y[1], ... end to end (``sum(sizes)`` entries),
+        added into ``out`` when it is given.
+
+        One contraction per agent over its own axis of the tensor, expanded
+        back along that axis by broadcasting. It goes through einsum, not
+        tensordot: no transposed copy, and no BLAS, whose thread count could
+        move the bits of the sums."""
+        out = np.zeros(self.sigma) if out is None else out
+        pre, at = 1, 0
+        for g, k in enumerate(self.sizes):
+            post = self.sigma // (pre * k)
+            mix = np.einsum("pkq,k->pq", self.utilities[g].reshape(pre, k, post),
+                            weights[at:at + k])
+            out.reshape(pre, k, post)[...] += mix[:, None, :]
+            pre, at = pre * k, at + k
+        return out
+
+    def price(self, weights: np.ndarray) -> np.ndarray:
+        """sum_g sum_a Y[g][a] * (U_g(s) - U_g(a, s_-g)) at every joint profile
+        s, with ``weights`` laid out as in ``deviation_mix``: y.G(s) for duals
+        y on the coarse-equilibrium rows."""
+        totals = np.add.reduceat(weights, np.cumsum((0,) + self.sizes[:-1]))
+        return self.deviation_mix(-weights, np.einsum("g,gs->s", totals, self.utilities))
 
     def social_welfare(self) -> np.ndarray:
         return self.utilities.sum(axis=0) + self.revenue
@@ -166,7 +188,7 @@ def lift_smoothness_check(
     m = g_.mechanism
     pops = g_.populations
     value_lists = [p.values for p in pops]
-    lhs = np.zeros(g_.sigma)
+    devs = []
     for g, (i, _ti, val) in enumerate(g_.agents):
         dev = np.zeros(g_.sizes[g])
         count = 0
@@ -175,11 +197,8 @@ def lift_smoothness_check(
             wv[i] = val
             dev += base_deviation.distribution(m, i, tuple(wv))
             count += 1
-        dev /= count
-        for a in range(g_.sizes[g]):
-            w = dev[a]
-            if w > 0.0:
-                lhs += w * g_.deviation(g, a)
+        devs.append(dev / count)
+    lhs = g_.deviation_mix(np.concatenate(devs))
     slack = lhs - params.lam * g_.e_opt + params.mu * g_.revenue
     worst = int(np.argmin(slack))
     worst_slack = float(slack[worst])
@@ -226,27 +245,88 @@ class CceLpSolution:
     dual_gap: float
 
 
-class _Basis:
-    """An explicit inverse of the basis drawn from ``cols``, whose rows are the
-    standard-form columns, and the basic solution it gives for ``b``, both
-    recomputed at every pivot."""
+class _CceColumns:
+    """The worst-CCE LP's standard-form columns, read off the agent game.
 
-    def __init__(self, cols: np.ndarray, b: np.ndarray, basis: np.ndarray):
-        self.cols = cols
-        self.b = b
+    Rows are the deviation rows (g, a), then the mass row. Column s < sigma
+    is profile s, with entries U_g(s) - U_g(a, s_-g) and 1, each gathered
+    from the tensor; column sigma + r is row r's surplus, -e_r. Nothing of
+    size rows x sigma is ever stored."""
+
+    def __init__(self, game: AgentGame, labels: list[tuple[int, int]]):
+        self.game = game
+        self.m = len(labels) + 1
+        self.n = game.sigma + len(labels)
+        self.agent, self.action = np.array(labels, dtype=np.int64).reshape(-1, 2).T
+        sizes = np.array(game.sizes, dtype=np.int64)
+        self.place = np.array(mech.radix_place_values(game.sizes), dtype=np.int64)[self.agent]
+        self.size = sizes[self.agent]
+        # where row (g, a)'s dual sits among AgentGame.price's weights
+        self.slot = (np.cumsum(sizes) - sizes)[self.agent] + self.action
+        self.n_weights = int(sizes.sum())
+
+    def column(self, j: int) -> np.ndarray:
+        out = np.zeros(self.m)
+        if j >= self.game.sigma:
+            out[j - self.game.sigma] = -1.0
+            return out
+        u = self.game.utilities
+        moved = j + (self.action - j // self.place % self.size) * self.place
+        out[:-1] = u[self.agent, j] - u[self.agent, moved]
+        out[-1] = 1.0
+        return out
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        """y.G(s) at every profile s, for duals ``y`` on the deviation rows."""
+        weights = np.zeros(self.n_weights)
+        weights[self.slot] = y
+        return self.game.price(weights)
+
+    def products(self, w: np.ndarray) -> np.ndarray:
+        """w . A_j for every column j."""
+        return np.concatenate([self.price(w[:-1]) + w[-1], -w[:-1]])
+
+
+class _Basis:
+    """An explicit inverse of the basis and the basic solution it gives for
+    ``b``, both recomputed at every pivot.
+
+    The columns are those of ``source`` (an object with ``m`` rows, ``n``
+    columns, ``column(j)`` and ``products(w)`` = w.A), each row's sign
+    flipped where b < 0, then the m artificial columns e_r."""
+
+    def __init__(self, source, b: np.ndarray, basis: np.ndarray):
+        self.source = source
+        self.sign = np.where(b < 0, -1.0, 1.0)
+        self.b = b * self.sign
         self.basis = basis
+        self.matrix = np.zeros((source.m, source.m))
+        for r, j in enumerate(basis):
+            self.matrix[:, r] = self.column(j)
         self.refactor()
+
+    def column(self, j: int) -> np.ndarray:
+        if j < self.source.n:
+            return self.source.column(j) * self.sign
+        out = np.zeros(self.source.m)
+        out[j - self.source.n] = 1.0
+        return out
+
+    def products(self, w: np.ndarray) -> np.ndarray:
+        """w . column j for every column j, artificials included."""
+        return np.concatenate([self.source.products(w * self.sign), w])
 
     def refactor(self) -> None:
         try:
-            self.inv = np.linalg.inv(self.cols[self.basis].T)
+            self.inv = np.linalg.inv(self.matrix)
         except np.linalg.LinAlgError as e:
             raise SolverError(f"singular basis {self.basis.tolist()}: {e}") from None
         self.x = self.inv @ self.b
 
-    def pivot(self, row: int, col: int) -> None:
-        """Exchange basis[row] for col."""
+    def pivot(self, row: int, col: int, column: np.ndarray) -> None:
+        """Exchange basis[row] for col, whose column is ``column``."""
         self.basis[row] = col
+        self.matrix[:, row] = column
         self.refactor()
 
 
@@ -254,7 +334,7 @@ def _leaving_row(B: _Basis, alpha: np.ndarray, rows: np.ndarray) -> int:
     """The lexicographic ratio test: the row r among ``rows`` (those with
     alpha_r > 0) whose [x_r, inv[r]] / alpha_r is lexicographically least,
     entries within 1e-12 counting as equal."""
-    for key in (B.x, *B.inv.T):
+    for key in itertools.chain([B.x], B.inv.T):
         if len(rows) == 1:
             break
         q = key[rows] / alpha[rows]
@@ -268,24 +348,25 @@ def _pivot_loop(B: _Basis, cost: np.ndarray, n_cols: int, maxiter: int,
     nonbasic column of most negative reduced cost (Dantzig's rule, lowest
     index on ties) and leaving by the lexicographic ratio test. Returns the
     pivot count; raises SolverError on non-convergence or unboundedness."""
-    cols, price = B.cols[:n_cols], cost[:n_cols]
+    price = cost[:n_cols]
     it = 0
     while True:
         y = cost[B.basis] @ B.inv
-        reduced = price - np.einsum("ij,j->i", cols, y)
+        reduced = price - B.products(y)[:n_cols]
         # a basic column's reduced cost is 0 up to rounding; never re-enter it
         reduced[B.basis[B.basis < n_cols]] = 0.0
         col = int(reduced.argmin())
         if reduced[col] >= -1e-9:
             return it
-        alpha = B.inv @ B.cols[col]
+        column = B.column(col)
+        alpha = B.inv @ column
         rows = (alpha > 1e-9).nonzero()[0]
         if len(rows) == 0:
             raise SolverError(
                 f"LP unbounded in phase {phase} at pivot {it}, entering column "
                 f"{col}, basis {B.basis.tolist()}"
             )
-        B.pivot(_leaving_row(B, alpha, rows), col)
+        B.pivot(_leaving_row(B, alpha, rows), col, column)
         it += 1
         if it > maxiter:
             raise SolverError(
@@ -294,15 +375,13 @@ def _pivot_loop(B: _Basis, cost: np.ndarray, n_cols: int, maxiter: int,
             )
 
 
-def _two_phase_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """min c.x subject to A x = b, x >= 0. Returns (x, objective, pivots, y)
-    with y = c_B B^-1 the duals of the final basis."""
-    m, n = A.shape
-    sign = np.where(b < 0, -1.0, 1.0)
+def _two_phase_simplex(c: np.ndarray, source, b: np.ndarray):
+    """min c.x subject to A x = b, x >= 0, where ``source`` gives A's columns
+    (see ``_Basis``). Returns (x, objective, pivots, y) with y = c_B B^-1 the
+    duals of the final basis."""
+    m, n = source.m, source.n
     maxiter = 1000 + 200 * (m + n)
-    # one row per column: the sign-normalized A's columns, then artificials
-    cols = np.vstack([(A * sign[:, None]).T, np.eye(m)])
-    B = _Basis(cols, b * sign, np.arange(n, n + m))
+    B = _Basis(source, b, np.arange(n, n + m))
     cost = np.concatenate([np.zeros(n), np.ones(m)])
     pivots = _pivot_loop(B, cost, n + m, maxiter, phase=1)
     mass = float(cost[B.basis] @ B.x)
@@ -316,18 +395,17 @@ def _two_phase_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     # phase 2 never lets it grow since its column is excluded).
     for r in range(m):
         if B.basis[r] >= n:
-            row = np.einsum("ij,j->i", cols[:n], B.inv[r])
-            hit = np.abs(row) > 1e-9
+            hit = np.abs(B.products(B.inv[r])[:n]) > 1e-9
             j = int(hit.argmax())
             if hit[j]:
-                B.pivot(r, j)
+                B.pivot(r, j, B.column(j))
                 pivots += 1
 
     cost = np.concatenate([c, np.zeros(m)])
     pivots += _pivot_loop(B, cost, n, maxiter, phase=2)
     x = np.zeros(n + m)
     x[B.basis] = B.x
-    y = (cost[B.basis] @ B.inv) * sign
+    y = (cost[B.basis] @ B.inv) * B.sign
     return x[:n], float(np.einsum("i,i->", c, x[:n])), pivots, y
 
 
@@ -340,32 +418,21 @@ def worst_cce_welfare(agent_game: AgentGame) -> CceLpSolution:
     are re-evaluated from the tensor, not read off the solver.
     """
     g_ = agent_game
-    if g_.sigma > LP_CAP:
-        raise CapExceededError(
-            f"LP needs {g_.sigma} variables, cap is {LP_CAP} "
-            f"(per-agent action counts: {list(g_.sizes)})"
-        )
-    rows = []
     labels = []
     for g in range(g_.n_agents):
-        ug = g_.utilities[g]
-        for a in range(g_.sizes[g]):
-            row = ug - g_.deviation(g, a)
-            if np.abs(row).max() > 0.0:
-                rows.append(row)
-                labels.append((g, a))
-    n_c = len(rows)
-    G = np.array(rows).reshape(n_c, g_.sigma)
+        # rows (g, a) vanish for every a at once: exactly when U_g is
+        # constant along agent g's own axis
+        u = g_.utilities[g].reshape(g_.sizes)
+        if (u.max(axis=g) > u.min(axis=g)).any():
+            labels += [(g, a) for a in range(g_.sizes[g])]
+    n_c = len(labels)
+    source = _CceColumns(g_, labels)
     sw = g_.social_welfare()
     # standard form: [x, t] with G x - t = 0 and sum x = 1
-    A = np.zeros((n_c + 1, g_.sigma + n_c))
-    A[:n_c, : g_.sigma] = G
-    A[:n_c, g_.sigma :] = -np.eye(n_c)
-    A[n_c, : g_.sigma] = 1.0
     b = np.zeros(n_c + 1)
     b[n_c] = 1.0
     c = np.concatenate([sw, np.zeros(n_c)])
-    x_full, objective, pivots, y = _two_phase_simplex(c, A, b)
+    x_full, objective, pivots, y = _two_phase_simplex(c, source, b)
     x = x_full[: g_.sigma]
 
     if abs(x.sum() - 1.0) > FEAS_TOL or x.min() < -FEAS_TOL:
@@ -373,7 +440,9 @@ def worst_cce_welfare(agent_game: AgentGame) -> CceLpSolution:
             f"solver returned a non-distribution (mass {x.sum()!r}, "
             f"min {x.min()!r}) after {pivots} pivots"
         )
-    slacks = np.einsum("ij,j->i", G, x)
+    support = np.flatnonzero(x)
+    at_support = np.array([source.column(j)[:n_c] for j in support]).reshape(len(support), n_c)
+    slacks = np.einsum("ji,j->i", at_support, x[support])
     if len(slacks) and slacks.min() < -FEAS_TOL:
         worst = labels[int(np.argmin(slacks))]
         raise SolverError(
@@ -387,7 +456,7 @@ def worst_cce_welfare(agent_game: AgentGame) -> CceLpSolution:
     # Weak duality: for any y_G >= 0 and any feasible x, sw.x >= sw.x - y_G.Gx
     # >= min_s (sw(s) - y_G.G(s)), so that minimum is a lower bound.
     duals = np.maximum(y[:n_c], 0.0)
-    dual_bound = float((sw - np.einsum("i,ij->j", duals, G)).min())
+    dual_bound = float((sw - source.price(duals)).min())
     gap = re_obj - dual_bound
     if gap > FEAS_TOL * max(1.0, abs(re_obj)):
         raise SolverError(
@@ -429,17 +498,46 @@ def bound_comparison(
     }
 
 
-def agent_game_to_json(agent_game: AgentGame) -> str:
+# Floats formatted per write in write_agent_game_json.
+WRITE_CHUNK = 4096
+
+
+def _float_list_parts(values: np.ndarray):
+    """The text of ``json.dumps(values.tolist())`` in compact form, in pieces
+    of WRITE_CHUNK entries; json writes a float as its repr."""
+    yield "["
+    for a in range(0, len(values), WRITE_CHUNK):
+        yield ("," if a else "") + ",".join(map(repr, values[a:a + WRITE_CHUNK].tolist()))
+    yield "]"
+
+
+def write_agent_game_json(agent_game: AgentGame, path) -> None:
+    """Write the game as ``json.dumps`` of the whole document (sorted keys,
+    compact) and a newline, formatting the revenue and each utility row in
+    pieces instead of building sigma-long lists."""
     doc = {
         "mechanism": agent_game.mechanism.to_descriptor(),
         "populations": [list(p.values) for p in agent_game.populations],
         "agents": [[i, ti, v] for (i, ti, v) in agent_game.agents],
         "sizes": list(agent_game.sizes),
-        "utilities": [[float(x) for x in row] for row in agent_game.utilities],
-        "revenue": [float(x) for x in agent_game.revenue],
+        "utilities": 0,
+        "revenue": 0,
         "e_opt": agent_game.e_opt,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # keys sort as agents, e_opt, mechanism, populations, revenue, sizes,
+    # utilities: the placeholders mark where the arrays go, the last one at
+    # the end of the text
+    head, tail = json.dumps(doc, sort_keys=True, separators=(",", ":")).split(
+        '"revenue":0,'
+    )
+    with open(path, "w") as fh:
+        fh.write(head + '"revenue":')
+        fh.writelines(_float_list_parts(agent_game.revenue))
+        fh.write("," + tail[:-2] + "[")
+        for g, row in enumerate(agent_game.utilities):
+            fh.write("," if g else "")
+            fh.writelines(_float_list_parts(row))
+        fh.write("]}\n")
 
 
 def solution_to_json(solution: CceLpSolution) -> str:

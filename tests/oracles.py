@@ -9,6 +9,7 @@ reach the same quantity through disjoint code.
 import csv
 import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -159,6 +160,57 @@ def naive_agent_game(m, pops):
 
 
 # --- CCE polytope minimum by vertex enumeration --------------------------------
+
+
+def deviation(game, g, action):
+    """Agent g's utility at every joint profile s of an agent game after g
+    switches to ``action``: entry s holds U_g(action, s_-g)."""
+    u = game.utilities[g].reshape(game.sizes)
+    return np.broadcast_to(u.take([action], axis=g), game.sizes).ravel()
+
+
+def cce_rows(game):
+    """The coarse-equilibrium constraint matrix, one dense row
+    U_g - U_g(a, .) per (agent, action) pair that is not identically 0, and
+    the pairs' labels."""
+    labels, rows = [], []
+    for g in range(game.n_agents):
+        for a in range(game.sizes[g]):
+            row = game.utilities[g] - deviation(game, g, a)
+            if np.abs(row).max() > 0.0:
+                labels.append((g, a))
+                rows.append(row)
+    return labels, np.array(rows).reshape(len(rows), game.sigma)
+
+
+def agent_game_json_text(game):
+    """``agent_game.json`` as one ``json.dumps`` of the whole document."""
+    doc = {
+        "mechanism": game.mechanism.to_descriptor(),
+        "populations": [list(p.values) for p in game.populations],
+        "agents": [[i, ti, v] for (i, ti, v) in game.agents],
+        "sizes": list(game.sizes),
+        "utilities": [[float(x) for x in row] for row in game.utilities],
+        "revenue": [float(x) for x in game.revenue],
+        "e_opt": game.e_opt,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class DenseColumns:
+    """A dense standard-form matrix A as the column source the library's
+    simplex reads: ``column(j)`` is A[:, j] and ``products(w)`` is w.A."""
+
+    def __init__(self, A):
+        self.A = np.asarray(A, dtype=float)
+        self.m, self.n = self.A.shape
+
+    def column(self, j):
+        return self.A[:, j]
+
+    def products(self, w):
+        return w @ self.A
+
 
 
 def vertex_minimum(objective, rows, tol=1e-9):

@@ -179,14 +179,8 @@ def test_criterion_6_lp_floor_and_vertex_oracle():
                 f"{inst.name}: re-evaluated constraint slack {sol.slacks.min():.2e}"
             )
         if game.sigma <= 16:
-            rows = []
-            for g in range(game.n_agents):
-                ug = game.utilities[g]
-                for a in range(game.sizes[g]):
-                    row = game.deviation(g, a) - ug
-                    if np.abs(row).max() > 0.0:
-                        rows.append(row)
-            want = oracles.vertex_minimum(game.social_welfare(), rows)
+            _labels, G = oracles.cce_rows(game)
+            want = oracles.vertex_minimum(game.social_welfare(), list(-G))
             assert sol.objective == pytest.approx(want, abs=1e-6), (
                 f"{inst.name}: LP {sol.objective!r} vs vertex enumeration {want!r}"
             )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,21 +108,33 @@ def test_agent_game_frozen_values_two_seats():
     )
 
 
-def test_deviation_view_edits_one_digit():
+def test_deviation_oracle_edits_one_digit():
     game = exact.build_agent_game(
         BY_NAME["fp_2x2_coarse"].mechanism, BY_NAME["fp_2x2_coarse"].populations
     )
     for g in range(game.n_agents):
         for a in range(game.sizes[g]):
-            dev = game.deviation(g, a)
+            dev = oracles.deviation(game, g, a)
             assert dev.shape == (game.sigma,)
             for s in [0, 5, 11, 15]:
                 digits = list(mech.radix_decode(s, game.sizes))
                 digits[g] = a
                 moved = int(mech.radix_encode(digits, game.sizes))
                 assert dev[s] == game.utilities[g][moved]
-    with pytest.raises(InputError):
-        game.deviation(0, 7)
+
+
+@pytest.mark.parametrize("inst", TINY_CORPUS, ids=lambda i: i.name)
+def test_price_matches_the_dense_rows(inst):
+    game = exact.build_agent_game(inst.mechanism, inst.populations)
+    rng = np.random.default_rng(len(inst.name))
+    weights = rng.random(sum(game.sizes))
+    weights[rng.random(weights.size) < 0.3] = 0.0
+    pairs = [(g, a) for g in range(game.n_agents) for a in range(game.sizes[g])]
+    mix = sum(w * oracles.deviation(game, g, a) for w, (g, a) in zip(weights, pairs))
+    rows = sum(w * (game.utilities[g] - oracles.deviation(game, g, a))
+               for w, (g, a) in zip(weights, pairs))
+    np.testing.assert_allclose(game.deviation_mix(weights), mix, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(game.price(weights), rows, rtol=0, atol=1e-13)
 
 
 def test_agent_game_caps_and_validation(monkeypatch):
@@ -228,14 +241,8 @@ def test_lp_agrees_with_vertex_enumeration(name):
     inst = BY_NAME[name]
     game = exact.build_agent_game(inst.mechanism, inst.populations)
     sol = exact.worst_cce_welfare(game)
-    rows = []
-    for g in range(game.n_agents):
-        ug = game.utilities[g]
-        for a in range(game.sizes[g]):
-            row = game.deviation(g, a) - ug
-            if np.abs(row).max() > 0.0:
-                rows.append(row)
-    want = oracles.vertex_minimum(game.social_welfare(), rows)
+    _labels, G = oracles.cce_rows(game)
+    want = oracles.vertex_minimum(game.social_welfare(), list(-G))
     assert sol.objective == pytest.approx(want, abs=1e-9)
     assert sol.objective == pytest.approx(SMALL_LP[name], abs=1e-9)
 
@@ -253,7 +260,7 @@ def test_lp_solution_certificates(name):
     # re-evaluate everything from the tensor
     assert sol.objective == pytest.approx(float(game.social_welfare() @ x), abs=1e-9)
     for (g, a), slack in zip(sol.constraints, sol.slacks):
-        row = game.utilities[g] - game.deviation(g, a)
+        row = game.utilities[g] - oracles.deviation(game, g, a)
         assert slack == pytest.approx(float(row @ x), abs=1e-12)
 
 
@@ -290,13 +297,37 @@ def test_lp_single_profile_game():
     assert len(sol.slacks) == 0
 
 
-def test_lp_cap(monkeypatch):
-    inst = BY_NAME["fp_2x2_coarse"]
-    game = exact.build_agent_game(inst.mechanism, inst.populations)
-    monkeypatch.setattr(exact, "LP_CAP", 4)
-    with pytest.raises(CapExceededError) as exc:
+def test_lp_solves_above_the_old_column_cap():
+    # 6 agents with 6 bids each: 46,656 profiles, above the 16,384 columns
+    # the dense LP used to accept. The value was solved independently with
+    # HiGHS (scipy.optimize.linprog, method="highs").
+    m = mech.Mechanism.from_descriptor(
+        {"kind": mech.KIND_FIRST_PRICE, "n": 2, "k": 1, "grid_step": 0.2,
+         "H": 1.0, "tie_break": "lowest-index"}
+    )
+    types = (0.5, 0.75, 1.0)
+    sol = exact.worst_cce_welfare(exact.build_agent_game(m, (types, types)))
+    assert sol.distribution.size == 6**6
+    assert abs(sol.objective - 0.7852607709750565) <= 1e-9
+    assert abs(sol.dual_gap) <= 1e-9
+
+
+def test_lp_memory_does_not_grow_with_rows_times_profiles():
+    # the dense constraint matrix alone is 44 x 14,641 floats (5.2 MB), and
+    # the solver used to hold it three times over (25.2 MB traced)
+    kind, H, types, _want = HEADLINE_LP["fp-headline"]
+    m = mech.Mechanism.from_descriptor(
+        {"kind": kind, "n": 2, "k": 1, "grid_step": 0.1, "H": H,
+         "tie_break": "lowest-index"}
+    )
+    game = exact.build_agent_game(m, (types, types))
+    tracemalloc.start()
+    try:
         exact.worst_cce_welfare(game)
-    assert "cap is 4" in str(exc.value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_bound_comparison_fields():
@@ -321,11 +352,13 @@ def test_bound_comparison_fields():
     assert not exact.bound_comparison(game, unproven, params)["holds"]
 
 
-def test_json_exports_parse_and_round_figures():
+def test_json_exports_parse_and_round_figures(tmp_path):
     inst = BY_NAME["ap_2x1"]
     game = exact.build_agent_game(inst.mechanism, inst.populations)
     sol = exact.worst_cce_welfare(game)
-    gdoc = json.loads(exact.agent_game_to_json(game))
+    path = tmp_path / "agent_game.json"
+    exact.write_agent_game_json(game, path)
+    gdoc = json.loads(path.read_text())
     assert gdoc["mechanism"]["kind"] == "all-pay"
     assert gdoc["sizes"] == [2, 2]
     assert len(gdoc["utilities"]) == 2 and len(gdoc["utilities"][0]) == 4
@@ -337,6 +370,31 @@ def test_json_exports_parse_and_round_figures():
     assert len(sdoc["slacks"]) == len(sdoc["constraints"])
 
 
+@pytest.mark.parametrize(
+    "name", [inst.name for inst in TINY_CORPUS] + list(HEADLINE_LP)
+)
+def test_streamed_agent_game_json_matches_one_dump(name, tmp_path):
+    if name in HEADLINE_LP:
+        kind, H, types, _want = HEADLINE_LP[name]
+        m = mech.Mechanism.from_descriptor(
+            {"kind": kind, "n": 2, "k": 1, "grid_step": 0.1, "H": H,
+             "tie_break": "lowest-index"}
+        )
+        game = exact.build_agent_game(m, (types, types))
+    else:
+        game = exact.build_agent_game(BY_NAME[name].mechanism, BY_NAME[name].populations)
+    path = tmp_path / "agent_game.json"
+    try:
+        want = oracles.agent_game_json_text(game)
+    except InputError:  # a grid with no descriptor form: neither writes
+        with pytest.raises(InputError):
+            exact.write_agent_game_json(game, path)
+        assert not path.exists()
+        return
+    exact.write_agent_game_json(game, path)
+    assert path.read_text() == want
+
+
 @pytest.mark.parametrize("inst", TINY_CORPUS, ids=lambda i: i.name)
 def test_dual_bound_certifies_the_minimum(inst):
     game = exact.build_agent_game(inst.mechanism, inst.populations)
@@ -345,10 +403,8 @@ def test_dual_bound_certifies_the_minimum(inst):
     assert sol.dual_gap == sol.objective - sol.dual_bound
     assert sol.duals.shape == (len(sol.constraints),) and sol.duals.min() >= 0.0
     # re-evaluate the bound from the tensor
-    G = np.array([
-        game.utilities[g] - game.deviation(g, a)
-        for g, a in sol.constraints
-    ]).reshape(len(sol.constraints), game.sigma)
+    labels, G = oracles.cce_rows(game)
+    assert tuple(labels) == sol.constraints
     z = float((game.social_welfare() - sol.duals @ G).min())
     assert z == pytest.approx(sol.dual_bound, abs=1e-12)
 
@@ -358,8 +414,8 @@ def test_duals_that_prove_nothing_are_refused(monkeypatch):
     game = exact.build_agent_game(inst.mechanism, inst.populations)
     solve = exact._two_phase_simplex
 
-    def zero_duals(c, A, b):
-        x, objective, pivots, y = solve(c, A, b)
+    def zero_duals(c, columns, b):
+        x, objective, pivots, y = solve(c, columns, b)
         return x, objective, pivots, np.zeros_like(y)
 
     monkeypatch.setattr(exact, "_two_phase_simplex", zero_duals)
@@ -392,15 +448,15 @@ def test_lp_matches_highs_on_the_grid_instances(name):
 def test_lp_solves_the_headline_game(name):
     kind, H, types, want = HEADLINE_LP[name]
     sol = grid_lp(kind, H, types)
-    assert sol.distribution.size == 11**4 <= exact.LP_CAP
+    assert sol.distribution.size == 11**4
     assert abs(sol.objective - want) <= 1e-9
     assert abs(sol.dual_gap) <= 1e-9
 
 
 def test_singular_basis_is_a_solver_error():
-    cols = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # columns 0 and 1 agree
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # columns 0 and 1 agree
     with pytest.raises(SolverError, match="singular basis"):
-        exact._Basis(cols, np.array([1.0, 1.0]), np.array([0, 1]))
+        exact._Basis(oracles.DenseColumns(A), np.array([1.0, 1.0]), np.array([0, 1]))
 
 
 @st.composite
@@ -439,9 +495,9 @@ def test_simplex_matches_vertex_enumeration_on_degenerate_lps(lp):
     want = oracles.vertex_minimum(cost, list(R))
     if want == np.inf:
         with pytest.raises(SolverError, match="infeasible"):
-            exact._two_phase_simplex(c, A, b)
+            exact._two_phase_simplex(c, oracles.DenseColumns(A), b)
         return
-    x, objective, _pivots, y = exact._two_phase_simplex(c, A, b)
+    x, objective, _pivots, y = exact._two_phase_simplex(c, oracles.DenseColumns(A), b)
     assert objective == pytest.approx(want, abs=1e-9)
     assert np.abs(A @ x - b).max() <= 1e-9 and x.min() >= -1e-9
     # the final basis's duals are feasible and meet the primal value
