@@ -74,7 +74,7 @@ def empirical_joint(trace: Trace, zeta: float = 0.0) -> EmpiricalJoint:
     )
     count_type = np.int32 if trace.horizon < 2**31 else np.int64
     cond = np.zeros((len(row), int(np.prod(v_sizes))), dtype=count_type)
-    np.add.at(cond, (inverse, mech.radix_encode(trace.v_idx.T, v_sizes)), 1)
+    np.add.at(cond, (inverse, np.ravel_multi_index(trace.v_idx.T, v_sizes)), 1)
     return EmpiricalJoint(
         total=trace.horizon, zeta=zeta, v_sizes=v_sizes,
         profiles=trace.strategy[row], counts=counts, cond=cond,

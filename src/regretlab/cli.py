@@ -454,7 +454,7 @@ def cmd_exact(cfg: ExperimentConfig, lam: float | None, mu: float | None,
     if out_dir is not None:
         d = Path(out_dir)
         exact.write_agent_game_json(game, d / "agent_game.json")
-        (d / "lp_solution.json").write_text(exact.solution_to_json(solution) + "\n")
+        exact.write_solution_json(solution, d / "lp_solution.json")
         (d / "exact_report.json").write_text(_json_text({
             "base_holds": base.holds,
             "base_worst_slack": base.worst_slack,

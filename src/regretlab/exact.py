@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ class AgentGame:
     ``utilities[g, s]`` is agent g's expected utility at joint profile s,
     the expectation running over the uniform type draw (an agent earns 0 in
     rounds where its population selected another type). Profiles are indexed
-    in mixed radix over agents (population ascending, types in declaration
+    in C order over agents (population ascending, types in declaration
     order, last agent varying fastest).
     """
 
@@ -118,45 +119,36 @@ def build_agent_game(mechanism: mech.Mechanism, populations) -> AgentGame:
     pops = mech.check_populations(mechanism, populations)
     agents = mech.flat_agents(pops)
     sizes = [mechanism.actions.size(i) for i, _ti, _v in agents]
-    sigma = 1
-    for k in sizes:
-        sigma *= k
+    sigma = math.prod(sizes)
     if sigma > TENSOR_CAP:
         raise CapExceededError(
             f"agent game needs {sigma} joint profiles, cap is {TENSOR_CAP} "
             f"(per-agent action counts: {sizes})"
         )
     n = mechanism.n
-    n_agents = len(agents)
     agent_index = {(i, ti): g for g, (i, ti, _v) in enumerate(agents)}
-
-    # Per-player utilities and revenue flattened over the mechanism's joint
-    # action profiles (player ascending, last fastest).
-    joint = mech.joint_profile_count(mechanism)
     a_sizes = mechanism.actions.sizes()
-    pdigs = mech.radix_decode(np.arange(joint), a_sizes)
-    rev_flat = mech.revenue_table(mechanism)
-    util_flat: dict[tuple[int, float], np.ndarray] = {}
-    for i, p in enumerate(pops):
-        oflat = mech.opponent_index(pdigs, a_sizes, i)
-        for v in p.values:
-            table = mech.utility_table(mechanism, i, v)
-            util_flat[(i, v)] = table[pdigs[i], oflat]
+    rev = mech.revenue_table(mechanism)
 
-    utilities = np.zeros((n_agents, sigma))
-    revenue = np.zeros(sigma)
+    # One axis per agent. At a type profile, seat i's bid axis of a joint
+    # table lies on the axis of the agent it selects, sel[i]; sel rises with
+    # i, so a reshape with unit axes for the other agents places every seat.
+    utilities = np.zeros((len(agents), *sizes))
+    revenue = np.zeros(sizes)
     opt_total = 0.0
     v_count = 0
-    sdigs = mech.radix_decode(np.arange(sigma), sizes)
     for tv in itertools.product(*[range(len(p)) for p in pops]):
         v_count += 1
         vals = tuple(pops[i].values[tv[i]] for i in range(n))
         opt_total += mech.optimal_welfare(vals, mechanism)
         sel = [agent_index[(i, tv[i])] for i in range(n)]
-        aflat = mech.radix_encode([sdigs[g] for g in sel], a_sizes)
-        revenue += rev_flat[aflat]
+        shape = [a_sizes[i] if ti == tv[i] else 1 for i, ti, _v in agents]
+        revenue += rev.reshape(shape)
         for i in range(n):
-            utilities[sel[i]] += util_flat[(i, vals[i])][aflat]
+            # the table [b_i, a_-i] as a joint-profile array, axis i its own bid
+            table = mech.utility_table(mechanism, i, vals[i])
+            opp = a_sizes[:i] + a_sizes[i + 1:]
+            utilities[sel[i]] += np.moveaxis(table.reshape(a_sizes[i], *opp), 0, i).reshape(shape)
     utilities /= v_count
     revenue /= v_count
     return AgentGame(
@@ -164,8 +156,8 @@ def build_agent_game(mechanism: mech.Mechanism, populations) -> AgentGame:
         populations=pops,
         agents=tuple(agents),
         sizes=tuple(sizes),
-        utilities=utilities,
-        revenue=revenue,
+        utilities=utilities.reshape(len(agents), sigma),
+        revenue=revenue.reshape(sigma),
         e_opt=opt_total / v_count,
     )
 
@@ -498,57 +490,64 @@ def bound_comparison(
     }
 
 
-# Floats formatted per write in write_agent_game_json.
+# Floats formatted per write of a streamed JSON array.
 WRITE_CHUNK = 4096
 
 
 def _float_list_parts(values: np.ndarray):
-    """The text of ``json.dumps(values.tolist())`` in compact form, in pieces
-    of WRITE_CHUNK entries; json writes a float as its repr."""
+    """The text of ``json.dumps(values.tolist())`` in compact form, for a 1-d
+    or 2-d array, in pieces of at most WRITE_CHUNK floats; json writes a
+    float as its repr."""
     yield "["
-    for a in range(0, len(values), WRITE_CHUNK):
-        yield ("," if a else "") + ",".join(map(repr, values[a:a + WRITE_CHUNK].tolist()))
+    if values.ndim == 2:
+        for g, row in enumerate(values):
+            yield "," if g else ""
+            yield from _float_list_parts(row)
+    else:
+        for a in range(0, len(values), WRITE_CHUNK):
+            yield ("," if a else "") + ",".join(map(repr, values[a:a + WRITE_CHUNK].tolist()))
     yield "]"
 
 
+def _write_json(path, doc: dict) -> None:
+    """Write ``json.dumps(doc)`` (sorted keys, compact) and a newline, the
+    float arrays among its values formatted in pieces instead of built into
+    sigma-long lists."""
+    arrays = {key: v for key, v in doc.items() if isinstance(v, np.ndarray)}
+    text = json.dumps({**doc, **dict.fromkeys(arrays, 0)}, sort_keys=True,
+                      separators=(",", ":"))
+    with open(path, "w") as fh:
+        # each placeholder 0 marks where its array goes; the keys are sorted,
+        # so every split lands after the one before
+        for key in sorted(arrays):
+            head, text = text.split(f'"{key}":0', 1)
+            fh.write(f'{head}"{key}":')
+            fh.writelines(_float_list_parts(arrays[key]))
+        fh.write(text + "\n")
+
+
 def write_agent_game_json(agent_game: AgentGame, path) -> None:
-    """Write the game as ``json.dumps`` of the whole document (sorted keys,
-    compact) and a newline, formatting the revenue and each utility row in
-    pieces instead of building sigma-long lists."""
-    doc = {
+    """Write ``agent_game.json``: the game's layout, tensor and E[Opt]."""
+    _write_json(path, {
         "mechanism": agent_game.mechanism.to_descriptor(),
         "populations": [list(p.values) for p in agent_game.populations],
         "agents": [[i, ti, v] for (i, ti, v) in agent_game.agents],
         "sizes": list(agent_game.sizes),
-        "utilities": 0,
-        "revenue": 0,
+        "utilities": agent_game.utilities,
+        "revenue": agent_game.revenue,
         "e_opt": agent_game.e_opt,
-    }
-    # keys sort as agents, e_opt, mechanism, populations, revenue, sizes,
-    # utilities: the placeholders mark where the arrays go, the last one at
-    # the end of the text
-    head, tail = json.dumps(doc, sort_keys=True, separators=(",", ":")).split(
-        '"revenue":0,'
-    )
-    with open(path, "w") as fh:
-        fh.write(head + '"revenue":')
-        fh.writelines(_float_list_parts(agent_game.revenue))
-        fh.write("," + tail[:-2] + "[")
-        for g, row in enumerate(agent_game.utilities):
-            fh.write("," if g else "")
-            fh.writelines(_float_list_parts(row))
-        fh.write("]}\n")
+    })
 
 
-def solution_to_json(solution: CceLpSolution) -> str:
-    doc = {
-        "distribution": [float(x) for x in solution.distribution],
+def write_solution_json(solution: CceLpSolution, path) -> None:
+    """Write ``lp_solution.json``: the LP minimizer and its certificates."""
+    _write_json(path, {
+        "distribution": solution.distribution,
         "objective": solution.objective,
-        "slacks": [float(x) for x in solution.slacks],
+        "slacks": solution.slacks,
         "constraints": [list(c) for c in solution.constraints],
         "iterations": solution.iterations,
-        "duals": [float(y) for y in solution.duals],
+        "duals": solution.duals,
         "dual_bound": solution.dual_bound,
         "dual_gap": solution.dual_gap,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    })

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -260,7 +261,7 @@ def optimal_welfare(valuation_profile: Sequence[float], mechanism: Mechanism) ->
 # simulator's feedback path) all need U_i(b, a_-i; v) for every own bid b and
 # every joint opponent profile. Building the table once per (player, value)
 # keeps those paths to array lookups. Opponent profiles are flattened in
-# mixed-radix order over ascending player index j != i.
+# numpy's C order over ascending player index j != i.
 #
 # The auction rule itself is the cached win-flag array below; the utility and
 # revenue tables apply the payment rule to it with array operations.
@@ -269,10 +270,14 @@ TABLE_CAP = 10_000_000  # joint profiles per utility or revenue table
 
 
 def joint_profile_count(mechanism: Mechanism) -> int:
-    return int(np.prod(mechanism.actions.sizes(), dtype=np.int64))
+    # a Python int: an int64 product of 5 seats' 32,768-bid grids wraps to 0
+    return math.prod(mechanism.actions.sizes())
 
 
-def _check_table_cap(entries: int) -> None:
+def check_table_cap(mechanism: Mechanism) -> None:
+    """Raise InputError when the mechanism's utility and revenue tables
+    would hold more than TABLE_CAP entries."""
+    entries = joint_profile_count(mechanism)
     if entries > TABLE_CAP:
         raise InputError(
             f"utility table would hold {entries} entries, over the cap of {TABLE_CAP}"
@@ -316,13 +321,13 @@ def utility_table(mechanism: Mechanism, player: int, value: float) -> np.ndarray
     """Array ``T[b_idx, opp_idx]`` of the player's utility against every joint
     opponent bid profile, holding the player's value fixed.
 
-    Opponent profiles are indexed in mixed-radix order over the other players'
-    grids, ascending player index, last player fastest. A winner gets value
+    Opponent profiles are indexed in C order over the other players' grids,
+    ascending player index, last player fastest. A winner gets value
     minus bid; a loser gets 0.0, or minus its bid under all-pay.
     """
     if not 0 <= player < mechanism.n:
         raise InputError(f"player {player} out of range for n={mechanism.n}")
-    _check_table_cap(joint_profile_count(mechanism))
+    check_table_cap(mechanism)
     own = np.asarray(mechanism.actions.grids[player], dtype=np.float64)[:, None]
     # C order, as callers' matrix products sum in the layout's order
     wins = np.ascontiguousarray(
@@ -337,12 +342,12 @@ def utility_table(mechanism: Mechanism, player: int, value: float) -> np.ndarray
 @lru_cache(maxsize=64)
 def revenue_table(mechanism: Mechanism) -> np.ndarray:
     """Flat array of auction revenue for every joint action profile, indexed
-    in mixed-radix order over all players' grids (last player fastest).
+    in C order over all players' grids (last player fastest).
 
     Seats add their payments in seat order: every bid under all-pay, the
     winners' bids otherwise.
     """
-    _check_table_cap(joint_profile_count(mechanism))
+    check_table_cap(mechanism)
     rev = np.zeros(mechanism.actions.sizes())
     all_pay = mechanism.kind == KIND_ALL_PAY
     for i, bid in enumerate(_seat_bids(mechanism)):
@@ -352,11 +357,13 @@ def revenue_table(mechanism: Mechanism) -> np.ndarray:
     return rev
 
 
-# --- mixed-radix indexing ----------------------------------------------------
+# --- flattened profiles ------------------------------------------------------
 #
 # Joint bid profiles, opponent profiles, type profiles and agent-game profiles
-# are all flattened the same way: digit ``j`` ranges over ``sizes[j]`` and the
-# last digit varies fastest, which is the order of ``itertools.product``.
+# are all flattened in numpy's C order: digit ``j`` ranges over ``sizes[j]``
+# and the last digit varies fastest, which is the order of
+# ``itertools.product``. ``np.ravel_multi_index`` and ``np.unravel_index``
+# convert, and a table reshaped to ``sizes`` has one axis per digit.
 
 
 def radix_place_values(sizes: Sequence[int]) -> list[int]:
@@ -365,16 +372,6 @@ def radix_place_values(sizes: Sequence[int]) -> list[int]:
     for j in range(len(sizes) - 2, -1, -1):
         places[j] = places[j + 1] * sizes[j + 1]
     return places
-
-
-def radix_encode(digits, sizes: Sequence[int]):
-    """Flat index of a digit tuple. Digits may be ints or integer arrays, which
-    broadcast; the result is an int64 array (0-d for scalar digits), and 0 for
-    an empty tuple."""
-    flat = 0
-    for d, size in zip(digits, sizes):
-        flat = flat * size + np.asarray(d, dtype=np.int64)
-    return flat
 
 
 def opponent_places(sizes: Sequence[int], seat: int) -> list[int]:
@@ -424,9 +421,10 @@ def profile_index(columns, sizes: Sequence[int]):
     ``columns`` holds one integer array per digit, all of one length. Returns
     a row holding each distinct tuple, each row's rank among the distinct
     tuples, and each tuple's count: the order, inverse and counts of
-    ``np.unique(rows, axis=0)``. Rows are compared by their ``radix_encode``
-    code; when the sizes' product would overflow int64, the partial codes are
-    replaced by their ranks, which keep their order.
+    ``np.unique(rows, axis=0)``, which is far slower. Rows are compared by
+    their C-order flat index over ``sizes``; when the sizes' product would
+    overflow int64, the partial codes are replaced by their ranks, which keep
+    their order.
     """
     code, span = 0, 1
     for col, size in zip(columns, sizes):
@@ -440,15 +438,6 @@ def profile_index(columns, sizes: Sequence[int]):
     row = np.empty(len(counts), dtype=np.int64)
     row[rank] = np.arange(len(rank))
     return row, rank, counts
-
-
-def radix_decode(flat, sizes: Sequence[int]) -> tuple:
-    """Inverse of ``radix_encode``: the digit tuple of an int or an array."""
-    digits = []
-    for size in reversed(sizes):
-        flat, d = divmod(flat, size)
-        digits.append(d)
-    return tuple(reversed(digits))
 
 
 def value_profiles(per_player_values: Iterable[Sequence[float]]) -> list[tuple[float, ...]]:

@@ -107,6 +107,7 @@ class SimConfig:
                 f"a bid grid or population has {largest} entries; the simulator "
                 f"indexes at most {mech.INDEX_LIMIT}"
             )
+        mech.check_table_cap(self.mechanism)
         check_index_memory(self, 1)
 
     def agents(self) -> list[tuple[int, int, float]]:
@@ -187,12 +188,12 @@ def welfare_columns(
         opp = mech.opponent_index(realized_idx.T, sizes_a, i)
         tables = np.stack([mech.utility_table(m, i, v) for v in pop.values])
         sw += tables[v_idx[:, i], realized_idx[:, i], opp]
-    sw += mech.revenue_table(m)[mech.radix_encode(realized_idx.T, sizes_a)]
+    sw += mech.revenue_table(m)[np.ravel_multi_index(realized_idx.T, sizes_a)]
     value_lists = [p.values for p in config.populations]
     opt_by_profile = np.array(
         [mech.optimal_welfare(v, m) for v in mech.value_profiles(value_lists)]
     )
-    opt = opt_by_profile[mech.radix_encode(v_idx.T, [len(v) for v in value_lists])]
+    opt = opt_by_profile[np.ravel_multi_index(v_idx.T, [len(v) for v in value_lists])]
     return sw, opt
 
 

@@ -296,9 +296,15 @@ def best_pure_deviation(
             f"maximin enumeration needs {joint}^2 = {joint * joint} evaluations, "
             f"over the cap of {PURE_SEARCH_CAP}"
         )
-    digits = mech.radix_decode(np.arange(joint), sizes)
-    opp_idx = [mech.opponent_index(digits, sizes, i) for i in range(mechanism.n)]
     rev = mech.revenue_table(mechanism)
+    n = mechanism.n
+    # seat i's table [b_i, a_-i] laid on the axes (b_0..b_{n-1}, a_0..a_{n-1})
+    # of gain: its axes keep their order, so a reshape places them
+    seat_shapes = [
+        [k if j == i else 1 for j, k in enumerate(sizes)]
+        + [1 if j == i else k for j, k in enumerate(sizes)]
+        for i in range(n)
+    ]
 
     best_overall = math.inf
     chosen: dict[tuple[float, ...], tuple[int, ...]] = {}
@@ -310,12 +316,12 @@ def best_pure_deviation(
         any_positive = True
         # gain[b_flat, a_flat] = sum_i U_i(b_i, a_-i) + mu R(a)
         gain = np.broadcast_to(mu * rev, (joint, joint)).copy()
-        for i in range(mechanism.n):
-            table = mech.utility_table(mechanism, i, values[i])
-            gain += table[np.ix_(digits[i], opp_idx[i])]
+        view = gain.reshape(sizes + sizes)
+        for i in range(n):
+            view += mech.utility_table(mechanism, i, values[i]).reshape(seat_shapes[i])
         floor = gain.min(axis=1)
         b_flat = int(np.argmax(floor))
-        chosen[values] = tuple(int(d[b_flat]) for d in digits)
+        chosen[values] = tuple(int(d) for d in np.unravel_index(b_flat, sizes))
         best_overall = min(best_overall, float(floor[b_flat]) / opt)
     if not any_positive:
         raise UndefinedResultError(

@@ -197,6 +197,21 @@ def agent_game_json_text(game):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def solution_json_text(solution):
+    """``lp_solution.json`` as one ``json.dumps`` of the whole document."""
+    doc = {
+        "distribution": [float(x) for x in solution.distribution],
+        "objective": solution.objective,
+        "slacks": [float(x) for x in solution.slacks],
+        "constraints": [list(c) for c in solution.constraints],
+        "iterations": solution.iterations,
+        "duals": [float(y) for y in solution.duals],
+        "dual_bound": solution.dual_bound,
+        "dual_gap": solution.dual_gap,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class DenseColumns:
     """A dense standard-form matrix A as the column source the library's
     simplex reads: ``column(j)`` is A[:, j] and ``products(w)`` is w.A."""

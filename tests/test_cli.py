@@ -565,6 +565,30 @@ def test_oversized_grid_and_horizon_exit_two_before_allocating(tmp_path, capsys)
     assert err.startswith("error: horizon 1000000000000 needs") and "physical memory" in err
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_grids_over_the_table_cap_exit_two_before_allocating(tmp_path, capsys, n):
+    # 32,768 bids per seat: 2^60 joint profiles on 4 seats, and on 5 seats
+    # 2^75, which an int64 count wraps to 0. Every command refuses the table
+    # before any of it exists; what is traced is the config's bid grids.
+    out = tmp_path / "runs"
+    doc = base_doc(horizon=10, seeds=[1], deviation="log", out_dir=str(out))
+    doc["mechanism"].update(n=n, grid_step=1 / 32767)
+    doc["populations"] = [[0.5, 1.0]] * n
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for command in ("certify", "simulate", "exact"):
+        tracemalloc.start()
+        try:
+            assert cli.main([command, "--config", str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24, command
+        err = capsys.readouterr().err
+        assert "over the cap" in err and "Traceback" not in err, command
+    assert not out.exists()
+
+
 def test_index_arrays_of_every_seed_must_fit_in_memory(tmp_path, capsys, monkeypatch):
     # a run holds every seed's index arrays at once, 2 * T * (2n + agents)
     # bytes each: 16,000 here. Memory for three seeds admits one seed but

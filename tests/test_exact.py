@@ -1,6 +1,7 @@
 """Exact small-instance machinery: agent game, lifted certificates, LP."""
 
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -117,9 +118,9 @@ def test_deviation_oracle_edits_one_digit():
             dev = oracles.deviation(game, g, a)
             assert dev.shape == (game.sigma,)
             for s in [0, 5, 11, 15]:
-                digits = list(mech.radix_decode(s, game.sizes))
+                digits = list(np.unravel_index(s, game.sizes))
                 digits[g] = a
-                moved = int(mech.radix_encode(digits, game.sizes))
+                moved = int(np.ravel_multi_index(digits, game.sizes))
                 assert dev[s] == game.utilities[g][moved]
 
 
@@ -364,25 +365,35 @@ def test_json_exports_parse_and_round_figures(tmp_path):
     assert len(gdoc["utilities"]) == 2 and len(gdoc["utilities"][0]) == 4
     assert len(gdoc["revenue"]) == 4
     assert gdoc["e_opt"] == pytest.approx(game.e_opt)
-    sdoc = json.loads(exact.solution_to_json(sol))
+    spath = tmp_path / "lp_solution.json"
+    exact.write_solution_json(sol, spath)
+    sdoc = json.loads(spath.read_text())
     assert sum(sdoc["distribution"]) == pytest.approx(1.0, abs=1e-9)
     assert sdoc["objective"] == pytest.approx(sol.objective)
     assert len(sdoc["slacks"]) == len(sdoc["constraints"])
 
 
-@pytest.mark.parametrize(
-    "name", [inst.name for inst in TINY_CORPUS] + list(HEADLINE_LP)
-)
-def test_streamed_agent_game_json_matches_one_dump(name, tmp_path):
+def headline_game(kind, step=0.1, n=2, k=1, types=(0.5, 1.0), H=1.0):
+    m = mech.Mechanism.from_descriptor(
+        {"kind": kind, "n": n, "k": k, "grid_step": step, "H": H,
+         "tie_break": "lowest-index"}
+    )
+    return exact.build_agent_game(m, (types,) * n)
+
+
+def corpus_game(name):
     if name in HEADLINE_LP:
         kind, H, types, _want = HEADLINE_LP[name]
-        m = mech.Mechanism.from_descriptor(
-            {"kind": kind, "n": 2, "k": 1, "grid_step": 0.1, "H": H,
-             "tie_break": "lowest-index"}
-        )
-        game = exact.build_agent_game(m, (types, types))
-    else:
-        game = exact.build_agent_game(BY_NAME[name].mechanism, BY_NAME[name].populations)
+        return headline_game(kind, types=types, H=H)
+    return exact.build_agent_game(BY_NAME[name].mechanism, BY_NAME[name].populations)
+
+
+STREAMED = [inst.name for inst in TINY_CORPUS] + list(HEADLINE_LP)
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_agent_game_json_matches_one_dump(name, tmp_path):
+    game = corpus_game(name)
     path = tmp_path / "agent_game.json"
     try:
         want = oracles.agent_game_json_text(game)
@@ -393,6 +404,49 @@ def test_streamed_agent_game_json_matches_one_dump(name, tmp_path):
         return
     exact.write_agent_game_json(game, path)
     assert path.read_text() == want
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_lp_solution_json_matches_one_dump(name, tmp_path):
+    sol = exact.worst_cce_welfare(corpus_game(name))
+    path = tmp_path / "lp_solution.json"
+    exact.write_solution_json(sol, path)
+    assert path.read_text() == oracles.solution_json_text(sol)
+
+
+# Pinned SHA-256 of agent_game.json. Every float in it is a sum of table
+# entries, added in type-profile order, divided by the type-profile count, so
+# neither the layout code nor the numpy build may move a bit of it.
+AGENT_GAME_SHA256 = {
+    "fp-headline": "42c96b551378e629b1ee55755962091a46a88e47909254cdddac9cd4be46adaf",
+    "ap-headline": "c71cb0b12cd9dc0e5114ed972bf460eb9e23daacb42459a82c780a588dd4a83d",
+    "mu-n3-k2-step0.25": "efaa43e7c9ccf879c9bb63a231deca617a3c30a9559ded4b40a45a1918c59607",
+}
+
+
+@pytest.mark.parametrize("name", AGENT_GAME_SHA256)
+def test_agent_game_json_keeps_its_pinned_bytes(name, tmp_path):
+    if name in HEADLINE_LP:
+        game = corpus_game(name)
+    else:
+        game = headline_game(mech.KIND_MULTI_UNIT, step=0.25, n=3, k=2)
+    path = tmp_path / "agent_game.json"
+    exact.write_agent_game_json(game, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == AGENT_GAME_SHA256[name]
+
+
+def test_agent_game_build_holds_little_beyond_its_result():
+    # the step-0.05 first-price game: 4 agents with 21 bids, 194,481 profiles.
+    # The tensor is all the build needs to hold; a sigma-long int64 index
+    # array per agent would put its peak at 2.4x the result.
+    tracemalloc.start()
+    try:
+        game = headline_game(mech.KIND_FIRST_PRICE, step=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert game.sigma == 21**4
+    assert peak <= 1.25 * (game.utilities.nbytes + game.revenue.nbytes)
 
 
 @pytest.mark.parametrize("inst", TINY_CORPUS, ids=lambda i: i.name)

@@ -34,9 +34,9 @@ def outcome(m, bids, values):
     utilities = []
     for i in range(m.n):
         others = [j for j in range(m.n) if j != i]
-        opp = mech.radix_encode([idx[j] for j in others], [sizes[j] for j in others])
+        opp = np.ravel_multi_index([idx[j] for j in others], [sizes[j] for j in others])
         utilities.append(float(mech.utility_table(m, i, values[i])[idx[i], opp]))
-    revenue = float(mech.revenue_table(m)[mech.radix_encode(idx, sizes)])
+    revenue = float(mech.revenue_table(m)[np.ravel_multi_index(idx, sizes)])
     return tuple(utilities), revenue
 
 
@@ -265,7 +265,7 @@ def test_tables_match_the_oracle(case):
         assert rev[flat] == want_rev
         for i in range(m.n):
             others = [j for j in range(m.n) if j != i]
-            opp = mech.radix_encode([idx[j] for j in others], [sizes[j] for j in others])
+            opp = np.ravel_multi_index([idx[j] for j in others], [sizes[j] for j in others])
             assert tables[i][idx[i], opp] == want_u[i], (i, bids)
             # the shared opponent layout agrees with this recount
             assert mech.opponent_index(idx, sizes, i) == opp
@@ -289,20 +289,22 @@ def test_table_cap_enforced(monkeypatch):
     sizes=st.lists(st.integers(1, 7), min_size=0, max_size=4),
     data=st.data(),
 )
-def test_radix_encode_decode_round_trip(sizes, data):
-    count = int(np.prod(sizes, dtype=np.int64))
-    flat = data.draw(st.integers(0, count - 1))
-    digits = mech.radix_decode(flat, sizes)
-    assert all(0 <= d < s for d, s in zip(digits, sizes))
-    assert int(mech.radix_encode(digits, sizes)) == flat
-    places = mech.radix_place_values(sizes)
-    assert sum(d * w for d, w in zip(digits, places)) == flat
-    # the array forms agree with itertools.product order, last digit fastest
-    every = np.arange(count)
-    cols = mech.radix_decode(every, sizes)
+def test_c_order_is_product_order_with_radix_place_values(sizes, data):
+    # every flattened profile is numpy's C order over its digits: the order
+    # of itertools.product, with radix_place_values as its place values
     expected = list(itertools.product(*[range(s) for s in sizes]))
-    assert [tuple(int(c[k]) for c in cols) for k in range(count)] == expected
-    np.testing.assert_array_equal(mech.radix_encode(cols, sizes), every)
+    count = len(expected)
+    places = mech.radix_place_values(sizes)
+    assert [sum(d * w for d, w in zip(t, places)) for t in expected] == list(range(count))
+    if not sizes:  # no caller flattens an empty shape
+        return
+    flat = data.draw(st.integers(0, count - 1))
+    digits = np.unravel_index(flat, sizes)
+    assert tuple(int(d) for d in digits) == expected[flat]
+    assert int(np.ravel_multi_index(digits, sizes)) == flat
+    cols = np.unravel_index(np.arange(count), sizes)
+    assert list(zip(*[c.tolist() for c in cols])) == expected
+    np.testing.assert_array_equal(np.ravel_multi_index(cols, sizes), np.arange(count))
 
 
 def test_descriptor_round_trip():
