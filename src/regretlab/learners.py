@@ -6,11 +6,11 @@ loop updates the weights, with one of two rules: full-feedback Hedge
 multiplies exp(eta * utility) into every weight of a row, importance-weighted
 bandit (Exp3) multiplies exp(eta * utility / p) into the chosen weight only,
 where p is the exploration-mixed probability it was sampled with. Its
-batched step reads ``probabilities`` on the whole array; its scalar step
-keeps each row's weights as Python lists between ceiling checks and repeats
-the float operations of ``probabilities`` one row at a time
-(``scalar_step.hedge_row`` and ``scalar_step.row_cdf``), so a change to one
-must be made to the others.
+batched bandit step reads ``probabilities`` on the whole array; its Hedge
+blocks repeat the float operations of ``probabilities`` at gamma 0 on a
+(rounds, rows, bids) array, and its scalar bandit step repeats them one row
+at a time on Python lists (``scalar_step.row_cdf``), so a change to one must
+be made to the others.
 This module holds what the loop shares: the sampling distribution, the
 step-size schedule, the selected-round counts and the weight-ceiling
 renormalization.

@@ -62,8 +62,12 @@ class ActionSpace:
             raise InputError(f"scale must be positive, got {self.scale}")
         if not self.grids:
             raise InputError("at least one player grid is required")
-        canon = []
+        # equal grids are checked once and share one canonical tuple
+        canon = {}
         for p, grid in enumerate(self.grids):
+            grid = tuple(grid)
+            if grid in canon:
+                continue
             pts = tuple(_canonical_point(b) for b in grid)
             if not pts:
                 raise InputError(f"player {p}: empty bid grid")
@@ -75,8 +79,8 @@ class ActionSpace:
                 raise InputError(
                     f"player {p}: max bid {pts[-1]} exceeds scale {self.scale}"
                 )
-            canon.append(pts)
-        object.__setattr__(self, "grids", tuple(canon))
+            canon[grid] = pts
+        object.__setattr__(self, "grids", tuple(canon[tuple(g)] for g in self.grids))
 
     @classmethod
     def uniform(cls, n_players: int, step: float, scale: float = 1.0) -> "ActionSpace":

@@ -1,17 +1,11 @@
-"""The scalar round step of ``simulator._play_rounds``.
+"""The scalar bandit round step of ``simulator._play_rounds``.
 
-A batch that updates at most ``simulator.SCALAR_WEIGHTS`` learner weights per
-round plays its rounds here, in plain Python: each learner row keeps its
-weights and CDF (bandit also its sampling probabilities) as lists, rebuilt
-only when the row's weights change. An agent's unit utility table holds few
-distinct floats (ties go to the lowest index, so at most a win and a lose
-value per own bid), so the step keeps each agent's list of them and every
-table entry as a code into it. One np.exp per draw chunk gives every
-round's Hedge factors for the values of its rows' agents; a round turns its
-slice into lists and looks each row's factors up by the codes of its cell.
-Every float operation repeats the batched step's, so the two steps give the
-same bits. Only runs that take this step import the module; the others do not
-compile it, which kept their peak RSS where it was.
+A bandit batch that updates at most ``simulator.SCALAR_WEIGHTS`` learner
+weights per round plays its rounds here, in plain Python: each learner row
+keeps its weights, sampling probabilities and CDF as lists, rebuilt only when
+the row's weights change. Every float operation repeats the batched step's,
+so the two steps give the same bits. Only runs that take this step import the
+module; the others do not compile it, which kept their peak RSS where it was.
 """
 
 from __future__ import annotations
@@ -52,19 +46,6 @@ def pairwise_sum(a: list) -> float:
     return 0.0 + res
 
 
-def hedge_row(w: list) -> tuple[list, None, list]:
-    """A Hedge weight row with the CDF of its sampling probabilities, by the
-    float operations of ``LearnerState.probabilities`` at gamma 0 and
-    ``cumsum``. Hedge samples from the CDF alone, so one pass skips the
-    probability list that ``row_cdf`` keeps for bandit's importance weights."""
-    total = pairwise_sum(w)
-    cdf, acc = [], 0.0
-    for x in w:
-        acc += x / total
-        cdf.append(acc)
-    return w, None, cdf
-
-
 def row_cdf(w: list, gamma: float) -> tuple[list, list, list]:
     """One weight row with its sampling probabilities and their CDF, by the
     float operations of ``LearnerState.probabilities`` and ``cumsum``."""
@@ -77,34 +58,14 @@ def row_cdf(w: list, gamma: float) -> tuple[list, list, list]:
     return w, p, list(accumulate(p))
 
 
-def code_table(unit: np.ndarray, n_agents: int) -> tuple[np.ndarray, bytes]:
-    """Each agent's distinct entries of ``unit``, whose rows are split evenly
-    among ``n_agents`` agents, as the rows of a zero-padded array, and every
-    entry of ``unit`` in order as a one-byte index into its agent's row.
-    Ties go to the lowest index, so an agent has at most two distinct values
-    per bid: at most 96 on the scalar step's grids of up to
-    ``simulator.SCALAR_WEIGHTS`` bids."""
-    vals, codes = [], bytearray()
-    for block in unit.reshape(n_agents, -1):
-        index = {}
-        codes.extend([index.setdefault(x, len(index)) for x in block.tolist()])
-        vals.append(list(index))
-    width = max(map(len, vals))
-    return np.array([v + [0.0] * (width - len(v)) for v in vals]), bytes(codes)
-
-
 class ScalarStep:
-    """One batch's learner rows as Python lists, and the rounds that update
-    them. ``state.weights`` is brought up to date only for a ceiling check.
-
-    Both rules pass the unit utility table ``unit`` that the batched step
-    reads; bandit also passes its step size ``eta``, Hedge None, as Hedge's
-    step sizes come with each chunk. ``chunk`` is the most rounds one call of
-    ``rounds`` plays."""
+    """One bandit batch's learner rows as Python lists, and the rounds that
+    update them. ``state.weights`` is brought up to date only for a ceiling
+    check. ``unit`` is the unit utility table the batched step reads and
+    ``eta`` the bandit step size."""
 
     def __init__(self, state: LearnerState, first_cell: np.ndarray,
-                 opp_place: np.ndarray, n_seeds: int, chunk: int,
-                 unit: np.ndarray, eta: float | None):
+                 opp_place: np.ndarray, n_seeds: int, unit: np.ndarray, eta: float):
         self.state = state
         A = state.n_actions
         # a row's table entries start at first[r] + sum(bids * place[k]), for
@@ -115,36 +76,17 @@ class ScalarStep:
         for k in range(n_seeds * n):
             self.place[k][k - k % n:k - k % n + n] = (opp_place[:, k % n] * A).tolist()
         self.eta = eta
-        if eta is not None:
-            self.unit = unit.ravel()
-        else:
-            self.n_agents = len(first_cell) // n_seeds
-            self.vals, self.codes = code_table(unit, self.n_agents)
-            self.factors = np.empty((chunk, n_seeds * n, self.vals.shape[1]))
+        self.unit = unit.ravel()
         self.cache = [row_cdf(w, state.gamma) for w in state.weights.tolist()]
 
-    def rounds(self, draws: np.ndarray, rows_at: np.ndarray, headroom: float,
-               etas: np.ndarray | None = None, steps: list | None = None):
+    def rounds(self, draws: np.ndarray, rows_at: np.ndarray, headroom: float):
         """Play one chunk: ``draws[c]`` and ``rows_at[c]`` are round c's
-        uniforms and updated learner rows; Hedge passes the chunk's step
-        sizes ``etas`` and their log-step bounds ``steps``, as the batched
-        step uses them. Returns the commitments and realized bids, flat in
-        round order, and the weight-ceiling headroom left."""
+        uniforms and updated learner rows. Returns the commitments and
+        realized bids, flat in round order, and the weight-ceiling headroom
+        left."""
         state, cache, first, place = self.state, self.cache, self.first, self.place
         gamma, top = state.gamma, state.n_actions - 1
-        A = top + 1
-        eta = self.eta
-        hedge = eta is None
-        if hedge:
-            codes = self.codes
-            # factors[c, k, i]: exp(eta * value i of the agent of round c's
-            # row k), the batched step's exp(eta * unit) entry for entry
-            factors = self.factors[:len(draws)]
-            np.take(self.vals, rows_at % self.n_agents, axis=0, out=factors, mode="clip")
-            factors *= etas
-            np.exp(factors, out=factors)
-        else:
-            unit = self.unit
+        eta, unit = self.eta, self.unit
         picks, played = [], []
         for c in range(len(draws)):
             # a round at a time: lists of a whole chunk raised the peak RSS
@@ -155,23 +97,15 @@ class ScalarStep:
             bids = [j[r] for r in rows]
             picks += j
             played += bids
-            if hedge:
-                for r, f, pl in zip(rows, factors[c].tolist(), place):
-                    o = first[r] + sum(map(mul, bids, pl))
-                    cache[r] = hedge_row(list(map(
-                        mul, cache[r][0], map(f.__getitem__, codes[o:o + A])
-                    )))
-                headroom -= steps[c]
-            else:
-                xs = []
-                for r, b, pl in zip(rows, bids, place):
-                    o = first[r] + sum(map(mul, bids, pl))
-                    w, p, _ = cache[r]
-                    x = eta * (unit.item(o + b) / p[b])
-                    w[b] *= math.exp(x)
-                    xs.append(x)
-                    cache[r] = row_cdf(w, gamma)
-                headroom -= max(xs) + LOG_STEP_SLACK
+            xs = []
+            for r, b, pl in zip(rows, bids, place):
+                o = first[r] + sum(map(mul, bids, pl))
+                w, p, _ = cache[r]
+                x = eta * (unit.item(o + b) / p[b])
+                w[b] *= math.exp(x)
+                xs.append(x)
+                cache[r] = row_cdf(w, gamma)
+            headroom -= max(xs) + LOG_STEP_SLACK
             if headroom < 0.0:
                 state.weights[:] = [w for w, _, _ in cache]
                 renormalize(state.weights)

@@ -12,7 +12,7 @@ learning agent per valuation type. Every round proceeds in three steps:
 
 Selected agents receive either the full counterfactual utility vector
 (``full`` feedback, Hedge update) or only the realized utility (``bandit``
-feedback, importance-weighted update); one round step applies both. A trace
+feedback, importance-weighted update). A trace
 holds only what play decided: the types, the commitments and the realized
 bids, plus the welfare they give. ``rebuild_ledgers`` recounts the regret
 ledgers from the type and realized-bid columns, at many horizons in one
@@ -27,9 +27,13 @@ whichever seeds share a batch.
 
 The loop works through the rounds in chunks of DRAW_CHUNK. The types are
 drawn before play, so a chunk first works out everything play cannot
-change (each round's learner rows and Hedge step sizes), and a round then
-only samples, looks up its utility cells and updates. A round takes one of
-two steps that give the same bits. A batch that updates more than
+change (each round's learner rows and Hedge step sizes). Hedge then plays
+each seed's rounds in verified blocks: only the selected agents' bids couple
+the rounds, and a CDF a few updates stale nearly always gives the same bid,
+so a block plays many rounds from guessed bids in a few numpy calls and
+keeps those the guesses got right. A bandit update divides by the
+probability its bid was sampled with, so bandit plays a round at a time, in
+one of two steps that give the same bits. A batch that updates more than
 SCALAR_WEIGHTS learner weights per round runs a round as a few numpy calls
 over all rows at once; a smaller batch runs it in plain Python over per-row
 CDFs that are rebuilt only when their row's weights change, which costs less
@@ -233,10 +237,16 @@ def run_seed_batch(config: SimConfig, seeds) -> Iterator[Trace]:
 # cannot change once per chunk.
 DRAW_CHUNK = 1024
 
-# Batches that update at most this many weights per round (seeds x seats x
-# bids) take the scalar round step, whose cost grows with them; larger ones
-# take the batched numpy step, whose cost barely does. On 11 bids that is up
-# to 4 rows, as two two-seat seeds or one four-seat seed.
+# Bounds of a seed's verified Hedge blocks. A block tries twice as many rounds
+# as the last one if that kept them all, else twice the rounds it kept, but
+# no fewer than HEDGE_BLOCK[0] and no more than HEDGE_BLOCK[1] rounds or
+# HEDGE_BLOCK[2] weights (rounds x rows x bids) in one array.
+HEDGE_BLOCK = (8, 512, 1 << 16)
+
+# Bandit batches that update at most this many weights per round (seeds x
+# seats x bids) take the scalar round step, whose cost grows with them; larger
+# ones take the batched numpy step, whose cost barely does. On 11 bids that is
+# up to 4 rows, as two two-seat seeds or one four-seat seed.
 SCALAR_WEIGHTS = 48
 
 
@@ -253,10 +263,11 @@ def _play_rounds(config: SimConfig, seeds):
     utility / p) into the chosen weight. Both skip the weight-ceiling check
     while the log steps since the last check provably cannot take a weight
     past the ceiling, which leaves every weight as a check in every round
-    would. A batch that updates more than SCALAR_WEIGHTS weights per round
-    takes the batched step: one ``state.probabilities()`` and a handful of
-    numpy calls on all rows at once. A smaller batch takes the scalar step of
-    ``scalar_step.ScalarStep``, which gives the same bits.
+    would. Hedge plays each seed's rounds in verified blocks
+    (``_hedge_blocks``). A bandit batch that updates more than SCALAR_WEIGHTS
+    weights per round takes the batched step: one ``state.probabilities()``
+    and a handful of numpy calls on all rows at once. A smaller batch takes
+    the scalar step of ``scalar_step.ScalarStep``, which gives the same bits.
     """
     m = config.mechanism
     n = m.n
@@ -286,17 +297,11 @@ def _play_rounds(config: SimConfig, seeds):
         tables[g * n_opp:(g + 1) * n_opp] = mech.utility_table(m, pop, val).T
     full = config.feedback == FEEDBACK_FULL
     state = LearnerState(np.ones((S * G, A)), gamma=0.0 if full else config.gamma)
-    headroom = ceiling_headroom(state.weights)
     # both rules read only the unit utilities (tables + H) / 2H, so the
     # tables become those
     unit = tables
     unit += H
     unit /= 2.0 * H
-    if full:
-        # ln(weight) grows by at most eta * top_unit per update
-        top_unit = max(float(unit.max()), 0.0)
-    else:
-        eta = config.eta if config.eta is not None else config.gamma / A
 
     # opp_place[j, i]: weight of seat j's bid in seat i's opponent index
     opp_place = np.array([mech.opponent_places([A] * n, i) for i in range(n)]).T
@@ -310,14 +315,19 @@ def _play_rounds(config: SimConfig, seeds):
     draws = np.empty((chunk, S * G))
     rows_at = np.empty((chunk, S * n), dtype=np.int64)
     if full:
-        etas = np.empty((chunk, S * n, 1))
+        # ln(weight) grows by at most eta * top_unit per update; each seed
+        # keeps its own headroom and block length
+        top_unit = max(float(unit.max()), 0.0)
+        etas = np.empty((chunk, n, 1))
+        carried = [(ceiling_headroom(state.weights), HEDGE_BLOCK[0])] * S
+    else:
+        eta = config.eta if config.eta is not None else config.gamma / A
+        headroom = ceiling_headroom(state.weights)
+        scalar = S * n * A <= SCALAR_WEIGHTS
+        if scalar:
+            from .scalar_step import ScalarStep
 
-    scalar = S * n * A <= SCALAR_WEIGHTS
-    if scalar:
-        from .scalar_step import ScalarStep
-
-        step = ScalarStep(state, first_cell, opp_place, S, chunk, unit,
-                          None if full else eta)
+            step = ScalarStep(state, first_cell, opp_place, S, unit, eta)
 
     for a in range(0, T, DRAW_CHUNK):
         R = min(DRAW_CHUNK, T - a)
@@ -326,51 +336,115 @@ def _play_rounds(config: SimConfig, seeds):
         vrows = v_idx[:, a:a + R].transpose(1, 0, 2)
         np.add(row_base, vrows, out=rows_at[:R].reshape(R, S, n))
         if full:
-            # a seed at a time keeps the (rounds, rows) count block small
             for s in range(S):
-                cols = slice(s * n, (s + 1) * n)
-                counts = count_selections(
-                    state.t_sel[s * G:(s + 1) * G], rows_at[:R, cols] - s * G
+                here = slice(s * G, (s + 1) * G)
+                rows = rows_at[:R, s * n:(s + 1) * n] - s * G
+                counts = count_selections(state.t_sel[here], rows)
+                etas[:R, :, 0] = anytime_eta(A, counts) if config.eta is None else config.eta
+                steps = etas[:R, :, 0].max(axis=1) * top_unit + LOG_STEP_SLACK
+                carried[s] = _hedge_blocks(
+                    state.weights[here], draws[:R, here], rows, etas[:R], steps,
+                    unit, first_cell[:G], opp_place, *carried[s],
+                    strategy[s, a:a + R], realized[s, a:a + R],
                 )
-                etas[:R, cols, 0] = (
-                    anytime_eta(A, counts) if config.eta is None else config.eta
-                )
-            steps = (etas[:R, :, 0].max(axis=1) * top_unit + LOG_STEP_SLACK).tolist()
+            continue
 
         if scalar:
-            picks, played, headroom = step.rounds(
-                draws[:R], rows_at[:R], headroom,
-                *((etas[:R], steps) if full else ()),
-            )
+            picks, played, headroom = step.rounds(draws[:R], rows_at[:R], headroom)
             strategy[:, a:a + R] = np.reshape(picks, (R, S, G)).swapaxes(0, 1)
             realized[:, a:a + R] = np.reshape(played, (R, S, n)).swapaxes(0, 1)
             continue
 
         for c in range(R):
             p = state.probabilities()
-            cdf = p.cumsum(axis=1)
-            # inverse-CDF sampling: the count of CDF entries at or below the
-            # draw, leaving out the last entry caps the index at A - 1
-            j = (cdf[:, :-1] <= draws[c, :, None] * cdf[:, -1:]).sum(axis=1)
+            j = _sample(p.cumsum(axis=1), draws[c])
             strategy[:, a + c] = j.reshape(S, G)
             rows = rows_at[c]
             bids = j[rows]
             realized[:, a + c] = bids.reshape(S, n)
             cells = first_cell[rows]
             cells += (bids.reshape(S, n) @ opp_place).ravel()
-            if full:
-                state.weights[rows] *= np.exp(etas[c] * unit[cells])
-                headroom -= steps[c]
-            else:
-                xs = (eta * (unit[cells, bids] / p[rows, bids])).tolist()
-                # math.exp, not np.exp: the two can differ in the last bit
-                state.weights[rows, bids] *= [math.exp(x) for x in xs]
-                headroom -= max(xs) + LOG_STEP_SLACK
+            xs = (eta * (unit[cells, bids] / p[rows, bids])).tolist()
+            # math.exp, not np.exp: the two can differ in the last bit
+            state.weights[rows, bids] *= [math.exp(x) for x in xs]
+            headroom -= max(xs) + LOG_STEP_SLACK
             if headroom < 0.0:
                 renormalize(state.weights)
                 headroom = ceiling_headroom(state.weights)
 
     return v_idx, strategy, realized
+
+
+def _sample(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling along the last axis: the count of CDF entries at
+    or below the draw times the total, where leaving out the last entry caps
+    the index at A - 1."""
+    return (cdf[..., :-1] <= draws[..., None] * cdf[..., -1:]).sum(axis=-1)
+
+
+def _hedge_blocks(w, draws, rows, etas, steps, unit, first_cell, opp_place,
+                  headroom, size, strategy, realized) -> tuple[float, int]:
+    """Play one seed's Hedge rounds of a draw chunk in verified blocks.
+
+    ``w`` is the seed's (G, A) weight rows, updated in place; ``draws[c]``,
+    ``rows[c]`` and ``etas[c]`` are round c's uniforms, updated rows and step
+    sizes, and ``steps[c]`` its log-step bound. Returns the ceiling headroom
+    and next block length, which the seed carries into its next chunk.
+
+    A block guesses its selected bids from the CDFs at its start, multiplies
+    every round's factors in at once (1.0 in the rows a round leaves alone,
+    so each product is exact) and samples every round from the weights that
+    chain gives. It commits the rounds before the first whose selected bids
+    differ from the guess, always at least round 0, whose guess used exact
+    CDFs. Each float operation is one a round at a time would make, so the
+    result is that of playing the rounds one by one. A block also ends at the
+    round whose step may take a weight past the ceiling, where the rows are
+    renormalized.
+    """
+    lo, hi, cells_cap = HEDGE_BLOCK
+    G, A = w.shape
+    hi = min(hi, max(1, cells_cap // (G * A)))
+    R = len(draws)
+    at = np.arange(R + 1)[:, None]
+    cells_at = first_cell[rows]
+    c = 0
+    while c < R:
+        L = min(size, hi, R - c)
+        # the headroom after each round, as headroom -= steps[c] leaves it;
+        # the steps are positive, so it only falls
+        left = np.subtract.accumulate(np.concatenate(([headroom], steps[c:c + L])))
+        ceiling = left[L] < 0.0
+        if ceiling:
+            L = int((left < 0.0).argmax())
+        u, r = draws[c:c + L], rows[c:c + L]
+        # every row sampled from the CDFs at the block's start: round 0's
+        # commitments, and the other rounds' guessed bids
+        start = _sample((w / w.sum(axis=1, keepdims=True)).cumsum(axis=1), u)
+        guess = start[at[:L], r]
+        chain = np.ones((L + 1, G, A))
+        chain[0] = w
+        cells = cells_at[c:c + L] + guess @ opp_place
+        chain[at[1:L + 1], r] = np.exp(etas[c:c + L] * unit[cells])
+        np.multiply.accumulate(chain, axis=0, out=chain)
+        strategy[c] = start[0]
+        k = L
+        if L > 1:
+            later = chain[1:L]
+            j = _sample((later / later.sum(axis=2, keepdims=True)).cumsum(axis=2), u[1:])
+            wrong = np.flatnonzero(j[at[:L - 1], r[1:]] != guess[1:])
+            if len(wrong):
+                k = 1 + int(wrong[0]) // len(opp_place)
+            strategy[c + 1:c + k] = j[:k - 1]
+        realized[c:c + k] = guess[:k]
+        w[:] = chain[k]
+        if k == L and ceiling:
+            renormalize(w)
+            headroom = ceiling_headroom(w)
+        else:
+            headroom = float(left[k])
+        size = min(max(2 * k if k < L else 2 * size, lo), hi)
+        c += k
+    return headroom, size
 
 
 # --- persistence -------------------------------------------------------------

@@ -127,6 +127,14 @@ def test_action_space_invariants():
     assert sp.index_of(0, 0.75 + 1e-12) == 3
 
 
+def test_equal_grids_share_one_canonical_tuple():
+    # uniform hands every seat the same grid, which is checked and stored once
+    sp = mech.ActionSpace.uniform(5, 1 / 32767)
+    assert all(g is sp.grids[0] for g in sp.grids) and len(sp.grids[0]) == 32768
+    sp = mech.ActionSpace(grids=(list(QUARTERS), (0.0, 0.5), QUARTERS), scale=1.0)
+    assert sp.grids[0] is sp.grids[2] and sp.grids[1] == (0.0, 0.5)
+
+
 def test_mechanism_validation():
     with pytest.raises(InputError):
         mech.Mechanism(kind="second-price", n=1, actions=mech.ActionSpace.uniform(1, 0.5, 1.0))

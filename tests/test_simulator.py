@@ -165,14 +165,55 @@ HEADLINE_GRID_RUNS = {
 }
 
 
+# Hedge's verified blocks at their default bounds, cut to one round (every
+# round is committed alone) and grown past the horizon (every block guesses a
+# whole draw chunk from stale CDFs and rolls back at its first wrong guess)
+HEDGE_BLOCKS = {"": None, "-one-round-blocks": 1, "-blocks-past-the-horizon": 1501}
+
+
+def hedge_block_params(runs, seed_sets):
+    """One param per run, seed set and Hedge block bound; bandit runs, which
+    do not play blocks, only at the default bound."""
+    return [pytest.param(*run, seeds, block, id=name + suffix + tag)
+            for name, run in runs.items()
+            for seeds, suffix in seed_sets
+            for tag, block in HEDGE_BLOCKS.items()
+            if block is None or sim.FEEDBACK_FULL in run]
+
+
+def set_hedge_block(monkeypatch, block):
+    """Bound every Hedge block to ``block`` rounds, however few bids it
+    holds, and return a list that gathers each block's length: the number of
+    draws it samples from its starting CDFs."""
+    lengths = []
+    if block is not None:
+        monkeypatch.setattr(sim, "HEDGE_BLOCK", (block, block, block * 2**20))
+        sample = sim._sample
+
+        def counted(cdf, draws):
+            if cdf.ndim == 2:
+                lengths.append(len(draws))
+            return sample(cdf, draws)
+
+        monkeypatch.setattr(sim, "_sample", counted)
+    return lengths
+
+
+def assert_blocks_played(lengths, block, seeds):
+    """One-round blocks commit each of the 1,500 rounds alone; longer blocks
+    roll back at a wrong guess, so they sample rounds they do not commit."""
+    if block == 1:
+        assert lengths == [1] * (1500 * len(seeds))
+    elif block is not None:
+        assert sum(lengths) > 1500 * len(seeds)
+
+
 @pytest.mark.parametrize(
-    "kind, n, units, feedback, eta, gamma, seeds",
-    [pytest.param(*run, seeds, id=name + suffix)
-     for name, run in HEADLINE_GRID_RUNS.items()
-     for seeds, suffix in (([2, 4, 7], ""), ([4], "-one-seed"))],
+    "kind, n, units, feedback, eta, gamma, seeds, block",
+    hedge_block_params(HEADLINE_GRID_RUNS, (([2, 4, 7], ""), ([4], "-one-seed"))),
 )
 def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(
-    kind, n, units, feedback, eta, gamma, seeds
+    kind, n, units, feedback, eta, gamma, seeds, block, monkeypatch
 ):
     # 11 bids per grid: row sums of eight or more weights take numpy's
     # pairwise path, which the small grids above never reach; 1,500 rounds
@@ -181,9 +222,10 @@ def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(
     # so the ceiling checks run on that path too; at gamma 0 the importance
     # weight divides by the unmixed probability. Four seats selling two
     # units index 11**3 opponent profiles per agent, under either feedback.
-    # Three seeds update six or more rows of 11 weights a round and take the
-    # batched step, one seed the scalar step.
+    # Bandit runs of three seeds update six or more rows of 11 weights a
+    # round and take the batched step, one seed the scalar step.
     assert (len(seeds) * n * 11 <= sim.SCALAR_WEIGHTS) == (len(seeds) == 1)
+    lengths = set_hedge_block(monkeypatch, block)
     m = mech.Mechanism(
         kind=kind, n=n, actions=mech.ActionSpace.uniform(n, 0.1, 1.0), units=units
     )
@@ -200,26 +242,31 @@ def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(
         want = assert_matches_reference(trace, replace(cfg, seed=seed))
         if eta is not None:
             assert want["renormalizations"] >= 20
+    assert_blocks_played(lengths, block, seeds)
 
 
 @pytest.mark.parametrize(
-    "feedback, seeds",
-    [pytest.param(feedback, seeds, id=feedback + suffix)
-     for feedback in (sim.FEEDBACK_FULL, sim.FEEDBACK_BANDIT)
-     for seeds, suffix in (([3, 8], ""), ([3, 8, 11, 14, 17], "-five-seeds"))],
+    "feedback, seeds, block",
+    hedge_block_params({f: (f,) for f in (sim.FEEDBACK_FULL, sim.FEEDBACK_BANDIT)},
+                       (([3, 8], ""), ([3, 8, 11, 14, 17], "-five-seeds"))),
 )
-def test_seed_batch_matches_the_reference_engine_across_the_weight_ceiling(feedback, seeds):
-    # a step of 5 takes weights past the ceiling again and again; hedge skips
-    # the ceiling check while it provably cannot fire, so the checks it does
-    # run must renormalize on exactly the rounds the reference does. 1,500
-    # rounds end partway into the second draw chunk. Two seeds of two seats
-    # update four rows of 5 weights a round and take the scalar step, five
-    # seeds the batched step.
+def test_seed_batch_matches_the_reference_engine_across_the_weight_ceiling(
+    feedback, seeds, block, monkeypatch
+):
+    # a step of 5 takes weights past the ceiling again and again; both rules
+    # skip the ceiling check while it provably cannot fire, so the checks
+    # they do run must renormalize on exactly the rounds the reference does,
+    # and Hedge's blocks end at those checks. 1,500 rounds end partway into
+    # the second draw chunk. Bandit runs of two seeds of two seats update
+    # four rows of 5 weights a round and take the scalar step, five seeds
+    # the batched step.
     assert (len(seeds) * 2 * 5 <= sim.SCALAR_WEIGHTS) == (len(seeds) == 2)
+    lengths = set_hedge_block(monkeypatch, block)
     cfg = small_config(horizon=1500, feedback=feedback, eta=5.0, gamma=0.1)
     for seed, trace in zip(seeds, sim.run_seed_batch(cfg, seeds)):
         want = assert_matches_reference(trace, replace(cfg, seed=seed))
         assert want["renormalizations"] >= 20
+    assert_blocks_played(lengths, block, seeds)
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,29 +287,46 @@ def test_pairwise_sum_is_numpys_float64_sum(n, seed, extra):
 @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        gamma=st.sampled_from((0.0, 0.05, 0.3)))
 def test_scalar_rows_hold_the_batched_step_s_probabilities(n, seed, gamma):
-    # the scalar step samples from these lists, so they must hold the bits of
-    # the batched step's probabilities and their cumsum; a draw rarely lands
-    # within a rounding error of a CDF entry, so traces alone miss a change
+    # the scalar bandit step samples from these lists, so they must hold the
+    # bits of the batched step's probabilities and their cumsum; a draw
+    # rarely lands within a rounding error of a CDF entry, so traces alone
+    # miss a change
     rng = np.random.default_rng(seed)
     w = rng.random((1, n)) * 2.0 ** rng.integers(-60, 60, (1, n))
     p = ln.LearnerState(w, gamma=gamma).probabilities()
-    rows = [scalar_step.row_cdf(w[0].tolist(), gamma)]
-    if gamma == 0.0:
-        rows.append(scalar_step.hedge_row(w[0].tolist()))
-    for _, got_p, got_cdf in rows:
-        assert got_p is None or same_bits(np.array(got_p), p[0])
-        assert same_bits(np.array(got_cdf), p[0].cumsum())
+    _, got_p, got_cdf = scalar_step.row_cdf(w[0].tolist(), gamma)
+    assert same_bits(np.array(got_p), p[0])
+    assert same_bits(np.array(got_cdf), p[0].cumsum())
 
 
-def test_code_table_holds_every_utility_as_a_code_into_its_agent_s_values():
-    # the scalar step looks a Hedge factor up by one byte per table entry
-    rng = np.random.default_rng(5)
-    unit = rng.choice(rng.random(40), size=(3 * 30, 11))
-    vals, codes = scalar_step.code_table(unit, 3)
-    widest = max(len(set(block.tolist())) for block in unit.reshape(3, -1))
-    assert vals.shape == (3, widest) and isinstance(codes, bytes)
-    agent = np.repeat(np.arange(3), unit.size // 3)
-    assert same_bits(vals[agent, list(codes)].reshape(unit.shape), unit)
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 300)),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_arrays_reduce_row_by_row_as_a_round_at_a_time_does(shape, seed):
+    # Hedge's verified blocks rest on three numpy facts, checked here on
+    # weights spread over 2**-60 to 2**60, where another order rounds
+    # differently: the last-axis sum of a C-contiguous (rounds, rows, bids)
+    # block is np.add.reduce of each row (pairwise blocks of 8 and 128 bids
+    # included), np.multiply.accumulate down the rounds is the running
+    # product of one round at a time, and cumsum along the bids is a running
+    # sum
+    rng = np.random.default_rng(seed)
+    block = rng.random(shape) * 2.0 ** rng.integers(-60, 60, shape)
+    sums = block.sum(axis=2, keepdims=True)
+    chain = np.multiply.accumulate(block, axis=0)
+    cdf = block.cumsum(axis=2)
+    running = block[0].copy()
+    for b, rows in enumerate(block):
+        if b:
+            running = running * rows
+        assert same_bits(chain[b], running)
+        for g, row in enumerate(rows):
+            assert sums[b, g, 0].tobytes() == np.add.reduce(row).tobytes()
+            acc, want = 0.0, []
+            for x in row.tolist():
+                acc += x
+                want.append(acc)
+            assert same_bits(cdf[b, g], np.array(want))
 
 
 def test_step_sizes_that_can_overflow_a_weight_are_rejected():
