@@ -31,15 +31,17 @@ change (each round's learner rows and Hedge step sizes). Hedge then plays
 each seed's rounds in verified blocks: only the selected agents' bids couple
 the rounds, and a CDF a few updates stale nearly always gives the same bid,
 so a block plays many rounds from guessed bids in a few numpy calls and
-keeps those the guesses got right. A bandit update divides by the
+keeps those the guesses got right; the bids it resampled after a wrong
+guess are the next block's guesses. A bandit update divides by the
 probability its bid was sampled with, so bandit plays a round at a time, in
 one of two steps that give the same bits. A batch that updates more than
 SCALAR_WEIGHTS learner weights per round runs a round as a few numpy calls
 over all rows at once; a smaller batch runs it in plain Python over per-row
 CDFs that are rebuilt only when their row's weights change, which costs less
 when those numpy calls would each touch a handful of short rows.
-``trace.csv`` and ``strategies.json`` are written in blocks of WRITE_CHUNK
-rounds.
+``trace.csv`` and ``strategies.json`` are assembled as byte matrices in
+blocks of WRITE_CHUNK rounds. ``load_trace`` reads them back through
+``readers``, which only it imports.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -238,10 +239,11 @@ def run_seed_batch(config: SimConfig, seeds) -> Iterator[Trace]:
 DRAW_CHUNK = 1024
 
 # Bounds of a seed's verified Hedge blocks. A block tries twice as many rounds
-# as the last one if that kept them all, else twice the rounds it kept, but
-# no fewer than HEDGE_BLOCK[0] and no more than HEDGE_BLOCK[1] rounds or
+# as the last one if that kept them all, else the more of the rounds it kept
+# and the rounds after them, whose samples it carries over as guesses; but no
+# fewer than HEDGE_BLOCK[0] and no more than HEDGE_BLOCK[1] rounds or
 # HEDGE_BLOCK[2] weights (rounds x rows x bids) in one array.
-HEDGE_BLOCK = (8, 512, 1 << 16)
+HEDGE_BLOCK = (8, 256, 1 << 16)
 
 # Bandit batches that update at most this many weights per round (seeds x
 # seats x bids) take the scalar round step, whose cost grows with them; larger
@@ -397,9 +399,11 @@ def _hedge_blocks(w, draws, rows, etas, steps, unit, first_cell, opp_place,
     chain gives. It commits the rounds before the first whose selected bids
     differ from the guess, always at least round 0, whose guess used exact
     CDFs. Each float operation is one a round at a time would make, so the
-    result is that of playing the rounds one by one. A block also ends at the
-    round whose step may take a weight past the ceiling, where the rows are
-    renormalized.
+    result is that of playing the rounds one by one. The next block takes
+    the samples of the rounds from the wrong guess on as its first guesses:
+    the first of them came from verified weights, so it is exact. A block
+    also ends at the round whose step may take a weight past the ceiling,
+    where the rows are renormalized.
     """
     lo, hi, cells_cap = HEDGE_BLOCK
     G, A = w.shape
@@ -408,6 +412,7 @@ def _hedge_blocks(w, draws, rows, etas, steps, unit, first_cell, opp_place,
     at = np.arange(R + 1)[:, None]
     cells_at = first_cell[rows]
     c = 0
+    carry = ()  # verified samples of the rounds from c on, the first exact
     while c < R:
         L = min(size, hi, R - c)
         # the headroom after each round, as headroom -= steps[c] leaves it;
@@ -417,9 +422,12 @@ def _hedge_blocks(w, draws, rows, etas, steps, unit, first_cell, opp_place,
         if ceiling:
             L = int((left < 0.0).argmax())
         u, r = draws[c:c + L], rows[c:c + L]
-        # every row sampled from the CDFs at the block's start: round 0's
-        # commitments, and the other rounds' guessed bids
-        start = _sample((w / w.sum(axis=1, keepdims=True)).cumsum(axis=1), u)
+        # round 0's commitments and the other rounds' guessed bids: the
+        # carried samples, then rows sampled from the CDFs at the block's start
+        start = carry[:L]
+        if len(start) < L:
+            fresh = _sample((w / w.sum(axis=1, keepdims=True)).cumsum(axis=1), u[len(start):])
+            start = np.concatenate((start, fresh)) if len(start) else fresh
         guess = start[at[:L], r]
         chain = np.ones((L + 1, G, A))
         chain[0] = w
@@ -427,7 +435,7 @@ def _hedge_blocks(w, draws, rows, etas, steps, unit, first_cell, opp_place,
         chain[at[1:L + 1], r] = np.exp(etas[c:c + L] * unit[cells])
         np.multiply.accumulate(chain, axis=0, out=chain)
         strategy[c] = start[0]
-        k = L
+        k, carry = L, ()
         if L > 1:
             later = chain[1:L]
             j = _sample((later / later.sum(axis=2, keepdims=True)).cumsum(axis=2), u[1:])
@@ -435,6 +443,7 @@ def _hedge_blocks(w, draws, rows, etas, steps, unit, first_cell, opp_place,
             if len(wrong):
                 k = 1 + int(wrong[0]) // len(opp_place)
             strategy[c + 1:c + k] = j[:k - 1]
+            carry = j[k - 1:]
         realized[c:c + k] = guess[:k]
         w[:] = chain[k]
         if k == L and ceiling:
@@ -442,7 +451,7 @@ def _hedge_blocks(w, draws, rows, etas, steps, unit, first_cell, opp_place,
             headroom = ceiling_headroom(w)
         else:
             headroom = float(left[k])
-        size = min(max(2 * k if k < L else 2 * size, lo), hi)
+        size = min(max(max(k, L - k) if k < L else 2 * size, lo), hi)
         c += k
     return headroom, size
 
@@ -459,17 +468,35 @@ def _csv_header(n: int) -> list[str]:
     )
 
 
-# Rounds written per step of write_trace_csv and strategies_json_text.
-WRITE_CHUNK = 4096
+# Rounds per step of write_trace_csv and strategies_json_text, and at most
+# per step of readers.compact_table. A trace.csv chunk renders its distinct
+# keys as Python strings; at 4,096 rounds the n = 4 bandit's ~4,000 distinct
+# keys per chunk raised simulate's peak RSS by 0.15 MB.
+WRITE_CHUNK = 1024
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """The decimal digits of nonnegative integers as a (len, width) byte
+    matrix, right-aligned after NUL bytes, which the writers drop. The
+    quotients by powers of ten come from float division, exact below 2**53,
+    so a run loads none of numpy's integer-division loops."""
+    power = np.array([10.0**k for k in range(width - 1, -1, -1)])
+    q = (values[:, None] / power).astype(np.int64)
+    lead = q[:, :-1] == 0
+    q[:, 1:] -= 10 * q[:, :-1]
+    q += 48
+    q[:, :-1][lead] = 0
+    return q.astype(np.uint8)
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Write the per-round table as CSV (1-based round numbers).
 
     A row after its round number depends only on the round's (type profile,
-    bid profile) key, so the rows are streamed to the file WRITE_CHUNK rounds
-    at a time, each key's text joined once per chunk from the texts of its
-    cells; each grid bid is formatted once per run.
+    bid profile) key. The rows are assembled WRITE_CHUNK rounds at a time
+    as a byte matrix, the round numbers' digits beside the texts of the
+    rounds' keys; each key's text is joined once per chunk from the texts
+    of its cells, and each grid bid is formatted once per run.
     """
     cfg = trace.config
     n = cfg.mechanism.n
@@ -487,23 +514,33 @@ def write_trace_csv(trace: Trace, path) -> None:
                 f"{other + 1} with the same types and bids stores {float(col[other])!r}"
             )
     bid_texts = [[repr(b) for b in grid] for grid in cfg.mechanism.actions.grids]
-
-    def lines(a: int):
-        b = min(a + WRITE_CHUNK, trace.horizon)
-        keys = key[a:b].tolist()
-        distinct = list(dict.fromkeys(keys))
-        at = row[distinct]
-        cols = [map(str, col) for col in trace.v_idx[at].T.tolist()]
-        cols += [map(bids.__getitem__, col)
-                 for bids, col in zip(bid_texts, trace.realized_idx[at].T.tolist())]
-        cols += [map(repr, trace.sw[at].tolist()), map(repr, trace.opt[at].tolist())]
-        texts = dict(zip(distinct, map(",".join, zip(*cols))))
-        return (f"{t},{texts[k]}\n" for t, k in zip(range(a + 1, b + 1), keys))
-
-    with open(path, "w") as fh:
-        fh.write(",".join(_csv_header(n)) + "\n")
+    slot = np.empty(len(row), dtype=np.intp)
+    width = len(str(trace.horizon))
+    with open(path, "wb") as fh:
+        fh.write((",".join(_csv_header(n)) + "\n").encode())
         for a in range(0, trace.horizon, WRITE_CHUNK):
-            fh.writelines(lines(a))
+            keys = key[a:a + WRITE_CHUNK]
+            distinct = np.flatnonzero(np.bincount(keys, minlength=len(row)))
+            slot[distinct] = np.arange(len(distinct))
+            at = row[distinct]
+            cols = [map(str, col) for col in trace.v_idx[at].T.tolist()]
+            cols += [map(bids.__getitem__, col)
+                     for bids, col in zip(bid_texts, trace.realized_idx[at].T.tolist())]
+            cols += [map(repr, trace.sw[at].tolist()), map(repr, trace.opt[at].tolist())]
+            # each text leaves room for the round number's digits; the cell
+            # lists and the texts are freed as soon as they are used
+            pad = " " * width
+            texts = [f"{pad},{s}\n" for s in map(",".join, zip(*cols))]
+            del cols
+            texts = np.array(texts, dtype=bytes).view(np.uint8).reshape(len(distinct), -1)
+            # rows are assembled 64 KiB at a time: freeing a buffer past
+            # glibc's mmap threshold (128 KiB) raises it, and the arrays
+            # allocated after that stay resident
+            step = max(1, (1 << 16) // texts.shape[1])
+            for s in range(0, len(keys), step):
+                lines = texts[slot[keys[s:s + step]]]
+                lines[:, :width] = _digits(np.arange(a + s + 1, a + s + len(lines) + 1), width)
+                fh.write(lines.tobytes().replace(b"\0", b""))
 
 
 def strategies_json_text(trace: Trace, every: int = 1) -> str:
@@ -526,16 +563,25 @@ def strategies_json_text(trace: Trace, every: int = 1) -> str:
         "every": every,
         "rounds": 0,
     }
-    # "rounds" sorts last, so the formatted table replaces the placeholder at
-    # the end; it is formatted in chunks without a Python list per round
+    # "rounds" sorts last, so the table replaces the placeholder at the end.
+    # A chunk of rows is a byte matrix: each row a copy of one row's
+    # separators, each agent's slot filled from the digits of its bid index
     head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     kept = trace.strategy[::every]
-    row = "[" + ",".join(["%d"] * kept.shape[1]) + "]"
+    bids = cfg.mechanism.actions.size(0)
+    width = len(str(bids - 1))
+    digits = _digits(np.arange(bids), width)
+    line = np.zeros(kept.shape[1] * (width + 1) + 2, dtype=np.uint8)
+    line[[0, -2, -1]] = list(b"[],")
+    line[width + 1:-2:width + 1] = ord(",")
+    slots = np.flatnonzero(line == 0)
     parts = [head[:-2], "["]
     for a in range(0, len(kept), WRITE_CHUNK):
         block = kept[a:a + WRITE_CHUNK]
-        parts += [",".join([row] * len(block)) % tuple(block.ravel().tolist()), ","]
-    parts[-1] = "]}"
+        rows = np.tile(line, (len(block), 1))
+        rows[:, slots] = digits[block].reshape(len(block), -1)
+        parts.append(rows.tobytes().replace(b"\0", b"").decode())
+    parts[-1] = parts[-1][:-1] + "]}"
     return "".join(parts)
 
 
@@ -543,130 +589,12 @@ def write_strategies_json(trace: Trace, path, every: int = 1) -> None:
     Path(path).write_text(strategies_json_text(trace, every))
 
 
-def _read_trace_csv(csv_path, config: SimConfig):
-    """Parse a trace.csv into its (v_idx, realized_idx, sw, opt) columns, or
-    raise InputError naming the malformed column and row."""
-    n = config.mechanism.n
-    T = config.horizon
-    header = _csv_header(n)
-    with open(csv_path) as fh:
-        got = fh.readline().rstrip("\n").split(",")
-        if got != header:
-            raise InputError(f"{csv_path}: unexpected CSV header {got}")
-        # np.loadtxt warns instead of raising on a table with no data rows,
-        # only blank lines and '#' comments
-        start = fh.tell()
-        if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
-            raise InputError(
-                f"{csv_path}: table has no rows, expected {T} by {len(header)}"
-            )
-        fh.seek(start)
-        try:
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as e:
-            msg = str(e)
-            # numpy counts data rows from 0 and columns from 1
-            at = re.search(r"at row (\d+), column (\d+)", msg)
-            if at and int(at[2]) <= len(header):
-                msg = f"column {header[int(at[2]) - 1]}: row {int(at[1]) + 1} is not a number"
-            raise InputError(f"{csv_path}: {msg}") from None
-    if body.shape != (T, len(header)):
-        raise InputError(
-            f"{csv_path}: table is {body.shape[0]} rows by {body.shape[1]} "
-            f"columns, expected {T} by {len(header)}"
-        )
-
-    def bad_cell(col: int, bad: np.ndarray, want: str) -> InputError:
-        t = int(np.flatnonzero(bad)[0])
-        return InputError(
-            f"{csv_path}: column {header[col]}: row {t + 1} holds "
-            f"{float(body[t, col])!r}, expected {want}"
-        )
-
-    rounds = np.arange(1, T + 1)
-    if not np.array_equal(body[:, 0], rounds):
-        raise bad_cell(0, body[:, 0] != rounds, "the round number")
-    v_idx = np.empty((T, n), dtype=np.int16)
-    realized = np.empty((T, n), dtype=np.int16)
-    for i, pop in enumerate(config.populations):
-        col = body[:, 1 + i]
-        bad = (col != np.floor(col)) | (col < 0) | (col >= len(pop))
-        if bad.any():
-            raise bad_cell(1 + i, bad, f"an integer type index below {len(pop)}")
-        v_idx[:, i] = col
-        grid = np.asarray(config.mechanism.actions.grids[i])
-        col = body[:, 1 + n + i]
-        j = np.searchsorted(grid, col - mech.GRID_TOL)
-        hit = grid[np.minimum(j, len(grid) - 1)]
-        bad = (j == len(grid)) | ~(np.abs(hit - col) <= mech.GRID_TOL)
-        if bad.any():
-            raise bad_cell(1 + n + i, bad, "a bid on the grid")
-        realized[:, i] = j
-    return v_idx, realized, body[:, 1 + 2 * n].copy(), body[:, 2 + 2 * n].copy()
-
-
 def load_trace(csv_path, strategies_path) -> Trace:
-    """Rebuild a trace from its CSV table and strategies sidecar.
+    """Rebuild a trace from its CSV table and strategies sidecar, checked
+    against its own types and bids (``readers.load_trace``)."""
+    from .readers import load_trace
 
-    The sidecar supplies the config. The commitment table is only
-    reconstructed when the sidecar recorded every round.
-
-    A malformed table or sidecar raises InputError naming the file. The
-    stored welfare columns must equal ``welfare_columns`` recomputed from the
-    types and bids, and every sidecar row must agree with the realized bids
-    of its round; otherwise ContractViolationError names what disagrees.
-    """
-    try:
-        doc = json.loads(Path(strategies_path).read_text())
-        meta = doc["meta"]
-        config = SimConfig(
-            mechanism=mech.Mechanism.from_descriptor(meta["mechanism"]),
-            populations=tuple(Population(tuple(v)) for v in meta["populations"]),
-            horizon=int(meta["horizon"]),
-            seed=int(meta["seed"]),
-            feedback=meta["feedback"],
-            eta=meta["eta"],
-            gamma=float(meta["gamma"]),
-        )
-    except KeyError as e:
-        raise InputError(f"{strategies_path}: malformed sidecar: no entry {e}") from e
-    except (InputError, ValueError, TypeError) as e:
-        # a document that does not parse as JSON raises a ValueError
-        raise InputError(f"{strategies_path}: malformed sidecar: {e}") from e
-    try:
-        every = doc["every"]
-        kept = range(0, config.horizon, every)
-        # the parsed rows are freed before the CSV is parsed
-        committed = np.asarray(doc.pop("rounds"), dtype=np.int16)
-        if committed.shape != (len(kept), len(config.agents())):
-            raise ValueError(f"shape {committed.shape}")
-        if committed.size and not (
-            committed.min() >= 0 and committed.max() < config.mechanism.actions.size(0)
-        ):
-            raise ValueError("a bid index lies off the grid")
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise InputError(f"{strategies_path}: malformed commitment table: {e}") from e
-    v_idx, realized, sw, opt = _read_trace_csv(csv_path, config)
-    try:
-        check_commitments(config, committed, v_idx[kept], realized[kept])
-    except InputError as e:
-        raise ContractViolationError(f"{strategies_path}: {e}") from e
-    want_sw, want_opt = welfare_columns(config, v_idx, realized)
-    bad = np.flatnonzero((sw != want_sw) | (opt != want_opt))
-    if len(bad):
-        raise ContractViolationError(
-            f"{csv_path}: round {bad[0] + 1} stores sw={float(sw[bad[0]])!r}, "
-            f"opt={float(opt[bad[0]])!r}, but its types and bids give "
-            f"sw={float(want_sw[bad[0]])!r}, opt={float(want_opt[bad[0]])!r}"
-        )
-    return Trace(
-        config=config,
-        v_idx=v_idx,
-        strategy=committed if every == 1 else None,
-        realized_idx=realized,
-        sw=sw,
-        opt=opt,
-    )
+    return load_trace(csv_path, strategies_path)
 
 
 def rebuild_ledgers(trace: Trace, horizons: Sequence[int]) -> list[list[RegretLedger]]:

@@ -328,6 +328,23 @@ def test_analyze_rejects_a_malformed_sidecar(tmp_path, capsys, edit):
     assert str(sidecar) in err
 
 
+def test_a_compact_sidecar_with_a_bid_off_the_grid_exits_two(tmp_path, capsys):
+    # written as simulate writes it, the table is read from its bytes; the
+    # grid check after the read gives the same message as for any other text
+    out = tmp_path / "runs"
+    cfg = write_config(tmp_path, name="sim.json", horizon=40, seeds=[1],
+                       out_dir=str(out))
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    sidecar = out / "seed_1" / "strategies.json"
+    doc = bid_off_the_grid(json.loads(sidecar.read_text()))
+    sidecar.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {sidecar}: malformed commitment table: a bid index lies off the grid\n"
+    )
+
+
 def test_thinned_sidecar_is_analyzed_without_the_independence_gap(tmp_path, capsys):
     out = tmp_path / "runs"
     cfg = simulate_config(tmp_path, out, strategies_every=4)

@@ -30,8 +30,9 @@ def run(capsys, command, config, out):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_simulate_and_analyze_write_the_pinned_bytes(name, tmp_path, capsys):
     # the fixtures cover both Hedge block ends (the ceiling, with a fixed
-    # eta of 5, and guesses gone stale), one and five seeds, all-pay, and the
-    # n = 4 multi-unit bandit's scalar step
+    # eta of 5, and guesses gone stale), one and five seeds, all-pay, the
+    # n = 4 multi-unit bandit's scalar step, and a sidecar thinned to every
+    # third round of a horizon that is no multiple of 3
     pinned = PINNED[name]
     config = tmp_path / "exp.json"
     config.write_text(json.dumps(pinned["config"]))

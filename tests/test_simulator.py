@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from regretlab import ContractViolationError, InputError
 from regretlab import learners as ln
 from regretlab import mechanisms as mech
-from regretlab import scalar_step
+from regretlab import readers, scalar_step
 from regretlab import simulator as sim
 from regretlab.analysis import default_checkpoints
 
@@ -183,16 +183,15 @@ def hedge_block_params(runs, seed_sets):
 
 def set_hedge_block(monkeypatch, block):
     """Bound every Hedge block to ``block`` rounds, however few bids it
-    holds, and return a list that gathers each block's length: the number of
-    draws it samples from its starting CDFs."""
+    holds, and return a list that gathers the number of draws each block
+    samples from its starting CDFs, and a 0 for each verification pass."""
     lengths = []
     if block is not None:
         monkeypatch.setattr(sim, "HEDGE_BLOCK", (block, block, block * 2**20))
         sample = sim._sample
 
         def counted(cdf, draws):
-            if cdf.ndim == 2:
-                lengths.append(len(draws))
+            lengths.append(len(draws) if cdf.ndim == 2 else 0)
             return sample(cdf, draws)
 
         monkeypatch.setattr(sim, "_sample", counted)
@@ -200,12 +199,16 @@ def set_hedge_block(monkeypatch, block):
 
 
 def assert_blocks_played(lengths, block, seeds):
-    """One-round blocks commit each of the 1,500 rounds alone; longer blocks
-    roll back at a wrong guess, so they sample rounds they do not commit."""
+    """One-round blocks commit each of the 1,500 rounds alone. Longer blocks
+    roll back at a wrong guess and carry the samples of the rounds after it
+    into the next block as its guesses, so no round is sampled from a
+    block's starting CDFs twice; without the carried guesses, every rolled
+    back round would be."""
     if block == 1:
-        assert lengths == [1] * (1500 * len(seeds))
+        assert lengths == [1] * (1500 * len(seeds))  # and no verification pass
     elif block is not None:
-        assert sum(lengths) > 1500 * len(seeds)
+        # more verification passes than draw chunks: some block rolled back
+        assert sum(lengths) == 1500 * len(seeds) and lengths.count(0) > 2 * len(seeds)
 
 
 @pytest.mark.parametrize(
@@ -508,6 +511,130 @@ def test_sidecar_meta_fields():
     assert meta["feedback"] == sim.FEEDBACK_FULL
     assert meta["mechanism"]["kind"] == "first-price"
     assert meta["populations"] == [[0.5, 1.0], [0.5, 1.0]]
+
+
+@st.composite
+def commitment_tables(draw):
+    """An int16 table of bid indices on a one-seat grid that holds them,
+    with 1- to 5-digit entries, 0 and the grid's last index among them, and
+    sometimes more rows than one written chunk."""
+    top = draw(st.sampled_from((1, 9, 10, 99, 1000, 9999, 32767)))
+    rows = draw(st.sampled_from((1, 5, sim.WRITE_CHUNK, 2 * sim.WRITE_CHUNK + 3)))
+    agents = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # every digit count up to the top index's, each about equally often
+    width = rng.integers(1, len(str(top)) + 1, size=(rows, agents))
+    table = np.minimum(rng.integers(0, 10**width), top).astype(np.int16)
+    table.flat[rng.choice(table.size, size=min(2, table.size), replace=False)] = [0, top][:table.size]
+    return top, table
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn=commitment_tables())
+def test_sidecar_table_bytes_are_the_json_text_and_read_back(drawn):
+    top, table = drawn
+    rows, agents = table.shape
+    # one seat bidding 0, 1, ..., top, with one agent per column
+    one_seat = mech.Mechanism(
+        kind=mech.KIND_FIRST_PRICE, n=1, actions=mech.ActionSpace.uniform(1, 1.0, float(top))
+    )
+    types = tuple(top * k / agents for k in range(agents))
+    cfg = sim.SimConfig(mechanism=one_seat, populations=(types,), horizon=rows, seed=0)
+    trace = sim.Trace(config=cfg, v_idx=None, strategy=table, realized_idx=None,
+                      sw=None, opt=None)
+    head, _, text = sim.strategies_json_text(trace).rpartition(',"rounds":')
+    assert text == json.dumps(table.tolist(), separators=(",", ":")) + "}"
+    assert same_bits(readers.compact_table(text.encode(), rows, agents), table)
+
+
+@pytest.fixture(scope="module")
+def written_run(tmp_path_factory):
+    """The trace.csv and the compact sidecar text of a 30-round run."""
+    tmp = tmp_path_factory.mktemp("written")
+    trace = sim.run_repeated_game(small_config(horizon=30, seed=6))
+    sim.write_trace_csv(trace, tmp / "trace.csv")
+    return tmp / "trace.csv", sim.strategies_json_text(trace)
+
+
+def load_outcome(csv_path, json_path):
+    """The commitment table load_trace returns, or its error's type and text."""
+    try:
+        return sim.load_trace(csv_path, json_path).strategy.tolist()
+    except Exception as e:  # noqa: BLE001 - compared whole, whatever it is
+        return type(e).__name__, str(e)
+
+
+def first_entry(text, entry):
+    """The sidecar text with its table's first number replaced."""
+    a = text.index('"rounds":[[') + len('"rounds":[[')
+    return text[:a] + entry + text[text.index(",", a):]
+
+
+def first_comma(text, separator):
+    """The sidecar text with the comma after its table's first number replaced."""
+    a = text.index(",", text.index('"rounds":[['))
+    return text[:a] + separator + text[a + 1:]
+
+
+def second_rounds_key(text, where):
+    extra = ',"rounds":[[0,0,0,0]]'
+    if where == "before":
+        return text.replace(',"rounds":', extra + ',"rounds":', 1)
+    return text[:-1] + extra + "}"
+
+
+def rounds_first(text):
+    doc = json.loads(text)
+    return json.dumps({"rounds": doc.pop("rounds"), **doc}, separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "edit, compact",
+    [
+        (lambda s: s, True),
+        (lambda s: first_entry(s, "32767"), True),
+        (lambda s: s.replace("],[", "], ["), False),
+        (lambda s: first_entry(s, "01"), False),
+        (lambda s: first_entry(s, "+1"), False),
+        (lambda s: first_entry(s, "-1"), False),
+        (lambda s: first_entry(s, "32768"), False),
+        (lambda s: first_entry(s, "1" * 20), False),
+        (lambda s: first_entry(s, ""), False),
+        (lambda s: first_comma(s, ";"), False),
+        (lambda s: s.replace("],[", "],7[", 1), False),
+        (lambda s: s.replace("],[", ",3],[", 1), False),
+        (lambda s: s[:s.index('"rounds":')] + '"rounds":[]}', False),
+        (lambda s: s + "\n", False),
+        (lambda s: s + "x", False),
+        (lambda s: s[:-7], False),
+        (lambda s: second_rounds_key(s, "before"), True),
+        (lambda s: second_rounds_key(s, "after"), False),
+        (rounds_first, False),
+    ],
+    ids=["canonical", "off-the-grid", "spaces", "leading-zero", "plus-sign", "negative",
+         "out-of-int16", "twenty-digits", "empty-number", "semicolon",
+         "digit-between-rows", "ragged-row", "empty-table", "trailing-newline",
+         "text-after-the-brace", "truncated", "rounds-key-twice-table-last",
+         "rounds-key-twice-table-first", "rounds-not-last"],
+)
+def test_any_sidecar_text_loads_as_json_loads_reads_it(written_run, tmp_path, monkeypatch,
+                                                        edit, compact):
+    # the bytes reader takes the compact texts; every text loads to the
+    # table or the error that json.loads alone gives
+    csv_path, text = written_run
+    json_path = tmp_path / "strategies.json"
+    json_path.write_text(edit(text))
+    read, tables = readers.compact_table, []
+
+    def spied(*args):
+        tables.append(read(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(readers, "compact_table", spied)
+    got = load_outcome(csv_path, json_path)
+    assert any(table is not None for table in tables) == compact
+    monkeypatch.setattr(readers, "compact_table", lambda *args: None)
+    assert got == load_outcome(csv_path, json_path)
 
 
 def test_rebuild_ledgers_matches_live_ones():
