@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from . import mechanisms as mech
 from .errors import ContractViolationError, InputError, UndefinedResultError
 from .learners import RegretLedger, external_regret
+from .records import record
 from .simulator import FEEDBACK_FULL, Trace, rebuild_ledgers
 from .smoothness import SmoothnessParams
 
@@ -41,7 +41,7 @@ RATIO_TOL_DEFAULT = 0.05
 # --- empirical joint over (commitment profile, type profile) -----------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EmpiricalJoint:
     """Counts of commitment profiles and, per profile, of type draws.
 
@@ -147,7 +147,7 @@ def _check_hedge_bound(trace: Trace, ledgers: list[RegretLedger]) -> None:
 # --- welfare ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WelfareSummary:
     avg_sw: float
     avg_opt: float
@@ -190,7 +190,7 @@ def welfare_ratio(
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteTimeResult:
     holds: bool
     slack: float
@@ -209,9 +209,10 @@ def finite_time_check(
     """Check avg SW >= (lambda/max(1,mu)) * avg Opt - delta - mu * epsilon.
 
     ``measured_epsilon`` is the total regret level: n times the worst
-    per-population time-averaged regret from ``bayes_cce_epsilon`` (the
-    regret budget is split evenly across populations). Returns the slack of
-    the inequality; holds means slack >= 0.
+    per-agent window-averaged regret (the regret budget is split evenly
+    across populations), which ``analysis_report`` reads off the
+    whole-horizon ledgers of its one ``rebuild_ledgers`` sweep. Returns the
+    slack of the inequality; holds means slack >= 0.
 
     Whenever the welfare ratio is within the smoothness bound and both delta
     and epsilon are non-negative, the inequality is implied; that implication

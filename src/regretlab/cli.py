@@ -6,7 +6,8 @@ Subcommands:
   per-seed trace.csv, strategies.json, report.json, checkpoints.csv and an
   aggregate report.json. The seeds run as one batch, or as ``--workers``
   contiguous batches in parallel processes.
-* ``certify``: evaluate a named deviation rule's certificate exhaustively
+* ``certify``: evaluate a deviation rule's certificate exhaustively (the
+  config's rule, or the mechanism kind's default when it names none)
   and report the best level reachable with pure deviations, when that
   search fits its cap (it is informational and never sets the exit code).
 * ``exact``: build the agent normal form, check the lifted certificate, and
@@ -30,7 +31,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -43,6 +43,7 @@ from .errors import (
     SolverError,
     UndefinedResultError,
 )
+from .records import asdict, record, replace
 
 # Each command imports only the modules it runs: certify never loads the
 # simulator, the learners, the analysis or the LP.
@@ -61,7 +62,7 @@ DEFAULT_DEVIATION = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AnalysisSettings:
     zeta: float = 0.01
     delta: float = 0.05
@@ -70,7 +71,7 @@ class AnalysisSettings:
     checkpoints: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExperimentConfig:
     mechanism: mech.Mechanism
     populations: tuple[tuple[float, ...], ...]
@@ -385,16 +386,17 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
     return 0
 
 
-def _base_check(cfg: ExperimentConfig, rule_name: str, lam: float | None,
-                mu: float | None):
+def _base_check(cfg: ExperimentConfig, lam: float | None, mu: float | None):
     """The config's (lambda, mu) with the --lambda/--mu overrides applied, the
-    named rule, the value space, and the rule's exhaustive check on it."""
+    config's rule (the kind's default when it names none), the value space,
+    and the rule's exhaustive check on it."""
     params = cfg.params
     if lam is not None:
         params = replace(params, lam=lam)
     if mu is not None:
         params = replace(params, mu=mu)
-    rule = smoothness.named_deviation(rule_name, cfg.mechanism)
+    name = cfg.deviation or DEFAULT_DEVIATION[cfg.mechanism.kind]
+    rule = smoothness.named_deviation(name, cfg.mechanism)
     value_space = mech.value_profiles(cfg.populations)
     report = smoothness.check_deviation_smoothness(
         cfg.mechanism, rule, params, value_space
@@ -403,9 +405,7 @@ def _base_check(cfg: ExperimentConfig, rule_name: str, lam: float | None,
 
 
 def cmd_certify(cfg: ExperimentConfig, lam: float | None, mu: float | None) -> int:
-    if cfg.deviation is None:
-        raise ConfigError("certify needs a deviation rule name in the config")
-    params, rule, value_space, report = _base_check(cfg, cfg.deviation, lam, mu)
+    params, rule, value_space, report = _base_check(cfg, lam, mu)
     print(f"rule {rule.name!r}: {report}")
     try:
         best, _ = smoothness.best_pure_deviation(cfg.mechanism, params.mu, value_space)
@@ -432,8 +432,7 @@ def cmd_exact(cfg: ExperimentConfig, lam: float | None, mu: float | None,
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     from . import exact
 
-    name = cfg.deviation or DEFAULT_DEVIATION[cfg.mechanism.kind]
-    params, rule, _, base = _base_check(cfg, name, lam, mu)
+    params, rule, _, base = _base_check(cfg, lam, mu)
     game = exact.build_agent_game(cfg.mechanism, cfg.populations)
     lift = exact.lift_smoothness_check(game, rule, params)
     solution = exact.worst_cce_welfare(game)

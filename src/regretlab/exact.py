@@ -40,19 +40,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import mechanisms as mech
 from .errors import CapExceededError, ContractViolationError, SolverError
+from .records import record
 from .smoothness import SLACK_TOL, DeviationRule, SmoothnessParams, SmoothnessReport
 
 TENSOR_CAP = 1_000_000
 FEAS_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AgentGame:
     """Dense normal form over all (population, type) agents.
 
@@ -218,7 +218,7 @@ def lift_smoothness_check(
 # and the written solution, would depend on the thread count.
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CceLpSolution:
     """LP minimizer with its independently re-evaluated certificates.
 

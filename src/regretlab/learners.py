@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
+from .records import record
 
 # Renormalization threshold: divide a row's weights by their max once any of
 # them passes this, which leaves its sampling probabilities untouched.
@@ -73,7 +73,7 @@ def count_selections(t_sel: np.ndarray, rows) -> np.ndarray:
     return counts
 
 
-@dataclass
+@record
 class LearnerState:
     """``weights[r]`` are learner ``r``'s weights and ``t_sel[r]`` its number
     of Hedge updates so far, as ``count_selections`` advances it (a bandit
@@ -122,7 +122,7 @@ def ceiling_headroom(weights: np.ndarray) -> float:
     return math.log(WEIGHT_CEILING) - math.log(float(weights.max()))
 
 
-@dataclass
+@record
 class RegretLedger:
     """Exact counterfactual bookkeeping for one agent.
 

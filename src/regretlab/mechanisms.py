@@ -18,13 +18,13 @@ import bisect
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError
+from .records import record
 
 GRID_TOL = 1e-9
 
@@ -46,7 +46,7 @@ def _canonical_point(x: float) -> float:
     return round(float(x), 12)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ActionSpace:
     """Per-player sorted bid grids sharing a common scale.
 
@@ -118,7 +118,7 @@ class ActionSpace:
         raise InputError(f"player {player}: bid {bid} is not on the grid")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Mechanism:
     kind: str
     n: int
@@ -204,7 +204,7 @@ class Mechanism:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Population:
     """The distinct valuation types competing for one player seat."""
 

@@ -50,7 +50,6 @@ import json
 import math
 import os
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +67,10 @@ from .learners import (
     renormalize,
 )
 from .mechanisms import FEEDBACK_BANDIT, FEEDBACK_FULL, Population
+from .records import record, replace
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimConfig:
     mechanism: mech.Mechanism
     populations: tuple[Population, ...]
@@ -143,7 +143,7 @@ def check_index_memory(config: SimConfig, n_seeds: int) -> None:
         )
 
 
-@dataclass
+@record
 class Trace:
     """Complete record of one run.
 

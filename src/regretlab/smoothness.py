@@ -18,13 +18,13 @@ All expectations are closed-form sums over grid points; nothing is sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import mechanisms as mech
 from .errors import CapExceededError, InputError, UndefinedResultError
+from .records import record
 
 SLACK_TOL = 1e-9
 DIST_TOL = 1e-9
@@ -34,7 +34,7 @@ PURE_SEARCH_CAP = 20_000_000  # maximin evaluations, joint profiles squared
 LOG_RULE_LIMIT = 1.0 - 1.0 / math.e
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SmoothnessParams:
     lam: float
     mu: float
@@ -52,7 +52,7 @@ class SmoothnessParams:
         return max(1.0, self.mu) / self.lam
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeviationRule:
     """Map (player, valuation profile) -> distribution over the player's grid.
 
@@ -102,7 +102,7 @@ class DeviationRule:
         return cls(name=name, fn=fn)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SmoothnessReport:
     """Verdict of one exhaustive check at ``params``.
 

@@ -8,13 +8,12 @@ the best pure deviation found by enumeration, which holds by construction
 and therefore must survive the agent-game lift on every instance.
 """
 
-from dataclasses import dataclass
-
 from regretlab import mechanisms as mech
 from regretlab import smoothness as smooth
+from regretlab.records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Instance:
     name: str
     mechanism: mech.Mechanism

@@ -8,7 +8,6 @@ measured numbers; assertions carry them too so a red run is self-describing.
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from regretlab import learners as ln
 from regretlab import mechanisms as mech
 from regretlab import simulator as sim
 from regretlab import smoothness as smooth
+from regretlab.records import replace
 
 from . import oracles
 from .conftest import ACCEPT_SEEDS, acceptance_config, written_csv

@@ -3,7 +3,6 @@
 import logging
 import math
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ from regretlab import InputError, UndefinedResultError
 from regretlab import analysis as an
 from regretlab import mechanisms as mech
 from regretlab import simulator as sim
+from regretlab.records import replace
 from regretlab.smoothness import SmoothnessParams
 
 from . import oracles

@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,25 +441,40 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     assert out.strip() == "False"
 
 
-@pytest.mark.parametrize("command, loaded", [
-    ("certify", {"cli", "errors", "mechanisms", "smoothness"}),
-    ("exact", {"cli", "errors", "exact", "mechanisms", "smoothness"}),
+BASE_MODULES = {"cli", "errors", "mechanisms", "records", "smoothness"}
+RUN_MODULES = BASE_MODULES | {"analysis", "learners", "simulator"}
+
+
+@pytest.mark.parametrize("command, feedback, loaded", [
+    ("certify", "full", BASE_MODULES),
+    ("exact", "full", BASE_MODULES | {"exact"}),
+    ("simulate", "full", RUN_MODULES),
+    ("simulate", "bandit", RUN_MODULES | {"scalar_step"}),
+    ("analyze", "full", RUN_MODULES | {"readers"}),
 ])
-def test_each_command_imports_only_what_it_runs(tmp_path, command, loaded):
-    doc = base_doc(deviation="half", smoothness={"lambda": 0.5, "mu": 1.0})
+def test_each_command_imports_only_what_it_runs(tmp_path, command, feedback, loaded):
+    doc = base_doc(deviation="half", smoothness={"lambda": 0.5, "mu": 1.0},
+                   horizon=50, seeds=[1], feedback=feedback)
     doc["mechanism"]["grid_step"] = 0.5
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "analyze":
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     probe = (
         "import sys, regretlab.cli\n"
-        f"assert regretlab.cli.main([{command!r}, '--config', {str(cfg)!r}]) == 0\n"
+        f"argv = [{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}]\n"
+        "assert regretlab.cli.main(argv) == 0\n"
+        "print('dataclasses' in sys.modules)\n"
         "print(' '.join(m for m in sys.modules if m.startswith('regretlab.')))"
     )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert set(out.splitlines()[-1].split()) == {f"regretlab.{m}" for m in loaded}
+    lines = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                           text=True, check=True).stdout.splitlines()
+    # dataclasses would generate each record's methods with exec at import
+    assert lines[-2] == "False"
+    assert set(lines[-1].split()) == {f"regretlab.{m}" for m in loaded}
 
 
 def test_simulate_usage_errors(tmp_path, capsys):
@@ -745,8 +761,22 @@ def test_certify_skips_undefined_levels_on_zero_values(tmp_path, capsys):
     assert "log rule certificate skipped" in out
 
 
-def test_certify_without_deviation_is_a_usage_error(tmp_path):
-    assert cli.main(["certify", "--config", write_config(tmp_path)]) == 2
+def test_certify_checks_the_readme_config_under_the_default_rule(tmp_path, capsys):
+    # the README config names no deviation rule: certify, like exact, takes
+    # the kind's default; on the 0.1 grid the log rule certifies 0.5335, below
+    # the default lambda 1 - 1/e, so the check runs and fails, and --lambda
+    # 0.5 holds
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    doc = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    assert "deviation" not in doc and doc["mechanism"]["kind"] == mech.KIND_FIRST_PRICE
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["certify", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"rule {cli.DEFAULT_DEVIATION[mech.KIND_FIRST_PRICE]!r}: (lam=0.632121")
+    assert "FAILS" in out and "log rule certifies lam=0.533484" in out
+    assert cli.main(["certify", "--config", str(path), "--lambda", "0.5"]) == 0
+    assert capsys.readouterr().out.startswith("rule 'log': (lam=0.5, mu=1) holds")
 
 
 # --- exact --------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Exact small-instance machinery: agent game, lifted certificates, LP."""
 
-import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -14,6 +13,7 @@ from regretlab import CapExceededError, InputError, SolverError
 from regretlab import exact
 from regretlab import mechanisms as mech
 from regretlab import smoothness as smooth
+from regretlab.records import replace
 
 from . import oracles
 from .corpus import TINY_CORPUS
@@ -349,7 +349,7 @@ def test_bound_comparison_fields():
     assert comp["lp_dual_bound"] == sol.dual_bound
     assert comp["lp_dual_gap"] == sol.dual_gap
     # the verdict rests on the proven lower bound, not on the primal value
-    unproven = dataclasses.replace(sol, dual_bound=comp["floor"] - 1e-3)
+    unproven = replace(sol, dual_bound=comp["floor"] - 1e-3)
     assert not exact.bound_comparison(game, unproven, params)["holds"]
 
 

@@ -6,13 +6,13 @@ the closed-form checks below are made against that learner.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from regretlab import InputError
 from regretlab import learners as ln
+from regretlab.records import replace
 
 from . import oracles
 

@@ -1,9 +1,12 @@
-"""Byte identity of every file ``simulate`` writes and ``analyze`` rewrites.
+"""Byte identity of every file ``simulate`` writes and ``analyze`` rewrites,
+and of everything ``exact`` writes.
 
 ``output_digests.json`` holds, for each fixture, the config, the stdout of
-both commands (output path replaced by ``<out>``) and the SHA-256 of every
-file under the output directory. A change to any of them is an output change
-and is recorded in CHANGES.md with its reason.
+the commands it runs (output path replaced by ``<out>``) and the SHA-256 of
+every file under the output directory. A simulation fixture pins
+``simulate`` and ``analyze``; an ``exact-*`` fixture pins ``exact`` alone.
+A change to any of them is an output change and is recorded in CHANGES.md
+with its reason.
 """
 
 import hashlib
@@ -15,6 +18,8 @@ import pytest
 from regretlab import cli
 
 PINNED = json.loads((Path(__file__).parent / "output_digests.json").read_text())
+SIMULATED = sorted(name for name in PINNED if "simulate_stdout" in PINNED[name])
+SOLVED = sorted(name for name in PINNED if "exact_stdout" in PINNED[name])
 
 
 def digests(root: Path) -> dict[str, str]:
@@ -27,7 +32,11 @@ def run(capsys, command, config, out):
     return capsys.readouterr().out.replace(str(out), "<out>")
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
+def test_every_fixture_pins_a_command():
+    assert sorted(SIMULATED + SOLVED) == sorted(PINNED)
+
+
+@pytest.mark.parametrize("name", SIMULATED)
 def test_simulate_and_analyze_write_the_pinned_bytes(name, tmp_path, capsys):
     # the fixtures cover both Hedge block ends (the ceiling, with a fixed
     # eta of 5, and guesses gone stale), one and five seeds, all-pay, the
@@ -40,4 +49,16 @@ def test_simulate_and_analyze_write_the_pinned_bytes(name, tmp_path, capsys):
     assert run(capsys, "simulate", config, out) == pinned["simulate_stdout"]
     assert digests(out) == pinned["sha256"]
     assert run(capsys, "analyze", config, out) == pinned["analyze_stdout"]
+    assert digests(out) == pinned["sha256"]
+
+
+@pytest.mark.parametrize("name", SOLVED)
+def test_exact_writes_the_pinned_bytes(name, tmp_path, capsys):
+    # the five LP corpus instances at lambda 0.4, mu 1 (grid 0.1, two
+    # populations of two types) and both headline games
+    pinned = PINNED[name]
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(pinned["config"]))
+    out = tmp_path / "out"
+    assert run(capsys, "exact", config, out) == pinned["exact_stdout"]
     assert digests(out) == pinned["sha256"]

@@ -3,7 +3,6 @@
 import json
 import math
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,7 @@ from regretlab import mechanisms as mech
 from regretlab import readers, scalar_step
 from regretlab import simulator as sim
 from regretlab.analysis import default_checkpoints
+from regretlab.records import replace
 
 from . import oracles
 from .conftest import written_csv
