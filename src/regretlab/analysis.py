@@ -68,9 +68,9 @@ def empirical_joint(trace: Trace, zeta: float = 0.0) -> EmpiricalJoint:
     if not 0.0 <= zeta <= 1.0:
         raise InputError(f"zeta must lie in [0, 1], got {zeta}")
     v_sizes = tuple(len(p) for p in trace.config.populations)
-    a_sizes = trace.config.mechanism.actions.sizes()
+    bids = len(trace.config.mechanism.grid)
     row, inverse, counts = mech.profile_index(
-        trace.strategy.T, [a_sizes[pop] for pop, _ti, _v in trace.config.agents()]
+        trace.strategy.T, [bids] * len(trace.config.agents())
     )
     count_type = np.int32 if trace.horizon < 2**31 else np.int64
     cond = np.zeros((len(row), int(np.prod(v_sizes))), dtype=count_type)
@@ -96,24 +96,12 @@ def conditional_independence_gap(joint: EmpiricalJoint) -> float:
 # --- empirical epsilon of the coarse-equilibrium condition -------------------
 
 
-def bayes_cce_epsilon(trace: Trace, horizon: int | None = None) -> tuple[float, dict]:
-    """Empirical violation of the no-fixed-deviation condition.
-
-    For each population i, type value v, and fixed own action a', average
-    over the window the selected-round gain of always playing a' against the
-    realized opponent actions. The returned epsilon is the max over all
-    (i, v, a'), clipped at zero; the breakdown maps (population, type index)
-    to the per-action averaged gains. Only the type and realized bid columns
-    are read, so a trace without its commitment table is enough.
-    """
-    T = trace.horizon if horizon is None else horizon
-    if not 1 <= T <= trace.horizon:
-        raise InputError(f"horizon {T} outside [1, {trace.horizon}]")
-    (ledgers,) = rebuild_ledgers(trace, [T])
-    return _epsilon(trace, ledgers, T)
-
-
 def _epsilon(trace: Trace, ledgers: list[RegretLedger], T: int) -> tuple[float, dict]:
+    """Empirical violation of the no-fixed-deviation condition over the
+    first ``T`` rounds, from their ledgers: for each (population, type
+    index), the gain of always playing each own action against the realized
+    opponent actions, summed over the selected rounds and divided by ``T``.
+    Epsilon is the max over all of them, clipped at zero."""
     breakdown = {}
     eps = 0.0
     for (pop, ti, _val), led in zip(trace.config.agents(), ledgers):
@@ -285,10 +273,10 @@ def checkpoints_csv_text(rows: Sequence[dict]) -> str:
 
 def sigma_size_of(trace: Trace) -> float:
     """Number of joint commitment profiles: product over agents of grid size."""
-    m = trace.config.mechanism
+    bids = len(trace.config.mechanism.grid)
     out = 1.0
-    for pop, _ti, _v in trace.config.agents():
-        out *= m.actions.size(pop)
+    for _agent in trace.config.agents():
+        out *= bids
     return out
 
 

@@ -156,23 +156,16 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: mechanism: {e}") from e
 
     pops_doc = doc["populations"]
-    if not isinstance(pops_doc, list) or not pops_doc:
-        raise ConfigError(f"{path}: populations: expected a non-empty list")
-    if len(pops_doc) != mechanism.n:
-        raise ConfigError(
-            f"{path}: populations: {len(pops_doc)} entries for "
-            f"{mechanism.n} player seats"
-        )
-    populations = []
-    for i, vals in enumerate(pops_doc):
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(
-                f"{path}: populations[{i}]: expected a non-empty list of values"
-            )
-        populations.append(
-            tuple(_number(v, f"{path}: populations[{i}][{j}]", minimum=0.0)
-                  for j, v in enumerate(vals))
-        )
+    if not isinstance(pops_doc, list) or not all(isinstance(v, list) for v in pops_doc):
+        raise ConfigError(f"{path}: populations: expected a list of lists of values")
+    values = [[_number(v, f"{path}: populations[{i}][{j}]") for j, v in enumerate(vals)]
+              for i, vals in enumerate(pops_doc)]
+    # the one population check every command makes: a seat per population,
+    # distinct types, each in [0, H]
+    try:
+        populations = tuple(p.values for p in mech.check_populations(mechanism, values))
+    except InputError as e:
+        raise ConfigError(f"{path}: populations: {e}") from e
 
     horizon = None
     if "horizon" in doc:
@@ -256,7 +249,7 @@ def load_config(path) -> ExperimentConfig:
 
     return ExperimentConfig(
         mechanism=mechanism,
-        populations=tuple(populations),
+        populations=populations,
         horizon=horizon,
         seeds=seeds,
         feedback=feedback,
@@ -279,7 +272,7 @@ def _sim_config(cfg: ExperimentConfig, seed: int) -> simulator.SimConfig:
 
     return simulator.SimConfig(
         mechanism=cfg.mechanism,
-        populations=tuple(mech.Population(p) for p in cfg.populations),
+        populations=cfg.populations,
         horizon=cfg.horizon,
         seed=seed,
         feedback=cfg.feedback,

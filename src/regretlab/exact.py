@@ -118,7 +118,7 @@ def build_agent_game(mechanism: mech.Mechanism, populations) -> AgentGame:
     """
     pops = mech.check_populations(mechanism, populations)
     agents = mech.flat_agents(pops)
-    sizes = [mechanism.actions.size(i) for i, _ti, _v in agents]
+    sizes = [len(mechanism.grid)] * len(agents)
     sigma = math.prod(sizes)
     if sigma > TENSOR_CAP:
         raise CapExceededError(
@@ -127,7 +127,7 @@ def build_agent_game(mechanism: mech.Mechanism, populations) -> AgentGame:
         )
     n = mechanism.n
     agent_index = {(i, ti): g for g, (i, ti, _v) in enumerate(agents)}
-    a_sizes = mechanism.actions.sizes()
+    a_sizes = mechanism.sizes
     rev = mech.revenue_table(mechanism)
 
     # One axis per agent. At a type profile, seat i's bid axis of a joint
@@ -195,9 +195,7 @@ def lift_smoothness_check(
     worst = int(np.argmin(slack))
     worst_slack = float(slack[worst])
     digits = np.unravel_index(worst, g_.sizes)
-    bids = tuple(
-        m.actions.grids[i][d] for (i, _ti, _v), d in zip(g_.agents, digits)
-    )
+    bids = tuple(m.grid[d] for d in digits)
     level = None
     if g_.e_opt > 0.0:
         level = float((lhs + params.mu * g_.revenue).min()) / g_.e_opt

@@ -1,4 +1,4 @@
-"""Single-shot auction mechanisms on finite bid grids.
+"""Single-shot auction mechanisms on a finite bid grid.
 
 Three payment rules are supported, all pay-as-bid:
 
@@ -7,7 +7,7 @@ Three payment rules are supported, all pay-as-bid:
 * ``multi-unit-first-price``: ``units`` identical items, the top ``units``
   bids each win one item and pay their own bid.
 
-Bids live on per-player finite grids so that exhaustive enumeration over
+Every seat bids on one finite grid, so that exhaustive enumeration over
 action profiles stays exact. Ties are broken deterministically in favour of
 the lowest player index.
 """
@@ -46,94 +46,53 @@ def _canonical_point(x: float) -> float:
     return round(float(x), 12)
 
 
-@record(frozen=True)
-class ActionSpace:
-    """Per-player sorted bid grids sharing a common scale.
-
-    Every grid is strictly increasing, contains 0.0, and stays within
-    ``[0, scale]``.
-    """
-
-    grids: tuple[tuple[float, ...], ...]
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise InputError(f"scale must be positive, got {self.scale}")
-        if not self.grids:
-            raise InputError("at least one player grid is required")
-        # equal grids are checked once and share one canonical tuple
-        canon = {}
-        for p, grid in enumerate(self.grids):
-            grid = tuple(grid)
-            if grid in canon:
-                continue
-            pts = tuple(_canonical_point(b) for b in grid)
-            if not pts:
-                raise InputError(f"player {p}: empty bid grid")
-            if any(b2 <= b1 for b1, b2 in zip(pts, pts[1:])):
-                raise InputError(f"player {p}: grid must be strictly increasing")
-            if pts[0] != 0.0:
-                raise InputError(f"player {p}: grid must contain 0.0")
-            if pts[-1] > self.scale + GRID_TOL:
-                raise InputError(
-                    f"player {p}: max bid {pts[-1]} exceeds scale {self.scale}"
-                )
-            canon[grid] = pts
-        object.__setattr__(self, "grids", tuple(canon[tuple(g)] for g in self.grids))
-
-    @classmethod
-    def uniform(cls, n_players: int, step: float, scale: float = 1.0) -> "ActionSpace":
-        """Shared grid {0, step, 2*step, ..., scale} for every player."""
-        if step <= 0 or step > scale + GRID_TOL:
-            raise InputError(f"grid step {step} not in (0, {scale}]")
-        # sized before any point is built; min() also keeps an overflowing
-        # ratio out of round()
-        m = round(min(scale / step, INDEX_LIMIT))
-        if m + 1 > INDEX_LIMIT:
-            raise InputError(
-                f"grid step {step} gives more than {INDEX_LIMIT} bids on [0, {scale}]"
-            )
-        if abs(m * step - scale) > GRID_TOL:
-            raise InputError(f"grid step {step} does not divide scale {scale}")
-        grid = tuple(_canonical_point(j * step) for j in range(m + 1))
-        return cls(grids=(grid,) * n_players, scale=scale)
-
-    @property
-    def n_players(self) -> int:
-        return len(self.grids)
-
-    def size(self, player: int) -> int:
-        return len(self.grids[player])
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.grids)
-
-    def index_of(self, player: int, bid: float) -> int:
-        """Grid index of ``bid``; raises InputError for off-grid bids."""
-        grid = self.grids[player]
-        i = bisect.bisect_left(grid, bid - GRID_TOL)
-        if i < len(grid) and abs(grid[i] - bid) <= GRID_TOL:
-            return i
-        raise InputError(f"player {player}: bid {bid} is not on the grid")
+def uniform_grid(step: float, scale: float = 1.0) -> tuple[float, ...]:
+    """The bid grid {0, step, 2*step, ..., scale}."""
+    if step <= 0 or step > scale + GRID_TOL:
+        raise InputError(f"grid step {step} not in (0, {scale}]")
+    # sized before any point is built; min() also keeps an overflowing
+    # ratio out of round()
+    m = round(min(scale / step, INDEX_LIMIT))
+    if m + 1 > INDEX_LIMIT:
+        raise InputError(
+            f"grid step {step} gives more than {INDEX_LIMIT} bids on [0, {scale}]"
+        )
+    if abs(m * step - scale) > GRID_TOL:
+        raise InputError(f"grid step {step} does not divide scale {scale}")
+    return tuple(_canonical_point(j * step) for j in range(m + 1))
 
 
 @record(frozen=True)
 class Mechanism:
+    """An auction rule whose ``n`` seats all bid on one grid.
+
+    The grid is strictly increasing, contains 0.0, and stays within
+    ``[0, scale]``.
+    """
+
     kind: str
     n: int
-    actions: ActionSpace
+    grid: tuple[float, ...]
+    scale: float = 1.0
     units: int = 1
 
     def __post_init__(self) -> None:
+        if self.scale <= 0:
+            raise InputError(f"scale must be positive, got {self.scale}")
+        pts = tuple(_canonical_point(b) for b in self.grid)
+        if not pts:
+            raise InputError("empty bid grid")
+        if any(b2 <= b1 for b1, b2 in zip(pts, pts[1:])):
+            raise InputError("grid must be strictly increasing")
+        if pts[0] != 0.0:
+            raise InputError("grid must contain 0.0")
+        if pts[-1] > self.scale + GRID_TOL:
+            raise InputError(f"max bid {pts[-1]} exceeds scale {self.scale}")
+        object.__setattr__(self, "grid", pts)
         if self.kind not in KINDS:
             raise InputError(f"unknown mechanism kind {self.kind!r}")
         if self.n < 1:
             raise InputError(f"need at least one player, got n={self.n}")
-        if self.actions.n_players != self.n:
-            raise InputError(
-                f"action space has {self.actions.n_players} grids for n={self.n} players"
-            )
         if self.kind == KIND_MULTI_UNIT:
             if not 1 <= self.units <= self.n:
                 raise InputError(f"units={self.units} not in [1, {self.n}]")
@@ -141,8 +100,16 @@ class Mechanism:
             raise InputError(f"{self.kind} is a single-unit rule; units must be 1")
 
     @property
-    def scale(self) -> float:
-        return self.actions.scale
+    def sizes(self) -> tuple[int, ...]:
+        """Every seat's grid size: the shape of the joint bid profiles."""
+        return (len(self.grid),) * self.n
+
+    def index_of(self, bid: float) -> int:
+        """Grid index of ``bid``; raises InputError for off-grid bids."""
+        i = bisect.bisect_left(self.grid, bid - GRID_TOL)
+        if i < len(self.grid) and abs(self.grid[i] - bid) <= GRID_TOL:
+            return i
+        raise InputError(f"bid {bid} is not on the grid")
 
     def validate_values(self, values: Sequence[float]) -> tuple[float, ...]:
         if len(values) != self.n:
@@ -154,16 +121,27 @@ class Mechanism:
         return vals
 
     def to_descriptor(self) -> dict:
-        """JSON-serializable descriptor. Requires a shared uniform grid."""
-        g0 = self.actions.grids[0]
-        if any(g != g0 for g in self.actions.grids):
-            raise InputError("descriptor form requires identical per-player grids")
-        steps = {
-            _canonical_point(b2 - b1) for b1, b2 in zip(g0, g0[1:])
-        }
-        if len(steps) > 1:
-            raise InputError("descriptor form requires a uniform grid")
-        step = steps.pop() if steps else self.scale
+        """JSON-serializable descriptor, or InputError when no step rebuilds
+        the grid.
+
+        ``grid_step`` is the grid's first positive bid when ``uniform_grid``
+        rebuilds the grid from it, else ``scale / (bids - 1)``: at a step of
+        1/3 that bid, 0.333333333333, builds 0.666666666666 where the grid
+        holds 0.666666666667. A grid below the scale only has to begin the rebuilt
+        one; a grid read from a descriptor never is.
+        """
+        g = self.grid
+        first = g[1] if len(g) > 1 else self.scale
+        for step in (first, self.scale / max(len(g) - 1, 1)):
+            try:
+                if uniform_grid(step, self.scale)[:len(g)] == g:
+                    break
+            except InputError:
+                pass
+        else:
+            raise InputError(
+                f"no grid step rebuilds this grid of {len(g)} bids on [0, {self.scale}]"
+            )
         return {
             "kind": self.kind,
             "n": self.n,
@@ -199,7 +177,8 @@ class Mechanism:
         return cls(
             kind=d["kind"],
             n=d["n"],
-            actions=ActionSpace.uniform(d["n"], float(d["grid_step"]), float(d["H"])),
+            grid=uniform_grid(float(d["grid_step"]), float(d["H"])),
+            scale=float(d["H"]),
             units=d["k"],
         )
 
@@ -275,7 +254,7 @@ TABLE_CAP = 10_000_000  # joint profiles per utility or revenue table
 
 def joint_profile_count(mechanism: Mechanism) -> int:
     # a Python int: an int64 product of 5 seats' 32,768-bid grids wraps to 0
-    return math.prod(mechanism.actions.sizes())
+    return math.prod(mechanism.sizes)
 
 
 def check_table_cap(mechanism: Mechanism) -> None:
@@ -289,12 +268,11 @@ def check_table_cap(mechanism: Mechanism) -> None:
 
 
 def _seat_bids(mechanism: Mechanism) -> list[np.ndarray]:
-    """Each seat's grid shaped to broadcast over the joint profile grid."""
+    """The grid shaped, once per seat, to broadcast along that seat's axis
+    of the joint profile grid."""
     n = mechanism.n
-    return [
-        np.asarray(g, dtype=np.float64).reshape([-1 if j == i else 1 for j in range(n)])
-        for i, g in enumerate(mechanism.actions.grids)
-    ]
+    grid = np.asarray(mechanism.grid, dtype=np.float64)
+    return [grid.reshape([-1 if j == i else 1 for j in range(n)]) for i in range(n)]
 
 
 @lru_cache(maxsize=64)
@@ -307,7 +285,7 @@ def _win_flags(mechanism: Mechanism) -> np.ndarray:
     the top ``units`` bids win, ties to the lowest index.
     """
     bids = _seat_bids(mechanism)
-    flags = np.empty((mechanism.n, *mechanism.actions.sizes()), dtype=bool)
+    flags = np.empty((mechanism.n, *mechanism.sizes), dtype=bool)
     for i, own in enumerate(bids):
         # float64 counts are exact here; an integer counter pulls in numpy
         # loops that no other step runs, which raised peak RSS by ~0.1 MB
@@ -325,14 +303,14 @@ def utility_table(mechanism: Mechanism, player: int, value: float) -> np.ndarray
     """Array ``T[b_idx, opp_idx]`` of the player's utility against every joint
     opponent bid profile, holding the player's value fixed.
 
-    Opponent profiles are indexed in C order over the other players' grids,
+    Opponent profiles are indexed in C order over the other players' bids,
     ascending player index, last player fastest. A winner gets value
     minus bid; a loser gets 0.0, or minus its bid under all-pay.
     """
     if not 0 <= player < mechanism.n:
         raise InputError(f"player {player} out of range for n={mechanism.n}")
     check_table_cap(mechanism)
-    own = np.asarray(mechanism.actions.grids[player], dtype=np.float64)[:, None]
+    own = np.asarray(mechanism.grid, dtype=np.float64)[:, None]
     # C order, as callers' matrix products sum in the layout's order
     wins = np.ascontiguousarray(
         np.moveaxis(_win_flags(mechanism)[player], player, 0).reshape(len(own), -1)
@@ -346,13 +324,13 @@ def utility_table(mechanism: Mechanism, player: int, value: float) -> np.ndarray
 @lru_cache(maxsize=64)
 def revenue_table(mechanism: Mechanism) -> np.ndarray:
     """Flat array of auction revenue for every joint action profile, indexed
-    in C order over all players' grids (last player fastest).
+    in C order over all players' bids (last player fastest).
 
     Seats add their payments in seat order: every bid under all-pay, the
     winners' bids otherwise.
     """
     check_table_cap(mechanism)
-    rev = np.zeros(mechanism.actions.sizes())
+    rev = np.zeros(mechanism.sizes)
     all_pay = mechanism.kind == KIND_ALL_PAY
     for i, bid in enumerate(_seat_bids(mechanism)):
         np.add(rev, bid, out=rev, where=all_pay or _win_flags(mechanism)[i])

@@ -69,6 +69,7 @@ def read_trace_csv(csv_path, config: SimConfig):
     rounds = np.arange(1, T + 1)
     if not np.array_equal(body[:, 0], rounds):
         raise bad_cell(0, body[:, 0] != rounds, "the round number")
+    grid = np.asarray(config.mechanism.grid)
     v_idx = np.empty((T, n), dtype=np.int16)
     realized = np.empty((T, n), dtype=np.int16)
     for i, pop in enumerate(config.populations):
@@ -77,7 +78,6 @@ def read_trace_csv(csv_path, config: SimConfig):
         if bad.any():
             raise bad_cell(1 + i, bad, f"an integer type index below {len(pop)}")
         v_idx[:, i] = col
-        grid = np.asarray(config.mechanism.actions.grids[i])
         col = body[:, 1 + n + i]
         j = np.searchsorted(grid, col - mech.GRID_TOL)
         hit = grid[np.minimum(j, len(grid) - 1)]
@@ -192,7 +192,7 @@ def load_trace(csv_path, strategies_path) -> Trace:
         if committed.shape != (len(kept), len(config.agents())):
             raise ValueError(f"shape {committed.shape}")
         if committed.size and not (
-            committed.min() >= 0 and committed.max() < config.mechanism.actions.size(0)
+            committed.min() >= 0 and committed.max() < len(config.mechanism.grid)
         ):
             raise ValueError("a bid index lies off the grid")
     except (KeyError, TypeError, ValueError, OverflowError) as e:

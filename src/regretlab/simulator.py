@@ -89,24 +89,19 @@ class SimConfig:
         object.__setattr__(self, "populations", pops)
         if not 0.0 <= self.gamma <= 1.0:
             raise InputError(f"gamma must lie in [0, 1], got {self.gamma}")
-        sizes = self.mechanism.actions.sizes()
-        if len(set(sizes)) > 1:
-            raise InputError(
-                f"bid grid sizes {list(sizes)} differ; the simulator needs one "
-                "grid size for every seat"
-            )
+        bids = len(self.mechanism.grid)
         if self.eta is not None:
             # an update multiplies a weight of up to the ceiling by exp(step);
             # unit utilities lie in [0, 1], bandit probabilities in [gamma/|A|, 1]
             step = self.eta
             if self.feedback == FEEDBACK_BANDIT and self.eta > 0.0:
-                step = self.eta * sizes[0] / self.gamma if self.gamma > 0.0 else math.inf
+                step = self.eta * bids / self.gamma if self.gamma > 0.0 else math.inf
             if not 0.0 <= step <= MAX_LOG_STEP:
                 raise InputError(
                     f"eta {self.eta} ({self.feedback} feedback, gamma {self.gamma}) takes "
                     f"log steps up to {step:.6g}; weights stay finite up to {MAX_LOG_STEP:.6g}"
                 )
-        largest = max(sizes[0], max(len(p) for p in pops))
+        largest = max(bids, max(len(p) for p in pops))
         if largest > mech.INDEX_LIMIT:
             raise InputError(
                 f"a bid grid or population has {largest} entries; the simulator "
@@ -187,13 +182,12 @@ def welfare_columns(
     per round, so the columns are bit-identical to that replay.
     """
     m = config.mechanism
-    sizes_a = m.actions.sizes()
     sw = np.zeros(len(v_idx))
     for i, pop in enumerate(config.populations):
-        opp = mech.opponent_index(realized_idx.T, sizes_a, i)
+        opp = mech.opponent_index(realized_idx.T, m.sizes, i)
         tables = np.stack([mech.utility_table(m, i, v) for v in pop.values])
         sw += tables[v_idx[:, i], realized_idx[:, i], opp]
-    sw += mech.revenue_table(m)[np.ravel_multi_index(realized_idx.T, sizes_a)]
+    sw += mech.revenue_table(m)[np.ravel_multi_index(realized_idx.T, m.sizes)]
     value_lists = [p.values for p in config.populations]
     opt_by_profile = np.array(
         [mech.optimal_welfare(v, m) for v in mech.value_profiles(value_lists)]
@@ -275,7 +269,7 @@ def _play_rounds(config: SimConfig, seeds):
     n = m.n
     T = config.horizon
     H = m.scale
-    A = m.actions.size(0)
+    A = len(m.grid)
     S = len(seeds)
     agents = config.agents()
     G = len(agents)
@@ -502,7 +496,7 @@ def write_trace_csv(trace: Trace, path) -> None:
     n = cfg.mechanism.n
     row, key, _ = mech.profile_index(
         [*trace.v_idx.T, *trace.realized_idx.T],
-        [len(p) for p in cfg.populations] + list(cfg.mechanism.actions.sizes()),
+        [len(p) for p in cfg.populations] + list(cfg.mechanism.sizes),
     )
     for name in ("sw", "opt"):
         col = getattr(trace, name)
@@ -513,7 +507,7 @@ def write_trace_csv(trace: Trace, path) -> None:
                 f"round {t + 1} stores {name}={float(col[t])!r}, but round "
                 f"{other + 1} with the same types and bids stores {float(col[other])!r}"
             )
-    bid_texts = [[repr(b) for b in grid] for grid in cfg.mechanism.actions.grids]
+    bid_texts = [repr(b) for b in cfg.mechanism.grid]
     slot = np.empty(len(row), dtype=np.intp)
     width = len(str(trace.horizon))
     with open(path, "wb") as fh:
@@ -524,8 +518,8 @@ def write_trace_csv(trace: Trace, path) -> None:
             slot[distinct] = np.arange(len(distinct))
             at = row[distinct]
             cols = [map(str, col) for col in trace.v_idx[at].T.tolist()]
-            cols += [map(bids.__getitem__, col)
-                     for bids, col in zip(bid_texts, trace.realized_idx[at].T.tolist())]
+            cols += [map(bid_texts.__getitem__, col)
+                     for col in trace.realized_idx[at].T.tolist()]
             cols += [map(repr, trace.sw[at].tolist()), map(repr, trace.opt[at].tolist())]
             # each text leaves room for the round number's digits; the cell
             # lists and the texts are freed as soon as they are used
@@ -568,7 +562,7 @@ def strategies_json_text(trace: Trace, every: int = 1) -> str:
     # separators, each agent's slot filled from the digits of its bid index
     head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     kept = trace.strategy[::every]
-    bids = cfg.mechanism.actions.size(0)
+    bids = len(cfg.mechanism.grid)
     width = len(str(bids - 1))
     digits = _digits(np.arange(bids), width)
     line = np.zeros(kept.shape[1] * (width + 1) + 2, dtype=np.uint8)
@@ -605,13 +599,12 @@ def rebuild_ledgers(trace: Trace, horizons: Sequence[int]) -> list[list[RegretLe
     one place regret sums are kept."""
     cfg = trace.config
     m = cfg.mechanism
-    sizes_a = m.actions.sizes()
     out = [[] for _ in horizons]
     for pop, ti, val in cfg.agents():
         table = mech.utility_table(m, pop, val)
         sel = np.flatnonzero(trace.v_idx[:, pop] == ti)
         bids = trace.realized_idx[sel].T
-        opp = mech.opponent_index(bids, sizes_a, pop)
+        opp = mech.opponent_index(bids, m.sizes, pop)
         got = table[bids[pop], opp]
         for ledgers, T in zip(out, horizons):
             k = int(np.searchsorted(sel, T))

@@ -54,9 +54,9 @@ class SmoothnessParams:
 
 @record(frozen=True)
 class DeviationRule:
-    """Map (player, valuation profile) -> distribution over the player's grid.
+    """Map (player, valuation profile) -> distribution over the bid grid.
 
-    ``fn`` returns a mass vector aligned with the player's bid grid. Masses
+    ``fn`` returns a mass vector aligned with the mechanism's grid. Masses
     must be nonnegative and sum to 1 within 1e-9; this is validated on every
     evaluation.
     """
@@ -68,7 +68,7 @@ class DeviationRule:
         self, mechanism: mech.Mechanism, player: int, values: tuple[float, ...]
     ) -> np.ndarray:
         dist = np.asarray(self.fn(player, values), dtype=np.float64)
-        size = mechanism.actions.size(player)
+        size = len(mechanism.grid)
         if dist.shape != (size,):
             raise InputError(
                 f"rule {self.name!r}: distribution for player {player} has shape "
@@ -93,9 +93,8 @@ class DeviationRule:
         """Pure rule: point mass on ``bid_fn(player, values)``."""
 
         def fn(player: int, values: tuple[float, ...]) -> np.ndarray:
-            grid = mechanism.actions.grids[player]
-            j = mechanism.actions.index_of(player, bid_fn(player, values))
-            dist = np.zeros(len(grid))
+            dist = np.zeros(len(mechanism.grid))
+            j = mechanism.index_of(bid_fn(player, values))
             dist[j] = 1.0
             return dist
 
@@ -176,19 +175,18 @@ def named_deviation(name: str, mechanism: mech.Mechanism) -> DeviationRule:
     * ``log``: the logarithmic first-price rule, per player.
     * ``zero``: point mass on bidding zero.
     """
-    grids = mechanism.actions.grids
+    grid = mechanism.grid
     if name == "half":
         return DeviationRule.from_bid_function(
             "half",
             mechanism,
-            lambda i, v: grids[i][_grid_floor_index(grids[i], v[i] / 2.0)],
+            lambda i, v: grid[_grid_floor_index(grid, v[i] / 2.0)],
         )
     if name == "zero":
         return DeviationRule.from_bid_function("zero", mechanism, lambda i, v: 0.0)
     if name == "uniform":
 
         def uniform_fn(player: int, values: tuple[float, ...]) -> np.ndarray:
-            grid = grids[player]
             top = _grid_floor_index(grid, values[player])
             dist = np.zeros(len(grid))
             dist[: top + 1] = 1.0 / (top + 1)
@@ -198,7 +196,7 @@ def named_deviation(name: str, mechanism: mech.Mechanism) -> DeviationRule:
     if name == "log":
         return DeviationRule(
             name="log",
-            fn=lambda i, v: fpa_log_deviation(v[i], grids[i]),
+            fn=lambda i, v: fpa_log_deviation(v[i], grid),
         )
     raise InputError(f"unknown deviation rule {name!r}")
 
@@ -210,7 +208,7 @@ def _deviation_gain_grid(
     mu: float,
 ) -> np.ndarray:
     """Array over joint action profiles of sum_i E[U_i(dev_i, a_-i)] + mu R(a)."""
-    shape = mechanism.actions.sizes()
+    shape = mechanism.sizes
     rev = mech.revenue_table(mechanism).reshape(shape)
     total = mu * rev if mu != 0.0 else np.zeros(shape)
     for i in range(mechanism.n):
@@ -239,7 +237,7 @@ def check_deviation_smoothness(
     profiles = [mechanism.validate_values(v) for v in value_space]
     if not profiles:
         raise InputError("value_space must contain at least one profile")
-    shape = mechanism.actions.sizes()
+    shape = mechanism.sizes
     worst = math.inf
     level = math.inf
     wit_v: tuple[float, ...] = profiles[0]
@@ -256,9 +254,7 @@ def check_deviation_smoothness(
             worst = low
             wit_v = values
             wit_a = np.unravel_index(flat, shape)
-    actions = tuple(
-        mechanism.actions.grids[i][j] for i, j in enumerate(wit_a)
-    )
+    actions = tuple(mechanism.grid[j] for j in wit_a)
     return SmoothnessReport(
         params=params,
         holds=worst >= -SLACK_TOL,
@@ -289,7 +285,7 @@ def best_pure_deviation(
     profiles = [mechanism.validate_values(v) for v in value_space]
     if not profiles:
         raise InputError("value_space must contain at least one profile")
-    sizes = mechanism.actions.sizes()
+    sizes = mechanism.sizes
     joint = mech.joint_profile_count(mechanism)
     if joint * joint > PURE_SEARCH_CAP:
         raise CapExceededError(
@@ -328,13 +324,11 @@ def best_pure_deviation(
             "every profile in value_space has zero optimal welfare"
         )
 
-    grids = mechanism.actions.grids
-
     def fn(player: int, values: tuple[float, ...]) -> np.ndarray:
         key = tuple(float(v) for v in values)
         if key not in chosen:
             raise InputError(f"value profile {key} was not in the searched space")
-        dist = np.zeros(len(grids[player]))
+        dist = np.zeros(len(mechanism.grid))
         dist[chosen[key][player]] = 1.0
         return dist
 

@@ -24,7 +24,7 @@ def acceptance_config(kind, seed, horizon=ACCEPT_HORIZON):
     m = mech.Mechanism(
         kind=kind,
         n=2,
-        actions=mech.ActionSpace.uniform(2, 0.1, 1.0),
+        grid=mech.uniform_grid(0.1),
     )
     return sim.SimConfig(
         mechanism=m,

@@ -59,7 +59,7 @@ def allocation_welfare(kind, bids, values, units=1):
 
 
 def joint_bid_profiles(m):
-    return itertools.product(*m.actions.grids)
+    return itertools.product(m.grid, repeat=m.n)
 
 
 # --- smoothness by brute force ------------------------------------------------
@@ -77,7 +77,7 @@ def deviation_slack(m, dists, lam, mu, values):
         _, rev, _ = auction_outcome(m.kind, list(a), list(values), m.units)
         gain = 0.0
         for i in range(m.n):
-            for w, b in zip(dists[i], m.actions.grids[i]):
+            for w, b in zip(dists[i], m.grid):
                 if w == 0.0:
                     continue
                 bids = list(a)
@@ -132,7 +132,7 @@ def naive_agent_game(m, pops):
     agents = [
         (p, t, pops[p][t]) for p in range(len(pops)) for t in range(len(pops[p]))
     ]
-    sizes = [m.actions.size(p) for (p, _, _) in agents]
+    sizes = [len(m.grid)] * len(agents)
     seat_of = {}
     for g, (p, t, _) in enumerate(agents):
         seat_of[(p, t)] = g
@@ -147,7 +147,7 @@ def naive_agent_game(m, pops):
         for draw in draws:
             chosen = [seat_of[(p, draw[p])] for p in range(len(pops))]
             vals = [agents[g][2] for g in chosen]
-            bids = [m.actions.grids[p][digits[chosen[p]]] for p in range(len(pops))]
+            bids = [m.grid[digits[chosen[p]]] for p in range(len(pops))]
             u, rev, _ = auction_outcome(m.kind, bids, vals, m.units)
             R[flat] += w * rev
             for p, g in enumerate(chosen):
@@ -384,7 +384,7 @@ def reference_run(config):
     n = m.n
     T = config.horizon
     H = m.scale
-    sizes_a = list(m.actions.sizes())
+    sizes_a = list(m.sizes)
     pops = config.populations
     agents = config.agents()
     offsets = config.agent_offsets()
@@ -451,7 +451,7 @@ def reference_run(config):
             cdfs[g] = None
 
         values = tuple(pops[i].values[vrow[i]] for i in range(n))
-        bids = [m.actions.grids[i][ridx[i]] for i in range(n)]
+        bids = [m.grid[ridx[i]] for i in range(n)]
         utilities, revenue, _ = auction_outcome(m.kind, bids, values, m.units)
         sw[t] = sum(utilities) + revenue
         opt[t] = mech.optimal_welfare(values, m)
@@ -473,7 +473,7 @@ def trace_csv_text(trace):
     """A trace's CSV table, one ``csv.writer`` row per round (1-based round
     numbers), every cell formatted afresh."""
     n = trace.config.mechanism.n
-    grids = trace.config.mechanism.actions.grids
+    grid = trace.config.mechanism.grid
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -485,7 +485,7 @@ def trace_csv_text(trace):
     for t in range(trace.horizon):
         row = [t + 1]
         row += [int(trace.v_idx[t, i]) for i in range(n)]
-        row += [repr(grids[i][trace.realized_idx[t, i]]) for i in range(n)]
+        row += [repr(grid[trace.realized_idx[t, i]]) for i in range(n)]
         row += [repr(float(trace.sw[t])), repr(float(trace.opt[t]))]
         writer.writerow(row)
     return buf.getvalue()

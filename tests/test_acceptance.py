@@ -67,7 +67,8 @@ def test_criterion_3_epsilon_trajectory_and_independence(first_price_runs):
     checkpoints = [2**k for k in range(10, 18)]  # 1024 .. 131072
     finals, gaps, pair_counts = {}, {}, {}
     for seed, (trace, _wall) in first_price_runs.items():
-        eps = [an.bayes_cce_epsilon(trace, horizon=cp)[0] for cp in checkpoints]
+        rows = an.analysis_report(trace, FP_PARAMS, checkpoints=checkpoints)["checkpoints"]
+        eps = [r["epsilon"] for r in rows]
         pairs = sum(b <= a for a, b in zip(eps, eps[1:]))
         pair_counts[seed] = pairs
         assert pairs >= 6, (
@@ -118,7 +119,7 @@ def test_criterion_4_certificates_via_cli(tmp_path):
     for step in (0.1, 0.05):
         m = mech.Mechanism(
             kind=mech.KIND_FIRST_PRICE, n=2,
-            actions=mech.ActionSpace.uniform(2, step, 1.0),
+            grid=mech.uniform_grid(step),
         )
         rule = smooth.named_deviation("log", m)
         cert = smooth.check_deviation_smoothness(
@@ -194,7 +195,7 @@ def test_criterion_6_lp_floor_and_vertex_oracle():
 def test_criterion_7_finite_time_inequality(first_price_runs):
     slacks = {}
     for seed, (trace, _wall) in first_price_runs.items():
-        eps_total = trace.config.mechanism.n * an.bayes_cce_epsilon(trace)[0]
+        eps_total = trace.config.mechanism.n * an.analysis_report(trace, FP_PARAMS)["epsilon"]
         res = an.finite_time_check(trace, FP_PARAMS, 0.05, eps_total)
         slacks[seed] = res.slack
         assert res.holds and res.slack > 0.0, (
@@ -223,11 +224,11 @@ def test_criterion_8_identities_and_determinism():
         units = int(rng.integers(1, n + 1)) if kind == mech.KIND_MULTI_UNIT else 1
         step = float(rng.choice([0.25, 0.5]))
         m = mech.Mechanism(
-            kind=kind, n=n, actions=mech.ActionSpace.uniform(n, step, 1.0),
+            kind=kind, n=n, grid=mech.uniform_grid(step),
             units=units,
         )
         values = tuple(float(v) for v in rng.uniform(0.0, 1.0, size=n))
-        grid = m.actions.grids[0]
+        grid = m.grid
         bid_idx = rng.integers(0, len(grid), size=n)
         bids = [float(grid[j]) for j in bid_idx]
         cfg = sim.SimConfig(

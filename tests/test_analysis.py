@@ -20,9 +20,7 @@ from .conftest import acceptance_config
 
 
 def one_seat(values=(1.0,), grid=(0.0, 0.5)):
-    m = mech.Mechanism(
-        kind=mech.KIND_FIRST_PRICE, n=1, actions=mech.ActionSpace(grids=(grid,), scale=1.0)
-    )
+    m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=1, grid=grid)
     return sim.SimConfig(
         mechanism=m, populations=(sim.Population(values),), horizon=4, seed=0
     )
@@ -155,50 +153,64 @@ def constant_bid_trace():
     return manual_trace(cfg, [[0]] * 4, [[1]] * 4, [1.0] * 4, [1.0] * 4)
 
 
+UNIT = SmoothnessParams(1.0, 1.0)
+
+
+def checkpoint_epsilon(trace, horizon):
+    """The report's epsilon over the first ``horizon`` rounds: the row of
+    its one checkpoint."""
+    (row,) = an.analysis_report(trace, UNIT, checkpoints=[horizon])["checkpoints"]
+    return row["epsilon"]
+
+
 def test_epsilon_of_constant_overbidding():
-    eps, breakdown = an.bayes_cce_epsilon(constant_bid_trace())
+    report = an.analysis_report(constant_bid_trace(), UNIT)
     # bidding 0 still wins the single-seat auction, so the fixed deviation
     # to 0 gains 0.5 every round
-    assert eps == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_allclose(breakdown[(0, 0)], [0.5, 0.0], atol=1e-12)
+    assert report["epsilon"] == pytest.approx(0.5, abs=1e-12)
+    agent = report["epsilon_breakdown"]["pop0_type0"]
+    np.testing.assert_allclose(agent["per_action"], [0.5, 0.0], atol=1e-12)
+    assert agent["epsilon"] == report["epsilon"]
     # one seat, so the total regret level n * epsilon is epsilon itself
     trace = constant_bid_trace()
-    assert trace.config.mechanism.n * an.bayes_cce_epsilon(trace)[0] == pytest.approx(
-        0.5, abs=1e-12
-    )
+    assert trace.config.mechanism.n * report["epsilon"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_epsilon_of_best_responding_is_zero():
     cfg = one_seat()
     trace = manual_trace(cfg, [[0]] * 4, [[0]] * 4, [1.0] * 4, [1.0] * 4)
-    eps, breakdown = an.bayes_cce_epsilon(trace)
-    assert eps == 0.0
-    np.testing.assert_allclose(breakdown[(0, 0)], [0.0, -0.5], atol=1e-12)
+    report = an.analysis_report(trace, UNIT)
+    assert report["epsilon"] == 0.0
+    agent = report["epsilon_breakdown"]["pop0_type0"]
+    np.testing.assert_allclose(agent["per_action"], [0.0, -0.5], atol=1e-12)
+    assert agent["epsilon"] == 0.0
 
 
 def test_epsilon_prefix_window_and_validation():
     trace = constant_bid_trace()
-    eps, _ = an.bayes_cce_epsilon(trace, horizon=2)
+    eps = checkpoint_epsilon(trace, 2)
     assert eps == pytest.approx(0.5, abs=1e-12)
     for bad in [0, 5]:
-        with pytest.raises(InputError):
-            an.bayes_cce_epsilon(trace, horizon=bad)
+        with pytest.raises(InputError, match=r"checkpoints must lie in \[1, 4\]"):
+            checkpoint_epsilon(trace, bad)
     # epsilon reads only the type and realized bid columns
     trace.strategy = None
-    assert an.bayes_cce_epsilon(trace, horizon=2)[0] == eps
+    assert checkpoint_epsilon(trace, 2) == eps
 
 
 def test_epsilon_agrees_with_ledger_view():
     # the reference engine's running ledger sums, averaged over the horizon
     cfg = acceptance_config(mech.KIND_FIRST_PRICE, seed=6, horizon=400)
     trace = sim.run_repeated_game(cfg)
-    eps, breakdown = an.bayes_cce_epsilon(trace)
+    report = an.analysis_report(trace, UNIT)
     live = oracles.reference_run(cfg)["ledgers"]
     offs = trace.config.agent_offsets()
-    for (pop, ti), avg in breakdown.items():
+    assert len(report["epsilon_breakdown"]) == len(live)
+    for pop, ti, _v in trace.config.agents():
+        avg = report["epsilon_breakdown"][f"pop{pop}_type{ti}"]["per_action"]
         led = live[offs[pop] + ti]
         np.testing.assert_allclose(avg, led.gaps() / trace.horizon, atol=1e-12)
-    assert eps >= 0.0
+    assert report["epsilon"] >= 0.0
 
 
 @pytest.mark.parametrize("feedback", [sim.FEEDBACK_FULL, sim.FEEDBACK_BANDIT])
@@ -259,7 +271,7 @@ def test_finite_time_check_formula():
         acceptance_config(mech.KIND_FIRST_PRICE, seed=2, horizon=2_000)
     )
     params = SmoothnessParams(1.0 - 1.0 / math.e, 1.0)
-    eps = trace.config.mechanism.n * an.bayes_cce_epsilon(trace)[0]
+    eps = trace.config.mechanism.n * an.analysis_report(trace, params)["epsilon"]
     res = an.finite_time_check(trace, params, 0.05, eps)
     want = float(trace.sw.mean()) - (
         params.lam / max(1.0, params.mu) * float(trace.opt.mean()) - 0.05 - params.mu * eps
@@ -276,7 +288,7 @@ def test_finite_time_check_formula():
 def test_finite_time_all_zero_bids_regression():
     # both seats bid 0 forever: seat 0 wins at price 0, welfare equals the
     # winner's value, and the inequality holds with slack exactly 1/e
-    m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, actions=mech.ActionSpace.uniform(2, 0.5, 1.0))
+    m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, grid=mech.uniform_grid(0.5))
     cfg = sim.SimConfig(
         mechanism=m,
         populations=(sim.Population((1.0,)), sim.Population((1.0,))),
@@ -334,8 +346,13 @@ def test_report_checkpoints_match_prefix_recomputation():
     assert [r["horizon"] for r in rows] == [16, 32, 64, 128, 256, 500]
     for r in rows:
         h = r["horizon"]
-        eps, _ = an.bayes_cce_epsilon(trace, horizon=h)
-        assert r["epsilon"] == eps
+        # the report of the trace's first h rounds counts them in its own sweep
+        prefix = sim.Trace(
+            config=replace(trace.config, horizon=h), v_idx=trace.v_idx[:h],
+            strategy=trace.strategy[:h], realized_idx=trace.realized_idx[:h],
+            sw=trace.sw[:h], opt=trace.opt[:h],
+        )
+        assert r["epsilon"] == an.analysis_report(prefix, params)["epsilon"]
         assert r["ratio"] == pytest.approx(
             float(trace.opt[:h].sum()) / float(trace.sw[:h].sum()), rel=1e-12
         )
@@ -400,7 +417,9 @@ def test_analysis_report_contents(run_1e5):
         assert key in report
     assert report["horizon"] == 100_000
     assert report["seed"] == 3
-    eps, _ = an.bayes_cce_epsilon(run_1e5)
+    # the largest window-averaged gain of a fixed deviation, clipped at 0
+    (ledgers,) = sim.rebuild_ledgers(run_1e5, [100_000])
+    eps = max(0.0, max(float(led.gaps().max()) / 100_000 for led in ledgers))
     assert report["epsilon"] == eps
     assert set(report["epsilon_breakdown"]) == {
         "pop0_type0", "pop0_type1", "pop1_type0", "pop1_type1"

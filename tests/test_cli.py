@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -224,6 +225,45 @@ def test_analyze_reproduces_simulate_reports(tmp_path, capsys):
     assert cli.main(["analyze", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(out / "seed_abc") in err
+
+
+def test_a_step_of_one_third_is_written_back_and_reanalyzed(tmp_path, capsys):
+    # 1/3 is no 12-decimal number; every seed directory is written whole,
+    # and analyze on a copy rewrites its reports byte for byte
+    out = tmp_path / "runs"
+    third = {**base_doc()["mechanism"], "grid_step": 1 / 3}
+    cfg = simulate_config(tmp_path, out, mechanism=third)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    written = {"trace.csv", "strategies.json", "report.json", "checkpoints.csv"}
+    for seed in (1, 2):
+        assert {p.name for p in (out / f"seed_{seed}").iterdir()} == written
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    for p in [copy / "report.json", *copy.glob("seed_*/report.json"),
+              *copy.glob("seed_*/checkpoints.csv")]:
+        p.unlink()
+    assert cli.main(["analyze", "--config", cfg, "--out", str(copy)]) == 0
+    files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(copy) for p in copy.rglob("*") if p.is_file())
+    for p in files:
+        assert (copy / p).read_bytes() == (out / p).read_bytes(), p
+    # exact writes an agent_game.json whose mechanism loads as the config's
+    game = tmp_path / "exact"
+    assert cli.main(["exact", "--config", cfg, "--out", str(game)]) in (0, 1)
+    doc = json.loads((game / "agent_game.json").read_text())
+    assert mech.Mechanism.from_descriptor(doc["mechanism"]) == cli.load_config(cfg).mechanism
+    assert doc["mechanism"]["grid_step"] == 1 / 3
+
+
+def test_every_command_refuses_duplicate_types(tmp_path, capsys):
+    out = tmp_path / "runs"
+    path = write_config(tmp_path, populations=[[0.5, 0.5], [0.5, 1.0]], horizon=10,
+                        seeds=[1], deviation="log", out_dir=str(out))
+    for command in ("certify", "exact", "simulate", "analyze"):
+        assert cli.main([command, "--config", path]) == 2, command
+        err = capsys.readouterr().err
+        assert "population types must be distinct" in err, command
+    assert not out.exists()
 
 
 def test_analyze_rejects_a_tampered_welfare_cell(tmp_path, capsys):

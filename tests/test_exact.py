@@ -60,12 +60,8 @@ HEADLINE_LP = {
 }
 
 
-def fp2(pops, grids=((0.0, 0.5), (0.0, 0.5)), scale=1.0):
-    m = mech.Mechanism(
-        kind=mech.KIND_FIRST_PRICE,
-        n=2,
-        actions=mech.ActionSpace(grids=grids, scale=scale),
-    )
+def fp2(pops, grid=(0.0, 0.5), scale=1.0):
+    m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, grid=grid, scale=scale)
     return exact.build_agent_game(m, pops)
 
 
@@ -154,9 +150,7 @@ def test_agent_game_caps_and_validation(monkeypatch):
 def test_agent_game_is_linear_in_the_scale():
     pops1 = ((0.5, 1.0), (0.5, 1.0))
     g1 = fp2(pops1)
-    g2 = fp2(
-        ((1.0, 2.0), (1.0, 2.0)), grids=((0.0, 1.0), (0.0, 1.0)), scale=2.0
-    )
+    g2 = fp2(((1.0, 2.0), (1.0, 2.0)), grid=(0.0, 1.0), scale=2.0)
     # doubling all values and bids doubles every payoff exactly (powers of two)
     assert np.array_equal(g2.utilities, 2.0 * g1.utilities)
     assert np.array_equal(g2.revenue, 2.0 * g1.revenue)
@@ -204,7 +198,7 @@ def test_corrupted_rule_fails_the_lift_with_witness():
     overbid = smooth.DeviationRule.from_bid_function(
         "max-bid",
         inst.mechanism,
-        lambda player, values: inst.mechanism.actions.grids[player][-1],
+        lambda player, values: inst.mechanism.grid[-1],
     )
     report = exact.lift_smoothness_check(
         game, overbid, smooth.SmoothnessParams(1.0 - 1.0 / np.e, 1.0)
@@ -212,15 +206,15 @@ def test_corrupted_rule_fails_the_lift_with_witness():
     assert not report.holds
     assert report.worst_slack < -1e-9
     assert len(report.witness_actions) == game.n_agents
-    for (pop, _ti, _v), bid in zip(game.agents, report.witness_actions):
-        assert bid in inst.mechanism.actions.grids[pop]
+    for bid in report.witness_actions:
+        assert bid in inst.mechanism.grid
 
 
 def test_single_type_lift_reduces_to_the_base_check():
     m = mech.Mechanism(
         kind=mech.KIND_FIRST_PRICE,
         n=2,
-        actions=mech.ActionSpace(grids=((0.0, 0.5), (0.0, 0.5)), scale=1.0),
+        grid=(0.0, 0.5),
     )
     pops = ((1.0,), (0.5,))
     rule = smooth.named_deviation("half", m)
@@ -288,9 +282,7 @@ def test_lp_on_a_dominance_solvable_game():
 
 
 def test_lp_single_profile_game():
-    m = mech.Mechanism(
-        kind=mech.KIND_FIRST_PRICE, n=1, actions=mech.ActionSpace(grids=((0.0,),), scale=1.0)
-    )
+    m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=1, grid=(0.0,), scale=1.0)
     game = exact.build_agent_game(m, ((1.0,),))
     sol = exact.worst_cce_welfare(game)
     assert sol.objective == pytest.approx(1.0, abs=1e-12)

@@ -14,13 +14,8 @@ from regretlab import mechanisms as mech
 from . import oracles
 
 
-def fp(n, grids, **kw):
-    return mech.Mechanism(
-        kind=mech.KIND_FIRST_PRICE,
-        n=n,
-        actions=mech.ActionSpace(grids=grids, scale=kw.pop("scale", 1.0)),
-        **kw,
-    )
+def fp(n, grid, **kw):
+    return mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=n, grid=grid, **kw)
 
 
 QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -29,8 +24,8 @@ TENTHS = tuple(round(0.1 * i, 10) for i in range(11))
 
 def outcome(m, bids, values):
     """(utilities, revenue) of one bid profile, read from the tables."""
-    idx = [m.actions.index_of(i, b) for i, b in enumerate(bids)]
-    sizes = m.actions.sizes()
+    idx = [m.index_of(b) for b in bids]
+    sizes = m.sizes
     utilities = []
     for i in range(m.n):
         others = [j for j in range(m.n) if j != i]
@@ -46,15 +41,13 @@ def welfare(m, bids, values):
 
 
 def test_first_price_outcome():
-    m = fp(2, (QUARTERS, QUARTERS))
+    m = fp(2, QUARTERS)
     # seat 1 would get 0.25 had it won
     assert outcome(m, (0.5, 0.25), (1.0, 0.5)) == ((0.5, 0.0), 0.5)
 
 
 def test_all_pay_outcome():
-    m = mech.Mechanism(
-        kind=mech.KIND_ALL_PAY, n=2, actions=mech.ActionSpace(grids=(QUARTERS, QUARTERS), scale=1.0)
-    )
+    m = mech.Mechanism(kind=mech.KIND_ALL_PAY, n=2, grid=QUARTERS)
     assert outcome(m, (0.5, 0.25), (1.0, 0.5)) == ((0.5, -0.25), 0.75)
 
 
@@ -63,7 +56,7 @@ def test_multi_unit_outcome():
         kind=mech.KIND_MULTI_UNIT,
         n=3,
         units=2,
-        actions=mech.ActionSpace(grids=(TENTHS,) * 3, scale=1.0),
+        grid=TENTHS,
     )
     utilities, revenue = outcome(m, (0.4, 0.3, 0.3), (1.0, 0.5, 0.2))
     # the 0.3 tie at the second unit goes to the lower index; seat 2 would
@@ -73,38 +66,36 @@ def test_multi_unit_outcome():
 
 
 def test_social_welfare_examples():
-    m2 = fp(2, (QUARTERS, QUARTERS))
+    m2 = fp(2, QUARTERS)
     assert welfare(m2, (0.5, 0.25), (1.0, 0.5)) == 1.0
-    ap = mech.Mechanism(
-        kind=mech.KIND_ALL_PAY, n=2, actions=mech.ActionSpace(grids=(QUARTERS, QUARTERS), scale=1.0)
-    )
+    ap = mech.Mechanism(kind=mech.KIND_ALL_PAY, n=2, grid=QUARTERS)
     assert welfare(ap, (0.5, 0.25), (1.0, 0.5)) == 1.0
     mu = mech.Mechanism(
         kind=mech.KIND_MULTI_UNIT,
         n=3,
         units=2,
-        actions=mech.ActionSpace(grids=(TENTHS,) * 3, scale=1.0),
+        grid=TENTHS,
     )
     assert welfare(mu, (0.4, 0.3, 0.3), (1.0, 0.5, 0.2)) == pytest.approx(1.5, abs=1e-15)
 
 
 def test_optimal_welfare():
-    m = fp(2, (QUARTERS, QUARTERS))
+    m = fp(2, QUARTERS)
     assert mech.optimal_welfare((1.0, 0.5), m) == 1.0
     assert mech.optimal_welfare((0.0, 0.0), m) == 0.0
     mu = mech.Mechanism(
         kind=mech.KIND_MULTI_UNIT,
         n=3,
         units=2,
-        actions=mech.ActionSpace(grids=(TENTHS,) * 3, scale=1.0),
+        grid=TENTHS,
     )
     assert mech.optimal_welfare((1.0, 0.5, 0.2), mu) == 1.5
 
 
 def test_off_grid_and_arity_rejected():
-    m = fp(2, (QUARTERS, QUARTERS))
+    m = fp(2, QUARTERS)
     with pytest.raises(InputError):
-        m.actions.index_of(0, 0.3)
+        m.index_of(0.3)
     with pytest.raises(InputError):
         m.validate_values((1.0,))
     with pytest.raises(InputError):
@@ -113,44 +104,49 @@ def test_off_grid_and_arity_rejected():
         mech.optimal_welfare((1.0, 0.5, 0.2), m)
 
 
-def test_action_space_invariants():
-    with pytest.raises(InputError):
-        mech.ActionSpace(grids=((0.5, 1.0),), scale=1.0)  # must contain 0
-    with pytest.raises(InputError):
-        mech.ActionSpace(grids=((0.0, 0.5, 0.5),), scale=1.0)  # strictly increasing
-    with pytest.raises(InputError):
-        mech.ActionSpace(grids=((0.0, 2.0),), scale=1.0)  # above the scale
-    sp = mech.ActionSpace.uniform(2, 0.25, 1.0)
-    assert sp.grids[0] == QUARTERS
-    assert sp.index_of(0, 0.75) == 3
+def test_grid_invariants():
+    for grid, scale in [
+        ((0.5, 1.0), 1.0),  # must contain 0
+        ((0.0, 0.5, 0.5), 1.0),  # strictly increasing
+        ((0.0, 2.0), 1.0),  # above the scale
+        ((), 1.0),  # empty
+        ((0.0,), 0.0),  # the scale must be positive
+    ]:
+        with pytest.raises(InputError):
+            fp(1, grid, scale=scale)
+    m = fp(2, mech.uniform_grid(0.25, 1.0))
+    assert m.grid == QUARTERS
+    assert m.index_of(0.75) == 3
     # grid lookup tolerates float dust
-    assert sp.index_of(0, 0.75 + 1e-12) == 3
+    assert m.index_of(0.75 + 1e-12) == 3
 
 
-def test_equal_grids_share_one_canonical_tuple():
-    # uniform hands every seat the same grid, which is checked and stored once
-    sp = mech.ActionSpace.uniform(5, 1 / 32767)
-    assert all(g is sp.grids[0] for g in sp.grids) and len(sp.grids[0]) == 32768
-    sp = mech.ActionSpace(grids=(list(QUARTERS), (0.0, 0.5), QUARTERS), scale=1.0)
-    assert sp.grids[0] is sp.grids[2] and sp.grids[1] == (0.0, 0.5)
+def test_one_grid_is_stored_as_a_canonical_tuple():
+    # every seat bids on the one grid, checked and stored once
+    m = fp(5, mech.uniform_grid(1 / 32767))
+    assert len(m.grid) == 32768 and m.sizes == (32768,) * 5
+    m = fp(3, list(QUARTERS))
+    assert m.grid == QUARTERS and isinstance(m.grid, tuple)
+    # points are kept to 12 decimals, so 3 * 0.1 is the grid's 0.3
+    assert fp(1, (0.0, 0.1, 2 * 0.1, 3 * 0.1)).grid == TENTHS[:4]
 
 
 def test_mechanism_validation():
     with pytest.raises(InputError):
-        mech.Mechanism(kind="second-price", n=1, actions=mech.ActionSpace.uniform(1, 0.5, 1.0))
+        mech.Mechanism(kind="second-price", n=1, grid=mech.uniform_grid(0.5))
     with pytest.raises(InputError):
         mech.Mechanism(
             kind=mech.KIND_MULTI_UNIT,
             n=2,
             units=3,
-            actions=mech.ActionSpace.uniform(2, 0.5, 1.0),
+            grid=mech.uniform_grid(0.5),
         )
     with pytest.raises(InputError):
         mech.Mechanism(
             kind=mech.KIND_FIRST_PRICE,
             n=2,
             units=2,
-            actions=mech.ActionSpace.uniform(2, 0.5, 1.0),
+            grid=mech.uniform_grid(0.5),
         )
 
 
@@ -163,9 +159,7 @@ def test_identity_against_independent_recomputation():
         kind = kinds[rng.integers(3)]
         n = int(rng.integers(1, 5)) if kind != mech.KIND_MULTI_UNIT else int(rng.integers(2, 5))
         units = int(rng.integers(1, n + 1)) if kind == mech.KIND_MULTI_UNIT else 1
-        m = mech.Mechanism(
-            kind=kind, n=n, units=units, actions=mech.ActionSpace.uniform(n, 0.25, 1.0)
-        )
+        m = mech.Mechanism(kind=kind, n=n, units=units, grid=mech.uniform_grid(0.25))
         bids = [QUARTERS[rng.integers(5)] for _ in range(n)]
         values = [QUARTERS[rng.integers(5)] for _ in range(n)]
         utilities, revenue = outcome(m, bids, values)
@@ -176,7 +170,7 @@ def test_identity_against_independent_recomputation():
 
 
 def test_welfare_dominated_by_optimum():
-    m = fp(2, ((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
+    m = fp(2, (0.0, 0.5, 1.0))
     for v in mech.value_profiles([[0.0, 0.5, 1.0]] * 2):
         opt = mech.optimal_welfare(v, m)
         for a in itertools.product((0.0, 0.5, 1.0), repeat=2):
@@ -184,9 +178,7 @@ def test_welfare_dominated_by_optimum():
 
 
 def test_all_pay_welfare_is_winner_value():
-    ap = mech.Mechanism(
-        kind=mech.KIND_ALL_PAY, n=2, actions=mech.ActionSpace(grids=(QUARTERS, QUARTERS), scale=1.0)
-    )
+    ap = mech.Mechanism(kind=mech.KIND_ALL_PAY, n=2, grid=QUARTERS)
     v = (0.75, 0.5)
     for a in itertools.product(QUARTERS, repeat=2):
         utilities, _ = outcome(ap, a, v)
@@ -197,7 +189,7 @@ def test_all_pay_welfare_is_winner_value():
 
 
 def test_tie_break_is_minimal_index():
-    m = fp(3, (QUARTERS,) * 3)
+    m = fp(3, QUARTERS)
     assert outcome(m, (0.5, 0.5, 0.5), (0.2, 0.9, 0.9))[0] == (0.2 - 0.5, 0.0, 0.0)
     # moving the equal high bids to later seats never steals the win from
     # the earliest max bidder
@@ -205,18 +197,19 @@ def test_tie_break_is_minimal_index():
 
 
 def test_utility_table_matches_plays():
-    m = fp(2, (QUARTERS, (0.0, 0.5, 1.0)))
+    grid = (0.0, 0.25, 0.5, 1.0)  # not uniform: the tables take any grid
+    m = fp(2, grid)
     table = mech.utility_table(m, 0, 0.8)
-    assert table.shape == (5, 3)
+    assert table.shape == (4, 4)
     assert not table.flags.writeable
-    for bi, b in enumerate(QUARTERS):
-        for oi, ob in enumerate((0.0, 0.5, 1.0)):
+    for bi, b in enumerate(grid):
+        for oi, ob in enumerate(grid):
             u, _, _ = oracles.auction_outcome(m.kind, (b, ob), (0.8, 0.0))
             assert table[bi, oi] == u[0]
     # C order whatever the seat: callers' matrix products sum in layout order
     assert mech.utility_table(m, 1, 0.5).flags.c_contiguous
     # single-player table has one opponent column
-    sp = fp(1, ((0.0, 0.5),))
+    sp = fp(1, (0.0, 0.5))
     assert mech.utility_table(sp, 0, 1.0).shape == (2, 1)
 
 
@@ -224,13 +217,13 @@ def test_revenue_table_matches_plays():
     ap = mech.Mechanism(
         kind=mech.KIND_ALL_PAY,
         n=2,
-        actions=mech.ActionSpace(grids=((0.0, 0.5), (0.0, 0.25, 0.5)), scale=1.0),
+        grid=(0.0, 0.25, 0.75),
     )
     rev = mech.revenue_table(ap)
     assert not rev.flags.writeable
     flat = 0
-    for b0 in (0.0, 0.5):
-        for b1 in (0.0, 0.25, 0.5):
+    for b0 in ap.grid:
+        for b1 in ap.grid:
             _, want, _ = oracles.auction_outcome(ap.kind, (b0, b1), (0.0, 0.0))
             assert rev[flat] == want
             flat += 1
@@ -245,13 +238,8 @@ def table_cases(draw):
     units = draw(st.integers(1, n)) if kind == mech.KIND_MULTI_UNIT else 1
     scale = draw(st.sampled_from([1.0, 0.7]))
     point = st.integers(1, 20).map(lambda x: round(scale * x / 20, 12))
-    grids = tuple(
-        (0.0,) + tuple(sorted(draw(st.sets(point, max_size=3))))
-        for _ in range(n)
-    )
-    m = mech.Mechanism(
-        kind=kind, n=n, units=units, actions=mech.ActionSpace(grids=grids, scale=scale)
-    )
+    grid = (0.0,) + tuple(sorted(draw(st.sets(point, max_size=3))))
+    m = mech.Mechanism(kind=kind, n=n, units=units, grid=grid, scale=scale)
     value = st.one_of(st.just(0.0), st.just(scale), st.floats(0.0, scale))
     values = tuple(draw(value) for _ in range(n))
     return m, values
@@ -266,9 +254,9 @@ def test_tables_match_the_oracle(case):
     m, values = case
     tables = [mech.utility_table(m, i, values[i]) for i in range(m.n)]
     rev = mech.revenue_table(m)
-    sizes = m.actions.sizes()
+    sizes = m.sizes
     for flat, idx in enumerate(itertools.product(*[range(s) for s in sizes])):
-        bids = [m.actions.grids[i][idx[i]] for i in range(m.n)]
+        bids = [m.grid[idx[i]] for i in range(m.n)]
         want_u, want_rev, _ = oracles.auction_outcome(m.kind, bids, values, m.units)
         assert rev[flat] == want_rev
         for i in range(m.n):
@@ -281,7 +269,7 @@ def test_tables_match_the_oracle(case):
 
 
 def test_table_cap_enforced(monkeypatch):
-    m = fp(2, (QUARTERS, QUARTERS))
+    m = fp(2, QUARTERS)
     # a cached table would skip the check
     mech.utility_table.cache_clear()
     mech.revenue_table.cache_clear()
@@ -316,7 +304,7 @@ def test_c_order_is_product_order_with_radix_place_values(sizes, data):
 
 
 def test_descriptor_round_trip():
-    m = fp(2, (QUARTERS, QUARTERS))
+    m = fp(2, QUARTERS)
     d = m.to_descriptor()
     assert d == {
         "kind": "first-price",
@@ -335,6 +323,37 @@ def test_descriptor_round_trip():
     del bad["kind"]
     with pytest.raises(InputError):
         mech.Mechanism.from_descriptor(bad)
+
+
+def descriptor(step, H):
+    return {"kind": "first-price", "n": 2, "k": 1, "grid_step": step, "H": H,
+            "tie_break": mech.TIE_LOWEST}
+
+
+@pytest.mark.parametrize("H", [0.6, 0.7, 1.0, 2.0])
+@pytest.mark.parametrize("step", ["H/3", "H/6", "H/7", "H/32767", 0.1, 0.05])
+def test_every_loaded_grid_is_written_back(H, step):
+    # H/3 is no 12-decimal number: at H = 1 its first positive bid,
+    # 0.333333333333, rebuilds 0.666666666666 where the grid holds
+    # 0.666666666667, so the step written is H / (bids - 1); 12-decimal
+    # steps are written as read
+    step = H / int(step[2:]) if isinstance(step, str) else step
+    m = mech.Mechanism.from_descriptor(descriptor(step, H))
+    d = m.to_descriptor()
+    assert mech.Mechanism.from_descriptor(d) == m
+    assert mech.uniform_grid(d["grid_step"], H) == m.grid
+    if step in (0.1, 0.05):
+        assert d["grid_step"] == step
+
+
+def test_a_grid_no_step_writes_back_is_refused():
+    # 0.1000000000004 moves its bids up to 4e-12 off the tenths, which
+    # neither 0.1 nor H / 10 rebuilds
+    m = mech.Mechanism.from_descriptor(descriptor(0.1000000000004, 1.0))
+    with pytest.raises(InputError, match="no grid step rebuilds"):
+        m.to_descriptor()
+    with pytest.raises(InputError, match="no grid step rebuilds"):
+        fp(2, (0.0, 0.25, 1.0)).to_descriptor()
 
 
 def test_value_profiles_order():

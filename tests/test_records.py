@@ -16,8 +16,7 @@ from regretlab.smoothness import SmoothnessParams
 def test_equal_mechanisms_share_one_cache_entry():
     # a grid no other test uses, so the first lookup is a miss
     def build():
-        return mech.Mechanism(kind=mech.KIND_ALL_PAY, n=2,
-                              actions=mech.ActionSpace(grids=((0.0, 0.3, 0.7),) * 2))
+        return mech.Mechanism(kind=mech.KIND_ALL_PAY, n=2, grid=(0.0, 0.3, 0.7))
 
     a, b = build(), build()
     assert a is not b and a == b and hash(a) == hash(b)

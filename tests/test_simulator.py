@@ -23,7 +23,7 @@ from .conftest import written_csv
 
 
 def small_config(kind=mech.KIND_FIRST_PRICE, horizon=400, seed=3, **kw):
-    m = mech.Mechanism(kind=kind, n=2, actions=mech.ActionSpace.uniform(2, 0.25, 1.0))
+    m = mech.Mechanism(kind=kind, n=2, grid=mech.uniform_grid(0.25))
     return sim.SimConfig(
         mechanism=m,
         populations=(sim.Population((0.5, 1.0)), sim.Population((0.5, 1.0))),
@@ -61,9 +61,7 @@ def small_runs(draw):
     n = draw(st.integers(1, 3))
     units = draw(st.integers(1, n)) if kind == mech.KIND_MULTI_UNIT else 1
     step = draw(st.sampled_from((0.5, 0.25, 0.2)))
-    m = mech.Mechanism(
-        kind=kind, n=n, actions=mech.ActionSpace.uniform(n, step, 1.0), units=units
-    )
+    m = mech.Mechanism(kind=kind, n=n, grid=mech.uniform_grid(step), units=units)
     types = st.lists(
         st.integers(0, 20).map(lambda x: x / 20), min_size=1, max_size=3, unique=True
     )
@@ -84,12 +82,11 @@ def test_realized_welfare_matches_oracle_every_round(cfg):
     # and the welfare of its allocation up to rounding
     m = cfg.mechanism
     trace = sim.run_repeated_game(cfg)
-    grids = m.actions.grids
     for t in range(trace.horizon):
         values = tuple(
             cfg.populations[i].values[trace.v_idx[t, i]] for i in range(m.n)
         )
-        bids = tuple(grids[i][trace.realized_idx[t, i]] for i in range(m.n))
+        bids = tuple(m.grid[trace.realized_idx[t, i]] for i in range(m.n))
         utilities, revenue, _ = oracles.auction_outcome(m.kind, bids, values, m.units)
         assert trace.sw[t] == sum(utilities) + revenue
         assert trace.opt[t] == mech.optimal_welfare(values, m)
@@ -229,9 +226,7 @@ def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(
     # round and take the batched step, one seed the scalar step.
     assert (len(seeds) * n * 11 <= sim.SCALAR_WEIGHTS) == (len(seeds) == 1)
     lengths = set_hedge_block(monkeypatch, block)
-    m = mech.Mechanism(
-        kind=kind, n=n, actions=mech.ActionSpace.uniform(n, 0.1, 1.0), units=units
-    )
+    m = mech.Mechanism(kind=kind, n=n, grid=mech.uniform_grid(0.1), units=units)
     cfg = sim.SimConfig(
         mechanism=m,
         populations=(sim.Population((0.5, 1.0)),) * n,
@@ -350,7 +345,7 @@ def test_step_sizes_that_can_overflow_a_weight_are_rejected():
 
 
 def test_single_type_populations_have_constant_draws():
-    m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, actions=mech.ActionSpace.uniform(2, 0.5, 1.0))
+    m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, grid=mech.uniform_grid(0.5))
     cfg = sim.SimConfig(
         mechanism=m,
         populations=(sim.Population((1.0,)), sim.Population((0.5,))),
@@ -400,17 +395,13 @@ def test_counterfactual_vector_examples():
     # the loop's feedback is a utility-table column picked by the opponent's
     # realized bid index
     g3 = (0.0, 0.25, 0.5)
-    m = mech.Mechanism(
-        kind=mech.KIND_FIRST_PRICE, n=2, actions=mech.ActionSpace(grids=(g3, g3), scale=1.0)
-    )
+    m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, grid=g3)
     # opponent's realized bid is 0.25 (index 1)
     assert mech.utility_table(m, 0, 1.0)[:, 1].tolist() == [0.0, 0.75, 0.5]
     # ties lost by the higher index
     assert mech.utility_table(m, 1, 1.0)[:, 1].tolist() == [0.0, 0.0, 0.5]
     gap = (0.0, 0.5, 1.0)
-    ap = mech.Mechanism(
-        kind=mech.KIND_ALL_PAY, n=2, actions=mech.ActionSpace(grids=(gap, gap), scale=1.0)
-    )
+    ap = mech.Mechanism(kind=mech.KIND_ALL_PAY, n=2, grid=gap)
     assert mech.utility_table(ap, 0, 1.0)[:, 1].tolist() == [0.0, 0.5, 0.0]
 
 
@@ -536,7 +527,7 @@ def test_sidecar_table_bytes_are_the_json_text_and_read_back(drawn):
     rows, agents = table.shape
     # one seat bidding 0, 1, ..., top, with one agent per column
     one_seat = mech.Mechanism(
-        kind=mech.KIND_FIRST_PRICE, n=1, actions=mech.ActionSpace.uniform(1, 1.0, float(top))
+        kind=mech.KIND_FIRST_PRICE, n=1, grid=mech.uniform_grid(1.0, float(top)), scale=float(top)
     )
     types = tuple(top * k / agents for k in range(agents))
     cfg = sim.SimConfig(mechanism=one_seat, populations=(types,), horizon=rows, seed=0)
@@ -670,7 +661,7 @@ def test_one_sweep_counts_each_prefix_as_a_recount_would(feedback):
         cfg = small_config(horizon=700, seed=8)
     else:
         m = mech.Mechanism(kind=mech.KIND_MULTI_UNIT, n=4, units=2,
-                           actions=mech.ActionSpace.uniform(4, 0.25, 1.0))
+                           grid=mech.uniform_grid(0.25))
         cfg = sim.SimConfig(mechanism=m, populations=(sim.Population((0.5, 1.0)),) * 4,
                             horizon=700, seed=4, feedback=feedback, gamma=0.1)
     trace = sim.run_repeated_game(cfg)
@@ -714,7 +705,7 @@ def test_config_validation():
         small_config(gamma=1.5)
     with pytest.raises(InputError):
         sim.Population((0.5, 0.5))
-    m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, actions=mech.ActionSpace.uniform(2, 0.5, 1.0))
+    m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, grid=mech.uniform_grid(0.5))
     with pytest.raises(InputError, match="player seats"):
         sim.SimConfig(
             mechanism=m, populations=(sim.Population((1.0,)),), horizon=5, seed=0
@@ -722,25 +713,16 @@ def test_config_validation():
     with pytest.raises(InputError, match=r"outside \[0"):
         sim.SimConfig(mechanism=m, populations=((1.0,), (0.5, 2.0)), horizon=5, seed=0)
     # indices are stored as int16: larger grids and populations are rejected
-    wide = mech.ActionSpace(grids=(tuple(k / 40_000 for k in range(40_001)),), scale=1.0)
+    wide = tuple(k / 40_000 for k in range(40_001))
     with pytest.raises(InputError, match="32768"):
         sim.SimConfig(
-            mechanism=mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=1, actions=wide),
+            mechanism=mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=1, grid=wide),
             populations=((1.0,),), horizon=5, seed=0,
         )
-    one = mech.Mechanism(
-        kind=mech.KIND_FIRST_PRICE, n=1, actions=mech.ActionSpace.uniform(1, 0.5, 1.0)
-    )
+    one = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=1, grid=mech.uniform_grid(0.5))
     crowd = tuple(k / 40_000 for k in range(mech.INDEX_LIMIT + 1))
     with pytest.raises(InputError, match="32768"):
         sim.SimConfig(mechanism=one, populations=(crowd,), horizon=5, seed=0)
-    # every seat's learners share one row layout, so grid sizes must agree
-    uneven = mech.Mechanism(
-        kind=mech.KIND_FIRST_PRICE, n=2,
-        actions=mech.ActionSpace(grids=((0.0, 0.5, 1.0), (0.0, 1.0)), scale=1.0),
-    )
-    with pytest.raises(InputError, match="differ"):
-        sim.SimConfig(mechanism=uneven, populations=((1.0,), (0.5,)), horizon=5, seed=0)
 
 
 def test_validate_catches_tampering(tmp_path):

@@ -16,15 +16,11 @@ QUARTER_VALUES = mech.value_profiles([[0.5, 1.0], [0.5, 1.0]])
 
 
 def fp(step=0.25, n=2):
-    return mech.Mechanism(
-        kind=mech.KIND_FIRST_PRICE, n=n, actions=mech.ActionSpace.uniform(n, step, 1.0)
-    )
+    return mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=n, grid=mech.uniform_grid(step))
 
 
 def ap(step=0.25, n=2):
-    return mech.Mechanism(
-        kind=mech.KIND_ALL_PAY, n=n, actions=mech.ActionSpace.uniform(n, step, 1.0)
-    )
+    return mech.Mechanism(kind=mech.KIND_ALL_PAY, n=n, grid=mech.uniform_grid(step))
 
 
 def test_poa_bound():
@@ -257,7 +253,7 @@ def test_log_certificate_degradation_halves_with_the_grid():
 
 def two_unit(step=0.25):
     return mech.Mechanism(
-        kind=mech.KIND_MULTI_UNIT, n=2, actions=mech.ActionSpace.uniform(2, step, 1.0),
+        kind=mech.KIND_MULTI_UNIT, n=2, grid=mech.uniform_grid(step),
         units=2,
     )
 
