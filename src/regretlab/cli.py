@@ -31,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -64,11 +65,11 @@ DEFAULT_DEVIATION = {
 
 @record(frozen=True)
 class AnalysisSettings:
-    zeta: float = 0.01
-    delta: float = 0.05
-    rho: float = 0.05
-    tolerance: float = 0.05
-    checkpoints: tuple[int, ...] | None = None
+    zeta: float
+    delta: float
+    rho: float
+    tolerance: float
+    checkpoints: tuple[int, ...] | None
 
 
 @record(frozen=True)
@@ -87,37 +88,35 @@ class ExperimentConfig:
     strategies_every: int
 
 
-def _check_keys(obj: dict, spec: dict[str, bool], path: str) -> None:
-    unknown = sorted(set(obj) - set(spec))
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-    missing = sorted(k for k, required in spec.items() if required and k not in obj)
-    if missing:
-        raise ConfigError(f"{path}: missing required keys {missing}")
-
-
-def _number(obj, path: str, minimum=None, maximum=None, positive=False) -> float:
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-        raise ConfigError(f"{path}: expected a number, got {type(obj).__name__}")
-    # NaN fails the comparison too; an integer literal can exceed the float range
-    if not abs(obj) <= sys.float_info.max:
-        raise ConfigError(f"{path}: must be a finite number, got {obj}")
-    x = float(obj)
-    if minimum is not None and x < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {x}")
-    if positive and x <= 0.0:
-        raise ConfigError(f"{path}: must be > 0, got {x}")
-    if maximum is not None and x > maximum:
-        raise ConfigError(f"{path}: must be <= {maximum}, got {x}")
-    return x
-
-
-def _integer(obj, path: str, minimum=None) -> int:
-    if not isinstance(obj, int) or isinstance(obj, bool):
-        raise ConfigError(f"{path}: expected an integer, got {type(obj).__name__}")
-    if minimum is not None and obj < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {obj}")
-    return obj
+# The config's objects as tables of key -> (parser, default). The analysis
+# ranges are those the report needs: t_star takes delta > 0 and rho in (0, 1],
+# the independence gap zeta in [0, 1].
+ANALYSIS = {
+    "zeta": (partial(mech.read_number, minimum=0.0, maximum=1), 0.01),
+    "delta": (partial(mech.read_number, positive=True), 0.05),
+    "rho": (partial(mech.read_number, positive=True, maximum=1), 0.05),
+    "tolerance": (partial(mech.read_number, minimum=0.0), 0.05),
+    "checkpoints": (mech.nullable(partial(mech.read_list, nonempty=True,
+                                          item=partial(mech.read_integer, minimum=1))), None),
+}
+SMOOTHNESS = {
+    "lambda": (mech.read_number, mech.REQUIRED),
+    "mu": (partial(mech.read_number, minimum=0.0), mech.REQUIRED),
+}
+CONFIG = {
+    "mechanism": (mech.Mechanism.from_descriptor, mech.REQUIRED),
+    "populations": (mech.read_populations, mech.REQUIRED),
+    "horizon": (partial(mech.read_integer, minimum=1), None),
+    "seeds": (partial(mech.read_list, item=partial(mech.read_integer, minimum=0)), ()),
+    "feedback": (partial(mech.read_string, choices=mech.FEEDBACK_MODES), mech.FEEDBACK_FULL),
+    "eta": (mech.nullable(partial(mech.read_number, minimum=0.0)), None),
+    "gamma": (partial(mech.read_number, minimum=0.0, maximum=1), 0.05),
+    "deviation": (mech.nullable(mech.read_string), None),
+    "smoothness": (partial(mech.read_object, SMOOTHNESS), None),
+    "analysis": (partial(mech.read_object, ANALYSIS), mech.read_object(ANALYSIS, {})),
+    "out_dir": (mech.nullable(mech.read_string), None),
+    "strategies_every": (partial(mech.read_integer, minimum=1), 1),
+}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -130,137 +129,22 @@ def load_config(path) -> ExperimentConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    _check_keys(
-        doc,
-        {
-            "mechanism": True,
-            "populations": True,
-            "horizon": False,
-            "seeds": False,
-            "feedback": False,
-            "eta": False,
-            "gamma": False,
-            "deviation": False,
-            "smoothness": False,
-            "analysis": False,
-            "out_dir": False,
-            "strategies_every": False,
-        },
-        str(path),
-    )
+    # the tables, then the checks across keys: distinct seeds, the one
+    # population check every command makes (a seat per population, distinct
+    # types, each in [0, H]), and the kind's (lambda, mu) when none is given
     try:
-        mechanism = mech.Mechanism.from_descriptor(doc["mechanism"])
-    except (InputError, TypeError, KeyError) as e:
-        raise ConfigError(f"{path}: mechanism: {e}") from e
-
-    pops_doc = doc["populations"]
-    if not isinstance(pops_doc, list) or not all(isinstance(v, list) for v in pops_doc):
-        raise ConfigError(f"{path}: populations: expected a list of lists of values")
-    values = [[_number(v, f"{path}: populations[{i}][{j}]") for j, v in enumerate(vals)]
-              for i, vals in enumerate(pops_doc)]
-    # the one population check every command makes: a seat per population,
-    # distinct types, each in [0, H]
-    try:
-        populations = tuple(p.values for p in mech.check_populations(mechanism, values))
-    except InputError as e:
-        raise ConfigError(f"{path}: populations: {e}") from e
-
-    horizon = None
-    if "horizon" in doc:
-        horizon = _integer(doc["horizon"], f"{path}: horizon", minimum=1)
-    seeds = ()
-    if "seeds" in doc:
-        if not isinstance(doc["seeds"], list):
-            raise ConfigError(f"{path}: seeds: expected a list of integers")
-        seeds = tuple(
-            _integer(s, f"{path}: seeds[{j}]", minimum=0)
-            for j, s in enumerate(doc["seeds"])
-        )
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError(f"{path}: seeds: duplicates are not allowed")
-
-    feedback = doc.get("feedback", mech.FEEDBACK_FULL)
-    if feedback not in (mech.FEEDBACK_FULL, mech.FEEDBACK_BANDIT):
-        raise ConfigError(f"{path}: feedback: unknown mode {feedback!r}")
-    eta = None
-    if doc.get("eta") is not None:
-        eta = _number(doc["eta"], f"{path}: eta", minimum=0.0)
-    gamma = _number(doc.get("gamma", 0.05), f"{path}: gamma", minimum=0.0, maximum=1)
-
-    deviation = doc.get("deviation")
-    if deviation is not None and not isinstance(deviation, str):
-        raise ConfigError(f"{path}: deviation: expected a rule name string")
-
-    lam, mu = DEFAULT_SMOOTHNESS[mechanism.kind]
-    if "smoothness" in doc:
-        sm = doc["smoothness"]
-        if not isinstance(sm, dict):
-            raise ConfigError(f"{path}: smoothness: expected an object")
-        _check_keys(sm, {"lambda": True, "mu": True}, f"{path}: smoothness")
-        lam = _number(sm["lambda"], f"{path}: smoothness.lambda")
-        mu = _number(sm["mu"], f"{path}: smoothness.mu", minimum=0.0)
-    try:
+        f = mech.read_object(CONFIG, doc)
+        if len(set(f["seeds"])) != len(f["seeds"]):
+            raise InputError("seeds: duplicates are not allowed")
+        pops = mech.check_populations(f["mechanism"], f["populations"])
+        sm = f.pop("smoothness")
+        lam, mu = DEFAULT_SMOOTHNESS[f["mechanism"].kind] if sm is None else (sm["lambda"], sm["mu"])
         params = smoothness.SmoothnessParams(lam=lam, mu=mu)
     except InputError as e:
-        raise ConfigError(f"{path}: smoothness: {e}") from e
-
-    settings = AnalysisSettings()
-    if "analysis" in doc:
-        an = doc["analysis"]
-        if not isinstance(an, dict):
-            raise ConfigError(f"{path}: analysis: expected an object")
-        _check_keys(
-            an,
-            {"zeta": False, "delta": False, "rho": False, "tolerance": False,
-             "checkpoints": False},
-            f"{path}: analysis",
-        )
-        checkpoints = None
-        if an.get("checkpoints") is not None:
-            if not isinstance(an["checkpoints"], list) or not an["checkpoints"]:
-                raise ConfigError(
-                    f"{path}: analysis.checkpoints: expected a non-empty list"
-                )
-            checkpoints = tuple(
-                _integer(c, f"{path}: analysis.checkpoints[{j}]", minimum=1)
-                for j, c in enumerate(an["checkpoints"])
-            )
-        # the ranges the report needs: t_star takes delta > 0 and rho in
-        # (0, 1], the independence gap zeta in [0, 1]
-        settings = AnalysisSettings(
-            zeta=_number(an.get("zeta", settings.zeta), f"{path}: analysis.zeta",
-                         minimum=0.0, maximum=1),
-            delta=_number(an.get("delta", settings.delta), f"{path}: analysis.delta",
-                          positive=True),
-            rho=_number(an.get("rho", settings.rho), f"{path}: analysis.rho",
-                        positive=True, maximum=1),
-            tolerance=_number(an.get("tolerance", settings.tolerance),
-                              f"{path}: analysis.tolerance", minimum=0.0),
-            checkpoints=checkpoints,
-        )
-
-    out_dir = doc.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"{path}: out_dir: expected a string")
-    every = _integer(doc.get("strategies_every", 1), f"{path}: strategies_every",
-                     minimum=1)
-
-    return ExperimentConfig(
-        mechanism=mechanism,
-        populations=populations,
-        horizon=horizon,
-        seeds=seeds,
-        feedback=feedback,
-        eta=eta,
-        gamma=gamma,
-        deviation=deviation,
-        params=params,
-        settings=settings,
-        out_dir=out_dir,
-        strategies_every=every,
-    )
+        raise ConfigError(f"{path}: {e}") from e
+    f.update(populations=tuple(p.values for p in pops), params=params,
+             settings=AnalysisSettings(**f.pop("analysis")))
+    return ExperimentConfig(**f)
 
 
 def _json_text(doc) -> str:

@@ -18,7 +18,7 @@ import bisect
 import itertools
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,6 +60,75 @@ def uniform_grid(step: float, scale: float = 1.0) -> tuple[float, ...]:
     if abs(m * step - scale) > GRID_TOL:
         raise InputError(f"grid step {step} does not divide scale {scale}")
     return tuple(_canonical_point(j * step) for j in range(m + 1))
+
+
+# The config, the mechanism descriptor and a sidecar's meta entry are each read
+# against a table of key -> (parser, default). A parser takes a JSON value and
+# its key path, and returns the value read or raises InputError naming the path.
+
+REQUIRED = object()  # the default of a key that must be present
+
+
+def read_object(spec: dict, obj, path: str = "") -> dict:
+    """Every key of ``spec``: its value parsed, or its default when absent."""
+    at = f"{path}: " if path else ""
+    if not isinstance(obj, dict):
+        raise InputError(f"{at}expected an object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(spec))
+    if unknown:
+        raise InputError(f"{at}unknown keys {unknown}")
+    missing = sorted(k for k, (_, d) in spec.items() if d is REQUIRED and k not in obj)
+    if missing:
+        raise InputError(f"{at}missing required keys {missing}")
+    prefix = f"{path}." if path else ""
+    return {k: parse(obj[k], prefix + k) if k in obj else default
+            for k, (parse, default) in spec.items()}
+
+
+def read_number(obj, path: str, minimum=None, maximum=None, positive=False) -> float:
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
+        raise InputError(f"{path}: expected a number, got {type(obj).__name__}")
+    # NaN fails the comparison too; an integer literal can exceed the float range
+    if not abs(obj) <= sys.float_info.max:
+        raise InputError(f"{path}: must be a finite number, got {obj}")
+    x = float(obj)
+    if minimum is not None and x < minimum:
+        raise InputError(f"{path}: must be >= {minimum}, got {x}")
+    if positive and x <= 0.0:
+        raise InputError(f"{path}: must be > 0, got {x}")
+    if maximum is not None and x > maximum:
+        raise InputError(f"{path}: must be <= {maximum}, got {x}")
+    return x
+
+
+def read_integer(obj, path: str, minimum=None) -> int:
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise InputError(f"{path}: expected an integer, got {type(obj).__name__}")
+    if minimum is not None and obj < minimum:
+        raise InputError(f"{path}: must be >= {minimum}, got {obj}")
+    return obj
+
+
+def read_string(obj, path: str, choices=None) -> str:
+    if not isinstance(obj, str):
+        raise InputError(f"{path}: expected a string, got {type(obj).__name__}")
+    if choices is not None and obj not in choices:
+        raise InputError(f"{path}: expected one of {list(choices)}, got {obj!r}")
+    return obj
+
+
+def read_list(obj, path: str, item, nonempty=False) -> tuple:
+    """The tuple of the list's entries, each read by ``item``."""
+    if not isinstance(obj, list):
+        raise InputError(f"{path}: expected a list, got {type(obj).__name__}")
+    if nonempty and not obj:
+        raise InputError(f"{path}: expected a non-empty list")
+    return tuple(item(v, f"{path}[{j}]") for j, v in enumerate(obj))
+
+
+def nullable(parse):
+    """``parse``, except that null reads as None."""
+    return lambda obj, path: None if obj is None else parse(obj, path)
 
 
 @record(frozen=True)
@@ -127,14 +196,13 @@ class Mechanism:
         ``grid_step`` is the grid's first positive bid when ``uniform_grid``
         rebuilds the grid from it, else ``scale / (bids - 1)``: at a step of
         1/3 that bid, 0.333333333333, builds 0.666666666666 where the grid
-        holds 0.666666666667. A grid below the scale only has to begin the rebuilt
-        one; a grid read from a descriptor never is.
+        holds 0.666666666667.
         """
         g = self.grid
         first = g[1] if len(g) > 1 else self.scale
         for step in (first, self.scale / max(len(g) - 1, 1)):
             try:
-                if uniform_grid(step, self.scale)[:len(g)] == g:
+                if uniform_grid(step, self.scale) == g:
                     break
             except InputError:
                 pass
@@ -152,35 +220,27 @@ class Mechanism:
         }
 
     @classmethod
-    def from_descriptor(cls, d: dict) -> "Mechanism":
-        if not isinstance(d, dict):
-            raise InputError(f"descriptor must be an object, got {type(d).__name__}")
-        required = {"kind", "n", "k", "grid_step", "H", "tie_break"}
-        missing = required - d.keys()
-        if missing:
-            raise InputError(f"descriptor missing keys: {sorted(missing)}")
-        unknown = d.keys() - required
-        if unknown:
-            raise InputError(f"descriptor has unknown keys: {sorted(unknown)}")
-        if d["tie_break"] != TIE_LOWEST:
-            raise InputError(f"unknown tie_break {d['tie_break']!r}; use {TIE_LOWEST!r}")
-        for key in ("n", "k"):
-            if not isinstance(d[key], int) or isinstance(d[key], bool):
-                raise InputError(f"descriptor {key}: expected an integer, got {d[key]!r}")
-        for key in ("grid_step", "H"):
-            x = d[key]
-            # NaN fails the comparison too; an integer can exceed the float range
-            if isinstance(x, bool) or not isinstance(x, (int, float)) or not (
-                abs(x) <= sys.float_info.max
-            ):
-                raise InputError(f"descriptor {key}: expected a finite number, got {x!r}")
-        return cls(
-            kind=d["kind"],
-            n=d["n"],
-            grid=uniform_grid(float(d["grid_step"]), float(d["H"])),
-            scale=float(d["H"]),
-            units=d["k"],
-        )
+    def from_descriptor(cls, d, path: str = "mechanism") -> "Mechanism":
+        """The mechanism of a descriptor object, or InputError naming the key
+        path; a grid that no step writes back is refused before any file is."""
+        f = read_object(DESCRIPTOR, d, path)
+        try:
+            m = cls(kind=f["kind"], n=f["n"], grid=uniform_grid(f["grid_step"], f["H"]),
+                    scale=f["H"], units=f["k"])
+            m.to_descriptor()
+        except InputError as e:
+            raise InputError(f"{path}: {e}") from e
+        return m
+
+
+DESCRIPTOR = {
+    "kind": (read_string, REQUIRED),
+    "n": (read_integer, REQUIRED),
+    "k": (read_integer, REQUIRED),
+    "grid_step": (read_number, REQUIRED),
+    "H": (read_number, REQUIRED),
+    "tie_break": (partial(read_string, choices=(TIE_LOWEST,)), REQUIRED),
+}
 
 
 @record(frozen=True)
@@ -199,6 +259,10 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+# each seat's list of type values, as a config or a sidecar gives them
+read_populations = partial(read_list, item=partial(read_list, item=read_number))
 
 
 def check_populations(mechanism: Mechanism, populations) -> tuple[Population, ...]:
@@ -227,6 +291,7 @@ def flat_agents(populations: Sequence[Population]) -> list[tuple[int, int, float
 # utility vector, or only its realized utility.
 FEEDBACK_FULL = "full"
 FEEDBACK_BANDIT = "bandit"
+FEEDBACK_MODES = (FEEDBACK_FULL, FEEDBACK_BANDIT)
 
 
 def optimal_welfare(valuation_profile: Sequence[float], mechanism: Mechanism) -> float:

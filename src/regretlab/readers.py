@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import mechanisms as mech
 from .errors import ContractViolationError, InputError
-from .mechanisms import Population
 from .simulator import (
     WRITE_CHUNK,
     SimConfig,
@@ -88,27 +88,35 @@ def read_trace_csv(csv_path, config: SimConfig):
     return v_idx, realized, body[:, 1 + 2 * n].copy(), body[:, 2 + 2 * n].copy()
 
 
+# A sidecar as tables of key -> (parser, default). META's keys are SimConfig's
+# fields; the commitment table is checked by load_trace.
+META = {
+    "mechanism": (mech.Mechanism.from_descriptor, mech.REQUIRED),
+    "populations": (mech.read_populations, mech.REQUIRED),
+    "horizon": (partial(mech.read_integer, minimum=1), mech.REQUIRED),
+    "seed": (partial(mech.read_integer, minimum=0), mech.REQUIRED),
+    "feedback": (partial(mech.read_string, choices=mech.FEEDBACK_MODES), mech.REQUIRED),
+    "gamma": (partial(mech.read_number, minimum=0.0, maximum=1), mech.REQUIRED),
+    "eta": (mech.nullable(partial(mech.read_number, minimum=0.0)), mech.REQUIRED),
+}
+SIDECAR = {
+    "meta": (partial(mech.read_object, META), mech.REQUIRED),
+    "every": (partial(mech.read_integer, minimum=1), mech.REQUIRED),
+    "rounds": (lambda obj, path: obj, mech.REQUIRED),
+}
+
+
 def sidecar_doc(path, text=None) -> tuple[dict, SimConfig]:
-    """A sidecar's JSON document (``text``, else the file's) and the config
-    its meta entry gives, or InputError naming the file."""
+    """A sidecar's JSON document (``text``, else the file's) read against
+    SIDECAR, and the config its meta entry gives, or InputError naming the
+    file."""
     try:
         doc = json.loads(Path(path).read_text() if text is None else text)
-        meta = doc["meta"]
-        config = SimConfig(
-            mechanism=mech.Mechanism.from_descriptor(meta["mechanism"]),
-            populations=tuple(Population(tuple(v)) for v in meta["populations"]),
-            horizon=int(meta["horizon"]),
-            seed=int(meta["seed"]),
-            feedback=meta["feedback"],
-            eta=meta["eta"],
-            gamma=float(meta["gamma"]),
-        )
-    except KeyError as e:
-        raise InputError(f"{path}: malformed sidecar: no entry {e}") from e
-    except (InputError, ValueError, TypeError) as e:
-        # a document that does not parse as JSON raises a ValueError
+        doc = mech.read_object(SIDECAR, doc)
+        return doc, SimConfig(**doc["meta"])
+    except ValueError as e:
+        # InputError, and the JSONDecodeError of a document that does not parse
         raise InputError(f"{path}: malformed sidecar: {e}") from e
-    return doc, config
 
 
 def compact_table(table: bytes, rows: int, agents: int) -> np.ndarray | None:
@@ -175,10 +183,11 @@ def load_trace(csv_path, strategies_path) -> Trace:
     """
     head, _, table = Path(strategies_path).read_bytes().rpartition(b',"rounds":')
     try:
-        doc, config = sidecar_doc(strategies_path, head.decode() + "}")
+        # the head with the placeholder the writer dumped before the table
+        doc, config = sidecar_doc(strategies_path, head.decode() + ',"rounds":0}')
         kept = range(0, config.horizon, doc["every"])
         committed = compact_table(table, len(kept), len(config.agents()))
-    except (InputError, ValueError, KeyError, TypeError):
+    except ValueError:
         committed = None
     del head, table
     if committed is None:
@@ -195,7 +204,7 @@ def load_trace(csv_path, strategies_path) -> Trace:
             committed.min() >= 0 and committed.max() < len(config.mechanism.grid)
         ):
             raise ValueError("a bid index lies off the grid")
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise InputError(f"{strategies_path}: malformed commitment table: {e}") from e
     v_idx, realized, sw, opt = read_trace_csv(csv_path, config)
     try:

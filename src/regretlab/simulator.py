@@ -83,7 +83,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise InputError(f"horizon must be >= 1, got {self.horizon}")
-        if self.feedback not in (FEEDBACK_FULL, FEEDBACK_BANDIT):
+        if self.feedback not in mech.FEEDBACK_MODES:
             raise InputError(f"unknown feedback mode {self.feedback!r}")
         pops = mech.check_populations(self.mechanism, self.populations)
         object.__setattr__(self, "populations", pops)

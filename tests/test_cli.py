@@ -255,6 +255,19 @@ def test_a_step_of_one_third_is_written_back_and_reanalyzed(tmp_path, capsys):
     assert doc["mechanism"]["grid_step"] == 1 / 3
 
 
+def test_a_step_no_descriptor_writes_back_exits_two_before_any_file(tmp_path, capsys):
+    # 0.1000000000004 builds bids up to 4e-12 off the tenths, which neither
+    # that step nor H / 10 rebuilds, so no sidecar could name the grid
+    out = tmp_path / "runs"
+    step = {**base_doc()["mechanism"], "grid_step": 0.1000000000004}
+    cfg = simulate_config(tmp_path, out, mechanism=step)
+    for command in (["simulate"], ["exact", "--out", str(tmp_path / "exact")]):
+        assert cli.main([*command, "--config", cfg]) == 2, command
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and "mechanism: no grid step rebuilds" in err, command
+    assert not out.exists() and not (tmp_path / "exact").exists()
+
+
 def test_every_command_refuses_duplicate_types(tmp_path, capsys):
     out = tmp_path / "runs"
     path = write_config(tmp_path, populations=[[0.5, 0.5], [0.5, 1.0]], horizon=10,
@@ -367,6 +380,37 @@ def test_analyze_rejects_a_malformed_sidecar(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert str(sidecar) in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("horizon", 40.0, "meta.horizon: expected an integer, got float"),
+        ("seed", "1", "meta.seed: expected an integer, got str"),
+        ("gamma", "0.05", "meta.gamma: expected a number, got str"),
+        ("populations", [[0.5, True], [0.5, 1.0]],
+         "meta.populations[0][1]: expected a number, got bool"),
+        ("colour", "blue", "meta: unknown keys ['colour']"),
+    ],
+    ids=["float-horizon", "string-seed", "string-gamma", "boolean-type", "unknown-key"],
+)
+def test_analyze_reads_the_sidecar_meta_as_strictly_as_a_config(tmp_path, capsys, key,
+                                                                 value, message):
+    # each edit leaves a sidecar written as simulate writes it, and a value
+    # that int() or float() would take; analyze refuses it and writes nothing
+    out = tmp_path / "runs"
+    cfg = write_config(tmp_path, name="sim.json", horizon=40, seeds=[1],
+                       out_dir=str(out))
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    sidecar = out / "seed_1" / "strategies.json"
+    doc = set_meta_entry(json.loads(sidecar.read_text()), key, value)
+    sidecar.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {sidecar}: malformed sidecar: {message}\n"
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_a_compact_sidecar_with_a_bid_off_the_grid_exits_two(tmp_path, capsys):

@@ -346,16 +346,23 @@ def test_bound_comparison_fields():
 
 
 def test_json_exports_parse_and_round_figures(tmp_path):
+    # ap_2x1's grid (0, 0.5) stops below H = 1, so no descriptor writes it
     inst = BY_NAME["ap_2x1"]
+    path = tmp_path / "agent_game.json"
+    with pytest.raises(InputError, match="no grid step rebuilds"):
+        exact.write_agent_game_json(exact.build_agent_game(inst.mechanism, inst.populations),
+                                    path)
+    assert not path.exists()
+    inst = BY_NAME["ap_2x2_fine"]
     game = exact.build_agent_game(inst.mechanism, inst.populations)
     sol = exact.worst_cce_welfare(game)
-    path = tmp_path / "agent_game.json"
     exact.write_agent_game_json(game, path)
     gdoc = json.loads(path.read_text())
     assert gdoc["mechanism"]["kind"] == "all-pay"
-    assert gdoc["sizes"] == [2, 2]
-    assert len(gdoc["utilities"]) == 2 and len(gdoc["utilities"][0]) == 4
-    assert len(gdoc["revenue"]) == 4
+    assert mech.Mechanism.from_descriptor(gdoc["mechanism"]) == inst.mechanism
+    assert gdoc["sizes"] == [3, 3, 3, 3]
+    assert len(gdoc["utilities"]) == 4 and len(gdoc["utilities"][0]) == 81
+    assert len(gdoc["revenue"]) == 81
     assert gdoc["e_opt"] == pytest.approx(game.e_opt)
     spath = tmp_path / "lp_solution.json"
     exact.write_solution_json(sol, spath)

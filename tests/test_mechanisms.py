@@ -348,12 +348,13 @@ def test_every_loaded_grid_is_written_back(H, step):
 
 def test_a_grid_no_step_writes_back_is_refused():
     # 0.1000000000004 moves its bids up to 4e-12 off the tenths, which
-    # neither 0.1 nor H / 10 rebuilds
-    m = mech.Mechanism.from_descriptor(descriptor(0.1000000000004, 1.0))
-    with pytest.raises(InputError, match="no grid step rebuilds"):
-        m.to_descriptor()
-    with pytest.raises(InputError, match="no grid step rebuilds"):
-        fp(2, (0.0, 0.25, 1.0)).to_descriptor()
+    # neither 0.1 nor H / 10 rebuilds; the descriptor is refused as it is read
+    with pytest.raises(InputError, match="^mechanism: no grid step rebuilds"):
+        mech.Mechanism.from_descriptor(descriptor(0.1000000000004, 1.0))
+    # a grid with a gap, and one that stops below its scale
+    for grid in ((0.0, 0.25, 1.0), (0.0, 0.5)):
+        with pytest.raises(InputError, match="no grid step rebuilds"):
+            fp(2, grid).to_descriptor()
 
 
 def test_value_profiles_order():
