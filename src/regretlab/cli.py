@@ -4,8 +4,8 @@ Subcommands:
 
 * ``simulate``: run the repeated game for every configured seed, writing
   per-seed trace.csv, strategies.json, report.json, checkpoints.csv and an
-  aggregate report.json. The seeds run as one batch, or as ``--workers``
-  contiguous batches in parallel processes.
+  aggregate report.json. The seeds run one after another, or as
+  ``--workers`` contiguous batches in parallel processes.
 * ``certify``: evaluate a deviation rule's certificate exhaustively (the
   config's rule, or the mechanism kind's default when it names none)
   and report the best level reachable with pure deviations, when that
@@ -186,8 +186,9 @@ def _write_report(cfg: ExperimentConfig, trace: simulator.Trace, d: Path) -> dic
 
 
 def _run_batch(job) -> list[dict]:
-    """Worker for a batch of seeds: simulate them together, then persist and
-    analyze each seed. Top level so process pools can pickle it."""
+    """Worker for a batch of seeds: simulate, persist and analyze one seed
+    after another, holding one seed's trace at a time. Top level so process
+    pools can pickle it."""
     from . import simulator
 
     cfg, seeds, out_root = job
@@ -204,6 +205,7 @@ def _run_batch(job) -> list[dict]:
             # must not depend on more than the files hold
             trace = replace(trace, strategy=None)
         summaries.append(_write_report(cfg, trace, d))
+        del trace  # freed before the next seed is played
     return summaries
 
 
@@ -235,14 +237,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
         raise ConfigError(
             f"analysis.checkpoints: {last} lies beyond the horizon {cfg.horizon}"
         )
-    # an invalid run exits before writing anything; the seeds' index arrays
-    # are all held at once, in one batch or across the workers' batches
+    # an invalid run exits before writing anything; each worker holds one
+    # seed's index arrays at a time
     from . import simulator
 
-    simulator.check_index_memory(_sim_config(cfg, cfg.seeds[0]), len(cfg.seeds))
+    n, k = len(cfg.seeds), min(workers, len(cfg.seeds))
+    simulator.check_index_memory(_sim_config(cfg, cfg.seeds[0]), k)
     Path(out).mkdir(parents=True, exist_ok=True)
     # k contiguous seed batches whose sizes differ by at most one
-    n, k = len(cfg.seeds), min(workers, len(cfg.seeds))
     cuts = [(n * b + k - 1) // k for b in range(k + 1)]
     jobs = [(cfg, cfg.seeds[a:b], out) for a, b in zip(cuts, cuts[1:])]
     if k > 1:

@@ -5,12 +5,12 @@ row of its ``(rows, n_actions)`` weight array. Only the simulator's round
 loop updates the weights, with one of two rules: full-feedback Hedge
 multiplies exp(eta * utility) into every weight of a row, importance-weighted
 bandit (Exp3) multiplies exp(eta * utility / p) into the chosen weight only,
-where p is the exploration-mixed probability it was sampled with. Its
-batched bandit step reads ``probabilities`` on the whole array; its Hedge
+where p is the exploration-mixed probability it was sampled with. Its Hedge
 blocks repeat the float operations of ``probabilities`` at gamma 0 on a
-(rounds, rows, bids) array, and its scalar bandit step repeats them one row
-at a time on Python lists (``scalar_step.row_cdf``), so a change to one must
-be made to the others.
+(rounds, rows, bids) array, and its bandit step repeats them one row at a
+time on Python lists (``scalar_step.row_cdf``), so a change to one must be
+made to the others. The loop never calls ``probabilities`` itself: it is the
+reference both are tested against.
 This module holds what the loop shares: the sampling distribution, the
 step-size schedule, the selected-round counts and the weight-ceiling
 renormalization.
@@ -100,7 +100,9 @@ class LearnerState:
         return self.weights.shape[1]
 
     def probabilities(self) -> np.ndarray:
-        """Sampling distributions, one per row."""
+        """Sampling distributions, one per row: the float operations the
+        simulator's Hedge blocks and bandit step repeat, kept as the
+        reference the tests compare them with."""
         p = self.weights / self.weights.sum(axis=1, keepdims=True)
         if self.gamma > 0.0:
             p = (1.0 - self.gamma) * p + self.gamma / self.n_actions

@@ -1,11 +1,11 @@
-"""The scalar bandit round step of ``simulator._play_rounds``.
+"""The bandit round step of ``simulator._play_rounds``.
 
-A bandit batch that updates at most ``simulator.SCALAR_WEIGHTS`` learner
-weights per round plays its rounds here, in plain Python: each learner row
-keeps its weights, sampling probabilities and CDF as lists, rebuilt only when
-the row's weights change. Every float operation repeats the batched step's,
-so the two steps give the same bits. Only runs that take this step import the
-module; the others do not compile it, which kept their peak RSS where it was.
+A bandit seed plays its rounds here, one at a time, in plain Python: each
+learner row keeps its weights, sampling probabilities and CDF as lists,
+rebuilt only when the row's weights change. Every float operation repeats
+one of ``LearnerState.probabilities`` and numpy's ``cumsum`` on that row, the
+reference the tests compare it with. Only bandit runs import the module;
+Hedge runs do not compile it, which kept their peak RSS where it was.
 """
 
 from __future__ import annotations
@@ -59,22 +59,19 @@ def row_cdf(w: list, gamma: float) -> tuple[list, list, list]:
 
 
 class ScalarStep:
-    """One bandit batch's learner rows as Python lists, and the rounds that
+    """One bandit seed's learner rows as Python lists, and the rounds that
     update them. ``state.weights`` is brought up to date only for a ceiling
-    check. ``unit`` is the unit utility table the batched step reads and
-    ``eta`` the bandit step size."""
+    check. ``unit`` is the (cells, bids) unit utility table and ``eta`` the
+    bandit step size."""
 
     def __init__(self, state: LearnerState, first_cell: np.ndarray,
-                 opp_place: np.ndarray, n_seeds: int, unit: np.ndarray, eta: float):
+                 opp_place: np.ndarray, unit: np.ndarray, eta: float):
         self.state = state
         A = state.n_actions
-        # a row's table entries start at first[r] + sum(bids * place[k]), for
-        # the row r of update k
+        # a row's table entries start at first[r] + sum(bids * place[i]), for
+        # the row r of seat i's update
         self.first = (first_cell * A).tolist()
-        n = len(opp_place)
-        self.place = [[0] * (n_seeds * n) for _ in range(n_seeds * n)]
-        for k in range(n_seeds * n):
-            self.place[k][k - k % n:k - k % n + n] = (opp_place[:, k % n] * A).tolist()
+        self.place = (opp_place.T * A).tolist()
         self.eta = eta
         self.unit = unit.ravel()
         self.cache = [row_cdf(w, state.gamma) for w in state.weights.tolist()]
@@ -91,8 +88,8 @@ class ScalarStep:
         for c in range(len(draws)):
             # a round at a time: lists of a whole chunk raised the peak RSS
             us, rows = draws[c].tolist(), rows_at[c].tolist()
-            # the count of CDF entries below the last at or below the draw,
-            # as the batched step counts them
+            # the count of CDF entries below the last at or below the draw
+            # times the total, as ``simulator._sample`` counts them
             j = [bisect_right(cdf, u * cdf[-1], 0, top) for (_, _, cdf), u in zip(cache, us)]
             bids = [j[r] for r in rows]
             picks += j

@@ -19,26 +19,25 @@ ledgers from the type and realized-bid columns, at many horizons in one
 sweep, for a simulated and a loaded trace alike; they always hold the exact
 counterfactual vector, whatever feedback the learner saw.
 
-Randomness comes from a single numpy PCG64 stream per seed (counter-based,
-stable across numpy releases since 1.17). Draw order is fixed: one uniform
-per agent per round in round-major order, then one type-index column per
-population. Runs with equal configs are therefore reproducible bit for bit,
-whichever seeds share a batch.
+Each seed is one independent run of the repeated game, played to its end
+before the next seed starts. Its randomness comes from a single numpy PCG64
+stream (counter-based, stable across numpy releases since 1.17). Draw order
+is fixed: one uniform per agent per round in round-major order, then one
+type-index column per population. Runs with equal configs are therefore
+reproducible bit for bit.
 
 The loop works through the rounds in chunks of DRAW_CHUNK. The types are
 drawn before play, so a chunk first works out everything play cannot
 change (each round's learner rows and Hedge step sizes). Hedge then plays
-each seed's rounds in verified blocks: only the selected agents' bids couple
-the rounds, and a CDF a few updates stale nearly always gives the same bid,
-so a block plays many rounds from guessed bids in a few numpy calls and
-keeps those the guesses got right; the bids it resampled after a wrong
-guess are the next block's guesses. A bandit update divides by the
-probability its bid was sampled with, so bandit plays a round at a time, in
-one of two steps that give the same bits. A batch that updates more than
-SCALAR_WEIGHTS learner weights per round runs a round as a few numpy calls
-over all rows at once; a smaller batch runs it in plain Python over per-row
-CDFs that are rebuilt only when their row's weights change, which costs less
-when those numpy calls would each touch a handful of short rows.
+the rounds in verified blocks: only the selected agents' bids couple the
+rounds, and a CDF a few updates stale nearly always gives the same bid, so
+a block plays many rounds from guessed bids in a few numpy calls and keeps
+those the guesses got right; the bids it resampled after a wrong guess are
+the next block's guesses. A bandit update divides by the probability its
+bid was sampled with, so bandit plays a round at a time, in plain Python
+over per-row CDFs that are rebuilt only when their row's weights change
+(``scalar_step``): a round updates a handful of short rows, where each
+numpy call would cost more than the arithmetic it does.
 ``trace.csv`` and ``strategies.json`` are assembled as byte matrices in
 blocks of WRITE_CHUNK rounds. ``load_trace`` reads them back through
 ``readers``, which only it imports.
@@ -197,35 +196,25 @@ def welfare_columns(
 
 
 def run_repeated_game(config: SimConfig) -> Trace:
-    """Simulate ``config.horizon`` rounds and return the full trace."""
-    return next(run_seed_batch(config, [config.seed]))
+    """Simulate ``config.horizon`` rounds of ``config.seed`` and return the
+    full trace. The loop's working set is freed before the welfare columns
+    are built."""
+    v_idx, strategy, realized = _play_rounds(config)
+    sw, opt = welfare_columns(config, v_idx, realized)
+    return Trace(config=config, v_idx=v_idx, strategy=strategy, realized_idx=realized,
+                 sw=sw, opt=opt)
 
 
 def run_seed_batch(config: SimConfig, seeds) -> Iterator[Trace]:
     """Simulate ``config`` once per seed and yield the traces in seed order.
 
-    Every agent of every seed is one row of a single learner state, so a
-    round costs the same number of array operations however many seeds and
-    agents there are. Each row sees the float operations of a lone agent and
-    each seed draws from its own generator, so a seed's trace does not
-    depend on the other seeds in the batch.
-
-    All rounds run before the first trace is yielded. A trace's welfare
-    columns are built as it is yielded, so a caller that handles one trace
-    at a time holds one seed's welfare columns at a time.
+    Each seed is one independent run of the repeated game, played to its end
+    from its own generator before the next seed starts, so a seed's trace
+    does not depend on the other seeds, and a caller that drops each trace
+    before asking for the next holds one seed's arrays at a time.
     """
-    v_idx, strategy, realized = _play_rounds(config, seeds)
-    for s, seed in enumerate(seeds):
-        cfg = replace(config, seed=seed)
-        sw, opt = welfare_columns(cfg, v_idx[s], realized[s])
-        yield Trace(
-            config=cfg,
-            v_idx=v_idx[s],
-            strategy=strategy[s],
-            realized_idx=realized[s],
-            sw=sw,
-            opt=opt,
-        )
+    for seed in seeds:
+        yield run_repeated_game(replace(config, seed=seed))
 
 
 # Rounds per draw chunk: the loop draws the uniforms and precomputes what play
@@ -239,51 +228,39 @@ DRAW_CHUNK = 1024
 # HEDGE_BLOCK[2] weights (rounds x rows x bids) in one array.
 HEDGE_BLOCK = (8, 256, 1 << 16)
 
-# Bandit batches that update at most this many weights per round (seeds x
-# seats x bids) take the scalar round step, whose cost grows with them; larger
-# ones take the batched numpy step, whose cost barely does. On 11 bids that is
-# up to 4 rows, as two two-seat seeds or one four-seat seed.
-SCALAR_WEIGHTS = 48
 
+def _play_rounds(config: SimConfig):
+    """The round loop of one seed, ``config.seed``.
 
-def _play_rounds(config: SimConfig, seeds):
-    """The round loop of ``run_seed_batch``.
-
-    Returns the (seeds, rounds, ...) type, commitment and realized-bid index
-    arrays; learner rows are seed-major, then in flat agent order. The
-    loop's working set (stacked tables, learner weights, chunk buffers) is
-    freed on return, before the first trace is handed out.
+    Returns the (rounds, ...) type, commitment and realized-bid index
+    arrays; learner rows are in flat agent order. The loop's working set
+    (stacked tables, learner weights, chunk buffers) is freed on return.
 
     A round samples every row and updates the selected rows: Hedge
     multiplies exp(eta * unit utility) into the row, bandit exp(eta * unit
     utility / p) into the chosen weight. Both skip the weight-ceiling check
     while the log steps since the last check provably cannot take a weight
     past the ceiling, which leaves every weight as a check in every round
-    would. Hedge plays each seed's rounds in verified blocks
-    (``_hedge_blocks``). A bandit batch that updates more than SCALAR_WEIGHTS
-    weights per round takes the batched step: one ``state.probabilities()``
-    and a handful of numpy calls on all rows at once. A smaller batch takes
-    the scalar step of ``scalar_step.ScalarStep``, which gives the same bits.
+    would. Hedge plays the rounds in verified blocks (``_hedge_blocks``),
+    bandit a round at a time in ``scalar_step.ScalarStep``.
     """
     m = config.mechanism
     n = m.n
     T = config.horizon
     H = m.scale
     A = len(m.grid)
-    S = len(seeds)
     agents = config.agents()
     G = len(agents)
     offsets = np.array(config.agent_offsets())
 
-    gens = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-    # the type draws follow the T x G uniforms in each seed's stream
-    v_idx = np.empty((S, T, n), dtype=np.int16)
-    for s, seed in enumerate(seeds):
-        bits = np.random.PCG64(seed)
-        bits.advance(T * G)
-        types = np.random.Generator(bits)
-        for i, pop in enumerate(config.populations):
-            v_idx[s, :, i] = types.integers(0, len(pop), size=T)
+    gen = np.random.Generator(np.random.PCG64(config.seed))
+    # the type draws follow the T x G uniforms in the seed's stream
+    bits = np.random.PCG64(config.seed)
+    bits.advance(T * G)
+    types = np.random.Generator(bits)
+    v_idx = np.empty((T, n), dtype=np.int16)
+    for i, pop in enumerate(config.populations):
+        v_idx[:, i] = types.integers(0, len(pop), size=T)
 
     # cell g * n_opp + opp holds agent g's utility vector against opponent
     # profile opp
@@ -292,7 +269,7 @@ def _play_rounds(config: SimConfig, seeds):
     for g, (pop, _ti, val) in enumerate(agents):
         tables[g * n_opp:(g + 1) * n_opp] = mech.utility_table(m, pop, val).T
     full = config.feedback == FEEDBACK_FULL
-    state = LearnerState(np.ones((S * G, A)), gamma=0.0 if full else config.gamma)
+    state = LearnerState(np.ones((G, A)), gamma=0.0 if full else config.gamma)
     # both rules read only the unit utilities (tables + H) / 2H, so the
     # tables become those
     unit = tables
@@ -301,72 +278,43 @@ def _play_rounds(config: SimConfig, seeds):
 
     # opp_place[j, i]: weight of seat j's bid in seat i's opponent index
     opp_place = np.array([mech.opponent_places([A] * n, i) for i in range(n)]).T
-    row_base = np.arange(S)[:, None] * G + offsets
     # the first utility cell of each learner row's agent
-    first_cell = np.tile(np.arange(G) * n_opp, S)
+    first_cell = np.arange(G) * n_opp
 
-    strategy = np.empty((S, T, G), dtype=np.int16)
-    realized = np.empty((S, T, n), dtype=np.int16)
+    strategy = np.empty((T, G), dtype=np.int16)
+    realized = np.empty((T, n), dtype=np.int16)
     chunk = min(DRAW_CHUNK, T)
-    draws = np.empty((chunk, S * G))
-    rows_at = np.empty((chunk, S * n), dtype=np.int64)
+    draws = np.empty((chunk, G))
+    rows_at = np.empty((chunk, n), dtype=np.int64)
     if full:
-        # ln(weight) grows by at most eta * top_unit per update; each seed
-        # keeps its own headroom and block length
+        # ln(weight) grows by at most eta * top_unit per update
         top_unit = max(float(unit.max()), 0.0)
         etas = np.empty((chunk, n, 1))
-        carried = [(ceiling_headroom(state.weights), HEDGE_BLOCK[0])] * S
+        carried = (ceiling_headroom(state.weights), HEDGE_BLOCK[0])
     else:
+        from .scalar_step import ScalarStep
+
         eta = config.eta if config.eta is not None else config.gamma / A
         headroom = ceiling_headroom(state.weights)
-        scalar = S * n * A <= SCALAR_WEIGHTS
-        if scalar:
-            from .scalar_step import ScalarStep
-
-            step = ScalarStep(state, first_cell, opp_place, S, unit, eta)
+        step = ScalarStep(state, first_cell, opp_place, unit, eta)
 
     for a in range(0, T, DRAW_CHUNK):
         R = min(DRAW_CHUNK, T - a)
-        for s, gen in enumerate(gens):
-            draws[:R, s * G:(s + 1) * G] = gen.random((R, G))
-        vrows = v_idx[:, a:a + R].transpose(1, 0, 2)
-        np.add(row_base, vrows, out=rows_at[:R].reshape(R, S, n))
+        gen.random(out=draws[:R])
+        rows = rows_at[:R]
+        np.add(offsets, v_idx[a:a + R], out=rows)
         if full:
-            for s in range(S):
-                here = slice(s * G, (s + 1) * G)
-                rows = rows_at[:R, s * n:(s + 1) * n] - s * G
-                counts = count_selections(state.t_sel[here], rows)
-                etas[:R, :, 0] = anytime_eta(A, counts) if config.eta is None else config.eta
-                steps = etas[:R, :, 0].max(axis=1) * top_unit + LOG_STEP_SLACK
-                carried[s] = _hedge_blocks(
-                    state.weights[here], draws[:R, here], rows, etas[:R], steps,
-                    unit, first_cell[:G], opp_place, *carried[s],
-                    strategy[s, a:a + R], realized[s, a:a + R],
-                )
-            continue
-
-        if scalar:
-            picks, played, headroom = step.rounds(draws[:R], rows_at[:R], headroom)
-            strategy[:, a:a + R] = np.reshape(picks, (R, S, G)).swapaxes(0, 1)
-            realized[:, a:a + R] = np.reshape(played, (R, S, n)).swapaxes(0, 1)
-            continue
-
-        for c in range(R):
-            p = state.probabilities()
-            j = _sample(p.cumsum(axis=1), draws[c])
-            strategy[:, a + c] = j.reshape(S, G)
-            rows = rows_at[c]
-            bids = j[rows]
-            realized[:, a + c] = bids.reshape(S, n)
-            cells = first_cell[rows]
-            cells += (bids.reshape(S, n) @ opp_place).ravel()
-            xs = (eta * (unit[cells, bids] / p[rows, bids])).tolist()
-            # math.exp, not np.exp: the two can differ in the last bit
-            state.weights[rows, bids] *= [math.exp(x) for x in xs]
-            headroom -= max(xs) + LOG_STEP_SLACK
-            if headroom < 0.0:
-                renormalize(state.weights)
-                headroom = ceiling_headroom(state.weights)
+            counts = count_selections(state.t_sel, rows)
+            etas[:R, :, 0] = anytime_eta(A, counts) if config.eta is None else config.eta
+            steps = etas[:R, :, 0].max(axis=1) * top_unit + LOG_STEP_SLACK
+            carried = _hedge_blocks(
+                state.weights, draws[:R], rows, etas[:R], steps, unit, first_cell,
+                opp_place, *carried, strategy[a:a + R], realized[a:a + R],
+            )
+        else:
+            picks, played, headroom = step.rounds(draws[:R], rows, headroom)
+            strategy[a:a + R] = np.reshape(picks, (R, G))
+            realized[a:a + R] = np.reshape(played, (R, n))
 
     return v_idx, strategy, realized
 

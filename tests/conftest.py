@@ -1,7 +1,8 @@
 """Shared fixtures.
 
 The acceptance gate reruns the two headline experiments (first-price and
-all-pay, five seeds each at T = 200000, each experiment one seed batch).
+all-pay, five seeds each at T = 200000, each experiment one seed batch
+played one seed after another).
 Those runs are built once per session and shared by every acceptance
 criterion; unit tests use their own tiny horizons and never touch these.
 """
@@ -43,8 +44,8 @@ def written_csv(trace):
 
 
 def _run_all(kind):
-    # the five seeds run as one batch; each seed is charged the whole
-    # batch's wall time
+    # the five seeds are played one after another; each seed is charged
+    # the whole batch's wall time
     t0 = time.perf_counter()
     traces = list(
         sim.run_seed_batch(acceptance_config(kind, ACCEPT_SEEDS[0]), ACCEPT_SEEDS)

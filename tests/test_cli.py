@@ -706,22 +706,23 @@ def test_grids_over_the_table_cap_exit_two_before_allocating(tmp_path, capsys, n
     assert not out.exists()
 
 
-def test_index_arrays_of_every_seed_must_fit_in_memory(tmp_path, capsys, monkeypatch):
-    # a run holds every seed's index arrays at once, 2 * T * (2n + agents)
-    # bytes each: 16,000 here. Memory for three seeds admits one seed but
-    # not the five, which exit 2 before the output directory is made.
+def test_index_arrays_of_one_seed_per_worker_must_fit_in_memory(tmp_path, capsys,
+                                                                monkeypatch):
+    # each worker holds one seed's index arrays at a time, 2 * T * (2n +
+    # agents) bytes: 16,000 here. Memory for three seeds runs five seeds on
+    # one worker, but not on five, which exit 2 before the output directory
+    # is made (and before a process starts).
     real = os.sysconf
     sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3 * 16_000}
     monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or real(name))
     out = tmp_path / "runs"
     path = write_config(tmp_path, horizon=1000, seeds=[1, 2, 3, 4, 5], out_dir=str(out))
-    assert cli.main(["simulate", "--config", path]) == 2
+    assert cli.main(["simulate", "--config", path, "--workers", "5"]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: horizon 1000 needs") and "for 5 seed(s)" in err
-    path = write_config(tmp_path, name="one.json", horizon=1000, seeds=[1], out_dir=str(out))
     assert cli.main(["simulate", "--config", path]) == 0
-    assert (out / "seed_1" / "trace.csv").exists()
+    assert all((out / f"seed_{s}" / "trace.csv").exists() for s in range(1, 6))
 
 
 def test_exact_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,29 @@ def test_seed_batch_matches_the_reference_engine(batch):
             assert same_bits(getattr(alone, name), getattr(trace, name)), name
 
 
+def test_a_seed_batch_holds_one_seed_at_a_time():
+    # eight types per population make the index arrays, which grow with the
+    # horizon and the agents, outweigh the loop's fixed working set; a
+    # caller that drops each trace before asking for the next peaks as a
+    # lone seed does, where a batch holding every seed's arrays at once
+    # peaks at over three times that
+    pop = sim.Population(tuple(0.125 * k for k in range(1, 9)))
+    cfg = replace(small_config(horizon=20_000), populations=(pop, pop))
+    sim.run_repeated_game(replace(cfg, horizon=10))  # tables cached outside the trace
+
+    def peak(seeds):
+        tracemalloc.start()
+        try:
+            batch = sim.run_seed_batch(cfg, seeds)
+            while next(batch, None) is not None:
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak([3, 5, 8, 13, 21]) < 2 * peak([3])
+
+
 HEADLINE_GRID_RUNS = {
     "first-price-full": (mech.KIND_FIRST_PRICE, 2, 1, sim.FEEDBACK_FULL, None, 0.1),
     "all-pay-full": (mech.KIND_ALL_PAY, 2, 1, sim.FEEDBACK_FULL, None, 0.1),
@@ -222,9 +246,6 @@ def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(
     # so the ceiling checks run on that path too; at gamma 0 the importance
     # weight divides by the unmixed probability. Four seats selling two
     # units index 11**3 opponent profiles per agent, under either feedback.
-    # Bandit runs of three seeds update six or more rows of 11 weights a
-    # round and take the batched step, one seed the scalar step.
-    assert (len(seeds) * n * 11 <= sim.SCALAR_WEIGHTS) == (len(seeds) == 1)
     lengths = set_hedge_block(monkeypatch, block)
     m = mech.Mechanism(kind=kind, n=n, grid=mech.uniform_grid(0.1), units=units)
     cfg = sim.SimConfig(
@@ -255,10 +276,7 @@ def test_seed_batch_matches_the_reference_engine_across_the_weight_ceiling(
     # skip the ceiling check while it provably cannot fire, so the checks
     # they do run must renormalize on exactly the rounds the reference does,
     # and Hedge's blocks end at those checks. 1,500 rounds end partway into
-    # the second draw chunk. Bandit runs of two seeds of two seats update
-    # four rows of 5 weights a round and take the scalar step, five seeds
-    # the batched step.
-    assert (len(seeds) * 2 * 5 <= sim.SCALAR_WEIGHTS) == (len(seeds) == 2)
+    # the second draw chunk.
     lengths = set_hedge_block(monkeypatch, block)
     cfg = small_config(horizon=1500, feedback=feedback, eta=5.0, gamma=0.1)
     for seed, trace in zip(seeds, sim.run_seed_batch(cfg, seeds)):
@@ -271,7 +289,7 @@ def test_seed_batch_matches_the_reference_engine_across_the_weight_ceiling(
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
        extra=st.lists(st.floats(-1e296, 1e296), max_size=8))
 def test_pairwise_sum_is_numpys_float64_sum(n, seed, extra):
-    # the scalar round step sums weight rows in numpy's order; terms of both
+    # the bandit round step sums weight rows in numpy's order; terms of both
     # signs spread over 2**-60 to 2**60 round differently in any other order
     rng = np.random.default_rng(seed)
     a = rng.choice([-1.0, 1.0], n) * rng.random(n) * 2.0 ** rng.integers(-60, 60, n)
@@ -284,11 +302,11 @@ def test_pairwise_sum_is_numpys_float64_sum(n, seed, extra):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        gamma=st.sampled_from((0.0, 0.05, 0.3)))
-def test_scalar_rows_hold_the_batched_step_s_probabilities(n, seed, gamma):
-    # the scalar bandit step samples from these lists, so they must hold the
-    # bits of the batched step's probabilities and their cumsum; a draw
-    # rarely lands within a rounding error of a CDF entry, so traces alone
-    # miss a change
+def test_scalar_rows_hold_the_learner_state_s_probabilities(n, seed, gamma):
+    # the bandit step samples from these lists, so they must hold the bits of
+    # LearnerState.probabilities and their cumsum, the reference engine's
+    # distribution; a draw rarely lands within a rounding error of a CDF
+    # entry, so traces alone miss a change
     rng = np.random.default_rng(seed)
     w = rng.random((1, n)) * 2.0 ** rng.integers(-60, 60, (1, n))
     p = ln.LearnerState(w, gamma=gamma).probabilities()
