@@ -1,10 +1,11 @@
 """Byte identity of every file ``simulate`` writes and ``analyze`` rewrites,
-and of everything ``exact`` writes.
+of everything ``exact`` writes, and of what ``certify`` prints.
 
 ``output_digests.json`` holds, for each fixture, the config, the stdout of
 the commands it runs (output path replaced by ``<out>``) and the SHA-256 of
 every file under the output directory. A simulation fixture pins
-``simulate`` and ``analyze``; an ``exact-*`` fixture pins ``exact`` alone.
+``simulate`` and ``analyze``; an ``exact-*`` fixture pins ``exact``. Every
+fixture also pins ``certify``'s stdout and exit code on its config.
 A change to any of them is an output change and is recorded in CHANGES.md
 with its reason.
 """
@@ -65,3 +66,12 @@ def test_exact_writes_the_pinned_bytes(name, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(capsys, "exact", config, out) == pinned["exact_stdout"]
     assert digests(out) == pinned["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_certify_prints_the_pinned_verdict(name, tmp_path, capsys):
+    pinned = PINNED[name]
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(pinned["config"]))
+    assert cli.main(["certify", "--config", str(config)]) == pinned["certify_exit"]
+    assert capsys.readouterr().out == pinned["certify_stdout"]
