@@ -1,11 +1,15 @@
 """Post-hoc analysis of repeated-play traces.
 
-Everything here is read-only over a completed trace: the empirical joint
-distribution of (commitment profile, type profile), the empirical epsilon of
-the population game's coarse-equilibrium condition, independence diagnostics
-for the type draws conditioned on play, welfare ratios against the smoothness
-bound, the finite-horizon welfare inequality, and the (astronomically large)
-sufficient-horizon formula, which is reported rather than waited for.
+``analysis_report`` checks one completed trace against the paper's two
+results. No-regret play should reach an approximate Bayes coarse correlated
+equilibrium: the report gives the empirical epsilon of its no-fixed-deviation
+condition and, when the trace carries its commitment table, how far the type
+draws conditioned on a commitment profile lie from independent uniform
+draws. Smoothness bounds that equilibrium's welfare: the report gives the
+ratio of average optimal to average realized welfare against the bound
+max(1, mu)/lambda, the slack of the finite-horizon welfare inequality, and
+the (astronomically large) sufficient horizon ``t_star``, which is reported
+rather than waited for.
 
 Conventions. Averages that define epsilon divide by the full window length,
 not by the number of rounds an agent was selected. Their numerators are the
@@ -29,7 +33,6 @@ import numpy as np
 from . import mechanisms as mech
 from .errors import ContractViolationError, InputError, UndefinedResultError
 from .learners import RegretLedger, external_regret
-from .records import record
 from .simulator import FEEDBACK_FULL, Trace, rebuild_ledgers
 from .smoothness import SmoothnessParams
 
@@ -38,62 +41,7 @@ logger = logging.getLogger(__name__)
 RATIO_TOL_DEFAULT = 0.05
 
 
-# --- empirical joint over (commitment profile, type profile) -----------------
-
-
-@record(frozen=True)
-class EmpiricalJoint:
-    """Counts of commitment profiles and, per profile, of type draws.
-
-    ``profiles[r]`` is the ``r``-th distinct commitment profile (an int16
-    row of the commitment table, in lexicographic order), ``counts[r]`` the
-    number of rounds it was committed, and ``cond[r, v]`` the rounds of it
-    drawn with flat type profile ``v``, as int32 below 2**31 rounds: the
-    table holds a row per distinct profile, nearly one per round under
-    bandit exploration.
-    """
-
-    total: int
-    zeta: float
-    v_sizes: tuple[int, ...]
-    profiles: np.ndarray
-    counts: np.ndarray
-    cond: np.ndarray
-
-
-def empirical_joint(trace: Trace, zeta: float = 0.0) -> EmpiricalJoint:
-    """Exact counting of rounds by commitment profile over the whole trace."""
-    if trace.strategy is None:
-        raise InputError("trace carries no commitment table; rerun or reload with a full sidecar")
-    if not 0.0 <= zeta <= 1.0:
-        raise InputError(f"zeta must lie in [0, 1], got {zeta}")
-    v_sizes = tuple(len(p) for p in trace.config.populations)
-    bids = len(trace.config.mechanism.grid)
-    row, inverse, counts = mech.profile_index(
-        trace.strategy.T, [bids] * len(trace.config.agents())
-    )
-    count_type = np.int32 if trace.horizon < 2**31 else np.int64
-    cond = np.zeros((len(row), int(np.prod(v_sizes))), dtype=count_type)
-    np.add.at(cond, (inverse, np.ravel_multi_index(trace.v_idx.T, v_sizes)), 1)
-    return EmpiricalJoint(
-        total=trace.horizon, zeta=zeta, v_sizes=v_sizes,
-        profiles=trace.strategy[row], counts=counts, cond=cond,
-    )
-
-
-def conditional_independence_gap(joint: EmpiricalJoint) -> float:
-    """Worst total-variation gap between p(v | s) and the uniform product
-    distribution of type profiles, over commitment profiles with empirical
-    mass at least ``joint.zeta``.
-
-    Returns 0 when no profile clears the threshold.
-    """
-    keep = joint.counts / joint.total >= joint.zeta
-    p = joint.cond[keep] / joint.counts[keep, None]
-    return float((0.5 * np.abs(p - 1.0 / p.shape[1]).sum(axis=1)).max(initial=0.0))
-
-
-# --- empirical epsilon of the coarse-equilibrium condition -------------------
+# --- the coarse-equilibrium condition -----------------------------------------
 
 
 def _epsilon(trace: Trace, ledgers: list[RegretLedger], T: int) -> tuple[float, dict]:
@@ -132,101 +80,29 @@ def _check_hedge_bound(trace: Trace, ledgers: list[RegretLedger]) -> None:
             )
 
 
-# --- welfare ------------------------------------------------------------------
+def _independence_gap(trace: Trace, zeta: float) -> float:
+    """Worst total-variation gap between p(v | s) and the uniform product
+    distribution of type profiles, over the commitment profiles s committed
+    in at least a ``zeta`` share of the rounds; 0 when none is.
 
-
-@record(frozen=True)
-class WelfareSummary:
-    avg_sw: float
-    avg_opt: float
-    ratio: float
-    bound: float
-    tolerance: float
-    within_bound: bool
-
-
-def welfare_ratio(
-    trace: Trace,
-    smoothness_params: SmoothnessParams,
-    tolerance: float = RATIO_TOL_DEFAULT,
-) -> WelfareSummary:
-    """Average optimal over average realized welfare, against max(1,mu)/lambda."""
-    total_sw = float(trace.sw.sum())
-    total_opt = float(trace.opt.sum())
-    bound = smoothness_params.poa_bound
-    if total_sw <= 0.0:
-        if total_opt > 0.0:
-            return WelfareSummary(
-                avg_sw=0.0,
-                avg_opt=total_opt / trace.horizon,
-                ratio=math.inf,
-                bound=bound,
-                tolerance=tolerance,
-                within_bound=False,
-            )
-        raise UndefinedResultError(
-            "welfare ratio is undefined on a trace with zero welfare and zero optimum"
-        )
-    ratio = total_opt / total_sw
-    return WelfareSummary(
-        avg_sw=total_sw / trace.horizon,
-        avg_opt=total_opt / trace.horizon,
-        ratio=ratio,
-        bound=bound,
-        tolerance=tolerance,
-        within_bound=ratio <= bound + tolerance,
-    )
-
-
-@record(frozen=True)
-class FiniteTimeResult:
-    holds: bool
-    slack: float
-    avg_sw: float
-    avg_opt: float
-    delta: float
-    epsilon: float
-
-
-def finite_time_check(
-    trace: Trace,
-    smoothness_params: SmoothnessParams,
-    delta: float,
-    measured_epsilon: float,
-) -> FiniteTimeResult:
-    """Check avg SW >= (lambda/max(1,mu)) * avg Opt - delta - mu * epsilon.
-
-    ``measured_epsilon`` is the total regret level: n times the worst
-    per-agent window-averaged regret (the regret budget is split evenly
-    across populations), which ``analysis_report`` reads off the
-    whole-horizon ledgers of its one ``rebuild_ledgers`` sweep. Returns the
-    slack of the inequality; holds means slack >= 0.
-
-    Whenever the welfare ratio is within the smoothness bound and both delta
-    and epsilon are non-negative, the inequality is implied; that implication
-    is re-checked on every call and a violation raises, since it can only
-    come from corrupted inputs.
+    The rounds are counted by commitment profile and flat type profile, as
+    int32 below 2**31 rounds: the table holds a row per distinct commitment
+    profile, nearly one per round under bandit exploration.
     """
-    if delta < 0 or measured_epsilon < 0:
-        raise InputError("delta and measured_epsilon must be non-negative")
-    lam, mu = smoothness_params.lam, smoothness_params.mu
-    avg_sw = float(trace.sw.mean())
-    avg_opt = float(trace.opt.mean())
-    slack = avg_sw - ((lam / max(1.0, mu)) * avg_opt - delta - mu * measured_epsilon)
-    holds = slack >= 0.0
-    if avg_sw > 0 and avg_opt / avg_sw <= smoothness_params.poa_bound and not holds:
-        raise ContractViolationError(
-            "finite-time inequality failed although the welfare ratio is within "
-            "the bound; inputs are inconsistent"
-        )
-    return FiniteTimeResult(
-        holds=holds,
-        slack=slack,
-        avg_sw=avg_sw,
-        avg_opt=avg_opt,
-        delta=delta,
-        epsilon=measured_epsilon,
+    v_sizes = [len(p) for p in trace.config.populations]
+    bids = len(trace.config.mechanism.grid)
+    _, inverse, counts = mech.profile_index(
+        trace.strategy.T, [bids] * len(trace.config.agents())
     )
+    count_type = np.int32 if trace.horizon < 2**31 else np.int64
+    cond = np.zeros((len(counts), int(np.prod(v_sizes))), dtype=count_type)
+    np.add.at(cond, (inverse, np.ravel_multi_index(trace.v_idx.T, v_sizes)), 1)
+    keep = counts / trace.horizon >= zeta
+    p = cond[keep] / counts[keep, None]
+    return float((0.5 * np.abs(p - 1.0 / p.shape[1]).sum(axis=1)).max(initial=0.0))
+
+
+# --- sufficient horizon -------------------------------------------------------
 
 
 def t_star(
@@ -271,15 +147,6 @@ def checkpoints_csv_text(rows: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sigma_size_of(trace: Trace) -> float:
-    """Number of joint commitment profiles: product over agents of grid size."""
-    bids = len(trace.config.mechanism.grid)
-    out = 1.0
-    for _agent in trace.config.agents():
-        out *= bids
-    return out
-
-
 def analysis_report(
     trace: Trace,
     smoothness_params: SmoothnessParams,
@@ -289,37 +156,58 @@ def analysis_report(
     checkpoints: Sequence[int] | None = None,
     tolerance: float = RATIO_TOL_DEFAULT,
 ) -> dict:
-    """One-stop JSON-ready summary of a trace. The independence gap needs the
-    commitment table and is None on a trace without one. Under full feedback,
-    agents whose regret over the horizon lies above the Hedge bound are
-    logged as warnings. One ledger sweep counts the horizon and the
-    ``checkpoints`` (default ``default_checkpoints``) of the running rows."""
+    """One-stop JSON-ready summary of a trace; every input is checked first.
+
+    ``ratio`` is average optimal over average realized welfare: infinite
+    when only the optimum is positive, an UndefinedResultError when neither
+    is. ``within_bound`` compares it with max(1, mu)/lambda + ``tolerance``.
+    ``finite_time_slack`` is avg SW - (lambda/max(1, mu) * avg Opt - delta -
+    mu * n * epsilon), where n * epsilon is the total regret level (the
+    regret budget is split evenly across populations); the inequality holds
+    when the slack is non-negative. A ratio within the bound implies it, so a
+    violation of that implication raises, since it can only come from
+    corrupted inputs. The independence gap needs the commitment table and is
+    None on a trace without one. Under full feedback, agents whose regret
+    over the horizon lies above the Hedge bound are logged as warnings. One
+    ledger sweep counts the horizon and the ``checkpoints`` (default
+    ``default_checkpoints``) of the running rows."""
     T = trace.horizon
+    m = trace.config.mechanism
+    lam, mu, bound = smoothness_params.lam, smoothness_params.mu, smoothness_params.poa_bound
     if checkpoints is None:
         checkpoints = default_checkpoints(T)
     pts = sorted(set(int(c) for c in checkpoints))
     if not pts or pts[0] < 1 or pts[-1] > T:
         raise InputError(f"checkpoints must lie in [1, {T}]")
+    if not 0.0 <= zeta <= 1.0:
+        raise InputError(f"zeta must lie in [0, 1], got {zeta}")
+    # |Sigma|, the number of joint commitment profiles, as a float product
+    sigma_size = math.prod([len(m.grid)] * len(trace.config.agents()), start=1.0)
+    v_size = float(np.prod([len(p) for p in trace.config.populations]))
+    ts = t_star(delta, rho, m.n, sigma_size, v_size, m.scale)
+    total_sw = float(trace.sw.sum())
+    total_opt = float(trace.opt.sum())
+    if total_sw <= 0.0 and total_opt <= 0.0:
+        raise UndefinedResultError(
+            "welfare ratio is undefined on a trace with zero welfare and zero optimum"
+        )
+    ratio = total_opt / total_sw if total_sw > 0.0 else math.inf
+    avg_sw, avg_opt = total_sw / T, total_opt / T
+
     counted = rebuild_ledgers(trace, pts if pts[-1] == T else pts + [T])
     ledgers = counted[-1]
     if trace.config.feedback == FEEDBACK_FULL:
         _check_hedge_bound(trace, ledgers)
     eps, breakdown = _epsilon(trace, ledgers, T)
-    gap = None
-    if trace.strategy is not None:
-        gap = conditional_independence_gap(empirical_joint(trace, zeta=zeta))
-    summary = welfare_ratio(trace, smoothness_params, tolerance)
-    eps_total = trace.config.mechanism.n * eps
-    ft = finite_time_check(trace, smoothness_params, delta, eps_total)
-    v_size = float(np.prod([len(p) for p in trace.config.populations]))
-    ts = t_star(
-        delta,
-        rho,
-        trace.config.mechanism.n,
-        sigma_size_of(trace),
-        v_size,
-        trace.config.mechanism.scale,
-    )
+    eps_total = m.n * eps
+    slack = avg_sw - ((lam / max(1.0, mu)) * avg_opt - delta - mu * eps_total)
+    holds = slack >= 0.0
+    if avg_sw > 0 and avg_opt / avg_sw <= bound and not holds:
+        raise ContractViolationError(
+            "finite-time inequality failed although the welfare ratio is within "
+            "the bound; inputs are inconsistent"
+        )
+    gap = None if trace.strategy is None else _independence_gap(trace, zeta)
     bd = {}
     for (pop, ti), avg in sorted(breakdown.items()):
         value = trace.config.populations[pop].values[ti]
@@ -328,7 +216,7 @@ def analysis_report(
             "per_action": [float(x) for x in avg],
             "epsilon": max(0.0, float(avg.max())),
         }
-    # built after the empirical joint, so the running sums stay out of its peak
+    # built after the independence gap, so the running sums stay out of its peak
     cum_sw = np.cumsum(trace.sw)
     cum_opt = np.cumsum(trace.opt)
     rows = []
@@ -346,13 +234,13 @@ def analysis_report(
         "epsilon_breakdown": bd,
         "independence_gap": gap,
         "zeta": zeta,
-        "ratio": summary.ratio,
-        "bound": summary.bound,
-        "within_bound": summary.within_bound,
-        "avg_sw": summary.avg_sw,
-        "avg_opt": summary.avg_opt,
-        "finite_time_slack": ft.slack,
-        "finite_time_holds": ft.holds,
+        "ratio": ratio,
+        "bound": bound,
+        "within_bound": ratio <= bound + tolerance,
+        "avg_sw": avg_sw if total_sw > 0.0 else 0.0,
+        "avg_opt": avg_opt,
+        "finite_time_slack": slack,
+        "finite_time_holds": holds,
         "delta": delta,
         "rho": rho,
         "t_star": ts,

@@ -89,11 +89,11 @@ class ExperimentConfig:
 
 
 # The config's objects as tables of key -> (parser, default). The analysis
-# ranges are those the report needs: t_star takes delta > 0 and rho in (0, 1],
-# the independence gap zeta in [0, 1].
+# ranges are those the report needs: t_star takes delta > 0 whose cube is
+# finite and rho in (0, 1], the independence gap zeta in [0, 1].
 ANALYSIS = {
     "zeta": (partial(mech.read_number, minimum=0.0, maximum=1), 0.01),
-    "delta": (partial(mech.read_number, positive=True), 0.05),
+    "delta": (partial(mech.read_number, positive=True, maximum=mech.CUBE_MAX), 0.05),
     "rho": (partial(mech.read_number, positive=True, maximum=1), 0.05),
     "tolerance": (partial(mech.read_number, minimum=0.0), 0.05),
     "checkpoints": (mech.nullable(partial(mech.read_list, nonempty=True,
@@ -187,14 +187,16 @@ def _write_report(cfg: ExperimentConfig, trace: simulator.Trace, d: Path) -> dic
 
 def _run_batch(job) -> list[dict]:
     """Worker for a batch of seeds: simulate, persist and analyze one seed
-    after another, holding one seed's trace at a time. Top level so process
+    after another, each an independent run of the repeated game from its own
+    generator, holding one seed's trace at a time. Top level so process
     pools can pickle it."""
     from . import simulator
 
     cfg, seeds, out_root = job
     summaries = []
-    for trace in simulator.run_seed_batch(_sim_config(cfg, seeds[0]), seeds):
-        d = Path(out_root) / f"seed_{trace.config.seed}"
+    for seed in seeds:
+        trace = simulator.run_repeated_game(_sim_config(cfg, seed))
+        d = Path(out_root) / f"seed_{seed}"
         d.mkdir(parents=True, exist_ok=True)
         simulator.write_trace_csv(trace, d / "trace.csv")
         simulator.write_strategies_json(

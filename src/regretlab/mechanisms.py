@@ -233,12 +233,16 @@ class Mechanism:
         return m
 
 
+# The largest float whose cube is finite: the sufficient horizon cubes H and
+# delta, so larger values are refused as they are read.
+CUBE_MAX = 5.643803094122361e102
+
 DESCRIPTOR = {
     "kind": (read_string, REQUIRED),
     "n": (read_integer, REQUIRED),
     "k": (read_integer, REQUIRED),
     "grid_step": (read_number, REQUIRED),
-    "H": (read_number, REQUIRED),
+    "H": (partial(read_number, maximum=CUBE_MAX), REQUIRED),
     "tie_break": (partial(read_string, choices=(TIE_LOWEST,)), REQUIRED),
 }
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,7 @@ from .learners import (
     renormalize,
 )
 from .mechanisms import FEEDBACK_BANDIT, FEEDBACK_FULL, Population
-from .records import record, replace
+from .records import record
 
 
 @record(frozen=True)
@@ -203,18 +203,6 @@ def run_repeated_game(config: SimConfig) -> Trace:
     sw, opt = welfare_columns(config, v_idx, realized)
     return Trace(config=config, v_idx=v_idx, strategy=strategy, realized_idx=realized,
                  sw=sw, opt=opt)
-
-
-def run_seed_batch(config: SimConfig, seeds) -> Iterator[Trace]:
-    """Simulate ``config`` once per seed and yield the traces in seed order.
-
-    Each seed is one independent run of the repeated game, played to its end
-    from its own generator before the next seed starts, so a seed's trace
-    does not depend on the other seeds, and a caller that drops each trace
-    before asking for the next holds one seed's arrays at a time.
-    """
-    for seed in seeds:
-        yield run_repeated_game(replace(config, seed=seed))
 
 
 # Rounds per draw chunk: the loop draws the uniforms and precomputes what play

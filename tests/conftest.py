@@ -1,8 +1,8 @@
 """Shared fixtures.
 
 The acceptance gate reruns the two headline experiments (first-price and
-all-pay, five seeds each at T = 200000, each experiment one seed batch
-played one seed after another).
+all-pay, five seeds each at T = 200000, each experiment's seeds played one
+after another).
 Those runs are built once per session and shared by every acceptance
 criterion; unit tests use their own tiny horizons and never touch these.
 """
@@ -47,9 +47,7 @@ def _run_all(kind):
     # the five seeds are played one after another; each seed is charged
     # the whole batch's wall time
     t0 = time.perf_counter()
-    traces = list(
-        sim.run_seed_batch(acceptance_config(kind, ACCEPT_SEEDS[0]), ACCEPT_SEEDS)
-    )
+    traces = [sim.run_repeated_game(acceptance_config(kind, seed)) for seed in ACCEPT_SEEDS]
     wall = time.perf_counter() - t0
     return {trace.config.seed: (trace, wall) for trace in traces}
 

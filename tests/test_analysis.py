@@ -1,4 +1,4 @@
-"""Trace analysis: empirical joints, epsilon, welfare bounds, horizon formula."""
+"""Trace analysis: the independence gap, epsilon, welfare bounds, horizon formula."""
 
 import logging
 import math
@@ -52,68 +52,36 @@ def run_1e5():
     )
 
 
-# --- empirical joint ----------------------------------------------------------
+@pytest.fixture(scope="module")
+def report_1e5(run_1e5):
+    return an.analysis_report(run_1e5, SmoothnessParams(1.0 - 1.0 / math.e, 1.0))
 
 
-def test_joint_constant_strategies_single_profile():
-    cfg = one_seat(values=(0.5, 1.0))
-    trace = manual_trace(
-        cfg,
-        v_idx=[[0], [1], [0], [1]],
-        strategy=[[1, 1]] * 4,
-        sw=[0.5, 1.0, 0.5, 1.0],
-        opt=[0.5, 1.0, 0.5, 1.0],
-    )
-    joint = an.empirical_joint(trace)
-    assert joint.total == 4
-    assert joint.profiles.tolist() == [[1, 1]]
-    assert joint.counts.tolist() == [joint.total]
-    np.testing.assert_allclose(joint.cond[0] / joint.counts[0], [0.5, 0.5])
+# --- independence gap -----------------------------------------------------------
 
 
-def test_joint_all_distinct_profiles():
-    cfg = one_seat(grid=(0.0, 0.25, 0.5, 0.75))
-    trace = manual_trace(
-        cfg,
-        v_idx=[[0]] * 4,
-        strategy=[[0], [1], [2], [3]],
-        sw=[1.0] * 4,
-        opt=[1.0] * 4,
-    )
-    joint = an.empirical_joint(trace)
-    assert joint.profiles.tolist() == [[0], [1], [2], [3]]
-    assert (joint.counts / joint.total).tolist() == [0.25] * 4
+UNIT = SmoothnessParams(1.0, 1.0)
 
 
-def test_joint_window_matches_direct_recount():
-    trace = sim.run_repeated_game(
-        acceptance_config(mech.KIND_FIRST_PRICE, seed=1, horizon=200)
-    )
-    joint = an.empirical_joint(trace)
-    assert joint.total == 200
-    want = Counter(tuple(trace.strategy[t].tolist()) for t in range(200))
-    got = dict(zip(map(tuple, joint.profiles.tolist()), joint.counts.tolist()))
-    assert got == dict(want)
-    assert sorted(got) == list(got)  # lexicographic order
-    assert joint.cond.sum(axis=1).tolist() == joint.counts.tolist()
+def recounted_gap(trace, zeta):
+    """The independence gap by a direct recount: for each commitment profile
+    committed in at least a ``zeta`` share of the rounds, the total-variation
+    distance of its type-profile frequencies from uniform; the worst of them."""
+    sizes = [len(p) for p in trace.config.populations]
+    n_types = int(np.prod(sizes))
+    by_profile = Counter(tuple(row) for row in trace.strategy.tolist())
+    joint = Counter(zip(map(tuple, trace.strategy.tolist()), map(tuple, trace.v_idx.tolist())))
+    gap = 0.0
+    for s, count in by_profile.items():
+        if count / trace.horizon >= zeta:
+            tv = 0.5 * sum(abs(joint[s, v] / count - 1.0 / n_types)
+                           for v in np.ndindex(*sizes))
+            gap = max(gap, tv)
+    return gap
 
 
-def test_joint_rejects_bad_inputs():
-    trace = sim.run_repeated_game(
-        acceptance_config(mech.KIND_FIRST_PRICE, seed=1, horizon=20)
-    )
-    with pytest.raises(InputError):
-        an.empirical_joint(trace, zeta=1.5)
-    bare = sim.Trace(
-        config=trace.config,
-        v_idx=trace.v_idx,
-        strategy=None,
-        realized_idx=trace.realized_idx,
-        sw=trace.sw,
-        opt=trace.opt,
-    )
-    with pytest.raises(InputError):
-        an.empirical_joint(bare)
+def report_gap(trace, zeta=0.0):
+    return an.analysis_report(trace, UNIT, zeta=zeta)["independence_gap"]
 
 
 def test_independence_gap_examples():
@@ -121,27 +89,49 @@ def test_independence_gap_examples():
     balanced = manual_trace(
         cfg, [[0], [1], [0], [1]], [[1, 1]] * 4, [0.5, 1, 0.5, 1], [0.5, 1, 0.5, 1]
     )
-    assert an.conditional_independence_gap(an.empirical_joint(balanced)) == 0.0
+    assert report_gap(balanced) == 0.0 == recounted_gap(balanced, 0.0)
     skewed = manual_trace(
         cfg, [[0], [0], [0], [1]], [[1, 1]] * 4, [0.5] * 3 + [1], [0.5] * 3 + [1]
     )
-    joint = an.empirical_joint(skewed)
-    assert an.conditional_independence_gap(joint) == pytest.approx(0.25, abs=1e-15)
+    assert report_gap(skewed) == pytest.approx(0.25, abs=1e-15)
+    assert report_gap(skewed) == recounted_gap(skewed, 0.0)
 
 
 def test_independence_gap_threshold_filters_rare_profiles():
-    cfg = one_seat(grid=(0.0, 0.25, 0.5, 0.75))
+    # four profiles of mass 1/4, each drawn with one of the two types
+    cfg = one_seat(values=(0.5, 1.0), grid=(0.0, 0.25, 0.5, 0.75))
     trace = manual_trace(
-        cfg, [[0]] * 4, [[0], [1], [2], [3]], [1.0] * 4, [1.0] * 4
+        cfg, [[0], [1], [0], [1]], [[0, 0], [1, 1], [2, 2], [3, 3]], [1.0] * 4, [1.0] * 4
     )
-    joint = an.empirical_joint(trace, zeta=0.5)
+    # a profile of mass exactly zeta is measured
+    assert report_gap(trace, zeta=0.25) == 0.5 == recounted_gap(trace, 0.25)
     # every profile has mass 1/4 < zeta, so nothing is measured
-    assert an.conditional_independence_gap(joint) == 0.0
+    assert report_gap(trace, zeta=0.5) == 0.0 == recounted_gap(trace, 0.5)
 
 
-def test_independence_gap_is_small_on_a_long_run(run_1e5):
-    joint = an.empirical_joint(run_1e5, zeta=0.01)
-    assert an.conditional_independence_gap(joint) < 0.05
+def test_independence_gap_matches_a_direct_recount():
+    trace = sim.run_repeated_game(
+        acceptance_config(mech.KIND_FIRST_PRICE, seed=1, horizon=200)
+    )
+    for zeta in (0.0, 0.01, 0.05):
+        assert report_gap(trace, zeta) == pytest.approx(recounted_gap(trace, zeta), abs=1e-12)
+
+
+def test_independence_gap_needs_the_commitment_table_and_zeta_in_the_unit_interval():
+    trace = sim.run_repeated_game(
+        acceptance_config(mech.KIND_FIRST_PRICE, seed=1, horizon=20)
+    )
+    bare = replace(trace, strategy=None)
+    assert report_gap(bare, zeta=0.01) is None
+    # zeta is checked on a trace without the table too
+    for t in (trace, bare):
+        for zeta in (-0.1, 1.5):
+            with pytest.raises(InputError, match="zeta must lie in"):
+                report_gap(t, zeta)
+
+
+def test_independence_gap_is_small_on_a_long_run(report_1e5):
+    assert report_1e5["independence_gap"] < 0.05
 
 
 # --- empirical epsilon ---------------------------------------------------------
@@ -151,9 +141,6 @@ def constant_bid_trace():
     """Single seat, one type of value 1, always bidding 0.5 on {0, 0.5}."""
     cfg = one_seat()
     return manual_trace(cfg, [[0]] * 4, [[1]] * 4, [1.0] * 4, [1.0] * 4)
-
-
-UNIT = SmoothnessParams(1.0, 1.0)
 
 
 def checkpoint_epsilon(trace, horizon):
@@ -243,51 +230,54 @@ def fabricated(sw, opt):
 
 
 def test_welfare_ratio_basic():
-    summary = an.welfare_ratio(fabricated([1.0] * 4, [1.0] * 4), SmoothnessParams(1.0, 1.0))
-    assert summary.ratio == 1.0
-    assert summary.bound == 1.0
-    assert summary.within_bound
-    assert summary.avg_sw == 1.0 and summary.avg_opt == 1.0
+    report = an.analysis_report(fabricated([1.0] * 4, [1.0] * 4), UNIT)
+    assert report["ratio"] == 1.0
+    assert report["bound"] == 1.0
+    assert report["within_bound"]
+    assert report["avg_sw"] == 1.0 and report["avg_opt"] == 1.0
 
 
 def test_welfare_ratio_bound_comparison():
     params = SmoothnessParams(0.5, 2.0)  # bound max(1, 2) / 0.5 = 4
-    ok = an.welfare_ratio(fabricated([1.0], [4.0]), params)
-    assert ok.within_bound
-    bad = an.welfare_ratio(fabricated([1.0], [4.2]), params)
-    assert bad.ratio == pytest.approx(4.2) and not bad.within_bound
+    ok = an.analysis_report(fabricated([1.0], [4.0]), params)
+    assert ok["within_bound"]
+    bad = an.analysis_report(fabricated([1.0], [4.2]), params)
+    assert bad["ratio"] == pytest.approx(4.2) and not bad["within_bound"]
+    # within the bound means within it plus the tolerance, inclusive
+    at = an.analysis_report(fabricated([2.0], [3.0]), UNIT, tolerance=0.5)
+    assert at["ratio"] == 1.5 and at["within_bound"]
+    over = an.analysis_report(fabricated([2.0], [3.0 + 1e-12]), UNIT, tolerance=0.5)
+    assert over["ratio"] > 1.5 and not over["within_bound"]
 
 
 def test_welfare_ratio_degenerate_cases():
-    summary = an.welfare_ratio(fabricated([0.0, 0.0], [1.0, 1.0]), SmoothnessParams(1.0, 1.0))
-    assert summary.ratio == math.inf
-    assert not summary.within_bound
+    report = an.analysis_report(fabricated([0.0, 0.0], [1.0, 1.0]), UNIT)
+    assert report["ratio"] == math.inf
+    assert not report["within_bound"]
+    assert report["avg_sw"] == 0.0 and report["avg_opt"] == 1.0
     with pytest.raises(UndefinedResultError):
-        an.welfare_ratio(fabricated([0.0], [0.0]), SmoothnessParams(1.0, 1.0))
+        an.analysis_report(fabricated([0.0], [0.0]), UNIT)
 
 
-def test_finite_time_check_formula():
+def test_finite_time_slack_formula():
     trace = sim.run_repeated_game(
         acceptance_config(mech.KIND_FIRST_PRICE, seed=2, horizon=2_000)
     )
     params = SmoothnessParams(1.0 - 1.0 / math.e, 1.0)
-    eps = trace.config.mechanism.n * an.analysis_report(trace, params)["epsilon"]
-    res = an.finite_time_check(trace, params, 0.05, eps)
-    want = float(trace.sw.mean()) - (
-        params.lam / max(1.0, params.mu) * float(trace.opt.mean()) - 0.05 - params.mu * eps
-    )
-    assert res.slack == pytest.approx(want, abs=1e-12)
-    assert res.holds == (res.slack >= 0.0)
-    assert res.epsilon == eps and res.delta == 0.05
-    with pytest.raises(InputError):
-        an.finite_time_check(trace, params, -0.01, eps)
-    with pytest.raises(InputError):
-        an.finite_time_check(trace, params, 0.05, -1e-9)
+    for delta in (0.05, 0.2):
+        report = an.analysis_report(trace, params, delta=delta)
+        eps = trace.config.mechanism.n * report["epsilon"]
+        want = float(trace.sw.mean()) - (
+            params.lam / max(1.0, params.mu) * float(trace.opt.mean()) - delta - params.mu * eps
+        )
+        assert report["finite_time_slack"] == want
+        assert report["finite_time_holds"] == (want >= 0.0)
+        assert report["delta"] == delta
 
 
 def test_finite_time_all_zero_bids_regression():
     # both seats bid 0 forever: seat 0 wins at price 0, welfare equals the
-    # winner's value, and the inequality holds with slack exactly 1/e
+    # winner's value, and seat 1 forgoes 1 - 0.5 a round by not bidding 0.5
     m = mech.Mechanism(kind=mech.KIND_FIRST_PRICE, n=2, grid=mech.uniform_grid(0.5))
     cfg = sim.SimConfig(
         mechanism=m,
@@ -298,9 +288,36 @@ def test_finite_time_all_zero_bids_regression():
     trace = manual_trace(
         cfg, [[0, 0]] * 8, [[0, 0]] * 8, [1.0] * 8, [1.0] * 8
     )
-    res = an.finite_time_check(trace, SmoothnessParams(1.0 - 1.0 / math.e, 1.0), 0.0, 0.0)
-    assert res.holds
-    assert res.slack == pytest.approx(1.0 - (1.0 - 1.0 / math.e), abs=1e-15)
+    report = an.analysis_report(trace, SmoothnessParams(1.0 - 1.0 / math.e, 1.0), delta=0.05)
+    assert report["avg_sw"] == 1.0 and report["epsilon"] == 0.5
+    assert report["finite_time_holds"]
+    # 1 - ((1 - 1/e) * 1 - 0.05 - 1 * (2 * 0.5))
+    assert report["finite_time_slack"] == pytest.approx(1.0 / math.e + 1.05, abs=1e-15)
+
+
+@pytest.mark.parametrize("kw, error, match", [
+    (dict(delta=-0.01), InputError, "delta must be positive"),
+    (dict(delta=0.0), InputError, "delta must be positive"),
+    # a delta this negative would fail the inequality the ratio implies
+    (dict(delta=-1e9), InputError, "delta must be positive"),
+    (dict(rho=0.0), InputError, "rho must lie in"),
+    (dict(rho=1.5), InputError, "rho must lie in"),
+    (dict(zeta=1.5), InputError, "zeta must lie in"),
+    (dict(checkpoints=[0]), InputError, "checkpoints must lie in"),
+])
+def test_report_checks_its_inputs_before_the_ledger_sweep(monkeypatch, kw, error, match):
+    trace = sim.run_repeated_game(
+        acceptance_config(mech.KIND_FIRST_PRICE, seed=2, horizon=200)
+    )
+    monkeypatch.setattr(an, "rebuild_ledgers", lambda *a: pytest.fail("swept the ledgers"))
+    with pytest.raises(error, match=match):
+        an.analysis_report(trace, SmoothnessParams(1.0 - 1.0 / math.e, 1.0), **kw)
+
+
+def test_an_undefined_ratio_is_refused_before_the_ledger_sweep(monkeypatch):
+    monkeypatch.setattr(an, "rebuild_ledgers", lambda *a: pytest.fail("swept the ledgers"))
+    with pytest.raises(UndefinedResultError):
+        an.analysis_report(fabricated([0.0], [0.0]), UNIT)
 
 
 # --- sufficient horizon ---------------------------------------------------------
@@ -399,15 +416,17 @@ def test_checkpoints_csv_round_trip():
     assert (int(h), float(e), float(r)) == (16, 0.125, 1.25)
 
 
-def test_sigma_size_of():
+def test_t_star_counts_every_joint_commitment_profile():
+    # |Sigma| is the grid size to the power of the agents: 11 bids, 4 agents
     trace = sim.run_repeated_game(
         acceptance_config(mech.KIND_FIRST_PRICE, seed=1, horizon=4)
     )
-    assert an.sigma_size_of(trace) == 11.0**4
+    report = an.analysis_report(trace, UNIT, delta=0.1, rho=0.5)
+    assert report["t_star"] == an.t_star(0.1, 0.5, 2, 11.0**4, 4.0, 1.0)
 
 
-def test_analysis_report_contents(run_1e5):
-    report = an.analysis_report(run_1e5, SmoothnessParams(1.0 - 1.0 / math.e, 1.0))
+def test_analysis_report_contents(run_1e5, report_1e5):
+    report = report_1e5
     for key in [
         "horizon", "seed", "epsilon", "epsilon_breakdown", "independence_gap",
         "zeta", "ratio", "bound", "within_bound", "avg_sw", "avg_opt",
@@ -424,7 +443,7 @@ def test_analysis_report_contents(run_1e5):
     assert set(report["epsilon_breakdown"]) == {
         "pop0_type0", "pop0_type1", "pop1_type0", "pop1_type1"
     }
-    assert report["t_star"] == an.t_star(0.05, 0.05, 2, an.sigma_size_of(run_1e5), 4.0, 1.0)
+    assert report["t_star"] == an.t_star(0.05, 0.05, 2, 11.0**4, 4.0, 1.0)
     assert report["checkpoints"][-1]["horizon"] == 100_000
 
 

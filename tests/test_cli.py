@@ -18,6 +18,7 @@ from regretlab import ConfigError
 from regretlab import cli, exact
 from regretlab import mechanisms as mech
 from regretlab import smoothness as smooth
+from regretlab.records import replace
 
 
 def base_doc(**overrides):
@@ -723,6 +724,58 @@ def test_index_arrays_of_one_seed_per_worker_must_fit_in_memory(tmp_path, capsys
     assert err.startswith("error: horizon 1000 needs") and "for 5 seed(s)" in err
     assert cli.main(["simulate", "--config", path]) == 0
     assert all((out / f"seed_{s}" / "trace.csv").exists() for s in range(1, 6))
+
+
+def test_a_seed_batch_holds_one_seed_at_a_time(tmp_path):
+    # eight types per population make the index arrays, which grow with the
+    # horizon and the agents, outweigh the loop's fixed working set; a worker
+    # that drops each seed's trace before playing the next peaks as a lone
+    # seed does, where one holding every seed's arrays at once peaks at over
+    # three times that
+    types = [0.125 * k for k in range(1, 9)]
+    cfg = cli.load_config(write_config(tmp_path, horizon=20_000, populations=[types, types]))
+    # the tables are cached outside the traced runs
+    cli._run_batch((replace(cfg, horizon=10), [1], tmp_path / "warm"))
+
+    def peak(seeds):
+        tracemalloc.start()
+        try:
+            cli._run_batch((cfg, seeds, tmp_path / f"out{len(seeds)}"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak([3, 5, 8, 13, 21]) < 2 * peak([3])
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("analysis.delta", lambda doc: doc.update(analysis={"delta": 1e200})),
+    ("mechanism.H", lambda doc: doc["mechanism"].update(H=2.0**400, grid_step=2.0**396)),
+])
+def test_a_value_whose_cube_overflows_exits_two_before_any_file(tmp_path, capsys, key,
+                                                                edit):
+    # the sufficient horizon cubes delta and H; every command refuses a value
+    # whose cube is past the float range as the config is read
+    doc = base_doc(horizon=50, seeds=[1], deviation="log", out_dir=str(tmp_path / "runs"))
+    edit(doc)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    for command in (["simulate"], ["analyze"], ["certify"],
+                    ["exact", "--out", str(tmp_path / "exact")]):
+        assert cli.main([*command, "--config", str(path)]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and f"{key}: must be <= {mech.CUBE_MAX}" in err, command
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_the_cube_limit_is_the_largest_float_whose_cube_is_finite(tmp_path):
+    assert math.isfinite(mech.CUBE_MAX**3)
+    with pytest.raises(OverflowError):
+        math.nextafter(mech.CUBE_MAX, math.inf) ** 3
+    mechanism = {**base_doc()["mechanism"], "H": mech.CUBE_MAX, "grid_step": mech.CUBE_MAX / 4}
+    cfg = cli.load_config(write_config(tmp_path, mechanism=mechanism,
+                                       analysis={"delta": mech.CUBE_MAX}))
+    assert cfg.mechanism.scale == cfg.settings.delta == mech.CUBE_MAX
 
 
 def test_exact_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):

