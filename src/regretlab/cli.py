@@ -239,6 +239,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
         raise ConfigError(
             f"analysis.checkpoints: {last} lies beyond the horizon {cfg.horizon}"
         )
+    if not any(v for p in cfg.populations for v in p):
+        raise ConfigError("populations: every type is 0, so the welfare ratio is undefined")
     # an invalid run exits before writing anything; each worker holds one
     # seed's index arrays at a time
     from . import simulator

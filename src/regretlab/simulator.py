@@ -20,11 +20,11 @@ sweep, for a simulated and a loaded trace alike; they always hold the exact
 counterfactual vector, whatever feedback the learner saw.
 
 Each seed is one independent run of the repeated game, played to its end
-before the next seed starts. Its randomness comes from a single numpy PCG64
-stream (counter-based, stable across numpy releases since 1.17). Draw order
-is fixed: one uniform per agent per round in round-major order, then one
-type-index column per population. Runs with equal configs are therefore
-reproducible bit for bit.
+before the next seed starts. Its randomness is the PCG64 stream numpy's
+``Generator(PCG64(seed))`` draws, which ``pcg64`` reproduces without
+loading numpy's random package. Draw order is fixed: one uniform per agent
+per round in round-major order, then one type-index column per population.
+Runs with equal configs are therefore reproducible bit for bit.
 
 The loop works through the rounds in chunks of DRAW_CHUNK. The types are
 drawn before play, so a chunk first works out everything play cannot
@@ -241,14 +241,15 @@ def _play_rounds(config: SimConfig):
     G = len(agents)
     offsets = np.array(config.agent_offsets())
 
-    gen = np.random.Generator(np.random.PCG64(config.seed))
+    from .pcg64 import Stream
+
+    gen = Stream(config.seed)
     # the type draws follow the T x G uniforms in the seed's stream
-    bits = np.random.PCG64(config.seed)
-    bits.advance(T * G)
-    types = np.random.Generator(bits)
+    types = Stream(config.seed)
+    types.advance(T * G)
     v_idx = np.empty((T, n), dtype=np.int16)
     for i, pop in enumerate(config.populations):
-        v_idx[:, i] = types.integers(0, len(pop), size=T)
+        v_idx[:, i] = types.integers(len(pop), T)
 
     # cell g * n_opp + opp holds agent g's utility vector against opponent
     # profile opp
@@ -272,7 +273,6 @@ def _play_rounds(config: SimConfig):
     strategy = np.empty((T, G), dtype=np.int16)
     realized = np.empty((T, n), dtype=np.int16)
     chunk = min(DRAW_CHUNK, T)
-    draws = np.empty((chunk, G))
     rows_at = np.empty((chunk, n), dtype=np.int64)
     if full:
         # ln(weight) grows by at most eta * top_unit per update
@@ -288,7 +288,7 @@ def _play_rounds(config: SimConfig):
 
     for a in range(0, T, DRAW_CHUNK):
         R = min(DRAW_CHUNK, T - a)
-        gen.random(out=draws[:R])
+        draws = gen.random(R * G).reshape(R, G)
         rows = rows_at[:R]
         np.add(offsets, v_idx[a:a + R], out=rows)
         if full:
@@ -296,11 +296,11 @@ def _play_rounds(config: SimConfig):
             etas[:R, :, 0] = anytime_eta(A, counts) if config.eta is None else config.eta
             steps = etas[:R, :, 0].max(axis=1) * top_unit + LOG_STEP_SLACK
             carried = _hedge_blocks(
-                state.weights, draws[:R], rows, etas[:R], steps, unit, first_cell,
+                state.weights, draws, rows, etas[:R], steps, unit, first_cell,
                 opp_place, *carried, strategy[a:a + R], realized[a:a + R],
             )
         else:
-            picks, played, headroom = step.rounds(draws[:R], rows, headroom)
+            picks, played, headroom = step.rounds(draws, rows, headroom)
             strategy[a:a + R] = np.reshape(picks, (R, G))
             realized[a:a + R] = np.reshape(played, (R, n))
 

@@ -533,8 +533,8 @@ RUN_MODULES = BASE_MODULES | {"analysis", "learners", "simulator"}
 @pytest.mark.parametrize("command, feedback, loaded", [
     ("certify", "full", BASE_MODULES),
     ("exact", "full", BASE_MODULES | {"exact"}),
-    ("simulate", "full", RUN_MODULES),
-    ("simulate", "bandit", RUN_MODULES | {"scalar_step"}),
+    ("simulate", "full", RUN_MODULES | {"pcg64"}),
+    ("simulate", "bandit", RUN_MODULES | {"pcg64", "scalar_step"}),
     ("analyze", "full", RUN_MODULES | {"readers"}),
 ])
 def test_each_command_imports_only_what_it_runs(tmp_path, command, feedback, loaded):
@@ -549,16 +549,22 @@ def test_each_command_imports_only_what_it_runs(tmp_path, command, feedback, loa
     src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     probe = (
-        "import sys, regretlab.cli\n"
+        "import sys, numpy\n"
+        "bare = 'numpy.random' in sys.modules\n"
+        "import regretlab.cli\n"
         f"argv = [{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}]\n"
         "assert regretlab.cli.main(argv) == 0\n"
         "print('dataclasses' in sys.modules)\n"
+        "print(bare or 'numpy.random' not in sys.modules)\n"
         "print(' '.join(m for m in sys.modules if m.startswith('regretlab.')))"
     )
     lines = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                            text=True, check=True).stdout.splitlines()
     # dataclasses would generate each record's methods with exec at import
-    assert lines[-2] == "False"
+    assert lines[-3] == "False"
+    # numpy 2 loads its random package on first use, and no command uses it;
+    # numpy 1 loads it with numpy itself
+    assert lines[-2] == "True"
     assert set(lines[-1].split()) == {f"regretlab.{m}" for m in loaded}
 
 
@@ -602,13 +608,17 @@ def test_simulate_usage_errors(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["simulate", "--config", str(path)]) == 2
-    # zero-value populations: the welfare ratio is undefined
-    doc = base_doc(horizon=10, seeds=[1], out_dir=str(tmp_path / "w"),
+    # zero-value populations: the welfare ratio is undefined, which is known
+    # before any seed is played, so nothing is written
+    doc = base_doc(horizon=10, seeds=[1, 2], out_dir=str(tmp_path / "w"),
                    populations=[[0.0], [0.0]])
     doc["mechanism"]["grid_step"] = 0.5
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert "every type is 0" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 def simulate_into_a_file(tmp_path):
