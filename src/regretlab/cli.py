@@ -239,14 +239,22 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
         raise ConfigError(
             f"analysis.checkpoints: {last} lies beyond the horizon {cfg.horizon}"
         )
-    if not any(v for p in cfg.populations for v in p):
-        raise ConfigError("populations: every type is 0, so the welfare ratio is undefined")
     # an invalid run exits before writing anything; each worker holds one
     # seed's index arrays at a time
     from . import simulator
 
     n, k = len(cfg.seeds), min(workers, len(cfg.seeds))
     simulator.check_index_memory(_sim_config(cfg, cfg.seeds[0]), k)
+    if all(0.0 in p for p in cfg.populations):
+        # a seed that draws the 0 type for every seat in every round (every
+        # seed, when every type is 0) has zero welfare and zero optimum; only
+        # configs with a 0 type in every population draw their types twice
+        zeros = [p.index(0.0) for p in cfg.populations]
+        for seed in cfg.seeds:
+            if (simulator.draw_types(_sim_config(cfg, seed)) == zeros).all():
+                raise UndefinedResultError(
+                    f"seed {seed} draws only 0 types, so its welfare ratio is undefined"
+                )
     Path(out).mkdir(parents=True, exist_ok=True)
     # k contiguous seed batches whose sizes differ by at most one
     cuts = [(n * b + k - 1) // k for b in range(k + 1)]

@@ -8,7 +8,7 @@ bandit (Exp3) multiplies exp(eta * utility / p) into the chosen weight only,
 where p is the exploration-mixed probability it was sampled with. Its Hedge
 blocks repeat the float operations of ``probabilities`` at gamma 0 on a
 (rounds, rows, bids) array, and its bandit step repeats them one row at a
-time on Python lists (``scalar_step.row_cdf``), so a change to one must be
+time on Python lists (``scalar_step.ScalarStep``), so a change to one must be
 made to the others. The loop never calls ``probabilities`` itself: it is the
 reference both are tested against.
 This module holds what the loop shares: the sampling distribution, the

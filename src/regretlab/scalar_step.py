@@ -1,11 +1,14 @@
 """The bandit round step of ``simulator._play_rounds``.
 
 A bandit seed plays its rounds here, one at a time, in plain Python: each
-learner row keeps its weights, sampling probabilities and CDF as lists,
-rebuilt only when the row's weights change. Every float operation repeats
-one of ``LearnerState.probabilities`` and numpy's ``cumsum`` on that row, the
-reference the tests compare it with. Only bandit runs import the module;
-Hedge runs do not compile it, which kept their peak RSS where it was.
+learner row keeps its weights, their total and its CDF as Python floats,
+rebuilt only when the row's weights change, and an update recomputes the
+probability of its bid from the weight and the total. Every float operation
+repeats one of ``LearnerState.probabilities`` and numpy's ``cumsum`` on that
+row, the reference the tests compare it with. The utility table and the
+draws are read through memoryviews, which give Python floats without a
+copy. Only bandit runs import the module; Hedge runs do not compile it,
+which kept their peak RSS where it was.
 """
 
 from __future__ import annotations
@@ -17,7 +20,23 @@ from operator import add, mul
 
 import numpy as np
 
+from . import mechanisms as mech
 from .learners import LOG_STEP_SLACK, LearnerState, ceiling_headroom, renormalize
+
+
+def profile_table(config) -> np.ndarray:
+    """A bandit seed's unit utilities (u + H) / 2H, (agents, A, ..., A):
+    agent g's utility at the bid profile b of its n seats is entry
+    ``[g, *b]``, its utility table with the own bid's axis moved to its
+    seat, so one profile code serves every seat of a round."""
+    m = config.mechanism
+    n, A = m.n, len(m.grid)
+    unit = np.empty((len(config.agents()), *[A] * n))
+    for g, (pop, _ti, val) in enumerate(config.agents()):
+        unit[g] = np.moveaxis(mech.utility_table(m, pop, val).reshape(unit[g].shape), 0, pop)
+    unit += m.scale
+    unit /= 2.0 * m.scale
+    return unit
 
 
 def pairwise_sum(a: list) -> float:
@@ -46,67 +65,71 @@ def pairwise_sum(a: list) -> float:
     return 0.0 + res
 
 
-def row_cdf(w: list, gamma: float) -> tuple[list, list, list]:
-    """One weight row with its sampling probabilities and their CDF, by the
-    float operations of ``LearnerState.probabilities`` and ``cumsum``."""
-    total = pairwise_sum(w)
-    if gamma > 0.0:
-        keep, floor = 1.0 - gamma, gamma / len(w)
-        p = [keep * (x / total) + floor for x in w]
-    else:
-        p = [x / total for x in w]
-    return w, p, list(accumulate(p))
-
-
 class ScalarStep:
-    """One bandit seed's learner rows as Python lists, and the rounds that
-    update them. ``state.weights`` is brought up to date only for a ceiling
-    check. ``unit`` is the (cells, bids) unit utility table and ``eta`` the
-    bandit step size."""
+    """One bandit seed's learner rows, and the rounds that update them.
 
-    def __init__(self, state: LearnerState, first_cell: np.ndarray,
-                 opp_place: np.ndarray, unit: np.ndarray, eta: float):
+    ``weights[r]``, ``totals[r]`` and ``cdfs[r]`` are row r's weights, their
+    pairwise sum and the CDF of its sampling probabilities, whose entry b is
+    ``keep * (weights[r][b] / totals[r]) + floor``: the float operations of
+    ``LearnerState.probabilities``, where gamma 0 gives keep 1.0 and floor
+    0.0, which leave the quotient's bits as they are. ``state.weights`` is
+    brought up to date only for a ceiling check. ``unit`` is a
+    ``profile_table``, read flat: agent g's utility at bid profile b is entry
+    g * A**n + sum(b[s] * A**(n-1-s)). ``eta`` is the bandit step size.
+    """
+
+    def __init__(self, state: LearnerState, unit: np.ndarray, eta: float):
         self.state = state
-        A = state.n_actions
-        # a row's table entries start at first[r] + sum(bids * place[i]), for
-        # the row r of seat i's update
-        self.first = (first_cell * A).tolist()
-        self.place = (opp_place.T * A).tolist()
+        A, n = state.n_actions, unit.ndim - 1
+        self.keep, self.floor = 1.0 - state.gamma, state.gamma / A
+        self.powers = [A ** (n - 1 - s) for s in range(n)]
+        self.first = [g * A**n for g in range(len(state.weights))]
+        self.unit = memoryview(unit.ravel())
         self.eta = eta
-        self.unit = unit.ravel()
-        self.cache = [row_cdf(w, state.gamma) for w in state.weights.tolist()]
+        self._load()
+
+    def _load(self) -> None:
+        """Rebuild every row from ``state.weights``."""
+        self.weights = self.state.weights.tolist()
+        self.totals = [pairwise_sum(w) for w in self.weights]
+        keep, floor = self.keep, self.floor
+        self.cdfs = [list(accumulate([keep * (x / total) + floor for x in w]))
+                     for w, total in zip(self.weights, self.totals)]
 
     def rounds(self, draws: np.ndarray, rows_at: np.ndarray, headroom: float):
         """Play one chunk: ``draws[c]`` and ``rows_at[c]`` are round c's
-        uniforms and updated learner rows. Returns the commitments and
-        realized bids, flat in round order, and the weight-ceiling headroom
-        left."""
-        state, cache, first, place = self.state, self.cache, self.first, self.place
-        gamma, top = state.gamma, state.n_actions - 1
-        eta, unit = self.eta, self.unit
+        uniforms, one per learner row, and updated rows, one per seat.
+        Returns the commitments and realized bids, flat in round order, and
+        the weight-ceiling headroom left."""
+        weights, totals, cdfs = self.weights, self.totals, self.cdfs
+        keep, floor, eta = self.keep, self.floor, self.eta
+        unit, first, powers = self.unit, self.first, self.powers
+        top, G = self.state.n_actions - 1, len(cdfs)
+        us = memoryview(draws.ravel())
+        exp = math.exp
         picks, played = [], []
-        for c in range(len(draws)):
-            # a round at a time: lists of a whole chunk raised the peak RSS
-            us, rows = draws[c].tolist(), rows_at[c].tolist()
+        for c, rows in enumerate(rows_at.tolist()):
             # the count of CDF entries below the last at or below the draw
             # times the total, as ``simulator._sample`` counts them
-            j = [bisect_right(cdf, u * cdf[-1], 0, top) for (_, _, cdf), u in zip(cache, us)]
+            j = [bisect_right(cdf, u * cdf[-1], 0, top)
+                 for cdf, u in zip(cdfs, us[c * G:c * G + G])]
             bids = [j[r] for r in rows]
             picks += j
             played += bids
+            code = sum(map(mul, bids, powers))
             xs = []
-            for r, b, pl in zip(rows, bids, place):
-                o = first[r] + sum(map(mul, bids, pl))
-                w, p, _ = cache[r]
-                x = eta * (unit.item(o + b) / p[b])
-                w[b] *= math.exp(x)
+            for r, b in zip(rows, bids):
+                w, total = weights[r], totals[r]
+                x = eta * (unit[first[r] + code] / (keep * (w[b] / total) + floor))
+                w[b] *= exp(x)
                 xs.append(x)
-                cache[r] = row_cdf(w, gamma)
+                totals[r] = total = pairwise_sum(w)
+                cdfs[r] = list(accumulate([keep * (y / total) + floor for y in w]))
             headroom -= max(xs) + LOG_STEP_SLACK
             if headroom < 0.0:
-                state.weights[:] = [w for w, _, _ in cache]
-                renormalize(state.weights)
-                headroom = ceiling_headroom(state.weights)
-                cache = [row_cdf(w, gamma) for w in state.weights.tolist()]
-        self.cache = cache
+                self.state.weights[:] = weights
+                renormalize(self.state.weights)
+                headroom = ceiling_headroom(self.state.weights)
+                self._load()
+                weights, totals, cdfs = self.weights, self.totals, self.cdfs
         return picks, played, headroom

@@ -35,8 +35,10 @@ a block plays many rounds from guessed bids in a few numpy calls and keeps
 those the guesses got right; the bids it resampled after a wrong guess are
 the next block's guesses. A bandit update divides by the probability its
 bid was sampled with, so bandit plays a round at a time, in plain Python
-over per-row CDFs that are rebuilt only when their row's weights change
-(``scalar_step``): a round updates a handful of short rows, where each
+(``scalar_step``): each row keeps its weights, their total and its CDF,
+rebuilt only when the row's weights change, and the utilities are laid out
+by whole bid profile (``scalar_step.profile_table``), so a round computes
+one profile code for all its updates. A round updates a handful of short rows, where each
 numpy call would cost more than the arithmetic it does.
 ``trace.csv`` and ``strategies.json`` are assembled as byte matrices in
 blocks of WRITE_CHUNK rounds. ``load_trace`` reads them back through
@@ -217,6 +219,20 @@ DRAW_CHUNK = 1024
 HEDGE_BLOCK = (8, 256, 1 << 16)
 
 
+def draw_types(config: SimConfig) -> np.ndarray:
+    """The (rounds, seats) type indices of seed ``config.seed``: the draws
+    that follow its T x G uniforms in the seed's stream."""
+    from .pcg64 import Stream
+
+    T = config.horizon
+    types = Stream(config.seed)
+    types.advance(T * len(config.agents()))
+    v_idx = np.empty((T, config.mechanism.n), dtype=np.int16)
+    for i, pop in enumerate(config.populations):
+        v_idx[:, i] = types.integers(len(pop), T)
+    return v_idx
+
+
 def _play_rounds(config: SimConfig):
     """The round loop of one seed, ``config.seed``.
 
@@ -244,47 +260,40 @@ def _play_rounds(config: SimConfig):
     from .pcg64 import Stream
 
     gen = Stream(config.seed)
-    # the type draws follow the T x G uniforms in the seed's stream
-    types = Stream(config.seed)
-    types.advance(T * G)
-    v_idx = np.empty((T, n), dtype=np.int16)
-    for i, pop in enumerate(config.populations):
-        v_idx[:, i] = types.integers(len(pop), T)
-
-    # cell g * n_opp + opp holds agent g's utility vector against opponent
-    # profile opp
-    n_opp = A ** (n - 1)
-    tables = np.empty((G * n_opp, A))
-    for g, (pop, _ti, val) in enumerate(agents):
-        tables[g * n_opp:(g + 1) * n_opp] = mech.utility_table(m, pop, val).T
+    v_idx = draw_types(config)
     full = config.feedback == FEEDBACK_FULL
-    state = LearnerState(np.ones((G, A)), gamma=0.0 if full else config.gamma)
-    # both rules read only the unit utilities (tables + H) / 2H, so the
-    # tables become those
-    unit = tables
-    unit += H
-    unit /= 2.0 * H
+    if full:
+        # Hedge reads only the unit utilities (u + H) / 2H; row g * n_opp +
+        # opp holds agent g's utility vector against opponent profile opp
+        n_opp = A ** (n - 1)
+        unit = np.empty((G * n_opp, A))
+        for g, (pop, _ti, val) in enumerate(agents):
+            unit[g * n_opp:(g + 1) * n_opp] = mech.utility_table(m, pop, val).T
+        unit += H
+        unit /= 2.0 * H
+    else:
+        from .scalar_step import ScalarStep, profile_table
 
-    # opp_place[j, i]: weight of seat j's bid in seat i's opponent index
-    opp_place = np.array([mech.opponent_places([A] * n, i) for i in range(n)]).T
-    # the first utility cell of each learner row's agent
-    first_cell = np.arange(G) * n_opp
+        unit = profile_table(config)
+    state = LearnerState(np.ones((G, A)), gamma=0.0 if full else config.gamma)
 
     strategy = np.empty((T, G), dtype=np.int16)
     realized = np.empty((T, n), dtype=np.int16)
     chunk = min(DRAW_CHUNK, T)
     rows_at = np.empty((chunk, n), dtype=np.int64)
     if full:
+        # opp_place[j, i]: weight of seat j's bid in seat i's opponent index
+        opp_place = np.array([mech.opponent_places([A] * n, i) for i in range(n)]).T
+        # the first utility cell of each learner row's agent
+        first_cell = np.arange(G) * n_opp
         # ln(weight) grows by at most eta * top_unit per update
         top_unit = max(float(unit.max()), 0.0)
         etas = np.empty((chunk, n, 1))
         carried = (ceiling_headroom(state.weights), HEDGE_BLOCK[0])
     else:
-        from .scalar_step import ScalarStep
-
         eta = config.eta if config.eta is not None else config.gamma / A
         headroom = ceiling_headroom(state.weights)
-        step = ScalarStep(state, first_cell, opp_place, unit, eta)
+        step = ScalarStep(state, unit, eta)
 
     for a in range(0, T, DRAW_CHUNK):
         R = min(DRAW_CHUNK, T - a)

@@ -608,8 +608,8 @@ def test_simulate_usage_errors(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["simulate", "--config", str(path)]) == 2
-    # zero-value populations: the welfare ratio is undefined, which is known
-    # before any seed is played, so nothing is written
+    # zero-value populations: the welfare ratio is undefined, which the type
+    # draws show before any seed is played, so nothing is written
     doc = base_doc(horizon=10, seeds=[1, 2], out_dir=str(tmp_path / "w"),
                    populations=[[0.0], [0.0]])
     doc["mechanism"]["grid_step"] = 0.5
@@ -617,8 +617,21 @@ def test_simulate_usage_errors(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli.main(["simulate", "--config", str(path)]) == 2
-    assert "every type is 0" in capsys.readouterr().err
+    assert ("seed 1 draws only 0 types, so its welfare ratio is undefined"
+            in capsys.readouterr().err)
     assert not (tmp_path / "w").exists()
+    # with a 0 type in every population, seed 1 of this config draws only
+    # 0 types in its one round; the seed is named before anything is written
+    doc = base_doc(horizon=1, seeds=[1, 2, 3, 4, 5, 6], out_dir=str(tmp_path / "z1"),
+                   populations=[[0.0, 0.5], [0.0, 0.5]])
+    doc["mechanism"]["grid_step"] = 0.1
+    path = tmp_path / "zero_draws.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert ("seed 1 draws only 0 types, so its welfare ratio is undefined"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "z1").exists()
 
 
 def simulate_into_a_file(tmp_path):

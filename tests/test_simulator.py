@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import tempfile
 from pathlib import Path
 
@@ -280,16 +281,57 @@ def test_pairwise_sum_is_numpys_float64_sum(n, seed, extra):
 @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        gamma=st.sampled_from((0.0, 0.05, 0.3)))
 def test_scalar_rows_hold_the_learner_state_s_probabilities(n, seed, gamma):
-    # the bandit step samples from these lists, so they must hold the bits of
-    # LearnerState.probabilities and their cumsum, the reference engine's
-    # distribution; a draw rarely lands within a rounding error of a CDF
-    # entry, so traces alone miss a change
+    # the bandit step samples from each row's CDF and divides by the
+    # probability it recomputes from the row's weight and total, so both must
+    # hold the bits of LearnerState.probabilities and their cumsum, the
+    # reference engine's distribution, when the rows are built and after
+    # rounds rebuild them; a draw rarely lands within a rounding error of a
+    # CDF entry, so traces alone miss a change
     rng = np.random.default_rng(seed)
     w = rng.random((1, n)) * 2.0 ** rng.integers(-60, 60, (1, n))
-    p = ln.LearnerState(w, gamma=gamma).probabilities()
-    _, got_p, got_cdf = scalar_step.row_cdf(w[0].tolist(), gamma)
-    assert same_bits(np.array(got_p), p[0])
-    assert same_bits(np.array(got_cdf), p[0].cumsum())
+    step = scalar_step.ScalarStep(ln.LearnerState(w, gamma=gamma), rng.random((1, n)), 0.1)
+
+    def assert_rows_match():
+        p = ln.LearnerState(np.array(step.weights), gamma=gamma).probabilities()
+        got_p = [step.keep * (x / step.totals[0]) + step.floor for x in step.weights[0]]
+        assert same_bits(np.array(got_p), p[0])
+        assert same_bits(np.array(step.cdfs[0]), p[0].cumsum())
+
+    assert_rows_match()
+    # rounds from weights of one scale, whose steps stay far below the ceiling
+    step.state.weights[:] = rng.random((1, n)) + 0.5
+    step._load()
+    _, played, _ = step.rounds(rng.random((8, 1)), np.zeros((8, 1), dtype=np.int64), 1e3)
+    assert step.weights[0] != step.state.weights[0].tolist() and len(played) == 8
+    assert_rows_match()
+
+
+@pytest.mark.parametrize("kind, n, units", [
+    (mech.KIND_FIRST_PRICE, 1, 1), (mech.KIND_FIRST_PRICE, 2, 1),
+    (mech.KIND_ALL_PAY, 3, 1), (mech.KIND_MULTI_UNIT, 4, 2),
+])
+def test_bandit_table_holds_every_seat_s_utility_at_each_profile_code(kind, n, units):
+    # a bandit round reads every seat's utility at one bid-profile code; each
+    # entry must be utility_table's at that profile, remapped to [0, 1].
+    # Types differ by seat, and ties go to the lowest index, so a seat's axis
+    # in the wrong place or reversed place values move some entry
+    m = mech.Mechanism(kind=kind, n=n, grid=mech.uniform_grid(0.25), units=units, scale=2.0)
+    pops = tuple(sim.Population((0.25 * (i + 1), 2.0)) for i in range(n))
+    cfg = sim.SimConfig(mechanism=m, populations=pops, horizon=1, seed=0,
+                        feedback=sim.FEEDBACK_BANDIT)
+    A, H, G = len(m.grid), m.scale, len(cfg.agents())
+    unit = scalar_step.profile_table(cfg)
+    # the simulator's one table buffer, (G * A**(n-1), A) floats
+    assert unit.size == G * A**n and unit.flags.c_contiguous
+    step = scalar_step.ScalarStep(ln.LearnerState(np.ones((G, A))), unit, 0.1)
+    for g, (seat, _ti, v) in enumerate(cfg.agents()):
+        want = (mech.utility_table(m, seat, v) + H) / (2.0 * H)
+        for bids in np.ndindex(*(A,) * n):
+            code = sum(map(operator.mul, bids, step.powers))
+            assert code == sum(b * A ** (n - 1 - s) for s, b in enumerate(bids))
+            opp = int(mech.opponent_index(bids, m.sizes, seat))
+            got = step.unit[step.first[g] + code]
+            assert np.float64(got).tobytes() == want[bids[seat], opp].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
