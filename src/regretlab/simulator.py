@@ -38,8 +38,8 @@ bid was sampled with, so bandit plays a round at a time, in plain Python
 (``scalar_step``): each row keeps its weights, their total and its CDF,
 rebuilt only when the row's weights change, and the utilities are laid out
 by whole bid profile (``scalar_step.profile_table``), so a round computes
-one profile code for all its updates. A round updates a handful of short rows, where each
-numpy call would cost more than the arithmetic it does.
+one profile code for all its updates. A round updates a handful of short
+rows, where each numpy call would cost more than the arithmetic it does.
 ``trace.csv`` and ``strategies.json`` are assembled as byte matrices in
 blocks of WRITE_CHUNK rounds. ``load_trace`` reads them back through
 ``readers``, which only it imports.
@@ -262,6 +262,11 @@ def _play_rounds(config: SimConfig):
     gen = Stream(config.seed)
     v_idx = draw_types(config)
     full = config.feedback == FEEDBACK_FULL
+    state = LearnerState(np.ones((G, A)), gamma=0.0 if full else config.gamma)
+    strategy = np.empty((T, G), dtype=np.int16)
+    realized = np.empty((T, n), dtype=np.int16)
+    chunk = min(DRAW_CHUNK, T)
+    rows_at = np.empty((chunk, n), dtype=np.int64)
     if full:
         # Hedge reads only the unit utilities (u + H) / 2H; row g * n_opp +
         # opp holds agent g's utility vector against opponent profile opp
@@ -271,17 +276,6 @@ def _play_rounds(config: SimConfig):
             unit[g * n_opp:(g + 1) * n_opp] = mech.utility_table(m, pop, val).T
         unit += H
         unit /= 2.0 * H
-    else:
-        from .scalar_step import ScalarStep, profile_table
-
-        unit = profile_table(config)
-    state = LearnerState(np.ones((G, A)), gamma=0.0 if full else config.gamma)
-
-    strategy = np.empty((T, G), dtype=np.int16)
-    realized = np.empty((T, n), dtype=np.int16)
-    chunk = min(DRAW_CHUNK, T)
-    rows_at = np.empty((chunk, n), dtype=np.int64)
-    if full:
         # opp_place[j, i]: weight of seat j's bid in seat i's opponent index
         opp_place = np.array([mech.opponent_places([A] * n, i) for i in range(n)]).T
         # the first utility cell of each learner row's agent
@@ -291,9 +285,11 @@ def _play_rounds(config: SimConfig):
         etas = np.empty((chunk, n, 1))
         carried = (ceiling_headroom(state.weights), HEDGE_BLOCK[0])
     else:
+        from .scalar_step import ScalarStep, profile_table
+
         eta = config.eta if config.eta is not None else config.gamma / A
         headroom = ceiling_headroom(state.weights)
-        step = ScalarStep(state, unit, eta)
+        step = ScalarStep(state, profile_table(config), eta)
 
     for a in range(0, T, DRAW_CHUNK):
         R = min(DRAW_CHUNK, T - a)
