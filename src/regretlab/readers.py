@@ -66,9 +66,9 @@ def read_trace_csv(csv_path, config: SimConfig):
             f"{float(body[t, col])!r}, expected {want}"
         )
 
-    rounds = np.arange(1, T + 1)
-    if not np.array_equal(body[:, 0], rounds):
-        raise bad_cell(0, body[:, 0] != rounds, "the round number")
+    bad = body[:, 0] != np.arange(1, T + 1)
+    if bad.any():
+        raise bad_cell(0, bad, "the round number")
     grid = np.asarray(config.mechanism.grid)
     v_idx = np.empty((T, n), dtype=np.int16)
     realized = np.empty((T, n), dtype=np.int16)
@@ -80,8 +80,11 @@ def read_trace_csv(csv_path, config: SimConfig):
         v_idx[:, i] = col
         col = body[:, 1 + n + i]
         j = np.searchsorted(grid, col - mech.GRID_TOL)
+        # the distance to the grid point, in place: the table is the
+        # command's largest array, and each column temporary adds to its peak
         hit = grid[np.minimum(j, len(grid) - 1)]
-        bad = (j == len(grid)) | ~(np.abs(hit - col) <= mech.GRID_TOL)
+        hit -= col
+        bad = (j == len(grid)) | ~(np.abs(hit, out=hit) <= mech.GRID_TOL)
         if bad.any():
             raise bad_cell(1 + n + i, bad, "a bid on the grid")
         realized[:, i] = j
