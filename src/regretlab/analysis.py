@@ -24,7 +24,6 @@ a warning, not an error, when an agent lies above it.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import Sequence
 
@@ -35,8 +34,6 @@ from .errors import ContractViolationError, InputError, UndefinedResultError
 from .learners import RegretLedger, external_regret
 from .simulator import FEEDBACK_FULL, Trace, rebuild_ledgers
 from .smoothness import SmoothnessParams
-
-logger = logging.getLogger(__name__)
 
 RATIO_TOL_DEFAULT = 0.05
 
@@ -71,7 +68,10 @@ def _check_hedge_bound(trace: Trace, ledgers: list[RegretLedger]) -> None:
         ) + 0.01
         reg = external_regret(led)
         if reg > bound:
-            logger.warning(
+            # imported here: at import, logging adds 0.5 MB to every run's peak
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "agent (pop=%d, type=%.4g): regret %.4f above the hedge bound %.4f",
                 pop,
                 val,

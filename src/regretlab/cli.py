@@ -199,8 +199,8 @@ def _run_batch(job) -> list[dict]:
         d = Path(out_root) / f"seed_{seed}"
         d.mkdir(parents=True, exist_ok=True)
         simulator.write_trace_csv(trace, d / "trace.csv")
-        simulator.write_strategies_json(
-            trace, d / "strategies.json", every=cfg.strategies_every
+        (d / "strategies.json").write_text(
+            simulator.strategies_json_text(trace, cfg.strategies_every)
         )
         if cfg.strategies_every > 1:
             # analyze sees no commitment table in a thinned sidecar; the report
@@ -356,10 +356,12 @@ def cmd_exact(cfg: ExperimentConfig, lam: float | None, mu: float | None,
 
 
 def _check_describes(cfg: ExperimentConfig, trace: simulator.Trace, sidecar: Path) -> None:
-    """Raise ConfigError unless the trace was run with the config's mechanism,
-    populations and horizon (when it gives one): the report takes lambda and
-    mu from the config."""
+    """Raise ConfigError unless the sidecar's directory is seed_<its seed> and
+    the trace ran the config's mechanism, populations and horizon (when it
+    gives one): the report takes lambda and mu from the config."""
     run = trace.config
+    if sidecar.parent.name != f"seed_{run.seed}":
+        raise ConfigError(f"{sidecar.parent}: holds seed {run.seed}; name it seed_{run.seed}")
     for name, ours, theirs in (
         ("mechanism", cfg.mechanism.to_descriptor(), run.mechanism.to_descriptor()),
         ("populations", cfg.populations, tuple(p.values for p in run.populations)),

@@ -24,8 +24,8 @@ to the next. A singular basis is a SolverError.
 The constraint matrix G is never stored. Its row (g, a) is U_g(s) - U_g(a,
 s_-g), so a column is gathered from 2 entries of the tensor per row, and
 every product y.G(s) over all profiles is one ``AgentGame.price`` call, one
-contraction per agent. The LP thus takes O(sigma + rows^2) memory, and
-``TENSOR_CAP`` is its only size limit.
+deviation sum (``smoothness.add_deviation_sums``, the base check's kernel).
+The LP thus takes O(sigma + rows^2) memory; ``TENSOR_CAP`` is its only limit.
 
 The minimum is certified by weak duality: with y >= 0 the final basis's
 deviation-row duals (clipped at 0), z = min_s (sw(s) - y.G(s)) is a lower
@@ -46,7 +46,8 @@ import numpy as np
 from . import mechanisms as mech
 from .errors import CapExceededError, ContractViolationError, SolverError
 from .records import record
-from .smoothness import SLACK_TOL, DeviationRule, SmoothnessParams, SmoothnessReport
+from .smoothness import (SLACK_TOL, DeviationRule, SmoothnessParams, SmoothnessReport,
+                         add_deviation_sums)
 
 TENSOR_CAP = 1_000_000
 FEAS_TOL = 1e-7
@@ -80,23 +81,14 @@ class AgentGame:
         return len(self.agents)
 
     def deviation_mix(self, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """sum_g sum_a Y[g][a] * U_g(a, s_-g) at every joint profile s, where
-        ``weights`` holds Y[0], Y[1], ... end to end (``sum(sizes)`` entries),
-        added into ``out`` when it is given.
-
-        One contraction per agent over its own axis of the tensor, expanded
-        back along that axis by broadcasting. It goes through einsum, not
-        tensordot: no transposed copy, and no BLAS, whose thread count could
-        move the bits of the sums."""
-        out = np.zeros(self.sigma) if out is None else out
-        pre, at = 1, 0
+        """sum_g sum_a Y[g][a] * U_g(a, s_-g) at every joint profile s, added
+        into ``out`` when it is given, ``weights`` holding Y[0], Y[1], ... end
+        to end: ``add_deviation_sums`` over the agents' rows as views."""
+        terms, pre, at = [], 1, 0
         for g, k in enumerate(self.sizes):
-            post = self.sigma // (pre * k)
-            mix = np.einsum("pkq,k->pq", self.utilities[g].reshape(pre, k, post),
-                            weights[at:at + k])
-            out.reshape(pre, k, post)[...] += mix[:, None, :]
+            terms.append((self.utilities[g].reshape(pre, k, -1), weights[at:at + k]))
             pre, at = pre * k, at + k
-        return out
+        return add_deviation_sums(np.zeros(self.sigma) if out is None else out, terms)
 
     def price(self, weights: np.ndarray) -> np.ndarray:
         """sum_g sum_a Y[g][a] * (U_g(s) - U_g(a, s_-g)) at every joint profile
@@ -178,27 +170,21 @@ def lift_smoothness_check(
     """
     g_ = agent_game
     m = g_.mechanism
-    pops = g_.populations
-    value_lists = [p.values for p in pops]
+    value_lists = [p.values for p in g_.populations]
+    count = math.prod(map(len, value_lists))
     devs = []
-    for g, (i, _ti, val) in enumerate(g_.agents):
-        dev = np.zeros(g_.sizes[g])
-        count = 0
+    for i, _ti, val in g_.agents:
+        dev = np.zeros(len(m.grid))
         for w in itertools.product(*value_lists):
-            wv = list(w)
-            wv[i] = val
-            dev += base_deviation.distribution(m, i, tuple(wv))
-            count += 1
+            dev += base_deviation.distribution(m, i, w[:i] + (val,) + w[i + 1:])
         devs.append(dev / count)
     lhs = g_.deviation_mix(np.concatenate(devs))
     slack = lhs - params.lam * g_.e_opt + params.mu * g_.revenue
     worst = int(np.argmin(slack))
     worst_slack = float(slack[worst])
-    digits = np.unravel_index(worst, g_.sizes)
-    bids = tuple(m.grid[d] for d in digits)
-    level = None
-    if g_.e_opt > 0.0:
-        level = float((lhs + params.mu * g_.revenue).min()) / g_.e_opt
+    bids = tuple(m.grid[d] for d in np.unravel_index(worst, g_.sizes))
+    gain = lhs + params.mu * g_.revenue
+    level = float(gain.min()) / g_.e_opt if g_.e_opt > 0.0 else None
     return SmoothnessReport(
         params=params,
         holds=bool(worst_slack >= -SLACK_TOL),
@@ -511,17 +497,15 @@ def _write_json(path, doc: dict) -> None:
     """Write ``json.dumps(doc)`` (sorted keys, compact) and a newline, the
     float arrays among its values formatted in pieces instead of built into
     sigma-long lists."""
-    arrays = {key: v for key, v in doc.items() if isinstance(v, np.ndarray)}
-    text = json.dumps({**doc, **dict.fromkeys(arrays, 0)}, sort_keys=True,
-                      separators=(",", ":"))
     with open(path, "w") as fh:
-        # each placeholder 0 marks where its array goes; the keys are sorted,
-        # so every split lands after the one before
-        for key in sorted(arrays):
-            head, text = text.split(f'"{key}":0', 1)
-            fh.write(f'{head}"{key}":')
-            fh.writelines(_float_list_parts(arrays[key]))
-        fh.write(text + "\n")
+        fh.write("{")
+        for i, key in enumerate(sorted(doc)):
+            fh.write(("," if i else "") + json.dumps(key) + ":")
+            if isinstance(doc[key], np.ndarray):
+                fh.writelines(_float_list_parts(doc[key]))
+            else:
+                fh.write(json.dumps(doc[key], sort_keys=True, separators=(",", ":")))
+        fh.write("}\n")
 
 
 def write_agent_game_json(agent_game: AgentGame, path) -> None:

@@ -14,7 +14,6 @@ the lowest player index.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import sys
@@ -172,13 +171,6 @@ class Mechanism:
     def sizes(self) -> tuple[int, ...]:
         """Every seat's grid size: the shape of the joint bid profiles."""
         return (len(self.grid),) * self.n
-
-    def index_of(self, bid: float) -> int:
-        """Grid index of ``bid``; raises InputError for off-grid bids."""
-        i = bisect.bisect_left(self.grid, bid - GRID_TOL)
-        if i < len(self.grid) and abs(self.grid[i] - bid) <= GRID_TOL:
-            return i
-        raise InputError(f"bid {bid} is not on the grid")
 
     def validate_values(self, values: Sequence[float]) -> tuple[float, ...]:
         if len(values) != self.n:

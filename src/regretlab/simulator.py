@@ -51,7 +51,6 @@ import json
 import math
 import os
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -518,10 +517,6 @@ def strategies_json_text(trace: Trace, every: int = 1) -> str:
         parts.append(rows.tobytes().replace(b"\0", b"").decode())
     parts[-1] = parts[-1][:-1] + "]}"
     return "".join(parts)
-
-
-def write_strategies_json(trace: Trace, path, every: int = 1) -> None:
-    Path(path).write_text(strategies_json_text(trace, every))
 
 
 def load_trace(csv_path, strategies_path) -> Trace:

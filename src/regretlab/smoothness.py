@@ -11,6 +11,8 @@ best certificate reachable with pure deviations, and build the logarithmic
 randomized deviation that is the standard certificate for the first-price
 rule. The exhaustive check also reports the largest lam its rule certifies at
 the given mu, so a rule's grid-certified level comes from the same pass.
+``add_deviation_sums`` is the deviation sum of this check, the lifted one
+and the LP's pricing in ``exact``.
 
 All expectations are closed-form sums over grid points; nothing is sampled.
 """
@@ -83,23 +85,6 @@ class DeviationRule:
             )
         return dist
 
-    @classmethod
-    def from_bid_function(
-        cls,
-        name: str,
-        mechanism: mech.Mechanism,
-        bid_fn: Callable[[int, tuple[float, ...]], float],
-    ) -> "DeviationRule":
-        """Pure rule: point mass on ``bid_fn(player, values)``."""
-
-        def fn(player: int, values: tuple[float, ...]) -> np.ndarray:
-            dist = np.zeros(len(mechanism.grid))
-            j = mechanism.index_of(bid_fn(player, values))
-            dist[j] = 1.0
-            return dist
-
-        return cls(name=name, fn=fn)
-
 
 @record(frozen=True)
 class SmoothnessReport:
@@ -137,6 +122,13 @@ def _grid_floor_index(grid: Sequence[float], x: float) -> int:
     return j
 
 
+def _point_mass(grid: Sequence[float], j: int) -> np.ndarray:
+    """The distribution over ``grid`` that puts all its mass on index ``j``."""
+    dist = np.zeros(len(grid))
+    dist[j] = 1.0
+    return dist
+
+
 def fpa_log_deviation(value: float, grid: Sequence[float]) -> np.ndarray:
     """Discretized logarithmic bid distribution for a first-price bidder.
 
@@ -149,14 +141,12 @@ def fpa_log_deviation(value: float, grid: Sequence[float]) -> np.ndarray:
     grid = tuple(grid)
     if not grid or grid[0] != 0.0:
         raise InputError("bid grid must start at 0.0")
+    if value < 0.0:
+        raise InputError(f"value must be nonnegative, got {value}")
+    if value == 0.0:
+        return _point_mass(grid, 0)
     masses = np.zeros(len(grid))
-    if value <= 0.0:
-        if value < 0.0:
-            raise InputError(f"value must be nonnegative, got {value}")
-        masses[0] = 1.0
-        return masses
-    endpoint = LOG_RULE_LIMIT * value
-    top = _grid_floor_index(grid, endpoint)
+    top = _grid_floor_index(grid, LOG_RULE_LIMIT * value)
 
     def cdf(b: float) -> float:
         return math.log(value / (value - b))
@@ -177,13 +167,12 @@ def named_deviation(name: str, mechanism: mech.Mechanism) -> DeviationRule:
     """
     grid = mechanism.grid
     if name == "half":
-        return DeviationRule.from_bid_function(
-            "half",
-            mechanism,
-            lambda i, v: grid[_grid_floor_index(grid, v[i] / 2.0)],
+        return DeviationRule(
+            name="half",
+            fn=lambda i, v: _point_mass(grid, _grid_floor_index(grid, v[i] / 2.0)),
         )
     if name == "zero":
-        return DeviationRule.from_bid_function("zero", mechanism, lambda i, v: 0.0)
+        return DeviationRule(name="zero", fn=lambda i, v: _point_mass(grid, 0))
     if name == "uniform":
 
         def uniform_fn(player: int, values: tuple[float, ...]) -> np.ndarray:
@@ -201,23 +190,18 @@ def named_deviation(name: str, mechanism: mech.Mechanism) -> DeviationRule:
     raise InputError(f"unknown deviation rule {name!r}")
 
 
-def _deviation_gain_grid(
-    mechanism: mech.Mechanism,
-    rule: DeviationRule,
-    values: tuple[float, ...],
-    mu: float,
-) -> np.ndarray:
-    """Array over joint action profiles of sum_i E[U_i(dev_i, a_-i)] + mu R(a)."""
-    shape = mechanism.sizes
-    rev = mech.revenue_table(mechanism).reshape(shape)
-    total = mu * rev if mu != 0.0 else np.zeros(shape)
-    for i in range(mechanism.n):
-        dist = rule.distribution(mechanism, i, values)
-        table = mech.utility_table(mechanism, i, values[i])
-        expected = dist @ table  # over opponent profiles of player i
-        opp_shape = tuple(s for j, s in enumerate(shape) if j != i)
-        total = total + np.expand_dims(expected.reshape(opp_shape), axis=i)
-    return total
+def add_deviation_sums(out: np.ndarray, terms) -> np.ndarray:
+    """Add sum_k w[k] T[p, k, q] into ``out``, read as (p, k, q) too, at
+    every k, for each (T, w) in ``terms``; return ``out``. With T a player's
+    utilities laid out as (profiles before its axis, own action, profiles
+    after), this is the deviation sum sum_i E_{w_i}[U_i(., a_-i)]. One
+    einsum per T: no copy, and no BLAS, whose thread count could move bits.
+    """
+    for table, w in terms:
+        pre, k, post = table.shape
+        view = out.reshape(pre, k, post)
+        view += np.einsum("pkq,k->pq", table, w)[:, None, :]
+    return out
 
 
 def check_deviation_smoothness(
@@ -237,23 +221,27 @@ def check_deviation_smoothness(
     profiles = [mechanism.validate_values(v) for v in value_space]
     if not profiles:
         raise InputError("value_space must contain at least one profile")
-    shape = mechanism.sizes
-    worst = math.inf
-    level = math.inf
+    n, size = mechanism.n, len(mechanism.grid)
+    rev = mech.revenue_table(mechanism)
+    worst = level = math.inf
     wit_v: tuple[float, ...] = profiles[0]
-    wit_a: tuple[int, ...] = (0,) * mechanism.n
+    wit_a: tuple[int, ...] = (0,) * n
     for values in profiles:
         opt = mech.optimal_welfare(values, mechanism)
-        gain = _deviation_gain_grid(mechanism, rule, values, params.mu)
+        # mu R, then each seat's table [b_i, a_-i] viewed as (a_<i, b_i, a_>i)
+        gain = add_deviation_sums(params.mu * rev, (
+            (mech.utility_table(mechanism, i, values[i]).reshape(size, size**i, -1)
+             .transpose(1, 0, 2), rule.distribution(mechanism, i, values))
+            for i in range(n)
+        ))
         if opt > 0.0:
             level = min(level, float(gain.min()) / opt)
         slack = gain - params.lam * opt
         flat = int(np.argmin(slack))
-        low = float(slack.reshape(-1)[flat])
-        if low < worst:
-            worst = low
+        if slack[flat] < worst:
+            worst = float(slack[flat])
             wit_v = values
-            wit_a = np.unravel_index(flat, shape)
+            wit_a = np.unravel_index(flat, mechanism.sizes)
     actions = tuple(mechanism.grid[j] for j in wit_a)
     return SmoothnessReport(
         params=params,
@@ -328,8 +316,6 @@ def best_pure_deviation(
         key = tuple(float(v) for v in values)
         if key not in chosen:
             raise InputError(f"value profile {key} was not in the searched space")
-        dist = np.zeros(len(mechanism.grid))
-        dist[chosen[key][player]] = 1.0
-        return dist
+        return _point_mass(mechanism.grid, chosen[key][player])
 
     return best_overall, DeviationRule(name="best-pure", fn=fn)

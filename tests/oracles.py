@@ -376,9 +376,9 @@ def reference_run(config):
     one update and one addition to the ledger sums per selected agent, and
     welfare from ``auction_outcome`` once per round. It reads the library's
     utility tables; the loop around them is what it pins. Returns a dict with
-    ``v_idx``, ``strategy``, ``realized_idx``, ``sw``, ``opt``, ``ledgers``
-    and ``renormalizations``, the number of times a weight passed the
-    ceiling.
+    ``v_idx``, ``strategy``, ``realized_idx``, ``sw``, ``opt``, ``ledgers``,
+    ``renormalizations``, the number of times a weight passed the ceiling,
+    and ``weights``, every learner's weights after the last round.
     """
     m = config.mechanism
     n = m.n
@@ -463,7 +463,8 @@ def reference_run(config):
     ]
     return {"v_idx": v_idx, "strategy": strategy, "realized_idx": realized,
             "sw": sw, "opt": opt, "ledgers": ledgers,
-            "renormalizations": sum(st.renormalizations for st in states)}
+            "renormalizations": sum(st.renormalizations for st in states),
+            "weights": [st.weights for st in states]}
 
 
 # --- persistence ------------------------------------------------------------------

@@ -463,6 +463,26 @@ def multi_unit_of_four(doc):
     doc.update(populations=[[0.5, 1.0]] * 4, smoothness={"lambda": 0.35, "mu": 1.0})
 
 
+def test_analyze_refuses_a_seed_directory_named_after_another_seed(tmp_path, capsys):
+    # int("1_0") is 10, so a copy of seed_10 named seed_1_0 read as a second
+    # seed 10; a copy of seed_3 named seed_7 read as a second seed 3
+    out = tmp_path / "runs"
+    cfg = write_config(tmp_path, name="sim.json", horizon=50, seeds=[3, 10],
+                       out_dir=str(out), deviation="half",
+                       smoothness={"lambda": 0.5, "mu": 1.0},
+                       mechanism={**base_doc()["mechanism"], "grid_step": 0.5})
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    for source, copy in (("seed_10", "seed_1_0"), ("seed_3", "seed_7")):
+        shutil.copytree(out / source, out / copy)
+        capsys.readouterr()
+        assert cli.main(["analyze", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / copy) in err
+        shutil.rmtree(out / copy)
+    assert cli.main(["analyze", "--config", cfg]) == 0
+    assert json.loads((out / "report.json").read_text())["n_seeds"] == 2
+
+
 @pytest.mark.parametrize("field, edit", [
     ("mechanism", multi_unit_of_four),
     ("populations", lambda doc: doc.update(populations=[[0.5, 1.0], [0.25, 1.0]])),
@@ -554,13 +574,14 @@ def test_each_command_imports_only_what_it_runs(tmp_path, command, feedback, loa
         "import regretlab.cli\n"
         f"argv = [{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}]\n"
         "assert regretlab.cli.main(argv) == 0\n"
-        "print('dataclasses' in sys.modules)\n"
+        "print('dataclasses' in sys.modules or 'logging' in sys.modules)\n"
         "print(bare or 'numpy.random' not in sys.modules)\n"
         "print(' '.join(m for m in sys.modules if m.startswith('regretlab.')))"
     )
     lines = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                            text=True, check=True).stdout.splitlines()
-    # dataclasses would generate each record's methods with exec at import
+    # dataclasses would generate each record's methods with exec at import;
+    # logging, imported only to warn, adds 0.5 MB to a command's peak RSS
     assert lines[-3] == "False"
     # numpy 2 loads its random package on first use, and no command uses it;
     # numpy 1 loads it with numpy itself

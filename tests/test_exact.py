@@ -195,11 +195,8 @@ def test_lifted_level_is_at_least_the_base_level(inst):
 def test_corrupted_rule_fails_the_lift_with_witness():
     inst = BY_NAME["fp_2x2_coarse"]
     game = exact.build_agent_game(inst.mechanism, inst.populations)
-    overbid = smooth.DeviationRule.from_bid_function(
-        "max-bid",
-        inst.mechanism,
-        lambda player, values: inst.mechanism.grid[-1],
-    )
+    size = len(inst.mechanism.grid)
+    overbid = smooth.DeviationRule(name="max-bid", fn=lambda player, values: np.eye(size)[-1])
     report = exact.lift_smoothness_check(
         game, overbid, smooth.SmoothnessParams(1.0 - 1.0 / np.e, 1.0)
     )

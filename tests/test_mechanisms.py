@@ -24,7 +24,7 @@ TENTHS = tuple(round(0.1 * i, 10) for i in range(11))
 
 def outcome(m, bids, values):
     """(utilities, revenue) of one bid profile, read from the tables."""
-    idx = [m.index_of(b) for b in bids]
+    idx = [m.grid.index(b) for b in bids]
     sizes = m.sizes
     utilities = []
     for i in range(m.n):
@@ -95,8 +95,6 @@ def test_optimal_welfare():
 def test_off_grid_and_arity_rejected():
     m = fp(2, QUARTERS)
     with pytest.raises(InputError):
-        m.index_of(0.3)
-    with pytest.raises(InputError):
         m.validate_values((1.0,))
     with pytest.raises(InputError):
         m.validate_values((1.5, 0.5))  # value above the scale
@@ -116,9 +114,6 @@ def test_grid_invariants():
             fp(1, grid, scale=scale)
     m = fp(2, mech.uniform_grid(0.25, 1.0))
     assert m.grid == QUARTERS
-    assert m.index_of(0.75) == 3
-    # grid lookup tolerates float dust
-    assert m.index_of(0.75 + 1e-12) == 3
 
 
 def test_one_grid_is_stored_as_a_canonical_tuple():

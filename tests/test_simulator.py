@@ -129,6 +129,36 @@ def assert_matches_reference(trace, cfg):
     return want
 
 
+@pytest.mark.parametrize("kind, eta", [(mech.KIND_FIRST_PRICE, None),
+                                       (mech.KIND_ALL_PAY, 0.1)])
+def test_hedge_weights_and_block_cdfs_have_the_reference_bits(monkeypatch, kind, eta):
+    # A trace shows a weight or CDF entry one ulp off only once a draw lands
+    # within an ulp of a CDF entry, which the pinned runs never do. So the
+    # engine's weights are read directly: math.exp differs from np.exp in
+    # the last bit on a few percent of inputs, which moves the final
+    # weights, and a row total summed in another order moves the CDFs a
+    # block samples its first round from.
+    made, checked = [], []
+    sample = sim._sample
+
+    def keep(*args, **kwargs):
+        made.append(ln.LearnerState(*args, **kwargs))
+        return made[-1]
+
+    def start_cdfs_checked(cdf, draws):
+        if cdf.ndim == 2:  # a block's start: made[0].weights are its weights
+            want = np.cumsum(ln.LearnerState(made[0].weights.copy()).probabilities(), axis=1)
+            checked.append(same_bits(cdf, want))
+        return sample(cdf, draws)
+
+    monkeypatch.setattr(sim, "LearnerState", keep)
+    monkeypatch.setattr(sim, "_sample", start_cdfs_checked)
+    cfg = small_config(kind, horizon=600, seed=8, eta=eta)
+    sim.run_repeated_game(cfg)
+    assert len(checked) > 10 and all(checked)
+    assert same_bits(made[0].weights, np.array(oracles.reference_run(cfg)["weights"]))
+
+
 @st.composite
 def seed_batches(draw):
     """A small run with a fixed or anytime step and one to four seeds."""
@@ -491,7 +521,7 @@ def test_round_trip_preserves_everything(cfg, every):
         csv_path = Path(tmp) / "trace.csv"
         json_path = Path(tmp) / "strategies.json"
         sim.write_trace_csv(trace, csv_path)
-        sim.write_strategies_json(trace, json_path, every=every)
+        json_path.write_text(sim.strategies_json_text(trace, every))
         back = sim.load_trace(csv_path, json_path)
     assert back.config == cfg
     for name in ("v_idx", "realized_idx", "sw", "opt"):
@@ -507,7 +537,7 @@ def test_subsampled_sidecar_drops_strategy_table(tmp_path):
     csv_path = tmp_path / "trace.csv"
     json_path = tmp_path / "strategies.json"
     sim.write_trace_csv(trace, csv_path)
-    sim.write_strategies_json(trace, json_path, every=4)
+    json_path.write_text(sim.strategies_json_text(trace, every=4))
     doc = json.loads(json_path.read_text())
     assert doc["every"] == 4
     assert len(doc["rounds"]) == 10
@@ -767,7 +797,7 @@ def test_validate_catches_tampering(tmp_path):
     csv_path = tmp_path / "trace.csv"
     json_path = tmp_path / "strategies.json"
     sim.write_trace_csv(trace, csv_path)
-    sim.write_strategies_json(trace, json_path)
+    json_path.write_text(sim.strategies_json_text(trace))
     trace.realized_idx = trace.realized_idx.copy()
     trace.realized_idx[3, 0] = (trace.realized_idx[3, 0] + 1) % 5
     with pytest.raises(InputError, match="diverge"):

@@ -52,9 +52,6 @@ def test_distribution_validation():
     short = smooth.DeviationRule(name="short", fn=lambda i, v: np.array([1.0]))
     with pytest.raises(InputError):
         short.distribution(m, 0, (1.0, 1.0))
-    off_grid = smooth.DeviationRule.from_bid_function("off", m, lambda i, v: 0.3)
-    with pytest.raises(InputError):
-        off_grid.distribution(m, 0, (1.0, 1.0))
 
 
 def test_half_rule_certifies_half_one():
@@ -96,6 +93,22 @@ def test_overreaching_params_fail_with_witness():
     assert direct == pytest.approx(report.worst_slack, abs=1e-12)
 
 
+def test_half_and_zero_are_point_masses():
+    m = fp(step=0.1)
+    half = smooth.named_deviation("half", m)
+    zero = smooth.named_deviation("zero", m)
+    # on grid points, between them, at 0 and at the scale
+    for v in (0.0, 0.05, 0.2, 0.3, 0.37, 0.5, 0.61, 0.9, 0.95, 1.0):
+        values = (v, 1.0 - v)
+        for i in range(2):
+            want = np.zeros(len(m.grid))
+            want[smooth._grid_floor_index(m.grid, values[i] / 2.0)] = 1.0
+            np.testing.assert_array_equal(half.distribution(m, i, values), want)
+            np.testing.assert_array_equal(zero.distribution(m, i, values), np.eye(len(m.grid))[0])
+    for v, bid in [(0.2, 0.1), (0.37, 0.1), (0.6, 0.3), (0.61, 0.3), (0.05, 0.0), (1.0, 0.5)]:
+        assert m.grid[int(half.distribution(m, 0, (v, 0.0)).argmax())] == bid
+
+
 def test_single_player_zero_rule_is_fully_efficient():
     m = fp(n=1, step=0.5)
     report = smooth.check_deviation_smoothness(
@@ -106,22 +119,28 @@ def test_single_player_zero_rule_is_fully_efficient():
 
 
 def test_worst_slack_matches_brute_force():
+    # at n = 3 the middle seat's table has axes both before and after its own
+    three = mech.value_profiles([[0.5, 1.0], [0.25, 0.75], [0.5, 1.0]])
     cases = [
-        (fp(), "half", 0.5, 1.0),
-        (fp(), "log", E_LIMIT, 1.0),
-        (ap(), "uniform", 0.5, 1.0),
-        (ap(), "zero", 0.4, 0.5),
+        (fp(), "half", 0.5, 1.0, QUARTER_VALUES),
+        (fp(), "log", E_LIMIT, 1.0, QUARTER_VALUES),
+        (ap(), "uniform", 0.5, 1.0, QUARTER_VALUES),
+        (ap(), "zero", 0.4, 0.5, QUARTER_VALUES),
+        (fp(n=3), "half", 0.5, 1.0, three),
+        (fp(n=3), "log", E_LIMIT, 1.0, three),
+        (ap(n=3), "uniform", 0.5, 1.0, three),
+        (ap(n=3), "half", 0.25, 0.5, three),
     ]
-    for m, name, lam, mu in cases:
+    for m, name, lam, mu, values in cases:
         rule = smooth.named_deviation(name, m)
         report = smooth.check_deviation_smoothness(
-            m, rule, smooth.SmoothnessParams(lam, mu), QUARTER_VALUES
+            m, rule, smooth.SmoothnessParams(lam, mu), values
         )
         brute = min(
             oracles.deviation_slack(
                 m, [rule.distribution(m, i, v) for i in range(m.n)], lam, mu, v
             )
-            for v in QUARTER_VALUES
+            for v in values
         )
         assert report.worst_slack == pytest.approx(brute, abs=1e-12), (name, lam, mu)
 
