@@ -33,7 +33,6 @@ from . import mechanisms as mech
 from .errors import ContractViolationError, InputError, UndefinedResultError
 from .learners import RegretLedger, external_regret
 from .simulator import FEEDBACK_FULL, Trace, rebuild_ledgers
-from .smoothness import SmoothnessParams
 
 RATIO_TOL_DEFAULT = 0.05
 
@@ -149,7 +148,7 @@ def checkpoints_csv_text(rows: Sequence[dict]) -> str:
 
 def analysis_report(
     trace: Trace,
-    smoothness_params: SmoothnessParams,
+    smoothness_params: mech.SmoothnessParams,
     delta: float = 0.05,
     rho: float = 0.05,
     zeta: float = 0.01,

@@ -12,12 +12,17 @@ Subcommands:
   search fits its cap (it is informational and never sets the exit code).
 * ``exact``: build the agent normal form, check the lifted certificate, and
   bound worst-case equilibrium welfare by LP.
-* ``analyze``: recompute analysis reports from stored trace files.
+* ``analyze``: recompute analysis reports from stored trace files; no file
+  is written until every seed directory has been read, checked and analyzed.
 
 One JSON document describes one experiment. The schema is checked before any
 work starts and unknown keys are rejected with the offending path. All
 randomness flows from the configured seeds; output naming is deterministic
 and independent of worker completion order.
+
+The command line is read like the config: each command's flags are a key
+table for ``mechanisms.read_object``, so argv costs no import beyond what
+every command loads (``argparse`` loaded ``gettext`` and ``locale``).
 
 Exit codes: 0 success / property holds, 1 property fails or solver failure,
 2 usage or config error, a malformed trace file, an input or output path
@@ -27,7 +32,6 @@ configured inputs (such as a ratio of zero welfares).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -35,7 +39,7 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import mechanisms as mech, smoothness
+from . import mechanisms as mech
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -47,14 +51,15 @@ from .errors import (
 from .records import asdict, record, replace
 
 # Each command imports only the modules it runs: certify never loads the
-# simulator, the learners, the analysis or the LP.
+# simulator, the learners, the analysis or the LP, and only certify and exact
+# load smoothness.
 if TYPE_CHECKING:
     from . import simulator
 
 DEFAULT_SMOOTHNESS = {
-    mech.KIND_FIRST_PRICE: (smoothness.LOG_RULE_LIMIT, 1.0),
+    mech.KIND_FIRST_PRICE: (mech.LOG_RULE_LIMIT, 1.0),
     mech.KIND_ALL_PAY: (0.5, 1.0),
-    mech.KIND_MULTI_UNIT: (smoothness.LOG_RULE_LIMIT, 1.0),
+    mech.KIND_MULTI_UNIT: (mech.LOG_RULE_LIMIT, 1.0),
 }
 DEFAULT_DEVIATION = {
     mech.KIND_FIRST_PRICE: "log",
@@ -82,7 +87,7 @@ class ExperimentConfig:
     eta: float | None
     gamma: float
     deviation: str | None
-    params: smoothness.SmoothnessParams
+    params: mech.SmoothnessParams
     settings: AnalysisSettings
     out_dir: str | None
     strategies_every: int
@@ -139,7 +144,7 @@ def load_config(path) -> ExperimentConfig:
         pops = mech.check_populations(f["mechanism"], f["populations"])
         sm = f.pop("smoothness")
         lam, mu = DEFAULT_SMOOTHNESS[f["mechanism"].kind] if sm is None else (sm["lambda"], sm["mu"])
-        params = smoothness.SmoothnessParams(lam=lam, mu=mu)
+        params = mech.SmoothnessParams(lam=lam, mu=mu)
     except InputError as e:
         raise ConfigError(f"{path}: {e}") from e
     f.update(populations=tuple(p.values for p in pops), params=params,
@@ -154,34 +159,22 @@ def _json_text(doc) -> str:
 def _sim_config(cfg: ExperimentConfig, seed: int) -> simulator.SimConfig:
     from . import simulator
 
-    return simulator.SimConfig(
-        mechanism=cfg.mechanism,
-        populations=cfg.populations,
-        horizon=cfg.horizon,
-        seed=seed,
-        feedback=cfg.feedback,
-        eta=cfg.eta,
-        gamma=cfg.gamma,
-    )
+    return simulator.SimConfig(mechanism=cfg.mechanism, populations=cfg.populations,
+                               horizon=cfg.horizon, seed=seed, feedback=cfg.feedback,
+                               eta=cfg.eta, gamma=cfg.gamma)
 
 
-def _write_report(cfg: ExperimentConfig, trace: simulator.Trace, d: Path) -> dict:
-    """Analyze one seed's trace, write its report.json and checkpoints.csv
-    into ``d``, and return the seed's summary."""
+def _seed_report(cfg: ExperimentConfig, trace: simulator.Trace) -> tuple[dict, dict]:
+    """Analyze one seed's trace: the seed's summary, and the texts of its
+    report.json and checkpoints.csv by file name."""
     from . import analysis
 
     report = analysis.analysis_report(trace, cfg.params, **asdict(cfg.settings))
-    (d / "report.json").write_text(_json_text(report))
-    (d / "checkpoints.csv").write_text(
-        analysis.checkpoints_csv_text(report["checkpoints"])
-    )
-    return {
-        "seed": report["seed"],
-        "ratio": report["ratio"],
-        "epsilon": report["epsilon"],
-        "independence_gap": report["independence_gap"],
-        "finite_time_slack": report["finite_time_slack"],
-        "within_bound": report["within_bound"],
+    summary = ("seed", "ratio", "epsilon", "independence_gap", "finite_time_slack",
+               "within_bound")
+    return {k: report[k] for k in summary}, {
+        "report.json": _json_text(report),
+        "checkpoints.csv": analysis.checkpoints_csv_text(report["checkpoints"]),
     }
 
 
@@ -206,7 +199,10 @@ def _run_batch(job) -> list[dict]:
             # analyze sees no commitment table in a thinned sidecar; the report
             # must not depend on more than the files hold
             trace = replace(trace, strategy=None)
-        summaries.append(_write_report(cfg, trace, d))
+        summary, files = _seed_report(cfg, trace)
+        for name, text in files.items():
+            (d / name).write_text(text)
+        summaries.append(summary)
         del trace  # freed before the next seed is played
     return summaries
 
@@ -241,7 +237,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
         )
     # an invalid run exits before writing anything; each worker holds one
     # seed's index arrays at a time
-    from . import simulator
+    from . import rounds, simulator
 
     n, k = len(cfg.seeds), min(workers, len(cfg.seeds))
     simulator.check_index_memory(_sim_config(cfg, cfg.seeds[0]), k)
@@ -251,7 +247,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
         # configs with a 0 type in every population draw their types twice
         zeros = [p.index(0.0) for p in cfg.populations]
         for seed in cfg.seeds:
-            if (simulator.draw_types(_sim_config(cfg, seed)) == zeros).all():
+            if (rounds.draw_types(_sim_config(cfg, seed)) == zeros).all():
                 raise UndefinedResultError(
                     f"seed {seed} draws only 0 types, so its welfare ratio is undefined"
                 )
@@ -281,6 +277,8 @@ def _base_check(cfg: ExperimentConfig, lam: float | None, mu: float | None):
     """The config's (lambda, mu) with the --lambda/--mu overrides applied, the
     config's rule (the kind's default when it names none), the value space,
     and the rule's exhaustive check on it."""
+    from . import smoothness
+
     params = cfg.params
     if lam is not None:
         params = replace(params, lam=lam)
@@ -296,6 +294,8 @@ def _base_check(cfg: ExperimentConfig, lam: float | None, mu: float | None):
 
 
 def cmd_certify(cfg: ExperimentConfig, lam: float | None, mu: float | None) -> int:
+    from . import smoothness
+
     params, rule, value_space, report = _base_check(cfg, lam, mu)
     print(f"rule {rule.name!r}: {report}")
     try:
@@ -311,8 +311,8 @@ def cmd_certify(cfg: ExperimentConfig, lam: float | None, mu: float | None) -> i
         else:
             print(
                 f"log rule certifies lam={report.level:.6g} "
-                f"(continuum limit {smoothness.LOG_RULE_LIMIT:.6g}, degradation "
-                f"{max(0.0, smoothness.LOG_RULE_LIMIT - report.level):.6g})"
+                f"(continuum limit {mech.LOG_RULE_LIMIT:.6g}, degradation "
+                f"{max(0.0, mech.LOG_RULE_LIMIT - report.level):.6g})"
             )
     return 0 if report.holds else 1
 
@@ -389,61 +389,92 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: str | None) -> int:
     seed_dirs = sorted(seeds, key=seeds.get)
     if not seed_dirs:
         raise ConfigError(f"no seed_* directories under {root}")
-    summaries = []
+    # every seed is read, checked and analyzed before any file is written, so
+    # a refused run leaves the directory as it was; only the texts are held
+    analyzed = []
     for d in seed_dirs:
         trace = simulator.load_trace(d / "trace.csv", d / "strategies.json")
         _check_describes(cfg, trace, d / "strategies.json")
-        summary = _write_report(cfg, trace, d)
-        summaries.append(summary)
+        analyzed.append((d, *_seed_report(cfg, trace)))
+        del trace  # freed before the next seed is read
+    for d, summary, files in analyzed:
+        for name, text in files.items():
+            (d / name).write_text(text)
         print(f"{d.name}: ratio {summary['ratio']:.4f}, epsilon {summary['epsilon']:.5f}")
-    agg = _aggregate(cfg, summaries)
+    agg = _aggregate(cfg, [summary for _, summary, _ in analyzed])
     (root / "report.json").write_text(_json_text(agg))
     print(f"mean ratio {agg['mean_ratio']:.4f} over {agg['n_seeds']} seeds -> {root}")
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="regretlab",
-        description="Repeated-auction learning experiments and certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: regretlab simulate --config FILE [--out DIR] [--workers N]
+       regretlab analyze  --config FILE [--out DIR]
+       regretlab certify  --config FILE [--out DIR] [--lambda X] [--mu X]
+       regretlab exact    --config FILE [--out DIR] [--lambda X] [--mu X]
+A flag is --flag VALUE or --flag=VALUE; the last one given counts.
+"""
 
-    def common(p, workers=False, lam_mu=False):
-        p.add_argument("--config", required=True, help="experiment JSON file")
-        p.add_argument("--out", default=None, help="output directory override")
-        if workers:
-            p.add_argument("--workers", type=int, default=1,
-                           help="processes running contiguous seed batches (default 1)")
-        if lam_mu:
-            p.add_argument("--lambda", dest="lam", type=float, default=None,
-                           help="override the certificate lambda")
-            p.add_argument("--mu", type=float, default=None,
-                           help="override the certificate mu")
 
-    common(sub.add_parser("simulate", help="run seeds and write traces"),
-           workers=True)
-    common(sub.add_parser("certify", help="check a deviation certificate"),
-           lam_mu=True)
-    common(sub.add_parser("exact", help="agent-game enumeration and LP bound"),
-           lam_mu=True)
-    common(sub.add_parser("analyze", help="recompute reports from stored traces"))
-    return parser
+def _flag(convert, parse):
+    """A flag's parser: ``convert`` (int or float) reads its text, ``parse`` checks it."""
+    def read(text, path):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise InputError(f"{path}: expected {convert.__name__}, got {text!r}") from None
+        return parse(value, path)
+    return read
+
+
+# each command's flags as a key table of mech.read_object
+FLAGS = {"--config": (mech.read_string, mech.REQUIRED), "--out": (mech.read_string, None)}
+LAMBDA_MU = {"--lambda": (_flag(float, SMOOTHNESS["lambda"][0]), None),
+             "--mu": (_flag(float, SMOOTHNESS["mu"][0]), None)}
+COMMANDS = {
+    "simulate": {**FLAGS, "--workers": (_flag(int, partial(mech.read_integer, minimum=1)), 1)},
+    "analyze": FLAGS,
+    "certify": {**FLAGS, **LAMBDA_MU},
+    "exact": {**FLAGS, **LAMBDA_MU},
+}
+
+
+def read_argv(argv: list) -> tuple[str, dict]:
+    """The command and its flags by name; a usage error raises ConfigError."""
+    if not argv or argv[0] not in COMMANDS:
+        got = repr(argv[0]) if argv else "none"
+        raise ConfigError(f"expected a command, one of {list(COMMANDS)}; got {got}")
+    command, flags, rest = argv[0], {}, argv[:0:-1]  # a stack, the first flag on top
+    while rest:
+        flag, eq, text = rest.pop().partition("=")
+        if not flag.startswith("--"):
+            raise ConfigError(f"{command}: unexpected argument {flag + eq + text!r}")
+        if not eq:
+            if not rest or rest[-1].startswith("--"):
+                raise ConfigError(f"{command}: {flag} needs a value")
+            text = rest.pop()
+        flags[flag] = text
+    try:
+        return command, mech.read_object(COMMANDS[command], flags)
+    except InputError as e:
+        raise ConfigError(f"{command}: {e}") from None
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return 0
     try:
-        cfg = load_config(args.config)
-        if args.command == "simulate":
-            if args.workers < 1:
-                raise ConfigError("--workers must be >= 1")
-            return cmd_simulate(cfg, args.out, args.workers)
-        if args.command == "certify":
-            return cmd_certify(cfg, args.lam, args.mu)
-        if args.command == "exact":
-            return cmd_exact(cfg, args.lam, args.mu, args.out)
-        return cmd_analyze(cfg, args.out)
+        command, flags = read_argv(argv)
+        cfg = load_config(flags["--config"])
+        if command == "simulate":
+            return cmd_simulate(cfg, flags["--out"], flags["--workers"])
+        if command == "certify":
+            return cmd_certify(cfg, flags["--lambda"], flags["--mu"])
+        if command == "exact":
+            return cmd_exact(cfg, flags["--lambda"], flags["--mu"], flags["--out"])
+        return cmd_analyze(cfg, flags["--out"])
     except (ConfigError, CapExceededError, InputError, UndefinedResultError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)

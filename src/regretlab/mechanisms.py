@@ -289,6 +289,29 @@ FEEDBACK_FULL = "full"
 FEEDBACK_BANDIT = "bandit"
 FEEDBACK_MODES = (FEEDBACK_FULL, FEEDBACK_BANDIT)
 
+# Continuous-grid limit of the certificate reached by the logarithmic rule.
+LOG_RULE_LIMIT = 1.0 - 1.0 / math.e
+
+
+@record(frozen=True)
+class SmoothnessParams:
+    """A ``(lam, mu)`` certificate: ``smoothness`` checks it, a config reads it."""
+
+    lam: float
+    mu: float
+
+    def __post_init__(self) -> None:
+        # chained comparisons are false for NaN
+        if not 0 < self.lam < math.inf:
+            raise InputError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 <= self.mu < math.inf:
+            raise InputError(f"mu must be nonnegative and finite, got {self.mu}")
+
+    @property
+    def poa_bound(self) -> float:
+        """Worst-case ratio Opt/SW guaranteed for no-regret play."""
+        return max(1.0, self.mu) / self.lam
+
 
 def optimal_welfare(valuation_profile: Sequence[float], mechanism: Mechanism) -> float:
     """Welfare of the best feasible allocation: the top value, or the sum of

@@ -1,4 +1,4 @@
-"""The bandit round step of ``simulator._play_rounds``.
+"""The bandit round step of ``rounds._play_rounds``.
 
 A bandit seed plays its rounds here, one at a time, in plain Python: each
 learner row keeps its weights, their total and its CDF as Python floats,
@@ -110,7 +110,7 @@ class ScalarStep:
         picks, played = [], []
         for c, rows in enumerate(rows_at.tolist()):
             # the count of CDF entries below the last at or below the draw
-            # times the total, as ``simulator._sample`` counts them
+            # times the total, as ``rounds._sample`` counts them
             j = [bisect_right(cdf, u * cdf[-1], 0, top)
                  for cdf, u in zip(cdfs, us[c * G:c * G + G])]
             bids = [j[r] for r in rows]

@@ -26,32 +26,12 @@ import numpy as np
 
 from . import mechanisms as mech
 from .errors import CapExceededError, InputError, UndefinedResultError
+from .mechanisms import LOG_RULE_LIMIT, SmoothnessParams
 from .records import record
 
 SLACK_TOL = 1e-9
 DIST_TOL = 1e-9
 PURE_SEARCH_CAP = 20_000_000  # maximin evaluations, joint profiles squared
-
-# Continuous-grid limit of the certificate reached by the logarithmic rule.
-LOG_RULE_LIMIT = 1.0 - 1.0 / math.e
-
-
-@record(frozen=True)
-class SmoothnessParams:
-    lam: float
-    mu: float
-
-    def __post_init__(self) -> None:
-        # chained comparisons are false for NaN
-        if not 0 < self.lam < math.inf:
-            raise InputError(f"lam must be positive and finite, got {self.lam}")
-        if not 0 <= self.mu < math.inf:
-            raise InputError(f"mu must be nonnegative and finite, got {self.mu}")
-
-    @property
-    def poa_bound(self) -> float:
-        """Worst-case ratio Opt/SW guaranteed for no-regret play."""
-        return max(1.0, self.mu) / self.lam
 
 
 @record(frozen=True)

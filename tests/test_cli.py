@@ -510,6 +510,36 @@ def test_analyze_rejects_a_config_that_does_not_describe_the_traces(
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+def snapshot(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("spoil", ["misnamed-copy", "malformed-later-trace"])
+def test_a_refused_analyze_leaves_every_file_as_it_was(tmp_path, capsys, spoil):
+    # seed 3 is analyzed before the run is refused at seed 10; under another
+    # lambda its report says another bound, so a write before the refusal shows
+    out = tmp_path / "runs"
+    doc = base_doc(horizon=200, seeds=[3, 10], out_dir=str(out), deviation="half",
+                   smoothness={"lambda": 0.5, "mu": 1.0})
+    doc["mechanism"]["grid_step"] = 0.1
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    if spoil == "misnamed-copy":  # seed_1_0 reads as seed 10 and holds seed 3
+        shutil.copytree(out / "seed_3", out / "seed_1_0")
+    else:
+        trace = out / "seed_10" / "trace.csv"
+        trace.write_text("\n".join(replace_cell(trace.read_text().split("\n"), 3, "sw", "abc")))
+    before = snapshot(out)
+    doc["smoothness"]["lambda"] = 0.4
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", str(cfg)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error:") and err.count("\n") == 1
+    assert snapshot(out) == before
+
+
 def test_a_vanishing_delta_reports_an_infinite_sufficient_horizon(tmp_path, capsys):
     # delta**3 underflows to 0 below delta ~1.35e-108
     out = tmp_path / "runs"
@@ -546,15 +576,16 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     assert out.strip() == "False"
 
 
-BASE_MODULES = {"cli", "errors", "mechanisms", "records", "smoothness"}
+BASE_MODULES = {"cli", "errors", "mechanisms", "records"}
 RUN_MODULES = BASE_MODULES | {"analysis", "learners", "simulator"}
 
 
+# only certify and exact load smoothness, and only simulate the round loop
 @pytest.mark.parametrize("command, feedback, loaded", [
-    ("certify", "full", BASE_MODULES),
-    ("exact", "full", BASE_MODULES | {"exact"}),
-    ("simulate", "full", RUN_MODULES | {"pcg64"}),
-    ("simulate", "bandit", RUN_MODULES | {"pcg64", "scalar_step"}),
+    ("certify", "full", BASE_MODULES | {"smoothness"}),
+    ("exact", "full", BASE_MODULES | {"smoothness", "exact"}),
+    ("simulate", "full", RUN_MODULES | {"pcg64", "rounds"}),
+    ("simulate", "bandit", RUN_MODULES | {"pcg64", "rounds", "scalar_step"}),
     ("analyze", "full", RUN_MODULES | {"readers"}),
 ])
 def test_each_command_imports_only_what_it_runs(tmp_path, command, feedback, loaded):
@@ -574,19 +605,61 @@ def test_each_command_imports_only_what_it_runs(tmp_path, command, feedback, loa
         "import regretlab.cli\n"
         f"argv = [{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}]\n"
         "assert regretlab.cli.main(argv) == 0\n"
-        "print('dataclasses' in sys.modules or 'logging' in sys.modules)\n"
+        "print(any(m in sys.modules for m in "
+        "('dataclasses', 'logging', 'argparse', 'gettext', 'locale')))\n"
         "print(bare or 'numpy.random' not in sys.modules)\n"
         "print(' '.join(m for m in sys.modules if m.startswith('regretlab.')))"
     )
     lines = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                            text=True, check=True).stdout.splitlines()
     # dataclasses would generate each record's methods with exec at import;
-    # logging, imported only to warn, adds 0.5 MB to a command's peak RSS
+    # logging, imported only to warn, adds 0.5 MB to a command's peak RSS;
+    # argv is read without argparse, which loads gettext and locale
     assert lines[-3] == "False"
     # numpy 2 loads its random package on first use, and no command uses it;
     # numpy 1 loads it with numpy itself
     assert lines[-2] == "True"
     assert set(lines[-1].split()) == {f"regretlab.{m}" for m in loaded}
+
+
+# argv -> exit code: usage errors exit 2 with one error line, help exits 0
+ARGV = {
+    "no-command": ([], 2),
+    "unknown-command": (["bogus", "--config", "{cfg}"], 2),
+    "unknown-flag": (["simulate", "--config", "{cfg}", "--bogus", "1"], 2),
+    "abbreviated-flag": (["simulate", "--conf", "{cfg}"], 2),
+    "flag-of-another-command": (["certify", "--config", "{cfg}", "--workers", "2"], 2),
+    "single-dash-flag": (["simulate", "-c", "{cfg}"], 2),
+    "stray-argument": (["simulate", "--config", "{cfg}", "extra"], 2),
+    "missing-value": (["simulate", "--config"], 2),
+    "flag-for-a-value": (["simulate", "--config", "--out", "{out}"], 2),
+    "missing-config": (["simulate", "--out", "{out}"], 2),
+    "workers-not-an-integer": (["simulate", "--config", "{cfg}", "--workers", "1.5"], 2),
+    "workers-zero": (["simulate", "--config", "{cfg}", "--workers=0"], 2),
+    "lambda-not-a-number": (["certify", "--config", "{cfg}", "--lambda", "abc"], 2),
+    "lambda-infinite": (["exact", "--config", "{cfg}", "--lambda", "inf"], 2),
+    "mu-negative": (["certify", "--config", "{cfg}", "--mu", "-1"], 2),
+    "help": (["-h"], 0),
+    "command-help": (["simulate", "--config", "{cfg}", "--help"], 0),
+    "equals-forms-and-last-wins": (["certify", "--config=absent.json", "--config={cfg}",
+                                    "--lambda=0.95", "--lambda", ".5"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, code", ARGV.values(), ids=ARGV.keys())
+def test_the_command_line(tmp_path, capsys, argv, code):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, horizon=10, seeds=[1], out_dir=str(out),
+                       deviation="half", smoothness={"lambda": 0.9, "mu": 1.0})
+    assert cli.main([a.format(cfg=cfg, out=out) for a in argv]) == code
+    stdout, err = capsys.readouterr()
+    if code == 2:
+        assert stdout == "" and err.startswith("error:") and err.count("\n") == 1
+    elif argv[-1] in ("-h", "--help"):
+        assert stdout == cli.USAGE and stdout.startswith("usage: regretlab") and err == ""
+    else:
+        assert stdout.startswith("rule 'half': (lam=0.5, mu=1) holds") and err == ""
+    assert not out.exists()  # no command wrote anything
 
 
 def test_simulate_usage_errors(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from regretlab import ContractViolationError, InputError
 from regretlab import learners as ln
 from regretlab import mechanisms as mech
-from regretlab import readers, scalar_step
+from regretlab import readers, rounds, scalar_step
 from regretlab import simulator as sim
 from regretlab.analysis import default_checkpoints
 from regretlab.records import replace
@@ -139,7 +139,7 @@ def test_hedge_weights_and_block_cdfs_have_the_reference_bits(monkeypatch, kind,
     # weights, and a row total summed in another order moves the CDFs a
     # block samples its first round from.
     made, checked = [], []
-    sample = sim._sample
+    sample = rounds._sample
 
     def keep(*args, **kwargs):
         made.append(ln.LearnerState(*args, **kwargs))
@@ -151,8 +151,8 @@ def test_hedge_weights_and_block_cdfs_have_the_reference_bits(monkeypatch, kind,
             checked.append(same_bits(cdf, want))
         return sample(cdf, draws)
 
-    monkeypatch.setattr(sim, "LearnerState", keep)
-    monkeypatch.setattr(sim, "_sample", start_cdfs_checked)
+    monkeypatch.setattr(rounds, "LearnerState", keep)
+    monkeypatch.setattr(rounds, "_sample", start_cdfs_checked)
     cfg = small_config(kind, horizon=600, seed=8, eta=eta)
     sim.run_repeated_game(cfg)
     assert len(checked) > 10 and all(checked)
@@ -214,14 +214,14 @@ def set_hedge_block(monkeypatch, block):
     samples from its starting CDFs, and a 0 for each verification pass."""
     lengths = []
     if block is not None:
-        monkeypatch.setattr(sim, "HEDGE_BLOCK", (block, block, block * 2**20))
-        sample = sim._sample
+        monkeypatch.setattr(rounds, "HEDGE_BLOCK", (block, block, block * 2**20))
+        sample = rounds._sample
 
         def counted(cdf, draws):
             lengths.append(len(draws) if cdf.ndim == 2 else 0)
             return sample(cdf, draws)
 
-        monkeypatch.setattr(sim, "_sample", counted)
+        monkeypatch.setattr(rounds, "_sample", counted)
     return lengths
 
 
