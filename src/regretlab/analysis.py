@@ -13,13 +13,14 @@ rather than waited for.
 
 Conventions. Averages that define epsilon divide by the full window length,
 not by the number of rounds an agent was selected. Their numerators are the
-gap sums of the per-agent regret ledgers, which ``simulator.rebuild_ledgers``
-counts from the trace's type and realized-bid columns; a simulated and a
-loaded trace take this one path. A report counts the whole horizon and each
-checkpoint of its learning curve (epsilon and welfare ratio at prefix
-horizons) in one sweep of the ledgers. It also checks each agent's regret
-over the whole horizon against the Hedge bound under full feedback, and logs
-a warning, not an error, when an agent lies above it.
+gap sums of a regret ledger, one row per agent, which
+``simulator.rebuild_ledgers`` counts from the trace's type and realized-bid
+columns; a simulated and a loaded trace take this one path. A report counts
+the whole horizon and each checkpoint of its learning curve (epsilon and
+welfare ratio at prefix horizons) in one sweep, one ledger per horizon, and
+reads each of them as whole arrays. It also checks each agent's regret over
+the whole horizon against the Hedge bound under full feedback, and logs a
+warning, not an error, when an agent lies above it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import mechanisms as mech
 from .errors import ContractViolationError, InputError, UndefinedResultError
-from .learners import RegretLedger, external_regret
+from .learners import RegretLedger
 from .simulator import FEEDBACK_FULL, Trace, rebuild_ledgers
 
 RATIO_TOL_DEFAULT = 0.05
@@ -40,43 +41,27 @@ RATIO_TOL_DEFAULT = 0.05
 # --- the coarse-equilibrium condition -----------------------------------------
 
 
-def _epsilon(trace: Trace, ledgers: list[RegretLedger], T: int) -> tuple[float, dict]:
-    """Empirical violation of the no-fixed-deviation condition over the
-    first ``T`` rounds, from their ledgers: for each (population, type
-    index), the gain of always playing each own action against the realized
-    opponent actions, summed over the selected rounds and divided by ``T``.
-    Epsilon is the max over all of them, clipped at zero."""
-    breakdown = {}
-    eps = 0.0
-    for (pop, ti, _val), led in zip(trace.config.agents(), ledgers):
-        avg = led.gaps() / T
-        breakdown[(pop, ti)] = avg
-        eps = max(eps, float(avg.max()))
-    return max(eps, 0.0), breakdown
-
-
-def _check_hedge_bound(trace: Trace, ledgers: list[RegretLedger]) -> None:
+def _check_hedge_bound(trace: Trace, ledger: RegretLedger) -> None:
     # Soft sanity bound on measured regret; a violation is logged, not fatal,
-    # since it is a probabilistic statement.
-    H = trace.config.mechanism.scale
-    for (pop, _ti, val), led in zip(trace.config.agents(), ledgers):
-        if led.selected_rounds == 0:
-            continue
-        bound = 2.0 * H * math.sqrt(
-            math.log(max(led.counterfactual.shape[0], 2)) / led.selected_rounds
-        ) + 0.01
-        reg = external_regret(led)
-        if reg > bound:
-            # imported here: at import, logging adds 0.5 MB to every run's peak
-            import logging
+    # since it is a probabilistic statement. An agent never selected has zero
+    # sums, so counting its rounds as one leaves it below the bound.
+    rounds = np.maximum(ledger.selected_rounds, 1)
+    bound = 2.0 * trace.config.mechanism.scale * np.sqrt(
+        math.log(max(ledger.counterfactual.shape[1], 2)) / rounds
+    ) + 0.01
+    regret = ledger.gaps().max(axis=1) / rounds
+    agents = trace.config.agents()
+    for g in np.flatnonzero(regret > bound):
+        # imported here: at import, logging adds 0.5 MB to every run's peak
+        import logging
 
-            logging.getLogger(__name__).warning(
-                "agent (pop=%d, type=%.4g): regret %.4f above the hedge bound %.4f",
-                pop,
-                val,
-                reg,
-                bound,
-            )
+        logging.getLogger(__name__).warning(
+            "agent (pop=%d, type=%.4g): regret %.4f above the hedge bound %.4f",
+            agents[g][0],
+            agents[g][2],
+            regret[g],
+            bound[g],
+        )
 
 
 def _independence_gap(trace: Trace, zeta: float) -> float:
@@ -194,10 +179,12 @@ def analysis_report(
     avg_sw, avg_opt = total_sw / T, total_opt / T
 
     counted = rebuild_ledgers(trace, pts if pts[-1] == T else pts + [T])
-    ledgers = counted[-1]
     if trace.config.feedback == FEEDBACK_FULL:
-        _check_hedge_bound(trace, ledgers)
-    eps, breakdown = _epsilon(trace, ledgers, T)
+        _check_hedge_bound(trace, counted[-1])
+    # the gain of always playing each own action against the realized
+    # opponent actions, per agent, averaged over the whole window
+    avg = counted[-1].gaps() / T
+    eps = max(0.0, float(avg.max()))
     eps_total = m.n * eps
     slack = avg_sw - ((lam / max(1.0, mu)) * avg_opt - delta - mu * eps_total)
     holds = slack >= 0.0
@@ -207,14 +194,14 @@ def analysis_report(
             "the bound; inputs are inconsistent"
         )
     gap = None if trace.strategy is None else _independence_gap(trace, zeta)
-    bd = {}
-    for (pop, ti), avg in sorted(breakdown.items()):
-        value = trace.config.populations[pop].values[ti]
-        bd[f"pop{pop}_type{ti}"] = {
-            "value": value,
-            "per_action": [float(x) for x in avg],
-            "epsilon": max(0.0, float(avg.max())),
+    bd = {
+        f"pop{pop}_type{ti}": {
+            "value": val,
+            "per_action": row.tolist(),
+            "epsilon": max(0.0, float(row.max())),
         }
+        for (pop, ti, val), row in zip(trace.config.agents(), avg)
+    }
     # built after the independence gap, so the running sums stay out of its peak
     cum_sw = np.cumsum(trace.sw)
     cum_opt = np.cumsum(trace.opt)
@@ -223,7 +210,7 @@ def analysis_report(
         sw = float(cum_sw[h - 1])
         rows.append({
             "horizon": h,
-            "epsilon": _epsilon(trace, led, h)[0],
+            "epsilon": max(0.0, float((led.gaps() / h).max())),
             "ratio": float(cum_opt[h - 1]) / sw if sw > 0 else math.inf,
         })
     return {

@@ -13,7 +13,9 @@ made to the others. The loop never calls ``probabilities`` itself: it is the
 reference both are tested against.
 This module holds what the loop shares: the sampling distribution, the
 step-size schedule, the selected-round counts and the weight-ceiling
-renormalization.
+renormalization. The regret ledger that ``simulator.rebuild_ledgers``
+counts from a trace is one record per horizon whose fields are arrays with
+one row per agent, the layout of the weights.
 
 Updates happen only on rounds where the owning agent was matched into the
 game; the anytime step size is therefore driven by the selected-round count,
@@ -126,31 +128,20 @@ def ceiling_headroom(weights: np.ndarray) -> float:
 
 @record
 class RegretLedger:
-    """Exact counterfactual bookkeeping for one agent.
+    """Exact counterfactual bookkeeping of every agent over one horizon, one
+    row per agent in flat agent order.
 
-    ``counterfactual[a]`` accumulates the utility action ``a`` would have
-    earned on each selected round against the realized opponent bids;
-    ``realized`` accumulates what the agent actually earned. Rounds where the
-    agent was not matched contribute zero to both sums and are only counted.
+    ``counterfactual[g, a]`` sums the utility action ``a`` would have earned
+    agent ``g`` on each of its selected rounds against the realized opponent
+    bids; ``realized[g]`` sums what the agent actually earned over those
+    ``selected_rounds[g]`` rounds. Rounds where an agent was not matched add
+    nothing to its sums.
     """
 
     counterfactual: np.ndarray
-    realized: float = 0.0
-    selected_rounds: int = 0
-    unselected_rounds: int = 0
+    realized: np.ndarray
+    selected_rounds: np.ndarray
 
     def gaps(self) -> np.ndarray:
-        """Cumulative regret sums counterfactual(a) - realized, one per action."""
-        return self.counterfactual - self.realized
-
-
-def external_regret(ledger: RegretLedger) -> float:
-    """Time-averaged external regret max_a (counterfactual(a) - realized) / T.
-
-    T counts the rounds that contribute to the sums, i.e. the selected ones;
-    unselected rounds change neither the sums nor the average.
-    Returns 0.0 when nothing was recorded.
-    """
-    if ledger.selected_rounds == 0:
-        return 0.0
-    return float(ledger.gaps().max()) / ledger.selected_rounds
+        """Cumulative regret sums counterfactual(g, a) - realized(g)."""
+        return self.counterfactual - self.realized[:, None]

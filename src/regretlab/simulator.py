@@ -15,9 +15,10 @@ Selected agents receive either the full counterfactual utility vector
 feedback, importance-weighted update). A trace
 holds only what play decided: the types, the commitments and the realized
 bids, plus the welfare they give. ``rebuild_ledgers`` recounts the regret
-ledgers from the type and realized-bid columns, at many horizons in one
-sweep, for a simulated and a loaded trace alike; they always hold the exact
-counterfactual vector, whatever feedback the learner saw.
+ledger, one per horizon with a row per agent, from the type and
+realized-bid columns, at many horizons in one sweep, for a simulated and a
+loaded trace alike; it always holds the exact counterfactual vectors,
+whatever feedback the learners saw.
 
 Each seed is one independent run of the repeated game, played to its end
 before the next seed starts. Its randomness is the PCG64 stream numpy's
@@ -324,28 +325,28 @@ def load_trace(csv_path, strategies_path) -> Trace:
     return load_trace(csv_path, strategies_path)
 
 
-def rebuild_ledgers(trace: Trace, horizons: Sequence[int]) -> list[list[RegretLedger]]:
-    """Per-agent ledgers, in flat agent order, of the first T rounds of a
-    trace, for each T in ``horizons`` (the whole trace: ``[trace.horizon]``).
-    Each agent's selected rounds, opponents and utilities are gathered once;
-    horizon T sums those of the first T rounds, in round order. This is the
-    one place regret sums are kept."""
+def rebuild_ledgers(trace: Trace, horizons: Sequence[int]) -> list[RegretLedger]:
+    """The ledger of the first T rounds of a trace, one row per agent in flat
+    agent order, for each T in ``horizons`` (the whole trace:
+    ``[trace.horizon]``). Each agent's selected rounds, opponents and
+    utilities are gathered once; horizon T sums those of the first T rounds,
+    in round order. This is the one place regret sums are kept."""
     cfg = trace.config
     m = cfg.mechanism
-    out = [[] for _ in horizons]
-    for pop, ti, val in cfg.agents():
+    agents = cfg.agents()
+    G = len(agents)
+    out = [RegretLedger(np.zeros((G, len(m.grid))), np.zeros(G), np.zeros(G, dtype=np.int64))
+           for _ in horizons]
+    for g, (pop, ti, val) in enumerate(agents):
         table = mech.utility_table(m, pop, val)
         sel = np.flatnonzero(trace.v_idx[:, pop] == ti)
         bids = trace.realized_idx[sel].T
         opp = mech.opponent_index(bids, m.sizes, pop)
         got = table[bids[pop], opp]
-        for ledgers, T in zip(out, horizons):
+        for led, T in zip(out, horizons):
             k = int(np.searchsorted(sel, T))
             counts = np.bincount(opp[:k], minlength=table.shape[1]).astype(np.float64)
-            ledgers.append(RegretLedger(
-                counterfactual=table @ counts,
-                realized=float(got[:k].sum()),
-                selected_rounds=k,
-                unselected_rounds=T - k,
-            ))
+            led.counterfactual[g] = table @ counts
+            led.realized[g] = got[:k].sum()
+            led.selected_rounds[g] = k
     return out

@@ -376,7 +376,8 @@ def reference_run(config):
     one update and one addition to the ledger sums per selected agent, and
     welfare from ``auction_outcome`` once per round. It reads the library's
     utility tables; the loop around them is what it pins. Returns a dict with
-    ``v_idx``, ``strategy``, ``realized_idx``, ``sw``, ``opt``, ``ledgers``,
+    ``v_idx``, ``strategy``, ``realized_idx``, ``sw``, ``opt``, ``ledger``
+    (the running sums, packed as ``rebuild_ledgers`` returns them),
     ``renormalizations``, the number of times a weight passed the ceiling,
     and ``weights``, every learner's weights after the last round.
     """
@@ -456,13 +457,10 @@ def reference_run(config):
         sw[t] = sum(utilities) + revenue
         opt[t] = mech.optimal_welfare(values, m)
 
-    ledgers = [
-        ln.RegretLedger(counterfactual=counterfactual[g], realized=earned[g],
-                        selected_rounds=st.t_sel, unselected_rounds=T - st.t_sel)
-        for g, st in enumerate(states)
-    ]
+    ledger = ln.RegretLedger(np.array(counterfactual), np.array(earned),
+                             np.array([st.t_sel for st in states]))
     return {"v_idx": v_idx, "strategy": strategy, "realized_idx": realized,
-            "sw": sw, "opt": opt, "ledgers": ledgers,
+            "sw": sw, "opt": opt, "ledger": ledger,
             "renormalizations": sum(st.renormalizations for st in states),
             "weights": [st.weights for st in states]}
 

@@ -18,11 +18,9 @@ import pytest
 from regretlab import analysis as an
 from regretlab import cli
 from regretlab import exact
-from regretlab import learners as ln
 from regretlab import mechanisms as mech
 from regretlab import simulator as sim
 from regretlab import smoothness as smooth
-from regretlab.records import replace
 
 from . import oracles
 from .conftest import ACCEPT_SEEDS, acceptance_config, written_csv
@@ -258,17 +256,19 @@ def test_criterion_8_identities_and_determinism():
         worst_gap = max(worst_gap, abs(sw - oracle_sw))
         assert abs(sw - oracle_sw) <= 1e-12
 
-    # (b) regret is exactly invariant under inserted unselected rounds
-    rng = np.random.default_rng(1)
-    plain = ln.RegretLedger(counterfactual=np.zeros(4))
-    for _ in range(200):
-        u = rng.uniform(-1.0, 1.0, size=4)
-        a = int(rng.integers(0, 4))
-        plain.counterfactual += u
-        plain.realized += float(u[a])
-        plain.selected_rounds += 1
-    padded = replace(plain, unselected_rounds=int(rng.integers(0, 400)))
-    assert ln.external_regret(plain) == ln.external_regret(padded)
+    # (b) regret is exactly invariant under inserted unselected rounds: a
+    # round adds one to the selected agents' counts, and leaves every other
+    # agent's row of the ledger as it was
+    trace = sim.run_repeated_game(acceptance_config(mech.KIND_ALL_PAY, 1, horizon=400))
+    ledgers = sim.rebuild_ledgers(trace, range(1, 401))
+    picked = np.zeros((400, len(trace.config.agents())), dtype=bool)
+    for i, off in enumerate(trace.config.agent_offsets()):
+        picked[np.arange(400), off + trace.v_idx[:, i]] = True
+    counts = np.array([led.selected_rounds for led in ledgers])
+    assert np.array_equal(np.diff(counts, axis=0), picked[1:])
+    for name in ("counterfactual", "realized"):
+        rows = np.array([getattr(led, name) for led in ledgers])
+        assert np.array_equal(rows[1:][~picked[1:]], rows[:-1][~picked[1:]]), name
 
     # (c) byte-exact reruns per seed; different seeds differ
     for kind in (mech.KIND_FIRST_PRICE, mech.KIND_ALL_PAY):

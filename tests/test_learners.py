@@ -12,7 +12,6 @@ import pytest
 
 from regretlab import InputError
 from regretlab import learners as ln
-from regretlab.records import replace
 
 from . import oracles
 
@@ -26,16 +25,23 @@ def sample(learner, rng):
 
 
 def ledger_of(utility_rows, chosen):
-    """The ledger of an agent that earned ``utility_rows[t][chosen[t]]`` on
-    each of its selected rounds."""
+    """The one-agent ledger of an agent that earned
+    ``utility_rows[t][chosen[t]]`` on each of its selected rounds."""
     rows = [np.asarray(u, dtype=float) for u in utility_rows]
     counterfactual = np.zeros(len(rows[0]))
     realized = 0.0
     for u, a in zip(rows, chosen):
         counterfactual += u
         realized += float(u[a])
-    return ln.RegretLedger(counterfactual=counterfactual, realized=realized,
-                           selected_rounds=len(rows))
+    return ln.RegretLedger(counterfactual=counterfactual[None, :],
+                           realized=np.array([realized]),
+                           selected_rounds=np.array([len(rows)]))
+
+
+def average_regret(ledger):
+    """Each agent's time-averaged external regret
+    max_a (counterfactual(a) - realized) / selected rounds."""
+    return ledger.gaps().max(axis=1) / ledger.selected_rounds
 
 
 def test_hedge_single_update():
@@ -206,30 +212,32 @@ def test_learner_state_validation():
 
 def test_ledger_basic_regret():
     led = ledger_of([(1.0, 0.0), (1.0, 0.0)], [1, 1])
-    assert ln.external_regret(led) == 1.0
-    assert led.selected_rounds == 2
+    assert average_regret(led).tolist() == [1.0]
+    assert led.selected_rounds.tolist() == [2]
 
 
 def test_ledger_argmax_play_has_nonpositive_regret():
     rng = np.random.default_rng(2)
     rows = rng.random((100, 4))
     led = ledger_of(rows, rows.argmax(axis=1))
-    assert ln.external_regret(led) <= 0.0
+    assert average_regret(led)[0] <= 0.0
 
 
-def test_ledger_matches_reference_and_ignores_unselected():
+def test_ledger_matches_reference():
     rng = np.random.default_rng(9)
     rows = rng.uniform(-1.0, 1.0, (57, 3))
     chosen = rng.integers(3, size=57)
     led = ledger_of(rows, chosen)
     want = oracles.regret_reference(rows, chosen)
-    assert ln.external_regret(led) == pytest.approx(want, abs=1e-12)
-    padded = replace(led, unselected_rounds=23)
-    assert ln.external_regret(padded) == ln.external_regret(led)  # exact
+    assert average_regret(led)[0] == pytest.approx(want, abs=1e-12)
 
 
-def test_empty_ledger_returns_zero():
-    assert ln.external_regret(ln.RegretLedger(counterfactual=np.zeros(4))) == 0.0
+def test_ledger_gaps_subtract_each_agents_own_realized_sum():
+    # three agents over two actions: row g loses realized[g], not another
+    # agent's sum
+    led = ln.RegretLedger(np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]),
+                          np.array([0.5, 4.0, 0.0]), np.array([1, 2, 0]))
+    assert led.gaps().tolist() == [[0.5, 1.5], [-1.0, 0.0], [0.0, 0.0]]
 
 
 def test_hedge_meets_its_regret_bound_on_adversarial_sequences():
@@ -243,4 +251,4 @@ def test_hedge_meets_its_regret_bound_on_adversarial_sequences():
         rows.append(u)
         lone.hedge(u, float(ln.anytime_eta(4, lone.t_sel + 1)))
     bound = 2.0 * math.sqrt(math.log(4.0) / T) + 0.01
-    assert ln.external_regret(ledger_of(rows, chosen)) <= bound
+    assert average_regret(ledger_of(rows, chosen))[0] <= bound

@@ -58,18 +58,18 @@ def test_replace_validates_like_construction():
 
 
 def test_mutable_records_compare_by_value_and_are_unhashable():
-    led = learners.RegretLedger(np.zeros(3))
-    assert (led.realized, led.selected_rounds, led.unselected_rounds) == (0.0, 0, 0)
-    led.realized = 1.5
-    assert repr(led) == ("RegretLedger(counterfactual=array([0., 0., 0.]), realized=1.5, "
-                         "selected_rounds=0, unselected_rounds=0)")
+    led = learners.RegretLedger(np.zeros((1, 3)), np.zeros(1), np.zeros(1, dtype=np.int64))
+    led.realized = np.array([1.5])
+    assert repr(led) == ("RegretLedger(counterfactual=array([[0., 0., 0.]]), "
+                         "realized=array([1.5]), selected_rounds=array([0]))")
     with pytest.raises(TypeError):
         hash(led)
     with pytest.raises(TypeError):
         learners.RegretLedger()
     with pytest.raises(TypeError):
         learners.RegretLedger(np.zeros(3), counterfactual=np.zeros(3))
-    assert learners.RegretLedger((1.0,), 2.0) == learners.RegretLedger((1.0,), realized=2.0)
+    assert (learners.RegretLedger((1.0,), 2.0, 1)
+            == learners.RegretLedger((1.0,), realized=2.0, selected_rounds=1))
 
 
 def test_experiment_config_survives_a_pickle_round_trip(tmp_path):

@@ -49,10 +49,11 @@ def test_trace_shapes_and_consistency():
     assert trace.realized_idx.shape == (400, 2)
     assert trace.v_idx.min() >= 0 and trace.v_idx.max() <= 1
     sim.check_commitments(cfg, trace.strategy, trace.v_idx, trace.realized_idx)
-    (ledgers,) = sim.rebuild_ledgers(trace, [trace.horizon])
-    assert len(ledgers) == 4
-    sel = ledgers[0].selected_rounds + ledgers[1].selected_rounds
-    assert sel == 400  # population 0 selects exactly one of its two agents
+    (ledger,) = sim.rebuild_ledgers(trace, [trace.horizon])
+    assert ledger.counterfactual.shape == (4, len(cfg.mechanism.grid))
+    assert ledger.realized.shape == ledger.selected_rounds.shape == (4,)
+    # population 0 selects exactly one of its two agents
+    assert ledger.selected_rounds[:2].sum() == 400
 
 
 @st.composite
@@ -104,16 +105,12 @@ TRACE_ARRAYS = ("v_idx", "strategy", "realized_idx", "sw", "opt")
 
 
 def assert_ledgers_match(got, want, cfg):
-    """Recounted ledgers ``got`` agree with the reference engine's running
+    """A recounted ledger ``got`` agrees with the reference engine's running
     sums ``want``: the round counts exactly, the gap sums up to the rounding
     of adding the same terms in another order."""
     atol = 1e-9 * cfg.horizon * cfg.mechanism.scale
-    assert len(got) == len(want)
-    for fresh, ref in zip(got, want):
-        assert (fresh.selected_rounds, fresh.unselected_rounds) == (
-            ref.selected_rounds, ref.unselected_rounds
-        )
-        np.testing.assert_allclose(fresh.gaps(), ref.gaps(), rtol=1e-9, atol=atol)
+    assert np.array_equal(got.selected_rounds, want.selected_rounds)
+    np.testing.assert_allclose(got.gaps(), want.gaps(), rtol=1e-9, atol=atol)
 
 
 def assert_matches_reference(trace, cfg):
@@ -124,8 +121,8 @@ def assert_matches_reference(trace, cfg):
     assert trace.config == cfg
     for name in TRACE_ARRAYS:
         assert same_bits(getattr(trace, name), want[name]), name
-    (ledgers,) = sim.rebuild_ledgers(trace, [trace.horizon])
-    assert_ledgers_match(ledgers, want["ledgers"], cfg)
+    (ledger,) = sim.rebuild_ledgers(trace, [trace.horizon])
+    assert_ledgers_match(ledger, want["ledger"], cfg)
     return want
 
 
@@ -451,11 +448,11 @@ def test_average_optimum_concentrates(medium_trace):
 
 
 def test_every_agent_meets_the_regret_bound(medium_trace):
-    for led in sim.rebuild_ledgers(medium_trace, [medium_trace.horizon])[0]:
-        if led.selected_rounds == 0:
-            continue
-        bound = 2.0 * math.sqrt(math.log(5.0) / led.selected_rounds) + 0.01
-        assert ln.external_regret(led) <= bound
+    (ledger,) = sim.rebuild_ledgers(medium_trace, [medium_trace.horizon])
+    rounds = ledger.selected_rounds
+    assert rounds.min() > 0
+    bound = 2.0 * np.sqrt(math.log(5.0) / rounds) + 0.01
+    assert np.all(ledger.gaps().max(axis=1) / rounds <= bound)
 
 
 def test_counterfactual_vector_examples():
@@ -700,17 +697,15 @@ def test_rebuild_ledgers_matches_live_ones():
     cfg = small_config(horizon=300, seed=13)
     trace = sim.run_repeated_game(cfg)
     (rebuilt,) = sim.rebuild_ledgers(trace, [trace.horizon])
-    live = oracles.reference_run(cfg)["ledgers"]
-    assert len(rebuilt) == len(live)
-    for fresh, ref in zip(rebuilt, live):
-        assert fresh.selected_rounds == ref.selected_rounds
-        assert fresh.realized == pytest.approx(ref.realized, abs=1e-9)
-        np.testing.assert_allclose(fresh.counterfactual, ref.counterfactual, atol=1e-9)
+    live = oracles.reference_run(cfg)["ledger"]
+    assert np.array_equal(rebuilt.selected_rounds, live.selected_rounds)
+    assert rebuilt.realized == pytest.approx(live.realized, abs=1e-9)
+    np.testing.assert_allclose(rebuilt.counterfactual, live.counterfactual, atol=1e-9)
     # a prefix recount sees only the first rounds
     (prefix,) = sim.rebuild_ledgers(trace, [100])
-    for (pop, ti, _v), led in zip(trace.config.agents(), prefix):
-        assert led.selected_rounds == int((trace.v_idx[:100, pop] == ti).sum())
-        assert led.selected_rounds + led.unselected_rounds == 100
+    assert prefix.selected_rounds.tolist() == [
+        int((trace.v_idx[:100, pop] == ti).sum()) for pop, ti, _v in cfg.agents()
+    ]
 
 
 def prefix_of(trace, h):
@@ -734,15 +729,13 @@ def test_one_sweep_counts_each_prefix_as_a_recount_would(feedback):
     trace = sim.run_repeated_game(cfg)
     pts = default_checkpoints(trace.horizon)
     assert pts == [16, 32, 64, 128, 256, 512, 700]
-    for h, swept in zip(pts, sim.rebuild_ledgers(trace, pts)):
-        (whole,) = sim.rebuild_ledgers(prefix_of(trace, h), [h])
-        assert len(swept) == len(whole) == len(cfg.agents())
-        for (pop, ti, _v), got, want in zip(cfg.agents(), swept, whole):
-            assert want.selected_rounds == int((trace.v_idx[:h, pop] == ti).sum())
-            assert got.selected_rounds == want.selected_rounds
-            assert got.unselected_rounds == want.unselected_rounds == h - got.selected_rounds
-            assert got.realized == want.realized
-            assert np.array_equal(got.counterfactual, want.counterfactual)
+    for h, got in zip(pts, sim.rebuild_ledgers(trace, pts)):
+        (want,) = sim.rebuild_ledgers(prefix_of(trace, h), [h])
+        assert want.selected_rounds.tolist() == [
+            int((trace.v_idx[:h, pop] == ti).sum()) for pop, ti, _v in cfg.agents()
+        ]
+        for name in ("counterfactual", "realized", "selected_rounds"):
+            assert same_bits(getattr(got, name), getattr(want, name)), (h, name)
 
 
 def test_bandit_mode_runs_and_stays_consistent():
@@ -752,9 +745,8 @@ def test_bandit_mode_runs_and_stays_consistent():
     # the diagnostic ledgers see full counterfactual vectors even though the
     # learners only see realized payoffs
     (rebuilt,) = sim.rebuild_ledgers(trace, [trace.horizon])
-    live = oracles.reference_run(cfg)["ledgers"]
-    for fresh, ref in zip(rebuilt, live):
-        np.testing.assert_allclose(fresh.counterfactual, ref.counterfactual, atol=1e-9)
+    live = oracles.reference_run(cfg)["ledger"]
+    np.testing.assert_allclose(rebuilt.counterfactual, live.counterfactual, atol=1e-9)
 
 
 def test_eta_override_changes_dynamics():
