@@ -330,7 +330,8 @@ def rebuild_ledgers(trace: Trace, horizons: Sequence[int]) -> list[RegretLedger]
     agent order, for each T in ``horizons`` (the whole trace:
     ``[trace.horizon]``). Each agent's selected rounds, opponents and
     utilities are gathered once; horizon T sums those of the first T rounds,
-    in round order. This is the one place regret sums are kept."""
+    in round order, with the same bits whatever the BLAS thread count. This
+    is the one place regret sums are kept."""
     cfg = trace.config
     m = cfg.mechanism
     agents = cfg.agents()
@@ -346,7 +347,8 @@ def rebuild_ledgers(trace: Trace, horizons: Sequence[int]) -> list[RegretLedger]
         for led, T in zip(out, horizons):
             k = int(np.searchsorted(sel, T))
             counts = np.bincount(opp[:k], minlength=table.shape[1]).astype(np.float64)
-            led.counterfactual[g] = table @ counts
+            # einsum, not BLAS, whose threads split a long product and round it
+            led.counterfactual[g] = np.einsum("ao,o->a", table, counts)
             led.realized[g] = got[:k].sum()
             led.selected_rounds[g] = k
     return out

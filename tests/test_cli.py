@@ -895,11 +895,9 @@ def test_the_cube_limit_is_the_largest_float_whose_cube_is_finite(tmp_path):
     assert cfg.mechanism.scale == cfg.settings.delta == mech.CUBE_MAX
 
 
-def test_exact_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):
-    # the headline game's LP sums over 14,641 joint profiles, long enough
-    # that a threaded BLAS splits its products and rounds them differently
-    doc = base_doc(deviation="log", smoothness={"lambda": 0.5, "mu": 1.0})
-    doc["mechanism"]["grid_step"] = 0.1
+def written_at_each_blas_thread_count(tmp_path, command, doc):
+    """The files ``command`` writes for config ``doc`` under one BLAS thread
+    and under two, each run in a fresh interpreter, by path under --out."""
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(doc))
     src = os.path.abspath(os.path.join(os.path.dirname(cli.__file__), os.pardir))
@@ -908,12 +906,34 @@ def test_exact_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):
         out = tmp_path / f"threads_{threads}"
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-m", "regretlab.cli", "exact", "--config",
+        subprocess.run([sys.executable, "-m", "regretlab.cli", command, "--config",
                         str(cfg), "--out", str(out)], env=env, capture_output=True,
                        check=True)
-        written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert len(written[0]) == 3
-    assert written[0] == written[1]
+        written.append({f.relative_to(out).as_posix(): f.read_bytes()
+                        for f in sorted(out.rglob("*")) if f.is_file()})
+    return written
+
+
+def test_exact_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):
+    # the headline game's LP sums over 14,641 joint profiles, long enough
+    # that a threaded BLAS splits its products and rounds them differently
+    doc = base_doc(deviation="log", smoothness={"lambda": 0.5, "mu": 1.0})
+    doc["mechanism"]["grid_step"] = 0.1
+    one, two = written_at_each_blas_thread_count(tmp_path, "exact", doc)
+    assert len(one) == 3
+    assert one == two
+
+
+def test_simulate_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):
+    # three seats of 101 bids: each agent's utility table has 10,201 opponent
+    # profiles, long enough that a threaded BLAS would split the ledger's
+    # counterfactual products and round them differently
+    doc = base_doc(populations=[[0.5, 1.0]] * 3, horizon=200, seeds=[1], deviation="half",
+                   smoothness={"lambda": 0.1, "mu": 1.0})
+    doc["mechanism"].update(n=3, grid_step=0.01)
+    one, two = written_at_each_blas_thread_count(tmp_path, "simulate", doc)
+    assert "seed_1/report.json" in one and "seed_1/checkpoints.csv" in one
+    assert one == two
 
 
 def test_step_sizes_that_can_overflow_a_weight_exit_two(tmp_path, capsys):
