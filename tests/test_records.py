@@ -67,7 +67,8 @@ def test_mutable_records_compare_by_value_and_are_unhashable():
     with pytest.raises(TypeError):
         learners.RegretLedger()
     with pytest.raises(TypeError):
-        learners.RegretLedger(np.zeros(3), counterfactual=np.zeros(3))
+        learners.RegretLedger(np.zeros(3), counterfactual=np.zeros(3), realized=0.0,
+                              selected_rounds=0)
     assert (learners.RegretLedger((1.0,), 2.0, 1)
             == learners.RegretLedger((1.0,), realized=2.0, selected_rounds=1))
 
