@@ -150,9 +150,8 @@ def analysis_report(
     regret budget is split evenly across populations); the inequality holds
     when the slack is non-negative. A ratio within the bound implies it, so a
     violation of that implication raises, since it can only come from
-    corrupted inputs. The independence gap needs the commitment table and is
-    None on a trace without one. Under full feedback, agents whose regret
-    over the horizon lies above the Hedge bound are logged as warnings. One
+    corrupted inputs. Under full feedback, agents whose regret over the
+    horizon lies above the Hedge bound are logged as warnings. One
     ledger sweep counts the horizon and the ``checkpoints`` (default
     ``default_checkpoints``) of the running rows."""
     T = trace.horizon
@@ -193,7 +192,7 @@ def analysis_report(
             "finite-time inequality failed although the welfare ratio is within "
             "the bound; inputs are inconsistent"
         )
-    gap = None if trace.strategy is None else _independence_gap(trace, zeta)
+    gap = _independence_gap(trace, zeta)
     bd = {
         f"pop{pop}_type{ti}": {
             "value": val,

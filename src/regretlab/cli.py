@@ -90,7 +90,6 @@ class ExperimentConfig:
     params: mech.SmoothnessParams
     settings: AnalysisSettings
     out_dir: str | None
-    strategies_every: int
 
 
 # The config's objects as tables of key -> (parser, default). The analysis
@@ -120,7 +119,6 @@ CONFIG = {
     "smoothness": (partial(mech.read_object, SMOOTHNESS), None),
     "analysis": (partial(mech.read_object, ANALYSIS), mech.read_object(ANALYSIS, {})),
     "out_dir": (mech.nullable(mech.read_string), None),
-    "strategies_every": (partial(mech.read_integer, minimum=1), 1),
 }
 
 
@@ -192,13 +190,7 @@ def _run_batch(job) -> list[dict]:
         d = Path(out_root) / f"seed_{seed}"
         d.mkdir(parents=True, exist_ok=True)
         simulator.write_trace_csv(trace, d / "trace.csv")
-        (d / "strategies.json").write_text(
-            simulator.strategies_json_text(trace, cfg.strategies_every)
-        )
-        if cfg.strategies_every > 1:
-            # analyze sees no commitment table in a thinned sidecar; the report
-            # must not depend on more than the files hold
-            trace = replace(trace, strategy=None)
+        (d / "strategies.json").write_text(simulator.strategies_json_text(trace))
         summary, files = _seed_report(cfg, trace)
         for name, text in files.items():
             (d / name).write_text(text)
@@ -237,7 +229,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
         )
     # an invalid run exits before writing anything; each worker holds one
     # seed's index arrays at a time
-    from . import rounds, simulator
+    from . import simulator
 
     n, k = len(cfg.seeds), min(workers, len(cfg.seeds))
     simulator.check_index_memory(_sim_config(cfg, cfg.seeds[0]), k)
@@ -247,7 +239,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str | None, workers: int) -> in
         # configs with a 0 type in every population draw their types twice
         zeros = [p.index(0.0) for p in cfg.populations]
         for seed in cfg.seeds:
-            if (rounds.draw_types(_sim_config(cfg, seed)) == zeros).all():
+            if (simulator.draw_types(_sim_config(cfg, seed)) == zeros).all():
                 raise UndefinedResultError(
                     f"seed {seed} draws only 0 types, so its welfare ratio is undefined"
                 )
@@ -410,7 +402,7 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: str | None) -> int:
 USAGE = """\
 usage: regretlab simulate --config FILE [--out DIR] [--workers N]
        regretlab analyze  --config FILE [--out DIR]
-       regretlab certify  --config FILE [--out DIR] [--lambda X] [--mu X]
+       regretlab certify  --config FILE [--lambda X] [--mu X]
        regretlab exact    --config FILE [--out DIR] [--lambda X] [--mu X]
 A flag is --flag VALUE or --flag=VALUE; the last one given counts.
 """
@@ -434,7 +426,7 @@ LAMBDA_MU = {"--lambda": (_flag(float, SMOOTHNESS["lambda"][0]), None),
 COMMANDS = {
     "simulate": {**FLAGS, "--workers": (_flag(int, partial(mech.read_integer, minimum=1)), 1)},
     "analyze": FLAGS,
-    "certify": {**FLAGS, **LAMBDA_MU},
+    "certify": {"--config": FLAGS["--config"], **LAMBDA_MU},
     "exact": {**FLAGS, **LAMBDA_MU},
 }
 

@@ -100,11 +100,13 @@ def read_number(obj, path: str, minimum=None, maximum=None, positive=False) -> f
     return x
 
 
-def read_integer(obj, path: str, minimum=None) -> int:
+def read_integer(obj, path: str, minimum=None, maximum=None) -> int:
     if not isinstance(obj, int) or isinstance(obj, bool):
         raise InputError(f"{path}: expected an integer, got {type(obj).__name__}")
     if minimum is not None and obj < minimum:
         raise InputError(f"{path}: must be >= {minimum}, got {obj}")
+    if maximum is not None and obj > maximum:
+        raise InputError(f"{path}: must be <= {maximum}, got {obj}")
     return obj
 
 

@@ -1,4 +1,6 @@
-"""Reading back the two files ``simulate`` writes per seed.
+"""Reading back the two files ``simulate`` writes per seed: the sidecar is
+parsed, and trace.csv is checked against the table that the sidecar's seed
+and commitments render, never parsed.
 
 Only ``simulator.load_trace`` imports this module, so the commands that
 write the files but never read them do not compile it: each line a command
@@ -8,87 +10,23 @@ compiles adds to its peak RSS.
 from __future__ import annotations
 
 import json
-import re
+import os
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import mechanisms as mech
-from .errors import ContractViolationError, InputError
+from .errors import InputError
 from .simulator import (
     WRITE_CHUNK,
     SimConfig,
     Trace,
     _csv_header,
-    check_commitments,
+    draw_types,
+    trace_csv_chunks,
     welfare_columns,
 )
-
-
-def read_trace_csv(csv_path, config: SimConfig):
-    """Parse a trace.csv into its (v_idx, realized_idx, sw, opt) columns, or
-    raise InputError naming the malformed column and row."""
-    n = config.mechanism.n
-    T = config.horizon
-    header = _csv_header(n)
-    with open(csv_path) as fh:
-        got = fh.readline().rstrip("\n").split(",")
-        if got != header:
-            raise InputError(f"{csv_path}: unexpected CSV header {got}")
-        # np.loadtxt warns instead of raising on a table with no data rows,
-        # only blank lines and '#' comments
-        start = fh.tell()
-        if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
-            raise InputError(
-                f"{csv_path}: table has no rows, expected {T} by {len(header)}"
-            )
-        fh.seek(start)
-        try:
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as e:
-            msg = str(e)
-            # numpy counts data rows from 0 and columns from 1
-            at = re.search(r"at row (\d+), column (\d+)", msg)
-            if at and int(at[2]) <= len(header):
-                msg = f"column {header[int(at[2]) - 1]}: row {int(at[1]) + 1} is not a number"
-            raise InputError(f"{csv_path}: {msg}") from None
-    if body.shape != (T, len(header)):
-        raise InputError(
-            f"{csv_path}: table is {body.shape[0]} rows by {body.shape[1]} "
-            f"columns, expected {T} by {len(header)}"
-        )
-
-    def bad_cell(col: int, bad: np.ndarray, want: str) -> InputError:
-        t = int(np.flatnonzero(bad)[0])
-        return InputError(
-            f"{csv_path}: column {header[col]}: row {t + 1} holds "
-            f"{float(body[t, col])!r}, expected {want}"
-        )
-
-    bad = body[:, 0] != np.arange(1, T + 1)
-    if bad.any():
-        raise bad_cell(0, bad, "the round number")
-    grid = np.asarray(config.mechanism.grid)
-    v_idx = np.empty((T, n), dtype=np.int16)
-    realized = np.empty((T, n), dtype=np.int16)
-    for i, pop in enumerate(config.populations):
-        col = body[:, 1 + i]
-        bad = (col != np.floor(col)) | (col < 0) | (col >= len(pop))
-        if bad.any():
-            raise bad_cell(1 + i, bad, f"an integer type index below {len(pop)}")
-        v_idx[:, i] = col
-        col = body[:, 1 + n + i]
-        j = np.searchsorted(grid, col - mech.GRID_TOL)
-        # the distance to the grid point, in place: the table is the
-        # command's largest array, and each column temporary adds to its peak
-        hit = grid[np.minimum(j, len(grid) - 1)]
-        hit -= col
-        bad = (j == len(grid)) | ~(np.abs(hit, out=hit) <= mech.GRID_TOL)
-        if bad.any():
-            raise bad_cell(1 + n + i, bad, "a bid on the grid")
-        realized[:, i] = j
-    return v_idx, realized, body[:, 1 + 2 * n].copy(), body[:, 2 + 2 * n].copy()
 
 
 # A sidecar as tables of key -> (parser, default). META's keys are SimConfig's
@@ -104,7 +42,8 @@ META = {
 }
 SIDECAR = {
     "meta": (partial(mech.read_object, META), mech.REQUIRED),
-    "every": (partial(mech.read_integer, minimum=1), mech.REQUIRED),
+    # every round's commitments are recorded, as the writer does
+    "every": (partial(mech.read_integer, minimum=1, maximum=1), mech.REQUIRED),
     "rounds": (lambda obj, path: obj, mech.REQUIRED),
 }
 
@@ -170,63 +109,75 @@ def compact_table(table: bytes, rows: int, agents: int) -> np.ndarray | None:
     return out if done == rows else None
 
 
-def load_trace(csv_path, strategies_path) -> Trace:
-    """Rebuild a trace from its CSV table and strategies sidecar.
+def _cell(text: bytes, at: int) -> str:
+    """The CSV cell of ``text`` that starts at byte ``at``."""
+    return text[at:].partition(b"\n")[0].partition(b",")[0].decode(errors="replace")
 
-    The sidecar supplies the config. The commitment table is only
-    reconstructed when the sidecar recorded every round. A sidecar as
+
+def check_rendering(csv_path, trace: Trace) -> None:
+    """Raise InputError unless the file at ``csv_path`` holds, byte for
+    byte, the table ``trace_csv_chunks`` renders from ``trace``. The message
+    names the round and the column of the first byte that differs, from the
+    newlines and commas of the text the two share before it."""
+    header = _csv_header(trace.config.mechanism.n)
+    lines = 0  # newlines before the chunk; every chunk starts a line
+    with open(csv_path, "rb") as fh:
+        for want in trace_csv_chunks(trace):
+            got = fh.read(len(want))
+            if got != want:
+                k = len(os.path.commonprefix([want, got]))
+                start = want.rfind(b"\n", 0, k) + 1
+                at = max(want.rfind(b",", start, k) + 1, start)
+                row = lines + want.count(b"\n", 0, k)
+                found = "the file ends" if k == len(got) else f"holds {_cell(got, at)!r}"
+                raise InputError(
+                    f"{csv_path}: {f'round {row}' if row else 'header'}, column "
+                    f"{header[want.count(b',', start, k)]}: {found}, expected {_cell(want, at)!r}"
+                )
+            lines += want.count(b"\n")
+        if fh.read(1):
+            raise InputError(f"{csv_path}: round {trace.horizon + 1}, column t: the "
+                             f"file goes on after round {trace.horizon}")
+
+
+def load_trace(csv_path, strategies_path) -> Trace:
+    """Rebuild a trace from its strategies sidecar and check its CSV table.
+
+    The sidecar supplies the config and the commitment table. A sidecar as
     ``strategies_json_text`` writes it is read as its JSON head and the
     table's bytes (``compact_table``); any other text goes through
-    json.loads whole, which gives the same values and errors.
+    json.loads whole, which gives the same values and errors. The types are
+    the seed's draws (``draw_types``), each seat's realized bid the
+    commitment of the agent of its type, and ``sw`` and ``opt`` the
+    ``welfare_columns`` of both. The trace.csv must be the text these render
+    (``check_rendering``).
 
-    A malformed table or sidecar raises InputError naming the file. The
-    stored welfare columns must equal ``welfare_columns`` recomputed from the
-    types and bids, and every sidecar row must agree with the realized bids
-    of its round; otherwise ContractViolationError names what disagrees.
+    A malformed sidecar, or a table the play does not render, raises
+    InputError naming the file.
     """
     head, _, table = Path(strategies_path).read_bytes().rpartition(b',"rounds":')
     try:
         # the head with the placeholder the writer dumped before the table
         doc, config = sidecar_doc(strategies_path, head.decode() + ',"rounds":0}')
-        kept = range(0, config.horizon, doc["every"])
-        committed = compact_table(table, len(kept), len(config.agents()))
+        committed = compact_table(table, config.horizon, len(config.agents()))
     except ValueError:
         committed = None
     del head, table
     if committed is None:
         doc, config = sidecar_doc(strategies_path)
     try:
-        every = doc["every"]
-        kept = range(0, config.horizon, every)
         if committed is None:
-            # the parsed rows are freed before the CSV is parsed
             committed = np.asarray(doc.pop("rounds"), dtype=np.int16)
-        if committed.shape != (len(kept), len(config.agents())):
+        if committed.shape != (config.horizon, len(config.agents())):
             raise ValueError(f"shape {committed.shape}")
-        if committed.size and not (
-            committed.min() >= 0 and committed.max() < len(config.mechanism.grid)
-        ):
+        if not (committed.min() >= 0 and committed.max() < len(config.mechanism.grid)):
             raise ValueError("a bid index lies off the grid")
     except (TypeError, ValueError, OverflowError) as e:
         raise InputError(f"{strategies_path}: malformed commitment table: {e}") from e
-    v_idx, realized, sw, opt = read_trace_csv(csv_path, config)
-    try:
-        check_commitments(config, committed, v_idx[kept], realized[kept])
-    except InputError as e:
-        raise ContractViolationError(f"{strategies_path}: {e}") from e
-    want_sw, want_opt = welfare_columns(config, v_idx, realized)
-    bad = np.flatnonzero((sw != want_sw) | (opt != want_opt))
-    if len(bad):
-        raise ContractViolationError(
-            f"{csv_path}: round {bad[0] + 1} stores sw={float(sw[bad[0]])!r}, "
-            f"opt={float(opt[bad[0]])!r}, but its types and bids give "
-            f"sw={float(want_sw[bad[0]])!r}, opt={float(want_opt[bad[0]])!r}"
-        )
-    return Trace(
-        config=config,
-        v_idx=v_idx,
-        strategy=committed if every == 1 else None,
-        realized_idx=realized,
-        sw=sw,
-        opt=opt,
-    )
+    v_idx = draw_types(config)
+    realized = np.take_along_axis(committed, v_idx + np.array(config.agent_offsets()), axis=1)
+    sw, opt = welfare_columns(config, v_idx, realized)
+    trace = Trace(config=config, v_idx=v_idx, strategy=committed, realized_idx=realized,
+                  sw=sw, opt=opt)
+    check_rendering(csv_path, trace)
+    return trace

@@ -1,5 +1,5 @@
 """The round loop of one seed, which ``simulator.run_repeated_game`` runs.
-Only it and ``simulate``'s check of the type draws import this module.
+Only it imports this module.
 
 The loop works through the rounds in chunks of DRAW_CHUNK. The types are
 drawn before play, so a chunk first works out everything play cannot
@@ -26,6 +26,7 @@ from .learners import (LOG_STEP_SLACK, LearnerState, anytime_eta, ceiling_headro
                        count_selections, renormalize)
 from .mechanisms import FEEDBACK_FULL
 from .pcg64 import Stream
+from .simulator import draw_types
 
 # Rounds per draw chunk: the loop draws the uniforms and precomputes what play
 # cannot change once per chunk.
@@ -37,19 +38,6 @@ DRAW_CHUNK = 1024
 # fewer than HEDGE_BLOCK[0] and no more than HEDGE_BLOCK[1] rounds or
 # HEDGE_BLOCK[2] weights (rounds x rows x bids) in one array.
 HEDGE_BLOCK = (8, 256, 1 << 16)
-
-
-def draw_types(config) -> np.ndarray:
-    """The (rounds, seats) type indices of seed ``config.seed`` (a
-    ``simulator.SimConfig``): the draws that follow its T x G uniforms in
-    the seed's stream."""
-    T = config.horizon
-    types = Stream(config.seed)
-    types.advance(T * len(config.agents()))
-    v_idx = np.empty((T, config.mechanism.n), dtype=np.int16)
-    for i, pop in enumerate(config.populations):
-        v_idx[:, i] = types.integers(len(pop), T)
-    return v_idx
 
 
 def _play_rounds(config):

@@ -28,10 +28,11 @@ per round in round-major order, then one type-index column per population.
 Runs with equal configs are therefore reproducible bit for bit.
 
 The round loop lives in ``rounds``, which ``run_repeated_game`` imports
-when it runs, and ``trace.csv`` and ``strategies.json`` are read back
-through ``readers``, which only ``load_trace`` imports: ``simulate`` and
-``analyze`` each compile only the half they run. The files are assembled as
-byte matrices in blocks of WRITE_CHUNK rounds.
+when it runs, and ``strategies.json`` is read back and ``trace.csv``
+checked through ``readers``, which only ``load_trace`` imports: ``simulate``
+and ``analyze`` each compile only the half they run. ``draw_types`` lives here,
+since ``analyze`` draws a seed's types again without playing its rounds.
+The files are assembled as byte matrices in blocks of WRITE_CHUNK rounds.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from . import mechanisms as mech
 from .errors import ContractViolationError, InputError
 from .learners import MAX_LOG_STEP, RegretLedger
 from .mechanisms import FEEDBACK_BANDIT, FEEDBACK_FULL, Population
+from .pcg64 import Stream
 from .records import record
 
 
@@ -130,7 +132,7 @@ class Trace:
 
     config: SimConfig
     v_idx: np.ndarray
-    strategy: np.ndarray | None
+    strategy: np.ndarray
     realized_idx: np.ndarray
     sw: np.ndarray
     opt: np.ndarray
@@ -140,15 +142,16 @@ class Trace:
         return len(self.sw)
 
 
-def check_commitments(config: SimConfig, strategy: np.ndarray, v_idx: np.ndarray,
-                      realized_idx: np.ndarray) -> None:
-    """Raise InputError unless each row's selected agents committed to the realized bids."""
-    rows = np.arange(len(strategy))
-    for i, off in enumerate(config.agent_offsets()):
-        if not np.array_equal(strategy[rows, off + v_idx[:, i]], realized_idx[:, i]):
-            raise InputError(
-                f"seat {i}: realized actions diverge from committed strategies"
-            )
+def draw_types(config: SimConfig) -> np.ndarray:
+    """The (rounds, seats) type indices of seed ``config.seed``: the draws
+    that follow its T x G uniforms in the seed's stream."""
+    T = config.horizon
+    types = Stream(config.seed)
+    types.advance(T * len(config.agents()))
+    v_idx = np.empty((T, config.mechanism.n), dtype=np.int16)
+    for i, pop in enumerate(config.populations):
+        v_idx[:, i] = types.integers(len(pop), T)
+    return v_idx
 
 
 def welfare_columns(
@@ -200,7 +203,7 @@ def _csv_header(n: int) -> list[str]:
     )
 
 
-# Rounds per step of write_trace_csv and strategies_json_text, and at most
+# Rounds per step of trace_csv_chunks and strategies_json_text, and at most
 # per step of readers.compact_table. A trace.csv chunk renders its distinct
 # keys as Python strings; at 4,096 rounds the n = 4 bandit's ~4,000 distinct
 # keys per chunk raised simulate's peak RSS by 0.15 MB.
@@ -221,8 +224,9 @@ def _digits(values: np.ndarray, width: int) -> np.ndarray:
     return q.astype(np.uint8)
 
 
-def write_trace_csv(trace: Trace, path) -> None:
-    """Write the per-round table as CSV (1-based round numbers).
+def trace_csv_chunks(trace: Trace) -> Iterator[bytes]:
+    """The bytes of the trace's CSV table (1-based round numbers): the
+    header line, then whole rows, at most 64 KiB at a time.
 
     A row after its round number depends only on the round's (type profile,
     bid profile) key. The rows are assembled WRITE_CHUNK rounds at a time
@@ -248,39 +252,41 @@ def write_trace_csv(trace: Trace, path) -> None:
     bid_texts = [repr(b) for b in cfg.mechanism.grid]
     slot = np.empty(len(row), dtype=np.intp)
     width = len(str(trace.horizon))
+    yield (",".join(_csv_header(n)) + "\n").encode()
+    for a in range(0, trace.horizon, WRITE_CHUNK):
+        keys = key[a:a + WRITE_CHUNK]
+        distinct = np.flatnonzero(np.bincount(keys, minlength=len(row)))
+        slot[distinct] = np.arange(len(distinct))
+        at = row[distinct]
+        cols = [map(str, col) for col in trace.v_idx[at].T.tolist()]
+        cols += [map(bid_texts.__getitem__, col)
+                 for col in trace.realized_idx[at].T.tolist()]
+        cols += [map(repr, trace.sw[at].tolist()), map(repr, trace.opt[at].tolist())]
+        # each text leaves room for the round number's digits; the cell
+        # lists and the texts are freed as soon as they are used
+        pad = " " * width
+        texts = [f"{pad},{s}\n" for s in map(",".join, zip(*cols))]
+        del cols
+        texts = np.array(texts, dtype=bytes).view(np.uint8).reshape(len(distinct), -1)
+        # rows are assembled 64 KiB at a time: freeing a buffer past
+        # glibc's mmap threshold (128 KiB) raises it, and the arrays
+        # allocated after that stay resident
+        step = max(1, (1 << 16) // texts.shape[1])
+        for s in range(0, len(keys), step):
+            lines = texts[slot[keys[s:s + step]]]
+            lines[:, :width] = _digits(np.arange(a + s + 1, a + s + len(lines) + 1), width)
+            yield lines.tobytes().replace(b"\0", b"")
+
+
+def write_trace_csv(trace: Trace, path) -> None:
+    """Write the per-round table as CSV, ``trace_csv_chunks`` one after
+    another."""
     with open(path, "wb") as fh:
-        fh.write((",".join(_csv_header(n)) + "\n").encode())
-        for a in range(0, trace.horizon, WRITE_CHUNK):
-            keys = key[a:a + WRITE_CHUNK]
-            distinct = np.flatnonzero(np.bincount(keys, minlength=len(row)))
-            slot[distinct] = np.arange(len(distinct))
-            at = row[distinct]
-            cols = [map(str, col) for col in trace.v_idx[at].T.tolist()]
-            cols += [map(bid_texts.__getitem__, col)
-                     for col in trace.realized_idx[at].T.tolist()]
-            cols += [map(repr, trace.sw[at].tolist()), map(repr, trace.opt[at].tolist())]
-            # each text leaves room for the round number's digits; the cell
-            # lists and the texts are freed as soon as they are used
-            pad = " " * width
-            texts = [f"{pad},{s}\n" for s in map(",".join, zip(*cols))]
-            del cols
-            texts = np.array(texts, dtype=bytes).view(np.uint8).reshape(len(distinct), -1)
-            # rows are assembled 64 KiB at a time: freeing a buffer past
-            # glibc's mmap threshold (128 KiB) raises it, and the arrays
-            # allocated after that stay resident
-            step = max(1, (1 << 16) // texts.shape[1])
-            for s in range(0, len(keys), step):
-                lines = texts[slot[keys[s:s + step]]]
-                lines[:, :width] = _digits(np.arange(a + s + 1, a + s + len(lines) + 1), width)
-                fh.write(lines.tobytes().replace(b"\0", b""))
+        fh.writelines(trace_csv_chunks(trace))
 
 
-def strategies_json_text(trace: Trace, every: int = 1) -> str:
-    """Commitment tables (all agents, every ``every``-th round) plus run metadata."""
-    if every < 1:
-        raise InputError(f"every must be >= 1, got {every}")
-    if trace.strategy is None:
-        raise InputError("this trace carries no commitment table")
+def strategies_json_text(trace: Trace) -> str:
+    """Commitment tables (all agents, every round) plus run metadata."""
     cfg = trace.config
     doc = {
         "meta": {
@@ -292,24 +298,24 @@ def strategies_json_text(trace: Trace, every: int = 1) -> str:
             "gamma": cfg.gamma,
             "eta": cfg.eta,
         },
-        "every": every,
+        "every": 1,
         "rounds": 0,
     }
     # "rounds" sorts last, so the table replaces the placeholder at the end.
     # A chunk of rows is a byte matrix: each row a copy of one row's
     # separators, each agent's slot filled from the digits of its bid index
     head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    kept = trace.strategy[::every]
+    table = trace.strategy
     bids = len(cfg.mechanism.grid)
     width = len(str(bids - 1))
     digits = _digits(np.arange(bids), width)
-    line = np.zeros(kept.shape[1] * (width + 1) + 2, dtype=np.uint8)
+    line = np.zeros(table.shape[1] * (width + 1) + 2, dtype=np.uint8)
     line[[0, -2, -1]] = list(b"[],")
     line[width + 1:-2:width + 1] = ord(",")
     slots = np.flatnonzero(line == 0)
     parts = [head[:-2], "["]
-    for a in range(0, len(kept), WRITE_CHUNK):
-        block = kept[a:a + WRITE_CHUNK]
+    for a in range(0, len(table), WRITE_CHUNK):
+        block = table[a:a + WRITE_CHUNK]
         rows = np.tile(line, (len(block), 1))
         rows[:, slots] = digits[block].reshape(len(block), -1)
         parts.append(rows.tobytes().replace(b"\0", b"").decode())
@@ -318,8 +324,8 @@ def strategies_json_text(trace: Trace, every: int = 1) -> str:
 
 
 def load_trace(csv_path, strategies_path) -> Trace:
-    """Rebuild a trace from its CSV table and strategies sidecar, checked
-    against its own types and bids (``readers.load_trace``)."""
+    """Rebuild a trace from its seed and strategies sidecar, and check that
+    its CSV table is the one they give (``readers.load_trace``)."""
     from .readers import load_trace
 
     return load_trace(csv_path, strategies_path)

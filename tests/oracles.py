@@ -468,6 +468,19 @@ def reference_run(config):
 # --- persistence ------------------------------------------------------------------
 
 
+def assert_commitments(config, strategy, v_idx, realized_idx):
+    """Each round's realized bid of each seat is the commitment of the
+    agent of the seat's type in that round."""
+    offsets = config.agent_offsets()
+    for t in range(len(strategy)):
+        for i, off in enumerate(offsets):
+            committed = strategy[t][off + v_idx[t][i]]
+            assert committed == realized_idx[t][i], (
+                f"round {t + 1}, seat {i}: realized bid {realized_idx[t][i]}, "
+                f"committed {committed}"
+            )
+
+
 def trace_csv_text(trace):
     """A trace's CSV table, one ``csv.writer`` row per round (1-based round
     numbers), every cell formatted afresh."""

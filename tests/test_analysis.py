@@ -41,7 +41,7 @@ def manual_trace(cfg, v_idx, strategy, sw, opt):
         sw=np.asarray(sw, dtype=float),
         opt=np.asarray(opt, dtype=float),
     )
-    sim.check_commitments(cfg, s, v, realized)
+    oracles.assert_commitments(cfg, s, v, realized)
     return trace
 
 
@@ -117,17 +117,13 @@ def test_independence_gap_matches_a_direct_recount():
         assert report_gap(trace, zeta) == pytest.approx(recounted_gap(trace, zeta), abs=1e-12)
 
 
-def test_independence_gap_needs_the_commitment_table_and_zeta_in_the_unit_interval():
+def test_independence_gap_needs_zeta_in_the_unit_interval():
     trace = sim.run_repeated_game(
         acceptance_config(mech.KIND_FIRST_PRICE, seed=1, horizon=20)
     )
-    bare = replace(trace, strategy=None)
-    assert report_gap(bare, zeta=0.01) is None
-    # zeta is checked on a trace without the table too
-    for t in (trace, bare):
-        for zeta in (-0.1, 1.5):
-            with pytest.raises(InputError, match="zeta must lie in"):
-                report_gap(t, zeta)
+    for zeta in (-0.1, 1.5):
+        with pytest.raises(InputError, match="zeta must lie in"):
+            report_gap(trace, zeta)
 
 
 def test_independence_gap_is_small_on_a_long_run(report_1e5):
@@ -181,7 +177,7 @@ def test_epsilon_prefix_window_and_validation():
         with pytest.raises(InputError, match=r"checkpoints must lie in \[1, 4\]"):
             checkpoint_epsilon(trace, bad)
     # epsilon reads only the type and realized bid columns
-    trace.strategy = None
+    trace.strategy = np.zeros_like(trace.strategy)
     assert checkpoint_epsilon(trace, 2) == eps
 
 

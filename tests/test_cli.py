@@ -17,6 +17,7 @@ import pytest
 from regretlab import ConfigError
 from regretlab import cli, exact
 from regretlab import mechanisms as mech
+from regretlab import simulator as sim
 from regretlab import smoothness as smooth
 from regretlab.records import replace
 
@@ -59,7 +60,6 @@ def test_load_config_full(tmp_path):
         analysis={"zeta": 0.02, "delta": 0.1, "rho": 0.05, "tolerance": 0.01,
                   "checkpoints": [16, 64, 500]},
         out_dir="runs",
-        strategies_every=8,
     )
     cfg = cli.load_config(path)
     assert cfg.mechanism.kind == mech.KIND_FIRST_PRICE
@@ -75,7 +75,6 @@ def test_load_config_full(tmp_path):
     assert cfg.settings.zeta == 0.02
     assert cfg.settings.checkpoints == (16, 64, 500)
     assert cfg.out_dir == "runs"
-    assert cfg.strategies_every == 8
 
 
 def test_load_config_defaults(tmp_path):
@@ -88,7 +87,7 @@ def test_load_config_defaults(tmp_path):
     assert cfg.params.lam == pytest.approx(1.0 - 1.0 / math.e)
     assert cfg.params.mu == 1.0
     assert cfg.settings.zeta == 0.01 and cfg.settings.checkpoints is None
-    assert cfg.out_dir is None and cfg.strategies_every == 1
+    assert cfg.out_dir is None
 
 
 def test_all_pay_default_smoothness(tmp_path):
@@ -103,6 +102,9 @@ def test_all_pay_default_smoothness(tmp_path):
 def test_unknown_keys_name_their_path(tmp_path):
     with pytest.raises(ConfigError, match="horizonn"):
         cli.load_config(write_config(tmp_path, horizonn=5))
+    # every round's commitments are written; the thinning key is gone
+    with pytest.raises(ConfigError, match="strategies_every"):
+        cli.load_config(write_config(tmp_path, strategies_every=1))
     with pytest.raises(ConfigError, match=r"smoothness.*bogus"):
         cli.load_config(
             write_config(tmp_path, smoothness={"lambda": 1.0, "mu": 0.0, "bogus": 1})
@@ -138,7 +140,6 @@ def test_config_value_validation(tmp_path):
         dict(smoothness={"lambda": 10**400, "mu": 1.0}),
         dict(gamma=math.nan),
         dict(populations=[[0.5, math.inf], [0.5, 1.0]]),
-        dict(strategies_every=0),
         dict(analysis={"checkpoints": []}),
     ]
     for i, kw in enumerate(cases):
@@ -294,10 +295,38 @@ def test_analyze_rejects_a_tampered_welfare_cell(tmp_path, capsys):
     lines[t] = ",".join(row)
     trace.write_text("\n".join(lines))
     capsys.readouterr()
-    assert cli.main(["analyze", "--config", cfg]) == 1
+    assert cli.main(["analyze", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert f"round {t} " in err
+    assert f"trace.csv: round {t}, column sw: holds '{row[-1]}', expected " in err
     assert "np.float64" not in err  # the values print as plain floats
+
+
+def test_analyze_refuses_types_the_seed_did_not_draw(tmp_path, capsys):
+    # every type set to the high one, with each round's bids gathered from
+    # the sidecar for those types and the welfare recomputed: a trace that
+    # agrees with itself and with the commitment table, which the seed
+    # never played
+    out = tmp_path / "runs"
+    cfg = simulate_config(tmp_path, out)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    d = out / "seed_2"
+    trace = sim.load_trace(d / "trace.csv", d / "strategies.json")
+    forged = np.ones_like(trace.v_idx)
+    realized = np.take_along_axis(
+        trace.strategy, forged + np.array(trace.config.agent_offsets()), axis=1
+    )
+    sw, opt = sim.welfare_columns(trace.config, forged, realized)
+    sim.write_trace_csv(replace(trace, v_idx=forged, realized_idx=realized, sw=sw, opt=opt),
+                        d / "trace.csv")
+    t, seat = np.argwhere(trace.v_idx != forged)[0]
+    before = snapshot(out)
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", cfg]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert err == (f"error: {d / 'trace.csv'}: round {t + 1}, column v_idx_{seat + 1}: "
+                   "holds '1', expected '0'\n")
+    assert snapshot(out) == before
 
 
 def replace_cell(lines, t, column, text):
@@ -307,20 +336,35 @@ def replace_cell(lines, t, column, text):
     return lines[:t] + [",".join(cells)] + lines[t + 1:]
 
 
+def widen_a_bid(lines):
+    """``lines`` of trace.csv with the first action_1 cell "0.5" written "0.50"."""
+    t = next(t for t in range(1, len(lines)) if lines[t].split(",")[3] == "0.5")
+    return replace_cell(lines, t, "action_1", "0.50")
+
+
 @pytest.mark.parametrize(
     "message, edit",
     [
         # round 3 duplicates round 2
-        ("column t:", lambda lines: lines[:3] + lines[2:3] + lines[4:]),
-        ("column v_idx_1:", lambda lines: replace_cell(lines, 3, "v_idx_1", "0.5")),
-        ("column v_idx_1:", lambda lines: replace_cell(lines, 3, "v_idx_1", "2")),
-        ("column action_1:", lambda lines: replace_cell(lines, 3, "action_1", "0.3")),
-        ("column sw:", lambda lines: replace_cell(lines, 3, "sw", "abc")),
-        ("table has no rows, expected 40 by 7", lambda lines: lines[:1] + [""]),
-        ("table has no rows, expected 40 by 7", lambda lines: lines[:1] + ["", " ", ""]),
+        ("round 3, column t: holds '2', expected '3'",
+         lambda lines: lines[:3] + lines[2:3] + lines[4:]),
+        ("round 3, column v_idx_1:", lambda lines: replace_cell(lines, 3, "v_idx_1", "0.5")),
+        ("round 3, column v_idx_1:", lambda lines: replace_cell(lines, 3, "v_idx_1", "2")),
+        ("round 3, column action_1: holds '0.3', expected ",
+         lambda lines: replace_cell(lines, 3, "action_1", "0.3")),
+        ("round 3, column sw: holds 'abc', expected ",
+         lambda lines: replace_cell(lines, 3, "sw", "abc")),
+        ("round 1, column t: the file ends, expected '1'", lambda lines: lines[:1] + [""]),
+        ("round 1, column t: holds '', expected '1'",
+         lambda lines: lines[:1] + ["", " ", ""]),
+        ("column action_1: holds '0.50', expected '0.5'", widen_a_bid),
+        ("header, column action_2: holds 'bid_2', expected 'action_2'",
+         lambda lines: [lines[0].replace("action_2", "bid_2")] + lines[1:]),
+        ("round 41, column t: the file goes on after round 40", lambda lines: lines + [""]),
     ],
     ids=["duplicate-round", "fractional-type", "type-out-of-range", "off-grid-bid",
-         "non-numeric", "header-only", "blank-lines"],
+         "non-numeric", "header-only", "blank-lines", "trailing-zero", "renamed-column",
+         "trailing-newline"],
 )
 def test_analyze_rejects_a_malformed_trace(tmp_path, capsys, message, edit):
     out = tmp_path / "runs"
@@ -365,9 +409,11 @@ def bid_off_the_grid(doc):
         lambda text: json.dumps(set_meta_entry(json.loads(text), "mechanism", "x")),
         lambda text: json.dumps(set_meta_entry(json.loads(text), "seed", "abc")),
         lambda text: json.dumps(bid_off_the_grid(json.loads(text))),
+        # a sidecar thinned to every third round cannot give every round's bids
+        lambda text: text.replace('{"every":1,', '{"every":3,', 1),
     ],
     ids=["truncated", "no-horizon", "mechanism-not-an-object", "non-numeric-seed",
-         "bid-off-the-grid"],
+         "bid-off-the-grid", "thinned"],
 )
 def test_analyze_rejects_a_malformed_sidecar(tmp_path, capsys, edit):
     out = tmp_path / "runs"
@@ -381,6 +427,8 @@ def test_analyze_rejects_a_malformed_sidecar(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert str(sidecar) in err
+    if sidecar.read_text().startswith('{"every":3,'):
+        assert err.endswith("malformed sidecar: every: must be <= 1, got 3\n")
 
 
 @pytest.mark.parametrize(
@@ -429,32 +477,6 @@ def test_a_compact_sidecar_with_a_bid_off_the_grid_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {sidecar}: malformed commitment table: a bid index lies off the grid\n"
     )
-
-
-def test_thinned_sidecar_is_analyzed_without_the_independence_gap(tmp_path, capsys):
-    out = tmp_path / "runs"
-    cfg = simulate_config(tmp_path, out, strategies_every=4)
-    assert cli.main(["simulate", "--config", cfg]) == 0
-    files = ("report.json", "seed_1/report.json", "seed_2/report.json",
-             "seed_1/checkpoints.csv", "seed_2/checkpoints.csv")
-    before = {p: (out / p).read_text() for p in files}
-    for seed in (1, 2):
-        report = json.loads(before[f"seed_{seed}/report.json"])
-        assert report["independence_gap"] is None
-        assert math.isfinite(report["epsilon"])
-    assert cli.main(["analyze", "--config", cfg]) == 0
-    for p, text in before.items():
-        assert (out / p).read_text() == text, f"{p} changed on re-analysis"
-    # the rows a thinned sidecar keeps are still checked against the trace:
-    # round 5 is kept (every 4th from round 1), so a wrong bid there fails
-    sidecar = out / "seed_1" / "strategies.json"
-    doc = json.loads(sidecar.read_text())
-    assert len(doc["rounds"]) == 100
-    doc["rounds"][1] = [(a + 1) % 5 for a in doc["rounds"][1]]
-    sidecar.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert cli.main(["analyze", "--config", cfg]) == 1
-    assert "diverge" in capsys.readouterr().err
 
 
 def multi_unit_of_four(doc):
@@ -580,13 +602,14 @@ BASE_MODULES = {"cli", "errors", "mechanisms", "records"}
 RUN_MODULES = BASE_MODULES | {"analysis", "learners", "simulator"}
 
 
-# only certify and exact load smoothness, and only simulate the round loop
+# only certify and exact load smoothness, and only simulate the round loop;
+# analyze draws the types again from the seed's stream
 @pytest.mark.parametrize("command, feedback, loaded", [
     ("certify", "full", BASE_MODULES | {"smoothness"}),
     ("exact", "full", BASE_MODULES | {"smoothness", "exact"}),
     ("simulate", "full", RUN_MODULES | {"pcg64", "rounds"}),
     ("simulate", "bandit", RUN_MODULES | {"pcg64", "rounds", "scalar_step"}),
-    ("analyze", "full", RUN_MODULES | {"readers"}),
+    ("analyze", "full", RUN_MODULES | {"readers", "pcg64"}),
 ])
 def test_each_command_imports_only_what_it_runs(tmp_path, command, feedback, loaded):
     doc = base_doc(deviation="half", smoothness={"lambda": 0.5, "mu": 1.0},
@@ -603,7 +626,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path, command, feedback, loa
         "import sys, numpy\n"
         "bare = 'numpy.random' in sys.modules\n"
         "import regretlab.cli\n"
-        f"argv = [{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}]\n"
+        f"argv = [{command!r}, '--config', {str(cfg)!r}]\n"
+        f"argv += [] if argv[0] == 'certify' else ['--out', {str(out)!r}]\n"
         "assert regretlab.cli.main(argv) == 0\n"
         "print(any(m in sys.modules for m in "
         "('dataclasses', 'logging', 'argparse', 'gettext', 'locale')))\n"
@@ -629,6 +653,7 @@ ARGV = {
     "unknown-flag": (["simulate", "--config", "{cfg}", "--bogus", "1"], 2),
     "abbreviated-flag": (["simulate", "--conf", "{cfg}"], 2),
     "flag-of-another-command": (["certify", "--config", "{cfg}", "--workers", "2"], 2),
+    "certify-out": (["certify", "--config", "{cfg}", "--out", "{out}"], 2),
     "single-dash-flag": (["simulate", "-c", "{cfg}"], 2),
     "stray-argument": (["simulate", "--config", "{cfg}", "extra"], 2),
     "missing-value": (["simulate", "--config"], 2),

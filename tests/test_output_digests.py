@@ -44,8 +44,7 @@ def test_simulate_and_analyze_write_the_pinned_bytes(name, tmp_path, capsys):
     # n = 4 multi-unit bandit, bandit batches of five first-price seeds and
     # of three multi-unit seeds whose fixed eta of 2 at gamma 0.05 divides
     # rows at 158 ceiling checks (both pinned while a batched bandit step
-    # played them), and a sidecar thinned to every third round of a horizon
-    # that is no multiple of 3
+    # played them)
     pinned = PINNED[name]
     config = tmp_path / "exp.json"
     config.write_text(json.dumps(pinned["config"]))

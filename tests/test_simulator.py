@@ -48,7 +48,7 @@ def test_trace_shapes_and_consistency():
     assert trace.strategy.shape == (400, 4)  # 2 populations x 2 types
     assert trace.realized_idx.shape == (400, 2)
     assert trace.v_idx.min() >= 0 and trace.v_idx.max() <= 1
-    sim.check_commitments(cfg, trace.strategy, trace.v_idx, trace.realized_idx)
+    oracles.assert_commitments(cfg, trace.strategy, trace.v_idx, trace.realized_idx)
     (ledger,) = sim.rebuild_ledgers(trace, [trace.horizon])
     assert ledger.counterfactual.shape == (4, len(cfg.mechanism.grid))
     assert ledger.realized.shape == ledger.selected_rounds.shape == (4,)
@@ -511,49 +511,28 @@ def test_csv_format():
 
 
 @settings(max_examples=40, deadline=None)
-@given(cfg=small_runs(), every=st.sampled_from((1, 3)))
-def test_round_trip_preserves_everything(cfg, every):
+@given(cfg=small_runs())
+def test_round_trip_preserves_everything(cfg):
     trace = sim.run_repeated_game(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "trace.csv"
         json_path = Path(tmp) / "strategies.json"
         sim.write_trace_csv(trace, csv_path)
-        json_path.write_text(sim.strategies_json_text(trace, every))
+        json_path.write_text(sim.strategies_json_text(trace))
         back = sim.load_trace(csv_path, json_path)
     assert back.config == cfg
-    for name in ("v_idx", "realized_idx", "sw", "opt"):
+    for name in ("v_idx", "strategy", "realized_idx", "sw", "opt"):
         assert same_bits(getattr(back, name), getattr(trace, name)), name
-    if every == 1:
-        assert same_bits(back.strategy, trace.strategy)
-    else:
-        assert back.strategy is None
 
 
-def test_subsampled_sidecar_drops_strategy_table(tmp_path):
-    trace = sim.run_repeated_game(small_config(horizon=40, seed=9))
-    csv_path = tmp_path / "trace.csv"
-    json_path = tmp_path / "strategies.json"
-    sim.write_trace_csv(trace, csv_path)
-    json_path.write_text(sim.strategies_json_text(trace, every=4))
-    doc = json.loads(json_path.read_text())
-    assert doc["every"] == 4
-    assert len(doc["rounds"]) == 10
-    back = sim.load_trace(csv_path, json_path)
-    assert back.strategy is None
-    with pytest.raises(InputError):
-        sim.strategies_json_text(back)  # nothing left to serialize
-    with pytest.raises(InputError):
-        sim.strategies_json_text(trace, every=0)
-
-
-@pytest.mark.parametrize("every", [1, 3])
-def test_sidecar_text_equals_the_plain_json_document(every):
+def test_sidecar_text_equals_the_plain_json_document():
     # the table is formatted in chunks of rounds; across chunk boundaries the
     # text must still be the sorted, compact json.dumps of the whole document
     trace = sim.run_repeated_game(small_config(horizon=2 * sim.WRITE_CHUNK + 5, seed=8))
-    text = sim.strategies_json_text(trace, every)
+    text = sim.strategies_json_text(trace)
     doc = json.loads(text)
-    doc["rounds"] = [[int(x) for x in row] for row in trace.strategy[::every]]
+    assert doc["every"] == 1
+    doc["rounds"] = [[int(x) for x in row] for row in trace.strategy]
     assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -741,7 +720,7 @@ def test_one_sweep_counts_each_prefix_as_a_recount_would(feedback):
 def test_bandit_mode_runs_and_stays_consistent():
     cfg = small_config(horizon=500, seed=21, feedback=sim.FEEDBACK_BANDIT, gamma=0.1)
     trace = sim.run_repeated_game(cfg)
-    sim.check_commitments(cfg, trace.strategy, trace.v_idx, trace.realized_idx)
+    oracles.assert_commitments(cfg, trace.strategy, trace.v_idx, trace.realized_idx)
     # the diagnostic ledgers see full counterfactual vectors even though the
     # learners only see realized payoffs
     (rebuilt,) = sim.rebuild_ledgers(trace, [trace.horizon])
@@ -790,17 +769,16 @@ def test_validate_catches_tampering(tmp_path):
     json_path = tmp_path / "strategies.json"
     sim.write_trace_csv(trace, csv_path)
     json_path.write_text(sim.strategies_json_text(trace))
-    trace.realized_idx = trace.realized_idx.copy()
-    trace.realized_idx[3, 0] = (trace.realized_idx[3, 0] + 1) % 5
-    with pytest.raises(InputError, match="diverge"):
-        sim.check_commitments(
-            trace.config, trace.strategy, trace.v_idx, trace.realized_idx
-        )
-    # on load, a sidecar whose commitments disagree with the realized bids is
-    # a contract violation: agent 0 claims another bid in a round it played
+    realized = trace.realized_idx.copy()
+    realized[3, 0] = (realized[3, 0] + 1) % 5
+    with pytest.raises(AssertionError, match="round 4, seat 0"):
+        oracles.assert_commitments(trace.config, trace.strategy, trace.v_idx, realized)
+    # on load, the realized bids are the sidecar's commitments, so a sidecar
+    # that gives agent 0 another bid in a round it played renders another
+    # trace.csv than the one written: the file is refused at that round
     t = int(np.flatnonzero(trace.v_idx[:, 0] == 0)[0])
     doc = json.loads(json_path.read_text())
     doc["rounds"][t][0] = (doc["rounds"][t][0] + 1) % 5
     json_path.write_text(json.dumps(doc))
-    with pytest.raises(ContractViolationError, match="diverge"):
+    with pytest.raises(InputError, match=f"round {t + 1}, column action_1: "):
         sim.load_trace(csv_path, json_path)
