@@ -75,7 +75,7 @@ def _independence_gap(trace: Trace, zeta: float) -> float:
     """
     v_sizes = [len(p) for p in trace.config.populations]
     bids = len(trace.config.mechanism.grid)
-    _, inverse, counts = mech.profile_index(
+    inverse, counts = mech.profile_index(
         trace.strategy.T, [bids] * len(trace.config.agents())
     )
     count_type = np.int32 if trace.horizon < 2**31 else np.int64

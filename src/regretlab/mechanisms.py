@@ -487,12 +487,11 @@ def profile_index(columns, sizes: Sequence[int]):
     """The distinct digit tuples of a table's rows, in lexicographic order.
 
     ``columns`` holds one integer array per digit, all of one length. Returns
-    a row holding each distinct tuple, each row's rank among the distinct
-    tuples, and each tuple's count: the order, inverse and counts of
-    ``np.unique(rows, axis=0)``, which is far slower. Rows are compared by
-    their C-order flat index over ``sizes``; when the sizes' product would
-    overflow int64, the partial codes are replaced by their ranks, which keep
-    their order.
+    each row's rank among the distinct tuples and each tuple's count: the
+    inverse and counts of ``np.unique(rows, axis=0)``, which is far slower.
+    Rows are compared by their C-order flat index over ``sizes``; when the
+    sizes' product would overflow int64, the partial codes are replaced by
+    their ranks, which keep their order.
     """
     code, span = 0, 1
     for col, size in zip(columns, sizes):
@@ -501,11 +500,7 @@ def profile_index(columns, sizes: Sequence[int]):
             span = len(counts)
         code = code * size + np.asarray(col, dtype=np.int64)
         span *= size
-    rank, counts = _dense_rank(code, span)
-    # rows of one tuple are interchangeable, so whichever write lands is one
-    row = np.empty(len(counts), dtype=np.int64)
-    row[rank] = np.arange(len(rank))
-    return row, rank, counts
+    return _dense_rank(code, span)
 
 
 def value_profiles(per_player_values: Iterable[Sequence[float]]) -> list[tuple[float, ...]]:

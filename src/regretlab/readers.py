@@ -24,8 +24,8 @@ from .simulator import (
     Trace,
     _csv_header,
     draw_types,
+    play_trace,
     trace_csv_chunks,
-    welfare_columns,
 )
 
 
@@ -147,10 +147,9 @@ def load_trace(csv_path, strategies_path) -> Trace:
     ``strategies_json_text`` writes it is read as its JSON head and the
     table's bytes (``compact_table``); any other text goes through
     json.loads whole, which gives the same values and errors. The types are
-    the seed's draws (``draw_types``), each seat's realized bid the
-    commitment of the agent of its type, and ``sw`` and ``opt`` the
-    ``welfare_columns`` of both. The trace.csv must be the text these render
-    (``check_rendering``).
+    the seed's draws (``draw_types``), and the trace is built from them and
+    the table by ``play_trace``, as ``simulate`` builds it. The trace.csv
+    must be the text it renders (``check_rendering``).
 
     A malformed sidecar, or a table the play does not render, raises
     InputError naming the file.
@@ -174,10 +173,6 @@ def load_trace(csv_path, strategies_path) -> Trace:
             raise ValueError("a bid index lies off the grid")
     except (TypeError, ValueError, OverflowError) as e:
         raise InputError(f"{strategies_path}: malformed commitment table: {e}") from e
-    v_idx = draw_types(config)
-    realized = np.take_along_axis(committed, v_idx + np.array(config.agent_offsets()), axis=1)
-    sw, opt = welfare_columns(config, v_idx, realized)
-    trace = Trace(config=config, v_idx=v_idx, strategy=committed, realized_idx=realized,
-                  sw=sw, opt=opt)
+    trace = play_trace(config, draw_types(config), committed)
     check_rendering(csv_path, trace)
     return trace

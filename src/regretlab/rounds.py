@@ -43,9 +43,10 @@ HEDGE_BLOCK = (8, 256, 1 << 16)
 def _play_rounds(config):
     """The round loop of one seed, ``config.seed``.
 
-    Returns the (rounds, ...) type, commitment and realized-bid index
-    arrays; learner rows are in flat agent order. The loop's working set
-    (stacked tables, learner weights, chunk buffers) is freed on return.
+    Returns the type and commitment index arrays, learner rows in flat
+    agent order, which ``simulator.play_trace`` turns into a trace. The
+    loop's working set (stacked tables, learner weights, chunk buffers) is
+    freed on return.
 
     A round samples every row and updates the selected rows: Hedge
     multiplies exp(eta * unit utility) into the row, bandit exp(eta * unit
@@ -68,7 +69,6 @@ def _play_rounds(config):
     full = config.feedback == FEEDBACK_FULL
     state = LearnerState(np.ones((G, A)), gamma=0.0 if full else config.gamma)
     strategy = np.empty((T, G), dtype=np.int16)
-    realized = np.empty((T, n), dtype=np.int16)
     chunk = min(DRAW_CHUNK, T)
     rows_at = np.empty((chunk, n), dtype=np.int64)
     if full:
@@ -106,14 +106,13 @@ def _play_rounds(config):
             steps = etas[:R, :, 0].max(axis=1) * top_unit + LOG_STEP_SLACK
             carried = _hedge_blocks(
                 state.weights, draws, rows, etas[:R], steps, unit, first_cell,
-                opp_place, *carried, strategy[a:a + R], realized[a:a + R],
+                opp_place, *carried, strategy[a:a + R],
             )
         else:
-            picks, played, headroom = step.rounds(draws, rows, headroom)
+            picks, headroom = step.rounds(draws, rows, headroom)
             strategy[a:a + R] = np.reshape(picks, (R, G))
-            realized[a:a + R] = np.reshape(played, (R, n))
 
-    return v_idx, strategy, realized
+    return v_idx, strategy
 
 
 def _sample(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -124,7 +123,7 @@ def _sample(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 
 def _hedge_blocks(w, draws, rows, etas, steps, unit, first_cell, opp_place,
-                  headroom, size, strategy, realized) -> tuple[float, int]:
+                  headroom, size, strategy) -> tuple[float, int]:
     """Play one seed's Hedge rounds of a draw chunk in verified blocks.
 
     ``w`` is the seed's (G, A) weight rows, updated in place; ``draws[c]``,
@@ -183,7 +182,6 @@ def _hedge_blocks(w, draws, rows, etas, steps, unit, first_cell, opp_place,
                 k = 1 + int(wrong[0]) // len(opp_place)
             strategy[c + 1:c + k] = j[:k - 1]
             carry = j[k - 1:]
-        realized[c:c + k] = guess[:k]
         w[:] = chain[k]
         if k == L and ceiling:
             renormalize(w)

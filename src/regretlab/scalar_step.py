@@ -99,15 +99,15 @@ class ScalarStep:
     def rounds(self, draws: np.ndarray, rows_at: np.ndarray, headroom: float):
         """Play one chunk: ``draws[c]`` and ``rows_at[c]`` are round c's
         uniforms, one per learner row, and updated rows, one per seat.
-        Returns the commitments and realized bids, flat in round order, and
-        the weight-ceiling headroom left."""
+        Returns the commitments, flat in round order, and the weight-ceiling
+        headroom left; a seat's realized bid is the commitment of its row."""
         weights, totals, cdfs = self.weights, self.totals, self.cdfs
         keep, floor, eta = self.keep, self.floor, self.eta
         unit, first, powers = self.unit, self.first, self.powers
         top, G = self.state.n_actions - 1, len(cdfs)
         us = memoryview(draws.ravel())
         exp = math.exp
-        picks, played = [], []
+        picks = []
         for c, rows in enumerate(rows_at.tolist()):
             # the count of CDF entries below the last at or below the draw
             # times the total, as ``rounds._sample`` counts them
@@ -115,7 +115,6 @@ class ScalarStep:
                  for cdf, u in zip(cdfs, us[c * G:c * G + G])]
             bids = [j[r] for r in rows]
             picks += j
-            played += bids
             code = sum(map(mul, bids, powers))
             xs = []
             for r, b in zip(rows, bids):
@@ -132,4 +131,4 @@ class ScalarStep:
                 headroom = ceiling_headroom(self.state.weights)
                 self._load()
                 weights, totals, cdfs = self.weights, self.totals, self.cdfs
-        return picks, played, headroom
+        return picks, headroom

@@ -12,13 +12,13 @@ learning agent per valuation type. Every round proceeds in three steps:
 
 Selected agents receive either the full counterfactual utility vector
 (``full`` feedback, Hedge update) or only the realized utility (``bandit``
-feedback, importance-weighted update). A trace
-holds only what play decided: the types, the commitments and the realized
-bids, plus the welfare they give. ``rebuild_ledgers`` recounts the regret
-ledger, one per horizon with a row per agent, from the type and
-realized-bid columns, at many horizons in one sweep, for a simulated and a
-loaded trace alike; it always holds the exact counterfactual vectors,
-whatever feedback the learners saw.
+feedback, importance-weighted update). ``play_trace`` builds a trace from
+what play decided, the types and the commitments, with the realized bids
+and welfare they give. ``rebuild_ledgers`` recounts the regret ledger, one
+per horizon with a row per agent, from the type and realized-bid columns,
+at many horizons in one sweep, for a simulated and a loaded trace alike; it
+always holds the exact counterfactual vectors, whatever feedback the
+learners saw.
 
 Each seed is one independent run of the repeated game, played to its end
 before the next seed starts. Its randomness is the PCG64 stream numpy's
@@ -32,7 +32,7 @@ when it runs, and ``strategies.json`` is read back and ``trace.csv``
 checked through ``readers``, which only ``load_trace`` imports: ``simulate``
 and ``analyze`` each compile only the half they run. ``draw_types`` lives here,
 since ``analyze`` draws a seed's types again without playing its rounds.
-The files are assembled as byte matrices in blocks of WRITE_CHUNK rounds.
+Both files are laid out from per-column cell matrices by ``_lay_out``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from . import mechanisms as mech
-from .errors import ContractViolationError, InputError
+from .errors import InputError
 from .learners import MAX_LOG_STEP, RegretLedger
 from .mechanisms import FEEDBACK_BANDIT, FEEDBACK_FULL, Population
 from .pcg64 import Stream
@@ -179,16 +179,22 @@ def welfare_columns(
     return sw, opt
 
 
-def run_repeated_game(config: SimConfig) -> Trace:
-    """Simulate ``config.horizon`` rounds of ``config.seed`` and return the
-    full trace. The loop's working set is freed before the welfare columns
-    are built."""
-    from .rounds import _play_rounds
-
-    v_idx, strategy, realized = _play_rounds(config)
+def play_trace(config: SimConfig, v_idx: np.ndarray, strategy: np.ndarray) -> Trace:
+    """The trace of a seed's (rounds, seats) types and (rounds, agents)
+    commitments, as ``simulate`` and ``analyze`` build it: each seat's bid is
+    its type's agent's commitment, and ``sw``/``opt`` the welfare_columns."""
+    realized = np.take_along_axis(strategy, v_idx + np.array(config.agent_offsets()), axis=1)
     sw, opt = welfare_columns(config, v_idx, realized)
     return Trace(config=config, v_idx=v_idx, strategy=strategy, realized_idx=realized,
                  sw=sw, opt=opt)
+
+
+def run_repeated_game(config: SimConfig) -> Trace:
+    """Simulate ``config.horizon`` rounds of ``config.seed`` and return the
+    full trace. The loop's working set is freed before the trace is built."""
+    from .rounds import _play_rounds
+
+    return play_trace(config, *_play_rounds(config))
 
 
 # --- persistence -------------------------------------------------------------
@@ -204,78 +210,75 @@ def _csv_header(n: int) -> list[str]:
 
 
 # Rounds per step of trace_csv_chunks and strategies_json_text, and at most
-# per step of readers.compact_table. A trace.csv chunk renders its distinct
-# keys as Python strings; at 4,096 rounds the n = 4 bandit's ~4,000 distinct
-# keys per chunk raised simulate's peak RSS by 0.15 MB.
+# per step of readers.compact_table. A step's cells (~55 KB at n = 4) stay below
+# glibc's mmap threshold (128 KiB): freeing a larger buffer raises it, and the
+# arrays allocated after that stay resident.
 WRITE_CHUNK = 1024
 
 
 def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """The decimal digits of nonnegative integers as a (len, width) byte
-    matrix, right-aligned after NUL bytes, which the writers drop. The
-    quotients by powers of ten come from float division, exact below 2**53,
-    so a run loads none of numpy's integer-division loops."""
+    """The decimal digits of nonnegative integers as a (width, len) byte
+    matrix, right-aligned after NUL bytes. The quotients by powers of ten
+    come from float division, exact below 2**53, so a run loads none of
+    numpy's integer-division loops."""
     power = np.array([10.0**k for k in range(width - 1, -1, -1)])
-    q = (values[:, None] / power).astype(np.int64)
-    lead = q[:, :-1] == 0
-    q[:, 1:] -= 10 * q[:, :-1]
+    q = (values / power[:, None]).astype(np.int64)
+    lead = q[:-1] == 0
+    q[1:] -= 10 * q[:-1]
     q += 48
-    q[:, :-1][lead] = 0
+    q[:-1][lead] = 0
     return q.astype(np.uint8)
 
 
-def trace_csv_chunks(trace: Trace) -> Iterator[bytes]:
-    """The bytes of the trace's CSV table (1-based round numbers): the
-    header line, then whole rows, at most 64 KiB at a time.
+def _texts(texts: Sequence[str]) -> np.ndarray:
+    """ASCII texts as a (longest, len) byte matrix, left-aligned before NULs."""
+    return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1).T
 
-    A row after its round number depends only on the round's (type profile,
-    bid profile) key. The rows are assembled WRITE_CHUNK rounds at a time
-    as a byte matrix, the round numbers' digits beside the texts of the
-    rounds' keys; each key's text is joined once per chunk from the texts
-    of its cells, and each grid bid is formatted once per run.
-    """
+
+def _float_cells(col: np.ndarray, table: tuple) -> tuple[np.ndarray, tuple]:
+    """The ``repr`` cells of a float column and the table they came from:
+    ``table`` (ascending bit patterns, their texts) if it holds all of
+    ``col``'s, else one of ``col``'s distinct patterns, so -0.0 keeps its text."""
+    bits = col.view(np.int64)
+    keys, texts = table
+    at = np.searchsorted(keys, bits)
+    if not np.array_equal(keys.take(at, mode="clip"), bits):
+        keys = np.array(sorted(set(bits.tolist())), dtype=np.int64)
+        texts = _texts([repr(x) for x in keys.view(np.float64).tolist()])
+        at = np.searchsorted(keys, bits)
+    return np.take(texts, at, axis=1), (keys, texts)
+
+
+def _lay_out(cells: Sequence[np.ndarray], start: bytes, sep: bytes, end: bytes) -> bytes:
+    """Rows of text from (bytes, rows) cell matrices: row r is ``start``,
+    column r of each matrix with ``sep`` between them, then ``end``, less
+    the NULs that pad the cells. Stacking the matrices and transposing once
+    copies whole rows, not a few bytes per row."""
+    start, sep, end = (np.frombuffer(mark, dtype=np.uint8)[:, None].repeat(
+        cells[0].shape[1], axis=1) for mark in (start, sep, end))
+    parts = [start, *(part for cell in cells for part in (cell, sep))]
+    parts[-1] = end
+    return np.concatenate(parts).T.tobytes().replace(b"\0", b"")
+
+
+def trace_csv_chunks(trace: Trace) -> Iterator[bytes]:
+    """The CSV table's bytes: the header, then WRITE_CHUNK rows at a time of
+    the 1-based round number's digits, each seat's type index and bid from a
+    text table per index and per grid bid, and ``sw`` and ``opt`` cells."""
     cfg = trace.config
-    n = cfg.mechanism.n
-    row, key, _ = mech.profile_index(
-        [*trace.v_idx.T, *trace.realized_idx.T],
-        [len(p) for p in cfg.populations] + list(cfg.mechanism.sizes),
-    )
-    for name in ("sw", "opt"):
-        col = getattr(trace, name)
-        bad = np.flatnonzero(col != col[row][key])
-        if len(bad):
-            t, other = bad[0], row[key[bad[0]]]
-            raise ContractViolationError(
-                f"round {t + 1} stores {name}={float(col[t])!r}, but round "
-                f"{other + 1} with the same types and bids stores {float(col[other])!r}"
-            )
-    bid_texts = [repr(b) for b in cfg.mechanism.grid]
-    slot = np.empty(len(row), dtype=np.intp)
+    types = _texts([str(i) for i in range(max(len(p) for p in cfg.populations))])
+    bids = _texts([repr(b) for b in cfg.mechanism.grid])
+    sw = opt = (np.zeros(1, dtype=np.int64), _texts(["0.0"]))  # +0.0 alone
     width = len(str(trace.horizon))
-    yield (",".join(_csv_header(n)) + "\n").encode()
+    yield (",".join(_csv_header(cfg.mechanism.n)) + "\n").encode()
     for a in range(0, trace.horizon, WRITE_CHUNK):
-        keys = key[a:a + WRITE_CHUNK]
-        distinct = np.flatnonzero(np.bincount(keys, minlength=len(row)))
-        slot[distinct] = np.arange(len(distinct))
-        at = row[distinct]
-        cols = [map(str, col) for col in trace.v_idx[at].T.tolist()]
-        cols += [map(bid_texts.__getitem__, col)
-                 for col in trace.realized_idx[at].T.tolist()]
-        cols += [map(repr, trace.sw[at].tolist()), map(repr, trace.opt[at].tolist())]
-        # each text leaves room for the round number's digits; the cell
-        # lists and the texts are freed as soon as they are used
-        pad = " " * width
-        texts = [f"{pad},{s}\n" for s in map(",".join, zip(*cols))]
-        del cols
-        texts = np.array(texts, dtype=bytes).view(np.uint8).reshape(len(distinct), -1)
-        # rows are assembled 64 KiB at a time: freeing a buffer past
-        # glibc's mmap threshold (128 KiB) raises it, and the arrays
-        # allocated after that stay resident
-        step = max(1, (1 << 16) // texts.shape[1])
-        for s in range(0, len(keys), step):
-            lines = texts[slot[keys[s:s + step]]]
-            lines[:, :width] = _digits(np.arange(a + s + 1, a + s + len(lines) + 1), width)
-            yield lines.tobytes().replace(b"\0", b"")
+        rounds = np.arange(a + 1, min(a + WRITE_CHUNK, trace.horizon) + 1)
+        cells = [_digits(rounds, width)]
+        cells += [np.take(types, col, axis=1) for col in trace.v_idx[a:a + WRITE_CHUNK].T]
+        cells += [np.take(bids, col, axis=1) for col in trace.realized_idx[a:a + WRITE_CHUNK].T]
+        sw_cells, sw = _float_cells(trace.sw[a:a + WRITE_CHUNK], sw)
+        opt_cells, opt = _float_cells(trace.opt[a:a + WRITE_CHUNK], opt)
+        yield _lay_out([*cells, sw_cells, opt_cells], b"", b",", b"\n")
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -301,24 +304,14 @@ def strategies_json_text(trace: Trace) -> str:
         "every": 1,
         "rounds": 0,
     }
-    # "rounds" sorts last, so the table replaces the placeholder at the end.
-    # A chunk of rows is a byte matrix: each row a copy of one row's
-    # separators, each agent's slot filled from the digits of its bid index
+    # "rounds" sorts last, so the table replaces the placeholder at the end;
+    # its rows are laid out from each agent's bid-index digits
     head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    table = trace.strategy
-    bids = len(cfg.mechanism.grid)
-    width = len(str(bids - 1))
-    digits = _digits(np.arange(bids), width)
-    line = np.zeros(table.shape[1] * (width + 1) + 2, dtype=np.uint8)
-    line[[0, -2, -1]] = list(b"[],")
-    line[width + 1:-2:width + 1] = ord(",")
-    slots = np.flatnonzero(line == 0)
+    digits = _texts([str(i) for i in range(len(cfg.mechanism.grid))])
     parts = [head[:-2], "["]
-    for a in range(0, len(table), WRITE_CHUNK):
-        block = table[a:a + WRITE_CHUNK]
-        rows = np.tile(line, (len(block), 1))
-        rows[:, slots] = digits[block].reshape(len(block), -1)
-        parts.append(rows.tobytes().replace(b"\0", b"").decode())
+    for a in range(0, len(trace.strategy), WRITE_CHUNK):
+        cells = [np.take(digits, col, axis=1) for col in trace.strategy[a:a + WRITE_CHUNK].T]
+        parts.append(_lay_out(cells, b"[", b",", b"],").decode())
     parts[-1] = parts[-1][:-1] + "]}"
     return "".join(parts)
 

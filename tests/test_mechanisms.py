@@ -373,9 +373,8 @@ def test_profile_index_matches_unique_rows(sizes, rows, seed):
 
 
 def check_profile_index(table, sizes):
-    uniq, inverse, counts = np.unique(table, axis=0, return_inverse=True, return_counts=True)
-    row, rank, cnt = mech.profile_index(table.T, sizes)
-    np.testing.assert_array_equal(table[row], uniq)
+    _, inverse, counts = np.unique(table, axis=0, return_inverse=True, return_counts=True)
+    rank, cnt = mech.profile_index(table.T, sizes)
     np.testing.assert_array_equal(rank, inverse.reshape(-1))
     np.testing.assert_array_equal(cnt, counts)
 

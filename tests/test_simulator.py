@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretlab import ContractViolationError, InputError
+from regretlab import InputError
 from regretlab import learners as ln
 from regretlab import mechanisms as mech
 from regretlab import readers, rounds, scalar_step
@@ -328,8 +328,8 @@ def test_scalar_rows_hold_the_learner_state_s_probabilities(n, seed, gamma):
     # rounds from weights of one scale, whose steps stay far below the ceiling
     step.state.weights[:] = rng.random((1, n)) + 0.5
     step._load()
-    _, played, _ = step.rounds(rng.random((8, 1)), np.zeros((8, 1), dtype=np.int64), 1e3)
-    assert step.weights[0] != step.state.weights[0].tolist() and len(played) == 8
+    picks, _ = step.rounds(rng.random((8, 1)), np.zeros((8, 1), dtype=np.int64), 1e3)
+    assert step.weights[0] != step.state.weights[0].tolist() and len(picks) == 8
     assert_rows_match()
 
 
@@ -484,19 +484,26 @@ def test_streamed_csv_equals_the_csv_writer_table(cfg):
     assert written_csv(trace) == oracles.trace_csv_text(trace)
 
 
-def test_csv_writer_rejects_welfare_that_its_types_and_bids_do_not_give(tmp_path):
-    # rows are formatted once per (types, bids) key, so two rounds with one key
-    # must store one welfare
-    trace = sim.run_repeated_game(small_config(horizon=50, seed=4))
-    seen = set()
+def test_csv_writer_formats_every_round_s_welfare_from_its_own_bits(tmp_path):
+    # rounds that share a (types, bids) key but store welfare of other bits
+    # are each written as their own cells: 0.0 against -0.0 in the second
+    # chunk of rows, after a first chunk that held 0.0 and no -0.0, and a
+    # value against its 1-ulp neighbour
+    W = sim.WRITE_CHUNK
+    trace = sim.run_repeated_game(small_config(horizon=W + 50, seed=4))
+    rounds = {}
     for t, key in enumerate(zip(map(tuple, trace.v_idx), map(tuple, trace.realized_idx))):
-        if key in seen:
-            break
-        seen.add(key)
-    trace.sw = trace.sw.copy()
-    trace.sw[t] += 0.5
-    with pytest.raises(ContractViolationError, match="stores sw="):
-        sim.write_trace_csv(trace, tmp_path / "trace.csv")
+        rounds.setdefault(key, []).append(t)
+    zero = next(ts for ts in rounds.values() if ts[0] < W and sum(t >= W for t in ts) > 1)
+    a, (b, c) = zero[0], [t for t in zero if t >= W][:2]
+    d, e = next(ts for ts in rounds.values() if ts is not zero and ts[1] < W)[:2]
+    trace.sw, trace.opt = trace.sw.copy(), trace.opt.copy()
+    trace.sw[[a, b, c]] = 0.0, 0.0, -0.0
+    assert trace.sw[d] != 0.0
+    trace.sw[e] = np.nextafter(trace.sw[d], np.inf)
+    trace.opt[e] = np.nextafter(trace.opt[d], -np.inf)
+    sim.write_trace_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text() == oracles.trace_csv_text(trace)
 
 
 def test_csv_format():
