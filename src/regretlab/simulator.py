@@ -242,7 +242,7 @@ def _float_cells(col: np.ndarray, table: tuple) -> tuple[np.ndarray, tuple]:
     bits = col.view(np.int64)
     keys, texts = table
     at = np.searchsorted(keys, bits)
-    if not np.array_equal(keys.take(at, mode="clip"), bits):
+    if keys.take(at, mode="clip").tobytes() != bits.tobytes():
         keys = np.array(sorted(set(bits.tolist())), dtype=np.int64)
         texts = _texts([repr(x) for x in keys.view(np.float64).tolist()])
         at = np.searchsorted(keys, bits)
