@@ -209,10 +209,9 @@ def _csv_header(n: int) -> list[str]:
     )
 
 
-# Rounds per step of trace_csv_chunks and strategies_json_text, and at most
-# per step of readers.compact_table. A step's cells (~55 KB at n = 4) stay below
-# glibc's mmap threshold (128 KiB): freeing a larger buffer raises it, and the
-# arrays allocated after that stay resident.
+# Rounds per step of trace_csv_chunks and strategies_json_text, and at most per
+# step of readers.compact_table. A step's cells (~55 KB at n = 4) stay below glibc's
+# mmap threshold (128 KiB): a larger freed buffer raises it, and later arrays stay resident.
 WRITE_CHUNK = 1024
 
 
@@ -236,9 +235,10 @@ def _texts(texts: Sequence[str]) -> np.ndarray:
 
 
 def _float_cells(col: np.ndarray, table: tuple) -> tuple[np.ndarray, tuple]:
-    """The ``repr`` cells of a float column and the table they came from:
-    ``table`` (ascending bit patterns, their texts) if it holds all of
-    ``col``'s, else one of ``col``'s distinct patterns, so -0.0 keeps its text."""
+    """The ``repr`` cells of a float column, from ``table`` (ascending bit
+    patterns, their texts) if it holds all of ``col``'s, else from one of
+    ``col``'s, so -0.0 keeps its text; and that table. Bits are compared as
+    bytes: np.array_equal's all() raised simulate's peak RSS by 128 KB."""
     bits = col.view(np.int64)
     keys, texts = table
     at = np.searchsorted(keys, bits)
@@ -268,7 +268,7 @@ def trace_csv_chunks(trace: Trace) -> Iterator[bytes]:
     cfg = trace.config
     types = _texts([str(i) for i in range(max(len(p) for p in cfg.populations))])
     bids = _texts([repr(b) for b in cfg.mechanism.grid])
-    sw = opt = (np.zeros(1, dtype=np.int64), _texts(["0.0"]))  # +0.0 alone
+    sw = opt = (np.zeros(1, dtype=np.int64), _texts(["0.0"]))  # a table of +0.0 alone
     width = len(str(trace.horizon))
     yield (",".join(_csv_header(cfg.mechanism.n)) + "\n").encode()
     for a in range(0, trace.horizon, WRITE_CHUNK):
