@@ -45,9 +45,9 @@ import numpy as np
 
 from . import mechanisms as mech
 from .errors import CapExceededError, ContractViolationError, SolverError
-from .records import record
-from .smoothness import (SLACK_TOL, DeviationRule, SmoothnessParams, SmoothnessReport,
-                         add_deviation_sums)
+from .records import asdict, record
+from .smoothness import (DeviationRule, SmoothnessParams, SmoothnessReport,
+                         add_deviation_sums, smoothness_report)
 
 TENSOR_CAP = 1_000_000
 FEAS_TOL = 1e-7
@@ -180,19 +180,8 @@ def lift_smoothness_check(
         devs.append(dev / count)
     lhs = g_.deviation_mix(np.concatenate(devs))
     slack = lhs - params.lam * g_.e_opt + params.mu * g_.revenue
-    worst = int(np.argmin(slack))
-    worst_slack = float(slack[worst])
-    bids = tuple(m.grid[d] for d in np.unravel_index(worst, g_.sizes))
-    gain = lhs + params.mu * g_.revenue
-    level = float(gain.min()) / g_.e_opt if g_.e_opt > 0.0 else None
-    return SmoothnessReport(
-        params=params,
-        holds=bool(worst_slack >= -SLACK_TOL),
-        worst_slack=worst_slack,
-        witness_values=(),
-        witness_actions=bids,
-        level=level,
-    )
+    return smoothness_report(params, slack, lhs + params.mu * g_.revenue, g_.e_opt, m.grid,
+                             g_.sizes)
 
 
 # --- worst-case coarse-equilibrium welfare ------------------------------------
@@ -493,43 +482,28 @@ def _float_list_parts(values: np.ndarray):
     yield "]"
 
 
-def _write_json(path, doc: dict) -> None:
-    """Write ``json.dumps(doc)`` (sorted keys, compact) and a newline, the
-    float arrays among its values formatted in pieces instead of built into
-    sigma-long lists."""
+def _write_json(path, rec) -> None:
+    """Write ``json.dumps`` of the record's fields (sorted keys, compact,
+    ``mechanisms.json_default``) and a newline, its float arrays formatted in
+    pieces instead of built into sigma-long lists. Every other field is
+    formatted before the file is opened, so a record that cannot be written
+    (a mechanism with no descriptor) leaves no file."""
+    parts = {key: _float_list_parts(value) if isinstance(value, np.ndarray) else [json.dumps(
+        value, sort_keys=True, separators=(",", ":"), default=mech.json_default)]
+        for key, value in asdict(rec).items()}
     with open(path, "w") as fh:
         fh.write("{")
-        for i, key in enumerate(sorted(doc)):
+        for i, key in enumerate(sorted(parts)):
             fh.write(("," if i else "") + json.dumps(key) + ":")
-            if isinstance(doc[key], np.ndarray):
-                fh.writelines(_float_list_parts(doc[key]))
-            else:
-                fh.write(json.dumps(doc[key], sort_keys=True, separators=(",", ":")))
+            fh.writelines(parts[key])
         fh.write("}\n")
 
 
 def write_agent_game_json(agent_game: AgentGame, path) -> None:
-    """Write ``agent_game.json``: the game's layout, tensor and E[Opt]."""
-    _write_json(path, {
-        "mechanism": agent_game.mechanism.to_descriptor(),
-        "populations": [list(p.values) for p in agent_game.populations],
-        "agents": [[i, ti, v] for (i, ti, v) in agent_game.agents],
-        "sizes": list(agent_game.sizes),
-        "utilities": agent_game.utilities,
-        "revenue": agent_game.revenue,
-        "e_opt": agent_game.e_opt,
-    })
+    """Write ``agent_game.json`` from the game's fields: layout, tensor, E[Opt]."""
+    _write_json(path, agent_game)
 
 
 def write_solution_json(solution: CceLpSolution, path) -> None:
-    """Write ``lp_solution.json``: the LP minimizer and its certificates."""
-    _write_json(path, {
-        "distribution": solution.distribution,
-        "objective": solution.objective,
-        "slacks": solution.slacks,
-        "constraints": [list(c) for c in solution.constraints],
-        "iterations": solution.iterations,
-        "duals": solution.duals,
-        "dual_bound": solution.dual_bound,
-        "dual_gap": solution.dual_gap,
-    })
+    """Write ``lp_solution.json`` from the LP minimizer's and certificates' fields."""
+    _write_json(path, solution)

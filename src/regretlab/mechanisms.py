@@ -56,6 +56,11 @@ def uniform_grid(step: float, scale: float = 1.0) -> tuple[float, ...]:
         raise InputError(
             f"grid step {step} gives more than {INDEX_LIMIT} bids on [0, {scale}]"
         )
+    # bids are compared within GRID_TOL and kept to 12 decimals, so a finer
+    # step would merge, misplace or misorder them
+    if step < 1000 * GRID_TOL:
+        raise InputError(f"grid step {step} is below {1000 * GRID_TOL:g}, the finest step "
+                         f"the grid tolerance {GRID_TOL:g} resolves")
     if abs(m * step - scale) > GRID_TOL:
         raise InputError(f"grid step {step} does not divide scale {scale}")
     return tuple(_canonical_point(j * step) for j in range(m + 1))
@@ -257,6 +262,16 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def json_default(obj):
+    """``json.dumps``'s ``default`` for files written from records: a mechanism
+    is its descriptor (InputError when it has none), a population its types."""
+    if isinstance(obj, Mechanism):
+        return obj.to_descriptor()
+    if isinstance(obj, Population):
+        return list(obj.values)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # each seat's list of type values, as a config or a sidecar gives them

@@ -30,7 +30,8 @@ from .simulator import (
 
 
 # A sidecar as tables of key -> (parser, default). META's keys are SimConfig's
-# fields; the commitment table is checked by load_trace.
+# fields, which strategies_json_text writes from the config record; the
+# commitment table is checked by load_trace.
 META = {
     "mechanism": (mech.Mechanism.from_descriptor, mech.REQUIRED),
     "populations": (mech.read_populations, mech.REQUIRED),

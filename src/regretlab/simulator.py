@@ -49,7 +49,7 @@ from .errors import InputError
 from .learners import MAX_LOG_STEP, RegretLedger
 from .mechanisms import FEEDBACK_BANDIT, FEEDBACK_FULL, Population
 from .pcg64 import Stream
-from .records import record
+from .records import asdict, record
 
 
 @record(frozen=True)
@@ -289,24 +289,13 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 
 def strategies_json_text(trace: Trace) -> str:
-    """Commitment tables (all agents, every round) plus run metadata."""
+    """The sidecar: the run's ``SimConfig`` fields as ``meta`` (through
+    ``mechanisms.json_default``) and every agent's commitments, every round."""
     cfg = trace.config
-    doc = {
-        "meta": {
-            "mechanism": cfg.mechanism.to_descriptor(),
-            "populations": [list(p.values) for p in cfg.populations],
-            "horizon": cfg.horizon,
-            "seed": cfg.seed,
-            "feedback": cfg.feedback,
-            "gamma": cfg.gamma,
-            "eta": cfg.eta,
-        },
-        "every": 1,
-        "rounds": 0,
-    }
+    doc = {"meta": asdict(cfg), "every": 1, "rounds": 0}
     # "rounds" sorts last, so the table replaces the placeholder at the end;
     # its rows are laid out from each agent's bid-index digits
-    head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    head = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=mech.json_default)
     digits = _texts([str(i) for i in range(len(cfg.mechanism.grid))])
     parts = [head[:-2], "["]
     for a in range(0, len(trace.strategy), WRITE_CHUNK):

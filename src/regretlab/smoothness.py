@@ -27,7 +27,7 @@ import numpy as np
 from . import mechanisms as mech
 from .errors import CapExceededError, InputError, UndefinedResultError
 from .mechanisms import LOG_RULE_LIMIT, SmoothnessParams
-from .records import record
+from .records import record, replace
 
 SLACK_TOL = 1e-9
 DIST_TOL = 1e-9
@@ -184,6 +184,20 @@ def add_deviation_sums(out: np.ndarray, terms) -> np.ndarray:
     return out
 
 
+def smoothness_report(params: SmoothnessParams, slack: np.ndarray, gain: np.ndarray, opt: float,
+                      grid: Sequence[float], sizes: Sequence[int],
+                      values: tuple[float, ...] = ()) -> SmoothnessReport:
+    """The verdict of a slack array over the joint profiles of ``sizes``: its
+    least entry, witnessed by that profile's bids on ``grid`` (at value
+    profile ``values``), holds unless below -SLACK_TOL; the level is
+    ``gain.min() / opt``, or None when ``opt`` is 0."""
+    flat = int(np.argmin(slack))
+    worst = float(slack[flat])
+    bids = tuple(grid[j] for j in np.unravel_index(flat, sizes))
+    level = float(gain.min()) / opt if opt > 0.0 else None
+    return SmoothnessReport(params, worst >= -SLACK_TOL, worst, values, bids, level)
+
+
 def check_deviation_smoothness(
     mechanism: mech.Mechanism,
     rule: DeviationRule,
@@ -194,18 +208,16 @@ def check_deviation_smoothness(
 
     The expectation over the deviation is computed in closed form, so the
     check is exact up to float arithmetic; the verdict uses a -1e-9 slack
-    tolerance. The witness is the minimizing (v, a) pair whether or not the
-    certificate holds. The report's ``level`` comes from the same gain grids,
-    over the value profiles with positive optimum.
+    tolerance. Of the value profiles' reports, the first with the least
+    worst slack is returned, with the least level among them; its witness is
+    the minimizing (v, a) pair whether or not the certificate holds.
     """
     profiles = [mechanism.validate_values(v) for v in value_space]
     if not profiles:
         raise InputError("value_space must contain at least one profile")
     n, size = mechanism.n, len(mechanism.grid)
     rev = mech.revenue_table(mechanism)
-    worst = level = math.inf
-    wit_v: tuple[float, ...] = profiles[0]
-    wit_a: tuple[int, ...] = (0,) * n
+    reports = []
     for values in profiles:
         opt = mech.optimal_welfare(values, mechanism)
         # mu R, then each seat's table [b_i, a_-i] viewed as (a_<i, b_i, a_>i)
@@ -214,23 +226,11 @@ def check_deviation_smoothness(
              .transpose(1, 0, 2), rule.distribution(mechanism, i, values))
             for i in range(n)
         ))
-        if opt > 0.0:
-            level = min(level, float(gain.min()) / opt)
-        slack = gain - params.lam * opt
-        flat = int(np.argmin(slack))
-        if slack[flat] < worst:
-            worst = float(slack[flat])
-            wit_v = values
-            wit_a = np.unravel_index(flat, mechanism.sizes)
-    actions = tuple(mechanism.grid[j] for j in wit_a)
-    return SmoothnessReport(
-        params=params,
-        holds=worst >= -SLACK_TOL,
-        worst_slack=worst,
-        witness_values=wit_v,
-        witness_actions=actions,
-        level=level if level < math.inf else None,
-    )
+        reports.append(smoothness_report(params, gain - params.lam * opt, gain, opt,
+                                         mechanism.grid, mechanism.sizes, values))
+    levels = [r.level for r in reports if r.level is not None]
+    worst = min(reports, key=lambda r: r.worst_slack)
+    return replace(worst, level=min(levels, default=None))
 
 
 def best_pure_deviation(

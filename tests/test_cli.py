@@ -825,6 +825,36 @@ def test_oversized_grid_and_horizon_exit_two_before_allocating(tmp_path, capsys)
     assert err.startswith("error: horizon 1000000000000 needs") and "physical memory" in err
 
 
+# Steps below 1e-6, which GRID_TOL (1e-9) cannot resolve: (H, step, types,
+# config keys, commands). Unrefused, the log rule divides by zero, since the
+# tolerance spans the whole grid; the half rule "certifies" lambda 0.9 where
+# the best pure level is 0.6; the 12-decimal grid plays the bids (0, 2e-12,
+# 3e-12) for the step 1.5e-12; and the step 5e-13 reads as an unordered grid.
+UNRESOLVED_STEPS = {
+    "log": (1e-10, 1e-11, [5e-11, 1e-10], {"deviation": "log"}, ("certify", "exact")),
+    "half": (1e-10, 1e-11, [5e-11, 1e-10],
+             {"deviation": "half", "smoothness": {"lambda": 0.9, "mu": 1.0}}, ("certify",)),
+    "merged": (3e-12, 1.5e-12, [1.5e-12, 3e-12], {}, ("simulate",)),
+    "unordered": (2.5e-12, 5e-13, [1.25e-12, 2.5e-12], {}, ("simulate",)),
+}
+
+
+@pytest.mark.parametrize("name", UNRESOLVED_STEPS)
+def test_grid_steps_the_tolerance_cannot_resolve_exit_two(tmp_path, capsys, name):
+    H, step, types, keys, commands = UNRESOLVED_STEPS[name]
+    out = tmp_path / "runs"
+    doc = base_doc(populations=[types, types], horizon=10, seeds=[1], out_dir=str(out), **keys)
+    doc["mechanism"].update(H=H, grid_step=step)
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(doc))
+    for command in commands:
+        assert cli.main([command, "--config", str(path)]) == 2, command
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.count("\n") == 1, command
+        assert f"mechanism: grid step {step} is below 1e-06" in err, command
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_grids_over_the_table_cap_exit_two_before_allocating(tmp_path, capsys, n):
     # 32,768 bids per seat: 2^60 joint profiles on 4 seats, and on 5 seats

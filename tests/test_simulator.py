@@ -552,6 +552,8 @@ def test_sidecar_meta_fields():
     assert meta["feedback"] == sim.FEEDBACK_FULL
     assert meta["mechanism"]["kind"] == "first-price"
     assert meta["populations"] == [[0.5, 1.0], [0.5, 1.0]]
+    # the meta is the config's fields, and the reader's table reads each back
+    assert set(meta) == set(sim.SimConfig._fields) == set(readers.META)
 
 
 @st.composite
